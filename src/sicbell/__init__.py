@@ -3,10 +3,10 @@
 The package turns a set of rays whose orthogonality structure forbids a
 classical 0/1 assignment into a bipartite inequality: diagonal joint
 probabilities enter with positive weights, orthogonal pairs with
-negative ones.  It computes the classical bound exactly, certifies the
-quantum ceiling with an interior-point-free SDP solver, predicts the
-ideal quantum value from full Born-rule traces, and simulates noisy
-photon-counting runs with propagated Poisson errors.
+negative ones.  It computes the classical bound exactly, the quantum
+ceiling as the top eigenvalue of the Bell operator, and the Lovasz bound
+with an in-house ADMM SDP solver; it predicts quantum values from one
+Born-rule contraction and simulates noisy photon-counting runs.
 """
 
 from .bounds import (

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import SicSet, WeightedGraph, orthogonality_graph
+from .catalog import SicSet, WeightedGraph
 
 _MAX_VERTICES = 64
 
@@ -248,77 +248,35 @@ def lovasz_theta(graph: WeightedGraph, tol: float = 1e-6) -> float:
 
 @dataclass(frozen=True)
 class CeilingResult:
-    value: float            # certified feasible (lower) value
+    value: float            # attained expectation (lower bound)
     gap: float
     dual_bound: float
-    state: np.ndarray       # feasible density matrix attaining `value`
+    state: np.ndarray       # pure density matrix attaining `value`
     iterations: int
-    converged: bool
 
 
-def state_ceiling(op: np.ndarray, tol: float = 1e-6,
-                  max_iter: int = 100_000, check_every: int = 25) -> CeilingResult:
+def state_ceiling(op: np.ndarray) -> CeilingResult:
     """Largest expectation of a Hermitian operator over density matrices.
 
-    Solves max <op, rho> subject to Tr rho = 1, rho >= 0 with the same
-    splitting scheme as :func:`solve_theta`.  The dual certificate is a
-    multiple of the identity shifted by the worst constraint violation,
-    so the bracket is valid at every iteration.
+    The optimum of max <op, rho> subject to Tr rho = 1, rho >= 0 is the
+    top eigenvalue of op, attained by the projector onto its eigenvector
+    v, so one Hermitian eigendecomposition replaces an iterative solver.
+    ``value`` is the Rayleigh quotient of v, attained by ``state``.
+    ``dual_bound`` is the top eigenvalue lifted by the residual
+    ||op v - value v||, which absorbs the rounding that can put the
+    Rayleigh quotient a few ulps above the computed eigenvalue.
     """
     op = np.asarray(op)
     m = op.shape[0]
     if op.shape != (m, m) or np.max(np.abs(op - op.conj().T)) > 1e-10:
         raise ValueError("operator must be a Hermitian square matrix")
-
-    x = np.eye(m, dtype=complex) / m
-    z = x.copy()
-    u = np.zeros((m, m), dtype=complex)
-    rho = max(1.0, float(np.linalg.norm(op, ord="fro")) / m)
-    relax = 1.6
-    eye = np.eye(m)
-    best: Optional[tuple] = None
-
-    for it in range(1, max_iter + 1):
-        v = z - u + op / rho
-        shift = (1.0 - np.trace(v).real) / m
-        x = v + shift * eye
-
-        if it % check_every == 0 or it == 1:
-            lam_min = float(np.linalg.eigvalsh(x)[0])
-            x_feas = x
-            if lam_min < 0.0:
-                gamma = (-lam_min + 1e-15) / (1.0 / m - lam_min + 1e-15)
-                x_feas = (1.0 - gamma) * x + (gamma / m) * eye
-            lower = float(np.sum(op.conj() * x_feas).real)
-            # the affine residual is mu*I; lifting mu by the residual
-            # spectrum of op - mu*I gives a dual-feasible bound
-            mu = rho * (-shift)
-            deficit = float(np.linalg.eigvalsh(op - mu * eye)[-1])
-            upper = mu + max(0.0, deficit)
-            if best is None or (upper - lower) < (best[1] - best[0]):
-                best = (lower, upper, x_feas)
-            if upper - lower <= tol:
-                return CeilingResult(lower, upper - lower, upper, x_feas, it, True)
-
-        x_hat = relax * x + (1.0 - relax) * z
-        mmat = x_hat + u
-        lam, q = np.linalg.eigh((mmat + mmat.conj().T) / 2.0)
-        z_new = (q * np.clip(lam, 0.0, None)) @ q.conj().T
-        u = u + x_hat - z_new
-
-        if it % 50 == 0:
-            r_prim = float(np.linalg.norm(x - z_new))
-            r_dual = float(rho * np.linalg.norm(z_new - z))
-            if r_prim > 10.0 * r_dual and rho < 1e8:
-                rho *= 2.0
-                u /= 2.0
-            elif r_dual > 10.0 * r_prim and rho > 1e-8:
-                rho /= 2.0
-                u *= 2.0
-        z = z_new
-
-    lower, upper, _ = best
-    raise ThetaNonConvergence(lower, upper, max_iter)
+    lam, vecs = np.linalg.eigh(op)
+    v = vecs[:, -1]
+    image = op @ v
+    value = float(np.vdot(v, image).real)
+    residual = float(np.linalg.norm(image - value * v))
+    upper = max(float(lam[-1]), value) + residual
+    return CeilingResult(value, upper - value, upper, np.outer(v, v.conj()), 1)
 
 
 @dataclass(frozen=True)
@@ -349,9 +307,9 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     """Bundle the classical bound, the quantum ceiling, and the ideal value."""
     from .quantum import bell_operator, bell_value, max_entangled_state
 
-    graph = orthogonality_graph(sic)
+    graph = sic.graph
     alpha, witness = max_weight_independent_set(graph)
-    ceiling = state_ceiling(bell_operator(sic), tol=tol)
+    ceiling = state_ceiling(bell_operator(sic))
     graph_res = solve_theta(graph, tol=tol)
     beta, _ = bell_value(sic, max_entangled_state(sic.dimension))
     return BoundsReport(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -64,6 +65,11 @@ class SicSet:
     @property
     def n(self) -> int:
         return len(self.vectors)
+
+    @cached_property
+    def graph(self) -> "WeightedGraph":
+        """The exact orthogonality graph, built on first use."""
+        return orthogonality_graph(self)
 
     @property
     def norm_sq(self) -> tuple[int, ...]:
@@ -346,21 +352,19 @@ def verify_set(sic: SicSet) -> ValidationReport:
         checks.append(CheckResult("context_identity", ident))
 
     if nonzero and dims_ok:
-        graph = orthogonality_graph(sic)
+        graph = sic.graph
         if sic.expected_edges is not None:
             checks.append(CheckResult(
                 "edge_count", len(graph.edges) == sic.expected_edges,
                 f"found {len(graph.edges)}, expected {sic.expected_edges}"))
         # float classification must agree with the exact edge set
-        fv = sic.float_vectors()
-        agree = True
-        for i, j in combinations(range(sic.n), 2):
-            fl = abs(np.vdot(fv[i], fv[j])) < 1e-9
-            ex = inner_product(sic.vectors[i], sic.vectors[j]).is_zero()
-            if fl != ex:
-                agree = False
-                break
-        checks.append(CheckResult("exact_float_agreement", agree))
+        exact = np.zeros((sic.n, sic.n), dtype=bool)
+        rows, cols = np.array(graph.edges, dtype=int).reshape(-1, 2).T
+        exact[rows, cols] = exact[cols, rows] = True
+        fv = np.array(sic.float_vectors()).reshape(sic.n, sic.dimension)
+        floating = np.abs(fv.conj() @ fv.T) < 1e-9
+        checks.append(CheckResult("exact_float_agreement",
+                                  bool(np.array_equal(exact, floating))))
 
     return ValidationReport(sic.name, tuple(checks))
 

@@ -33,7 +33,6 @@ from .catalog import (
     catalog_names,
     get_set,
     load_set,
-    orthogonality_graph,
     verify_set,
 )
 from .montecarlo import (
@@ -49,10 +48,10 @@ from .noise import (
     SchmidtSpectrum,
     apply_noise,
     default_modes,
-    prediction_table,
+    expected_bell_value,
     spiral_spectrum,
 )
-from .quantum import bell_coefficients, bell_settings, bell_value, max_entangled_state
+from .quantum import bell_settings, bell_value, max_entangled_state
 
 OUTDIR_ENV = "SICBELL_OUTDIR"
 
@@ -128,7 +127,7 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad spectrum in config: {exc}") from exc
     try:
-        return RunConfig(
+        cfg = RunConfig(
             set_name=name,
             visibility=float(doc.get("visibility", 1.0)),
             crosstalk=float(doc.get("crosstalk", 0.0)),
@@ -142,9 +141,13 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config value: {exc}") from exc
+    if cfg.bootstrap_replicates < 0:
+        raise CliError(f"bootstrap_replicates {cfg.bootstrap_replicates} "
+                       "is negative")
+    return cfg
 
 
-def resolve_set(name: str) -> SicSet:
+def _read_set(name: str) -> SicSet:
     """A catalog name, or a path to a set description in JSON."""
     if name in catalog_names():
         return get_set(name)
@@ -159,6 +162,17 @@ def resolve_set(name: str) -> SicSet:
     raise CliError(
         f"unknown set {name!r}: choose from {', '.join(catalog_names())} "
         "or give a .json path")
+
+
+def resolve_set(name: str) -> SicSet:
+    """Like :func:`_read_set`, but a set read from JSON must pass
+    :func:`verify_set`; the built-in sets are pinned by the tests."""
+    sic = _read_set(name)
+    if name not in catalog_names():
+        failed = [check.name for check in verify_set(sic).failures()]
+        if failed:
+            raise CliError(f"set {name} fails validation: {', '.join(failed)}")
+    return sic
 
 
 def _outdir(arg: Optional[str]) -> Path:
@@ -183,8 +197,8 @@ def _weight_summary(weights: Sequence[int]) -> str:
 
 
 def cmd_catalog(args) -> int:
-    sic = resolve_set(args.name)
-    graph = orthogonality_graph(sic)
+    sic = _read_set(args.name)
+    graph = sic.graph
     contexts = len(sic.contexts) if sic.contexts else 0
     print(f"{sic.name}: {sic.n} vectors, d={sic.dimension}, "
           f"{len(graph.edges)} edges, weights {_weight_summary(sic.weights)}, "
@@ -267,11 +281,7 @@ def cmd_predict(args) -> int:
     cfg = load_run_config(args.config, args.set, None)
     sic = resolve_set(cfg.set_name)
     noise = cfg.noise_config(sic.dimension)
-    inputs = apply_noise(sic, noise)
-    table = prediction_table(sic, inputs)
-    graph = orthogonality_graph(sic)
-    coeffs = bell_coefficients(sic.weights, graph.edges)
-    beta = float(coeffs @ table.values)
+    beta, table = expected_bell_value(sic, noise)
     _, ideal_table = bell_value(sic, max_entangled_state(sic.dimension))
     print(f"{sic.name}: expected beta = {beta:.6f} "
           f"(visibility={noise.visibility}, crosstalk={noise.crosstalk})")
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="compute alpha, theta, beta_ideal")
     p_bounds.add_argument("name", help="catalog name or set JSON path")
     p_bounds.add_argument("--tol", type=float, default=1e-6,
-                          help="certified gap for the solvers")
+                          help="certified gap for the theta_graph solver")
     p_bounds.add_argument("--out", default=None, help="output directory")
     p_bounds.add_argument("--format", choices=("json", "csv"), default="json")
     p_bounds.set_defaults(func=cmd_bounds)
@@ -412,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"(bracket [{exc.primal_bound}, {exc.dual_bound}] after "
               f"{exc.iterations} iterations)", file=sys.stderr)
         return 2
-    except (CliError, ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import max_weight_independent_set
-from .catalog import SicSet, orthogonality_graph
-from .noise import NoiseConfig, PredictionInputs, apply_noise, prediction_table
+from .catalog import SicSet
+from .noise import NoiseConfig, PredictionInputs, apply_noise, expected_bell_value
 from .quantum import (
     ProbabilityTable,
     bell_coefficients,
@@ -60,6 +60,8 @@ class RunPlan:
             raise ValueError("pair_rate must be positive")
         if not self.integration_time > 0:
             raise ValueError("integration_time must be positive")
+        if not math.isfinite(self.exposure):
+            raise ValueError("pair_rate * integration_time is not finite")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
 
@@ -72,10 +74,9 @@ class RunPlan:
 def plan_for(sic: SicSet, pair_rate: float, integration_time: float,
              seed: int) -> RunPlan:
     """A plan covering every setting of a set in canonical order."""
-    graph = orthogonality_graph(sic)
     return RunPlan(
         set_name=sic.name,
-        settings=tuple(bell_settings(sic.n, graph.edges)),
+        settings=tuple(bell_settings(sic.n, sic.graph.edges)),
         pair_rate=pair_rate,
         integration_time=integration_time,
         seed=seed,
@@ -155,21 +156,20 @@ def simulate_counts(plan: RunPlan, inputs: PredictionInputs) -> CountRecord:
             f"plan is for {plan.set_name!r} but inputs are for "
             f"{inputs.set_name!r}")
     n_effects = len(inputs.alice_effects)
-    exposure = plan.exposure
-    counts = []
-    for index, (i, j) in enumerate(plan.settings):
+    for i, j in plan.settings:
         if not (0 <= i < n_effects and 0 <= j < n_effects):
             raise ValueError(f"setting ({i}, {j}) out of range")
-        mean = exposure * inputs.probability(i, j)
-        if mean > _MAX_MEAN:
-            raise OverflowError(
-                f"expected count {mean} exceeds the counter range")
-        counts.append(int(_setting_rng(plan.seed, index).poisson(mean)))
+    means = plan.exposure * inputs.probabilities(plan.settings)
+    if means.max() > _MAX_MEAN:
+        raise OverflowError(
+            f"expected count {means.max()} exceeds the counter range")
+    counts = tuple(int(_setting_rng(plan.seed, index).poisson(mean))
+                   for index, mean in enumerate(means))
     return CountRecord(
         set_name=plan.set_name,
         settings=plan.settings,
-        counts=tuple(counts),
-        exposure=exposure,
+        counts=counts,
+        exposure=plan.exposure,
         seed=plan.seed,
     )
 
@@ -218,7 +218,7 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
     parametric bootstrap p-value (counts resampled from Poisson(C)) is
     reported next to the Gaussian one.
     """
-    graph = orthogonality_graph(sic)
+    graph = sic.graph
     edges = tuple(sorted(graph.edges))
     if table.n != sic.n or tuple(table.edges) != edges:
         raise ValueError("table does not cover the settings of this set")
@@ -270,10 +270,9 @@ def fit_visibility(target_beta: float, sic: SicSet) -> float:
     """
     d = sic.dimension
     beta_ideal, _ = bell_value(sic, max_entangled_state(d))
-    graph = orthogonality_graph(sic)
     total = float(sum(sic.weights))
     edge_sum = float(sum(max(sic.weights[i], sic.weights[j])
-                         for i, j in graph.edges))
+                         for i, j in sic.graph.edges))
     beta_mixed = (total - edge_sum) / d**2
     if not beta_mixed - 1e-12 <= target_beta <= beta_ideal + 1e-12:
         raise ValueError(
@@ -292,10 +291,8 @@ def exposure_for_sigma(sic: SicSet, cfg: NoiseConfig,
     """
     if not sigma_target > 0:
         raise ValueError("sigma_target must be positive")
-    inputs = apply_noise(sic, cfg)
-    table = prediction_table(sic, inputs)
-    graph = orthogonality_graph(sic)
-    coeffs = bell_coefficients(sic.weights, graph.edges)
+    _, table = expected_bell_value(sic, cfg)
+    coeffs = bell_coefficients(sic.weights, sic.graph.edges)
     weight = float(coeffs**2 @ table.values)
     if weight <= 0:
         raise ValueError("all settings have zero probability")

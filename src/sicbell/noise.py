@@ -26,13 +26,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import SicSet, orthogonality_graph
+from .catalog import SicSet
 from .quantum import (
     BipartiteState,
     ProbabilityTable,
     bell_coefficients,
     bell_settings,
-    projector,
+    born_probabilities,
+    ray_projectors,
 )
 
 _NORM_TOL = 1e-12
@@ -120,6 +121,8 @@ def spiral_spectrum(width: float, modes: Sequence[int]) -> SchmidtSpectrum:
         raise ValueError("spectrum needs at least one mode")
     if not width > 0:
         raise ValueError("width must be positive")
+    if not 2.0 * width * width > 0:
+        raise ValueError(f"width {width} is too small: its square underflows")
     sq = np.array([float(m) * float(m) for m in modes])
     # Shift exponents so the largest amplitude is exactly 1 before
     # normalizing; this keeps narrow widths from underflowing to all zeros.
@@ -190,47 +193,44 @@ class PredictionInputs:
     """State and measurement effects ready for probability evaluation.
 
     ``alice_effects[i]`` and ``bob_effects[j]`` are the POVM elements for
-    selecting ray i on arm A and ray j on arm B; the joint click
-    probability for setting (i, j) is Tr[rho (A_i x B_j)].
+    selecting ray i on arm A and ray j on arm B, stacked as (n, d, d)
+    arrays; the joint click probability for setting (i, j) is
+    Tr[rho (A_i x B_j)].
     """
 
     set_name: str
     dimension: int
     state: BipartiteState
-    alice_effects: tuple[np.ndarray, ...] = field(repr=False)
-    bob_effects: tuple[np.ndarray, ...] = field(repr=False)
+    alice_effects: np.ndarray = field(repr=False)
+    bob_effects: np.ndarray = field(repr=False)
+
+    def probabilities(self, settings: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Click probabilities for every setting, in the given order."""
+        return born_probabilities(self.state.rho, self.alice_effects,
+                                  self.bob_effects, settings)
 
     def probability(self, i: int, j: int) -> float:
-        op = np.kron(self.alice_effects[i], self.bob_effects[j])
-        p = float(np.trace(self.state.rho @ op).real)
-        if p < -1e-9 or p > 1.0 + 1e-9:
-            raise ArithmeticError(f"probability {p} outside [0, 1]")
-        return min(max(p, 0.0), 1.0)
+        return float(self.probabilities([(i, j)])[0])
 
 
 def measurement_effects(sic: SicSet, crosstalk: float
-                        ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Analyzer POVM elements for both arms at the given crosstalk level.
 
     Each ideal projector P keeps weight 1 - epsilon and leaks the rest
     uniformly into its complement: E = (1-eps) P + eps (I - P)/(d-1).
-    Arm B uses the entrywise conjugate family.
+    Arm B uses the entrywise conjugate family.  Both are (n, d, d) stacks.
     """
     d = sic.dimension
     if not 0.0 <= crosstalk < 1.0:
         raise ValueError(f"crosstalk {crosstalk} outside [0, 1)")
     if crosstalk > 0.0 and d < 2:
         raise ValueError("crosstalk needs dimension at least 2")
-    eye = np.eye(d, dtype=complex)
-    alice = []
-    for v in sic.float_vectors():
-        p = projector(v)
-        if crosstalk == 0.0:
-            alice.append(p)
-        else:
-            alice.append((1.0 - crosstalk) * p + crosstalk * (eye - p) / (d - 1))
-    bob = tuple(e.conj() for e in alice)
-    return tuple(alice), bob
+    alice = ray_projectors(sic)
+    if crosstalk > 0.0:
+        eye = np.eye(d, dtype=complex)
+        alice = (1.0 - crosstalk) * alice + crosstalk * (eye - alice) / (d - 1)
+    return alice, alice.conj()
 
 
 def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
@@ -255,16 +255,14 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
 
 def prediction_table(sic: SicSet, inputs: PredictionInputs) -> ProbabilityTable:
     """Exact click probabilities for every setting of a set."""
-    graph = orthogonality_graph(sic)
-    settings = bell_settings(sic.n, graph.edges)
-    values = np.array([inputs.probability(i, j) for i, j in settings])
-    return ProbabilityTable(sic.n, tuple(sorted(graph.edges)), values)
+    edges = sic.graph.edges
+    values = inputs.probabilities(bell_settings(sic.n, edges))
+    return ProbabilityTable(sic.n, tuple(sorted(edges)), values)
 
 
 def expected_bell_value(sic: SicSet, cfg: NoiseConfig
                         ) -> tuple[float, ProbabilityTable]:
     """The functional value a noiseless estimator would converge to."""
     table = prediction_table(sic, apply_noise(sic, cfg))
-    graph = orthogonality_graph(sic)
-    coeffs = bell_coefficients(sic.weights, graph.edges)
+    coeffs = bell_coefficients(sic.weights, sic.graph.edges)
     return float(coeffs @ table.values), table

@@ -3,9 +3,12 @@
 One party measures the catalog projectors directly, the other always
 measures their entrywise complex conjugates; this pairing is hard-wired
 because it is what makes the diagonal probabilities land on 1/d for the
-maximally entangled state.  Every probability is a full density-matrix
-trace Tr[rho (Pi_i x Pi_j*)] on the d^2-dimensional joint space; no
-amplitude shortcut is taken outside the tests.
+maximally entangled state.  Every probability is the Born-rule trace
+Tr[rho (A_i x B_j)] on the d^2-dimensional joint space, and a whole
+table of them comes from one tensor contraction of rho with the stacked
+effects of both arms (:func:`born_probabilities`).  The single-pair
+:func:`joint_probability` builds the Kronecker product explicitly; it is
+kept as the reference the contraction is tested against.
 
 The functional evaluated here is
 
@@ -21,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import SicSet, orthogonality_graph
+from .catalog import SicSet
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,36 @@ def joint_probability(rho: BipartiteState, vi: Sequence[complex],
     return min(max(p, 0.0), 1.0)
 
 
+def ray_projectors(sic: SicSet) -> np.ndarray:
+    """The set's rank-1 projectors stacked along axis 0, shape (n, d, d).
+
+    The other arm's conjugate family is the entrywise conjugate stack.
+    """
+    vecs = np.array(sic.float_vectors()).reshape(sic.n, sic.dimension)
+    return np.einsum("ia,ib->iab", vecs, vecs.conj())
+
+
+def born_probabilities(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray,
+                       settings: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Tr[rho (A_i x B_j)] for every setting (i, j), clamped to [0, 1].
+
+    ``rho`` is the d^2 x d^2 joint density matrix, ``alice`` and ``bob``
+    are (n, d, d) stacks of effects.  Indexing rho as rho[a, b, c, e]
+    (Alice row, Bob row, Alice column, Bob column), the trace is
+    sum rho[a, b, c, e] A_i[c, a] B_j[e, b] for every (i, j) at once.
+    """
+    d = alice.shape[-1]
+    ii, jj = np.asarray(settings, dtype=int).reshape(-1, 2).T
+    table = np.einsum("abce,ica,jeb->ij", rho.reshape(d, d, d, d), alice, bob,
+                      optimize=True)
+    p = table.real[ii, jj]
+    bad = p[~((p >= -1e-9) & (p <= 1.0 + 1e-9))]
+    if bad.size:
+        raise ArithmeticError(
+            f"probability {bad[0]} outside [0,1] beyond roundoff")
+    return np.clip(p, 0.0, 1.0)
+
+
 def bell_settings(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Canonical measurement-setting order: diagonals, then both
     orientations of each edge in sorted edge order."""
@@ -125,16 +158,16 @@ class ProbabilityTable:
 
 
 def bell_value(sic: SicSet, rho: BipartiteState) -> tuple[float, ProbabilityTable]:
-    """Evaluate the functional for a set against a state, via full traces."""
+    """Evaluate the functional for a set against a state."""
     if sic.dimension != rho.d:
         raise ValueError(
             f"set dimension {sic.dimension} does not match state dimension {rho.d}")
-    graph = orthogonality_graph(sic)
-    vecs = sic.float_vectors()
-    settings = bell_settings(sic.n, graph.edges)
-    values = np.array([joint_probability(rho, vecs[i], vecs[j]) for i, j in settings])
-    table = ProbabilityTable(sic.n, tuple(sorted(graph.edges)), values)
-    coeffs = bell_coefficients(sic.weights, graph.edges)
+    edges = sic.graph.edges
+    alice = ray_projectors(sic)
+    values = born_probabilities(rho.rho, alice, alice.conj(),
+                                bell_settings(sic.n, edges))
+    table = ProbabilityTable(sic.n, tuple(sorted(edges)), values)
+    coeffs = bell_coefficients(sic.weights, edges)
     return float(coeffs @ values), table
 
 
@@ -144,17 +177,14 @@ def bell_operator(sic: SicSet) -> np.ndarray:
     B = sum_i w_i Pi_i x Pi_i* - sum_(i,j) (w_ij/2)(Pi_i x Pi_j* + Pi_j x Pi_i*),
     a Hermitian d^2 x d^2 matrix.  beta(rho) = Tr[rho B], so the largest
     eigenvalue of B is the ceiling of the functional over all states for
-    this measurement family.
+    this measurement family.  The signed weights are laid out as an
+    n x n matrix C, and B = sum_ij C_ij Pi_i x Pi_j* is one contraction.
     """
-    graph = orthogonality_graph(sic)
-    vecs = sic.float_vectors()
+    edges = sic.graph.edges
+    ii, jj = np.asarray(bell_settings(sic.n, edges), dtype=int).reshape(-1, 2).T
+    coeffs = np.zeros((sic.n, sic.n))
+    coeffs[ii, jj] = bell_coefficients(sic.weights, edges)
+    alice = ray_projectors(sic)
     d = sic.dimension
-    alice = [projector(v) for v in vecs]
-    bob = [conjugate_projector(v) for v in vecs]
-    op = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(sic.n):
-        op += sic.weights[i] * np.kron(alice[i], bob[i])
-    for i, j in graph.edges:
-        half = max(sic.weights[i], sic.weights[j]) / 2.0
-        op -= half * (np.kron(alice[i], bob[j]) + np.kron(alice[j], bob[i]))
-    return op
+    op = np.einsum("ij,iac,jbe->abce", coeffs, alice, alice.conj(), optimize=True)
+    return op.reshape(d * d, d * d)

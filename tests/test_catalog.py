@@ -134,6 +134,12 @@ def test_ks_colorable_rejects_bad_context():
         ks_colorable(g, [(0, 5)])
 
 
+def test_graph_property_is_built_once():
+    s = get_set("ks18")
+    assert s.graph is s.graph
+    assert s.graph == orthogonality_graph(s)
+
+
 def test_verify_set_passes_builtin():
     for name in catalog_names():
         rep = verify_set(get_set(name))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sicbell.bounds import ThetaNonConvergence
-from sicbell.catalog import build_yo13, get_set, save_set
+from sicbell.catalog import build_yo13, get_set, save_set, to_json_dict
 from sicbell.cli import OUTDIR_ENV, RunConfig, load_run_config, main, resolve_set
 from sicbell import cli as cli_module
 
@@ -226,10 +226,20 @@ class TestConfigHandling:
                      "--out", str(tmp_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_bad_visibility_range(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", set="yo13", visibility=1.5)
+    @pytest.mark.parametrize("fields, message", [
+        ({"visibility": 1.5}, "visibility 1.5 outside"),
+        ({"pair_rate": 1e30}, "exceeds the counter range"),
+        ({"pair_rate": 1e308, "integration_time": 10.0}, "is not finite"),
+        ({"bootstrap_replicates": -1}, "bootstrap_replicates -1 is negative"),
+        ({"spectrum_width": 1e-300}, "its square underflows"),
+    ], ids=["visibility", "pair_rate", "exposure", "replicates", "width"])
+    def test_bad_visibility_range(self, tmp_path, capsys, fields, message):
+        cfg = write_config(tmp_path / "c.json", set="yo13", **fields)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert err.count("\n") == 1
 
     def test_explicit_spectrum(self, tmp_path, capsys):
         amp = 1.0 / 3.0 ** 0.5
@@ -254,6 +264,18 @@ class TestConfigHandling:
 
     def test_resolve_set_catalog(self):
         assert resolve_set("ks18").n == 18
+
+    @pytest.mark.parametrize("command", ["bounds", "predict", "simulate"])
+    def test_invalid_custom_set_rejected(self, tmp_path, capsys, command):
+        doc = to_json_dict(build_yo13())
+        doc["vectors"][0] = [[0, 0]] * 3
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        argv = ([command, str(path)] if command == "bounds"
+                else [command, "--set", str(path)])
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: set {path} fails validation: nonzero_vectors\n"
 
     def test_outdir_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))

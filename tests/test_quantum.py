@@ -8,10 +8,12 @@ from sicbell.quantum import (
     bell_coefficients,
     bell_settings,
     bell_value,
+    born_probabilities,
     conjugate_projector,
     joint_probability,
     max_entangled_state,
     projector,
+    ray_projectors,
 )
 
 
@@ -126,6 +128,16 @@ def test_joint_probability_dimension_mismatch():
     st = max_entangled_state(3)
     with pytest.raises(ValueError):
         joint_probability(st, np.ones(4), np.ones(4))
+
+
+@pytest.mark.parametrize("scale", [4.0, np.nan])
+def test_born_probabilities_reject_unphysical_state(scale):
+    # 4 rho puts every diagonal probability at 4/3; NaN is never in range
+    s = get_set("yo13")
+    alice = ray_projectors(s)
+    rho = scale * max_entangled_state(3).rho
+    with pytest.raises(ArithmeticError):
+        born_probabilities(rho, alice, alice.conj(), [(0, 0)])
 
 
 def test_bell_settings_and_coefficients():
