@@ -71,6 +71,18 @@ class SicSet:
         """The exact orthogonality graph, built on first use."""
         return orthogonality_graph(self)
 
+    @cached_property
+    def settings(self) -> tuple[tuple[int, int], ...]:
+        """Every measurement setting of the inequality, in canonical order."""
+        return tuple(bell_settings(self.n, self.graph.edges))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Signed weight of each setting, aligned with :attr:`settings`."""
+        coeffs = bell_coefficients(self.weights, self.graph.edges)
+        coeffs.setflags(write=False)
+        return coeffs
+
     @property
     def norm_sq(self) -> tuple[int, ...]:
         return tuple(vector_norm_sq(v) for v in self.vectors)
@@ -234,7 +246,7 @@ def get_set(name: str) -> SicSet:
 
 
 # ---------------------------------------------------------------------------
-# Graph construction and structural checks
+# Graph construction, the Bell layout, and structural checks
 # ---------------------------------------------------------------------------
 
 def orthogonality_graph(sic: SicSet) -> WeightedGraph:
@@ -244,6 +256,26 @@ def orthogonality_graph(sic: SicSet) -> WeightedGraph:
         if inner_product(sic.vectors[i], sic.vectors[j]).is_zero():
             edges.append((i, j))
     return WeightedGraph(sic.n, sic.weights, tuple(edges))
+
+
+def bell_settings(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Canonical measurement-setting order: diagonals, then both
+    orientations of each edge in sorted edge order."""
+    out = [(i, i) for i in range(n)]
+    for i, j in sorted(edges):
+        out.append((i, j))
+        out.append((j, i))
+    return out
+
+
+def bell_coefficients(weights: Sequence, edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Signed weight of each setting, aligned with :func:`bell_settings`:
+    w_i on a diagonal, -w_ij/2 on each orientation of an edge (i, j)."""
+    coeffs = [float(w) for w in weights]
+    for i, j in sorted(edges):
+        wij = float(max(weights[i], weights[j]))
+        coeffs.extend([-wij / 2.0, -wij / 2.0])
+    return np.asarray(coeffs)
 
 
 def ks_colorable(graph: WeightedGraph, contexts) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -325,8 +357,8 @@ def verify_set(sic: SicSet) -> ValidationReport:
     checks.append(CheckResult("vector_dimension", dims_ok,
                               f"d={sic.dimension}, n={sic.n}"))
 
-    checks.append(CheckResult("positive_weights",
-                              len(sic.weights) == sic.n and all(w > 0 for w in sic.weights)))
+    weights_ok = len(sic.weights) == sic.n and all(w > 0 for w in sic.weights)
+    checks.append(CheckResult("positive_weights", weights_ok))
 
     if sic.contexts is not None:
         in_range = all(0 <= v < sic.n for ctx in sic.contexts for v in ctx)
@@ -351,7 +383,7 @@ def verify_set(sic: SicSet) -> ValidationReport:
         )
         checks.append(CheckResult("context_identity", ident))
 
-    if nonzero and dims_ok:
+    if nonzero and dims_ok and weights_ok:
         graph = sic.graph
         if sic.expected_edges is not None:
             checks.append(CheckResult(

@@ -36,6 +36,7 @@ from .catalog import (
     verify_set,
 )
 from .montecarlo import (
+    canonical_counts,
     estimate_beta,
     estimate_probabilities,
     exposure_for_sigma,
@@ -51,9 +52,10 @@ from .noise import (
     expected_bell_value,
     spiral_spectrum,
 )
-from .quantum import bell_settings, bell_value, max_entangled_state
+from .quantum import bell_value, max_entangled_state
 
 OUTDIR_ENV = "SICBELL_OUTDIR"
+MAX_BOOTSTRAP_REPLICATES = 10**6
 
 _CONFIG_KEYS = {
     "set", "visibility", "crosstalk", "spectrum_width", "spectrum",
@@ -144,6 +146,9 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
     if cfg.bootstrap_replicates < 0:
         raise CliError(f"bootstrap_replicates {cfg.bootstrap_replicates} "
                        "is negative")
+    if cfg.bootstrap_replicates > MAX_BOOTSTRAP_REPLICATES:
+        raise CliError(f"bootstrap_replicates {cfg.bootstrap_replicates} "
+                       f"exceeds the cap of {MAX_BOOTSTRAP_REPLICATES}")
     return cfg
 
 
@@ -198,12 +203,15 @@ def _weight_summary(weights: Sequence[int]) -> str:
 
 def cmd_catalog(args) -> int:
     sic = _read_set(args.name)
-    graph = sic.graph
+    report = verify_set(sic)
+    try:
+        edges = f"{len(sic.graph.edges)} edges, "
+    except ValueError:  # the report below names the failed check
+        edges = ""
     contexts = len(sic.contexts) if sic.contexts else 0
     print(f"{sic.name}: {sic.n} vectors, d={sic.dimension}, "
-          f"{len(graph.edges)} edges, weights {_weight_summary(sic.weights)}, "
+          f"{edges}weights {_weight_summary(sic.weights)}, "
           f"{contexts} contexts")
-    report = verify_set(sic)
     for check in report.checks:
         mark = "ok" if check.passed else "FAIL"
         line = f"  [{mark}] {check.name}"
@@ -259,9 +267,8 @@ def cmd_bounds(args) -> int:
 def _figure_rows(sic: SicSet, table, ideal_values, counts=None,
                  exposure=None):
     """Rows for the bar-chart export: diagonals first, then ordered edges."""
-    settings = bell_settings(table.n, table.edges)
     rows = []
-    for k, (i, j) in enumerate(settings):
+    for k, (i, j) in enumerate(sic.settings):
         row = {
             "index": k + 1,
             "alice": sic.labels[i],
@@ -321,11 +328,8 @@ def cmd_simulate(args) -> int:
               f"({cfg.bootstrap_replicates} replicates)")
 
     _, ideal_table = bell_value(sic, max_entangled_state(sic.dimension))
-    order = {s: k for k, s in enumerate(record.settings)}
-    canonical = bell_settings(table.n, table.edges)
-    counts = [record.counts[order[s]] for s in canonical]
-    rows = _figure_rows(sic, table, ideal_table.values, counts,
-                        record.exposure)
+    rows = _figure_rows(sic, table, ideal_table.values,
+                        canonical_counts(record)[2], record.exposure)
 
     outdir = _outdir(args.out)
     figure = outdir / f"{sic.name}_figure.csv"

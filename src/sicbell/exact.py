@@ -19,7 +19,11 @@ OMEGA = cmath.exp(1j * cmath.pi / 3)
 
 @dataclass(frozen=True)
 class ExactScalar:
-    """Element a + b*w of Z[w] with w^2 = w - 1."""
+    """Element a + b*w of Z[w] with w^2 = w - 1.
+
+    The same rules hold over Q[w]; :func:`projector_sum_equals` passes
+    Fraction coefficients.
+    """
 
     a: int
     b: int
@@ -87,50 +91,25 @@ def to_complex_vector(v):
     return [x.to_complex() for x in v]
 
 
-class _FracScalar:
-    """a + b*w with Fraction coefficients; same ring rules as ExactScalar."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, other):
-        return _FracScalar(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other):
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return _FracScalar(a * c - b * d, a * d + b * c + b * d)
-
-    def __eq__(self, other):
-        return self.a == other.a and self.b == other.b
-
-
 def projector_sum_equals(vectors, scale: Fraction) -> bool:
     """Check sum_i |v_i><v_i| / |v_i|^2 == scale * I, exactly.
 
     `vectors` is a list of exact vectors of equal dimension.  Works in
-    rational w-coordinates, so there is no tolerance to tune.
+    rational w-coordinates (ExactScalar with Fraction coefficients), so
+    there is no tolerance to tune.
     """
     if not vectors:
         return False
     d = len(vectors[0])
-    total = [[_FracScalar(0, 0) for _ in range(d)] for _ in range(d)]
+    total = [[ZERO] * d for _ in range(d)]
     for v in vectors:
         ns = vector_norm_sq(v)
         if ns == 0:
             return False
-        inv = Fraction(1, ns)
         for r in range(d):
-            vr = v[r]
             for c in range(d):
                 # (|v><v|)_{rc} = v_r * conj(v_c)
-                p = vr * v[c].conjugate()
-                total[r][c] = total[r][c] + _FracScalar(inv * p.a, inv * p.b)
-    for r in range(d):
-        for c in range(d):
-            want = _FracScalar(scale if r == c else 0, 0)
-            if total[r][c] != want:
-                return False
-    return True
+                p = v[r] * v[c].conjugate()
+                total[r][c] += ExactScalar(Fraction(p.a, ns), Fraction(p.b, ns))
+    return all(total[r][c] == ExactScalar(scale if r == c else 0, 0)
+               for r in range(d) for c in range(d))

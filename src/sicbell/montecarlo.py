@@ -17,15 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import max_weight_independent_set
-from .catalog import SicSet
+from .catalog import SicSet, bell_settings
 from .noise import NoiseConfig, PredictionInputs, apply_noise, expected_bell_value
-from .quantum import (
-    ProbabilityTable,
-    bell_coefficients,
-    bell_settings,
-    bell_value,
-    max_entangled_state,
-)
+from .quantum import ProbabilityTable, bell_value, max_entangled_state
 
 _MAX_SEED = 2**64
 _MAX_MEAN = float(2**63)
@@ -76,7 +70,7 @@ def plan_for(sic: SicSet, pair_rate: float, integration_time: float,
     """A plan covering every setting of a set in canonical order."""
     return RunPlan(
         set_name=sic.name,
-        settings=tuple(bell_settings(sic.n, sic.graph.edges)),
+        settings=sic.settings,
         pair_rate=pair_rate,
         integration_time=integration_time,
         seed=seed,
@@ -193,14 +187,22 @@ def _canonical_layout(settings: Sequence[tuple[int, int]]
     return n, tuple(edges), [position[s] for s in canonical]
 
 
+def canonical_counts(rec: CountRecord
+                     ) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
+    """A record's counts rearranged into canonical setting order, with
+    the (n, edges) that order is built from."""
+    n, edges, order = _canonical_layout(rec.settings)
+    return n, edges, [rec.counts[k] for k in order]
+
+
 def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
     """Normalized probabilities with Poisson standard errors.
 
     P = C/N and sigma = sqrt(C)/N; empty settings get sigma = 1/N so no
     term ever claims zero variance.
     """
-    n, edges, order = _canonical_layout(rec.settings)
-    counts = np.array([rec.counts[k] for k in order], dtype=float)
+    n, edges, counts = canonical_counts(rec)
+    counts = np.array(counts, dtype=float)
     values = counts / rec.exposure
     sigmas = np.where(counts > 0, np.sqrt(counts), 1.0) / rec.exposure
     return ProbabilityTable(n, edges, values, sigmas)
@@ -216,13 +218,16 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
     weights.  ``alpha`` defaults to the exact independence bound of the
     set's graph.  With ``record`` and ``bootstrap_replicates`` given, a
     parametric bootstrap p-value (counts resampled from Poisson(C)) is
-    reported next to the Gaussian one.
+    reported next to the Gaussian one.  beta* is linear in the counts
+    with a handful of distinct coefficients, and a sum of independent
+    Poissons is Poisson, so each replicate draws one Poisson per
+    coefficient, with mean the group's total count, not one per setting.
     """
     graph = sic.graph
     edges = tuple(sorted(graph.edges))
     if table.n != sic.n or tuple(table.edges) != edges:
         raise ValueError("table does not cover the settings of this set")
-    coeffs = bell_coefficients(sic.weights, graph.edges)
+    coeffs = sic.coefficients
     beta_hat = float(coeffs @ table.values)
     if alpha is None:
         alpha = float(max_weight_independent_set(graph)[0])
@@ -242,12 +247,16 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
     if bootstrap_replicates > 0:
         if record is None:
             raise ValueError("bootstrap needs the count record")
-        _, _, order = _canonical_layout(record.settings)
-        counts = np.array([record.counts[k] for k in order], dtype=float)
+        levels, group = np.unique(coeffs, return_inverse=True)
+        totals = np.bincount(group, weights=canonical_counts(record)[2])
+        # numpy's Poisson takes means below about 2**63, which bounds one
+        # setting (_MAX_MEAN) but not a group total: draw that in parts
+        parts = 1 + int(totals.max() // 2.0**62)
         rng = np.random.default_rng(
             np.random.SeedSequence([record.seed, _BOOTSTRAP_STREAM]))
-        draws = rng.poisson(lam=counts, size=(bootstrap_replicates, counts.size))
-        betas = (draws / record.exposure) @ coeffs
+        draws = rng.poisson(lam=totals / parts,
+                            size=(bootstrap_replicates, parts, levels.size))
+        betas = draws.sum(axis=1, dtype=float) @ levels / record.exposure
         boot = float(np.mean(betas <= alpha))
 
     return ViolationReport(
@@ -270,10 +279,8 @@ def fit_visibility(target_beta: float, sic: SicSet) -> float:
     """
     d = sic.dimension
     beta_ideal, _ = bell_value(sic, max_entangled_state(d))
-    total = float(sum(sic.weights))
-    edge_sum = float(sum(max(sic.weights[i], sic.weights[j])
-                         for i, j in sic.graph.edges))
-    beta_mixed = (total - edge_sum) / d**2
+    # every rank-1 effect has probability 1/d^2 on the maximally mixed state
+    beta_mixed = float(sic.coefficients.sum()) / d**2
     if not beta_mixed - 1e-12 <= target_beta <= beta_ideal + 1e-12:
         raise ValueError(
             f"target {target_beta} outside the reachable range "
@@ -292,8 +299,7 @@ def exposure_for_sigma(sic: SicSet, cfg: NoiseConfig,
     if not sigma_target > 0:
         raise ValueError("sigma_target must be positive")
     _, table = expected_bell_value(sic, cfg)
-    coeffs = bell_coefficients(sic.weights, sic.graph.edges)
-    weight = float(coeffs**2 @ table.values)
+    weight = float(sic.coefficients**2 @ table.values)
     if weight <= 0:
         raise ValueError("all settings have zero probability")
     return weight / sigma_target**2

@@ -30,8 +30,6 @@ from .catalog import SicSet
 from .quantum import (
     BipartiteState,
     ProbabilityTable,
-    bell_coefficients,
-    bell_settings,
     born_probabilities,
     ray_projectors,
 )
@@ -255,14 +253,12 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
 
 def prediction_table(sic: SicSet, inputs: PredictionInputs) -> ProbabilityTable:
     """Exact click probabilities for every setting of a set."""
-    edges = sic.graph.edges
-    values = inputs.probabilities(bell_settings(sic.n, edges))
-    return ProbabilityTable(sic.n, tuple(sorted(edges)), values)
+    values = inputs.probabilities(sic.settings)
+    return ProbabilityTable(sic.n, tuple(sorted(sic.graph.edges)), values)
 
 
 def expected_bell_value(sic: SicSet, cfg: NoiseConfig
                         ) -> tuple[float, ProbabilityTable]:
     """The functional value a noiseless estimator would converge to."""
     table = prediction_table(sic, apply_noise(sic, cfg))
-    coeffs = bell_coefficients(sic.weights, sic.graph.edges)
-    return float(coeffs @ table.values), table
+    return float(sic.coefficients @ table.values), table

@@ -14,7 +14,9 @@ The functional evaluated here is
 
     beta = sum_i w_i P_ii - sum_{(i,j) in E} (w_ij / 2) (P_ij + P_ji),
 
-with the pair weight w_ij = max(w_i, w_j).
+with the pair weight w_ij = max(w_i, w_j).  The setting order and the
+signed weights come from :mod:`sicbell.catalog` (``SicSet.settings``
+and ``SicSet.coefficients``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import SicSet
+from .catalog import SicSet, bell_coefficients, bell_settings  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -115,25 +117,6 @@ def born_probabilities(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray,
     return np.clip(p, 0.0, 1.0)
 
 
-def bell_settings(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Canonical measurement-setting order: diagonals, then both
-    orientations of each edge in sorted edge order."""
-    out = [(i, i) for i in range(n)]
-    for i, j in sorted(edges):
-        out.append((i, j))
-        out.append((j, i))
-    return out
-
-
-def bell_coefficients(weights: Sequence, edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Signed weight of each setting, aligned with :func:`bell_settings`."""
-    coeffs = [float(w) for w in weights]
-    for i, j in sorted(edges):
-        wij = float(max(weights[i], weights[j]))
-        coeffs.extend([-wij / 2.0, -wij / 2.0])
-    return np.asarray(coeffs)
-
-
 @dataclass(frozen=True)
 class ProbabilityTable:
     """Probabilities (optionally with standard errors) for every setting.
@@ -162,13 +145,10 @@ def bell_value(sic: SicSet, rho: BipartiteState) -> tuple[float, ProbabilityTabl
     if sic.dimension != rho.d:
         raise ValueError(
             f"set dimension {sic.dimension} does not match state dimension {rho.d}")
-    edges = sic.graph.edges
     alice = ray_projectors(sic)
-    values = born_probabilities(rho.rho, alice, alice.conj(),
-                                bell_settings(sic.n, edges))
-    table = ProbabilityTable(sic.n, tuple(sorted(edges)), values)
-    coeffs = bell_coefficients(sic.weights, edges)
-    return float(coeffs @ values), table
+    values = born_probabilities(rho.rho, alice, alice.conj(), sic.settings)
+    table = ProbabilityTable(sic.n, tuple(sorted(sic.graph.edges)), values)
+    return float(sic.coefficients @ values), table
 
 
 def bell_operator(sic: SicSet) -> np.ndarray:
@@ -180,10 +160,9 @@ def bell_operator(sic: SicSet) -> np.ndarray:
     this measurement family.  The signed weights are laid out as an
     n x n matrix C, and B = sum_ij C_ij Pi_i x Pi_j* is one contraction.
     """
-    edges = sic.graph.edges
-    ii, jj = np.asarray(bell_settings(sic.n, edges), dtype=int).reshape(-1, 2).T
+    ii, jj = np.asarray(sic.settings, dtype=int).reshape(-1, 2).T
     coeffs = np.zeros((sic.n, sic.n))
-    coeffs[ii, jj] = bell_coefficients(sic.weights, edges)
+    coeffs[ii, jj] = sic.coefficients
     alice = ray_projectors(sic)
     d = sic.dimension
     op = np.einsum("ij,iac,jbe->abce", coeffs, alice, alice.conj(), optimize=True)

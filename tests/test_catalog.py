@@ -10,6 +10,8 @@ from sicbell.catalog import (
     ExactScalar,
     SicSet,
     WeightedGraph,
+    bell_coefficients,
+    bell_settings,
     build_ks18,
     build_ks21,
     build_yo13,
@@ -138,6 +140,16 @@ def test_graph_property_is_built_once():
     s = get_set("ks18")
     assert s.graph is s.graph
     assert s.graph == orthogonality_graph(s)
+
+
+def test_bell_layout_is_cached_and_read_only():
+    s = get_set("yo13")
+    assert s.settings is s.settings
+    assert list(s.settings) == bell_settings(s.n, s.graph.edges)
+    assert s.coefficients is s.coefficients
+    assert np.array_equal(s.coefficients, bell_coefficients(s.weights, s.graph.edges))
+    with pytest.raises(ValueError):
+        s.coefficients[0] = 0.0
 
 
 def test_verify_set_passes_builtin():

@@ -56,6 +56,16 @@ class TestCatalog:
         assert main(["catalog", str(path)]) == 0
         assert "13 vectors" in capsys.readouterr().out
 
+    def test_zero_weight_is_itemised(self, tmp_path, capsys):
+        doc = to_json_dict(build_yo13())
+        doc["weights"][0] = 0
+        path = tmp_path / "zero_weight.json"
+        path.write_text(json.dumps(doc))
+        assert main(["catalog", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] positive_weights" in captured.out
+        assert "error:" not in captured.err
+
 
 class TestBounds:
     def test_ks18_bounds(self, tmp_path, capsys):
@@ -232,7 +242,9 @@ class TestConfigHandling:
         ({"pair_rate": 1e308, "integration_time": 10.0}, "is not finite"),
         ({"bootstrap_replicates": -1}, "bootstrap_replicates -1 is negative"),
         ({"spectrum_width": 1e-300}, "its square underflows"),
-    ], ids=["visibility", "pair_rate", "exposure", "replicates", "width"])
+        ({"bootstrap_replicates": 1e13}, "exceeds the cap of 1000000"),
+    ], ids=["visibility", "pair_rate", "exposure", "replicates", "width",
+            "replicates_cap"])
     def test_bad_visibility_range(self, tmp_path, capsys, fields, message):
         cfg = write_config(tmp_path / "c.json", set="yo13", **fields)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1

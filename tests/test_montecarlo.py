@@ -1,6 +1,7 @@
 """Tests for the counting simulation and violation statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,30 @@ class TestEstimateBeta:
             assert boot / gauss < 10.0
             assert gauss / boot < 10.0
         assert checked >= 2
+
+    def test_bootstrap_memory_is_per_coefficient(self):
+        # 50k replicates on ks21: one Poisson per coefficient group is
+        # 50k x 2 variates, where one per setting would be 50k x 231
+        # (about 185 MB with its scaled copy).
+        sic = get_set("ks21")
+        tracemalloc.start()
+        try:
+            _, _, report = run_experiment(sic, IDEAL, 1e4, 1.0, 5,
+                                          bootstrap_replicates=50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.bootstrap_p_value is not None
+        assert peak < 20 * 2**20
+
+    def test_bootstrap_splits_group_totals_beyond_poisson_range(self):
+        # At 1e19 pairs per setting the nine weight-3 diagonals of yo13
+        # total about 2.7e19 counts, past numpy's largest Poisson mean.
+        sic = get_set("yo13")
+        _, _, report = run_experiment(sic, NoiseConfig(visibility=0.9), 1e19,
+                                      1.0, 1, bootstrap_replicates=200)
+        assert report.beta_hat < report.alpha
+        assert report.bootstrap_p_value == 1.0
 
     def test_bootstrap_is_deterministic(self):
         sic = get_set("ks18")

@@ -3,6 +3,8 @@
 Each property compares the one-contraction quantum layer against an
 independent route: the single-pair Kronecker oracle, the trace of the
 Bell operator, a dense eigensolver, and pairwise float inner products.
+The noise-model inversion is checked by a round trip through the
+forward model.
 """
 
 from itertools import combinations
@@ -14,13 +16,15 @@ from hypothesis import strategies as st
 from sicbell.bounds import state_ceiling
 from sicbell.catalog import SicSet, verify_set
 from sicbell.exact import ONE, ZERO, ExactScalar
-from sicbell.noise import measurement_effects
+from sicbell.montecarlo import fit_visibility
+from sicbell.noise import NoiseConfig, expected_bell_value, measurement_effects
 from sicbell.quantum import (
     BipartiteState,
     bell_operator,
     bell_value,
     born_probabilities,
     joint_probability,
+    max_entangled_state,
     ray_projectors,
 )
 
@@ -111,3 +115,22 @@ def test_exact_and_float_edges_agree(sic):
     assert floating == sic.graph.edges
     checks = {c.name: c.passed for c in verify_set(sic).checks}
     assert checks["exact_float_agreement"]
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets(), st.floats(0.0, 1.0))
+def test_fit_visibility_round_trips(sic, t):
+    beta_mixed, _ = expected_bell_value(sic, NoiseConfig(visibility=0.0))
+    beta_ideal, _ = expected_bell_value(sic, NoiseConfig(visibility=1.0))
+    target = beta_mixed + t * (beta_ideal - beta_mixed)
+    v = fit_visibility(target, sic)
+    beta, _ = expected_bell_value(sic, NoiseConfig(visibility=v))
+    assert abs(beta - target) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets())
+def test_ideal_value_is_below_the_ceiling(sic):
+    beta_ideal, _ = bell_value(sic, max_entangled_state(sic.dimension))
+    ceiling = state_ceiling(bell_operator(sic))
+    assert beta_ideal <= ceiling.value + ceiling.gap
