@@ -14,7 +14,12 @@ Two quantities are computed for a weighted graph (G, w):
 
   solved in-house by an operator-splitting loop (alternating projection
   onto the affine constraints and the semidefinite cone with a scaled
-  dual update).  The bordered formulation is the one that reduces to
+  dual update).  The loop is a fixed-point iteration on one symmetric
+  matrix, accelerated by type-II Anderson extrapolation over its last
+  few steps (Walker & Ni 2011; Zhang, O'Donoghue & Boyd 2020); an
+  extrapolated point whose residual exceeds that of the point it came
+  from is replaced by that point's plain step, and the history starts
+  over.  The bordered formulation is the one that reduces to
   the plain theta number at unit weights and to the weighted
   independence number on perfect graphs; the superficially simpler
   "Tr X = 1 with W_ij = sqrt(w_i w_j)" program is a strictly looser
@@ -24,11 +29,12 @@ Two quantities are computed for a weighted graph (G, w):
   matrix gives a lower bound, and a repaired dual combination of the
   constraint gradients gives an upper bound, so the true optimum is
   bracketed by value .. value + gap regardless of how far the
-  iteration actually got.
+  iteration actually got or which path it took.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +43,8 @@ import numpy as np
 from .catalog import SicSet, WeightedGraph
 
 _MAX_VERTICES = 64
+_EPS = float(np.finfo(float).eps)
+_ANDERSON_MEMORY = 10        # past steps the theta_graph extrapolation combines
 
 
 class ThetaNonConvergence(RuntimeError):
@@ -162,6 +170,8 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     if n == 0:
         return ThetaResult(0.0, 0.0, 0.0, np.ones((1, 1)), 0, True)
     w = np.asarray([float(x) for x in graph.weights])
@@ -196,20 +206,40 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
             y_feas = (1.0 - gamma) * y + gamma * y0
         lower = float(np.sum(w * np.diag(y_feas)[1:]))
 
-        deficit = float(np.linalg.eigvalsh(h - c_mat)[0])
+        # near the optimum h - C is singular and the bounds meet to a
+        # few ulps, so the computed eigenvalue is taken as off by up to
+        # (n+1) eps ||h - C|| lest rounding tip the upper bound below
+        # the optimum
+        hc = h - c_mat
+        rounding = (n + 1) * _EPS * float(np.linalg.norm(hc))
+        deficit = float(np.linalg.eigvalsh(hc)[0]) - rounding
         scale = max(0.0, -deficit) / kappa
         upper = float(h[0, 0]) + scale * k1[0, 0]
         return lower, upper, y_feas
 
-    y = y0.copy()
-    z = y0.copy()
-    u = np.zeros((n + 1, n + 1))
     rho = max(1.0, float(np.max(w)))
     relax = 1.6
+    c_rho = c_mat / rho
+    # Anderson history: differences of accepted states and of their
+    # residuals, one column each, overwritten oldest first
+    d_s = np.empty(((n + 1) ** 2, _ANDERSON_MEMORY))
+    d_f = np.empty(((n + 1) ** 2, _ANDERSON_MEMORY))
+    stored = head = 0
+    s = y0.copy()
+    # last accepted state, its residual, its plain step and the residual norm
+    s_last = f_last = g_last = res_last = None
+    extrapolated = False
     best: Optional[tuple] = None
 
     for it in range(1, max_iter + 1):
-        v = z - u + c_mat / rho
+        lam, q = np.linalg.eigh(s)
+        # every iterate is kept exactly symmetric (eigvalsh in certify
+        # reads one triangle, the bounds use both); q diag q^T rounds
+        # its two triangles differently
+        z = (q * np.clip(lam, 0.0, None)) @ q.T
+        z = (z + z.T) / 2.0
+        u = s - z
+        v = z - u + c_rho
         y = _affine_project(v, rows, cols)
 
         if it % check_every == 0 or it == 1:
@@ -220,22 +250,32 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
             if upper - lower <= tol:
                 return ThetaResult(lower, upper - lower, upper, y_feas, it, True)
 
-        y_hat = relax * y + (1.0 - relax) * z
-        m = y_hat + u
-        lam, q = np.linalg.eigh((m + m.T) / 2.0)
-        z_new = (q * np.clip(lam, 0.0, None)) @ q.T
-        u = u + y_hat - z_new
-
-        if it % 50 == 0:
-            r_prim = float(np.linalg.norm(y - z_new))
-            r_dual = float(rho * np.linalg.norm(z_new - z))
-            if r_prim > 10.0 * r_dual and rho < 1e8:
-                rho *= 2.0
-                u /= 2.0
-            elif r_dual > 10.0 * r_prim and rho > 1e-8:
-                rho /= 2.0
-                u *= 2.0
-        z = z_new
+        g = relax * y + (1.0 - relax) * z + u
+        f = g - s
+        res = float(np.linalg.norm(f))
+        if extrapolated and res > res_last:
+            # safeguard: the extrapolation did worse than the point it
+            # came from, so take that point's plain step and start over
+            s, extrapolated = g_last, False
+            stored = head = 0
+            continue
+        if s_last is not None:
+            d_s[:, head] = (s - s_last).ravel()
+            d_f[:, head] = (f - f_last).ravel()
+            head = (head + 1) % _ANDERSON_MEMORY
+            stored = min(stored + 1, _ANDERSON_MEMORY)
+        s_last, f_last, g_last, res_last = s, f, g, res
+        s, extrapolated = g, False
+        if stored:
+            # type-II Anderson: gamma minimizes ||f - dF gamma||
+            df = d_f[:, :stored]
+            gram = df.T @ df
+            reg = 1e-10 * float(np.trace(gram))
+            if reg > 0.0:
+                gram[np.diag_indices(stored)] += reg
+                gamma = np.linalg.solve(gram, df.T @ f.ravel())
+                step = ((d_s[:, :stored] + df) @ gamma).reshape(n + 1, n + 1)
+                s, extrapolated = g - (step + step.T) / 2.0, True
 
     lower, upper, _ = best
     raise ThetaNonConvergence(lower, upper, max_iter)
@@ -301,6 +341,7 @@ class BoundsReport:
     beta_ideal: float
     margin_quantum: float    # theta - alpha
     margin_ideal: float      # beta_ideal - alpha
+    theta_graph_iterations: int
 
 
 def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
@@ -323,4 +364,5 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
         beta_ideal=beta,
         margin_quantum=ceiling.value - alpha,
         margin_ideal=beta - alpha,
+        theta_graph_iterations=graph_res.iterations,
     )

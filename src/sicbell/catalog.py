@@ -365,9 +365,12 @@ def verify_set(sic: SicSet) -> ValidationReport:
         sized = all(len(ctx) == sic.dimension for ctx in sic.contexts)
         checks.append(CheckResult("context_shape", in_range and sized,
                                   f"{len(sic.contexts)} contexts of size {sic.dimension}"))
+        # the exact checks below need well-sized vectors; a wrong length
+        # is already reported by vector_dimension
+        usable = in_range and dims_ok
         ortho = True
         bad = ""
-        if in_range:
+        if usable:
             for ctx in sic.contexts:
                 for a, b in combinations(ctx, 2):
                     if not inner_product(sic.vectors[a], sic.vectors[b]).is_zero():
@@ -376,8 +379,8 @@ def verify_set(sic: SicSet) -> ValidationReport:
                         break
                 if not ortho:
                     break
-        checks.append(CheckResult("context_orthogonality", in_range and ortho, bad))
-        ident = in_range and all(
+        checks.append(CheckResult("context_orthogonality", usable and ortho, bad))
+        ident = usable and all(
             projector_sum_equals([sic.vectors[v] for v in ctx], Fraction(1))
             for ctx in sic.contexts
         )

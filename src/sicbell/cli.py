@@ -236,6 +236,7 @@ def _bounds_doc(report: BoundsReport) -> dict:
         "beta_ideal": report.beta_ideal,
         "margin_quantum": report.margin_quantum,
         "margin_ideal": report.margin_ideal,
+        "theta_graph_iterations": report.theta_graph_iterations,
     }
 
 

@@ -203,7 +203,7 @@ def test_theta_monotone_under_edge_deletion():
 
 
 def test_theta_result_certificate():
-    for g in (cycle5(), orthogonality_graph(get_set("yo13"))):
+    for g in (cycle5(), *(get_set(s).graph for s in ("yo13", "ks18", "ks21"))):
         res = solve_theta(g)
         assert res.converged
         assert 0.0 <= res.gap <= 1e-6
@@ -219,6 +219,13 @@ def test_theta_result_certificate():
         assert np.allclose(y[0, 1:], x, atol=1e-12)
         w = np.asarray([float(t) for t in g.weights])
         assert abs(float(w @ x) - res.value) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
+def test_theta_catalog_iteration_budget(name):
+    # the accelerated loop certifies each catalog graph within 100
+    # iterations (the plain loop needed 175-475)
+    assert solve_theta(get_set(name).graph).iterations <= 100
 
 
 def test_theta_unit_weight_catalog_values():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sicbell.bounds import ThetaNonConvergence
+from sicbell.bounds import ThetaNonConvergence, solve_theta
 from sicbell.catalog import build_yo13, get_set, save_set, to_json_dict
 from sicbell.cli import OUTDIR_ENV, RunConfig, load_run_config, main, resolve_set
 from sicbell import cli as cli_module
@@ -66,6 +66,17 @@ class TestCatalog:
         assert "[FAIL] positive_weights" in captured.out
         assert "error:" not in captured.err
 
+    def test_wrong_length_vector_is_itemised(self, tmp_path, capsys):
+        doc = to_json_dict(get_set("ks18"))
+        doc["vectors"][0] = doc["vectors"][0][:3]
+        path = tmp_path / "short_vector.json"
+        path.write_text(json.dumps(doc))
+        assert main(["catalog", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] vector_dimension" in captured.out
+        assert "[FAIL] context_orthogonality" in captured.out
+        assert "error:" not in captured.err
+
 
 class TestBounds:
     def test_ks18_bounds(self, tmp_path, capsys):
@@ -77,6 +88,8 @@ class TestBounds:
         assert doc["theta"] == pytest.approx(4.5, abs=1e-4)
         assert doc["beta_ideal"] == pytest.approx(4.5, abs=1e-10)
         assert doc["margin_quantum"] == pytest.approx(0.5, abs=1e-4)
+        assert doc["theta_graph_iterations"] == solve_theta(
+            get_set("ks18").graph).iterations
 
     def test_csv_format(self, tmp_path):
         assert main(["bounds", "ks21", "--out", str(tmp_path),
@@ -85,6 +98,15 @@ class TestBounds:
         assert len(rows) == 1
         assert float(rows[0]["alpha"]) == 3.0
         assert float(rows[0]["theta"]) == pytest.approx(3.5, abs=1e-4)
+        assert list(rows[0])[-1] == "theta_graph_iterations"
+        assert int(rows[0]["theta_graph_iterations"]) >= 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tolerance_rejected(self, tmp_path, capsys, tol):
+        assert main(["bounds", "ks18", "--tol", tol, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol must be a positive finite number")
+        assert err.count("\n") == 1
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def explode(sic, tol=1e-6):

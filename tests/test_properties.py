@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sicbell.bounds import state_ceiling
+from sicbell.bounds import max_weight_independent_set, solve_theta, state_ceiling
 from sicbell.catalog import SicSet, verify_set
 from sicbell.exact import ONE, ZERO, ExactScalar
 from sicbell.montecarlo import fit_visibility
@@ -134,3 +134,11 @@ def test_ideal_value_is_below_the_ceiling(sic):
     beta_ideal, _ = bell_value(sic, max_entangled_state(sic.dimension))
     ceiling = state_ceiling(bell_operator(sic))
     assert beta_ideal <= ceiling.value + ceiling.gap
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets())
+def test_independence_number_is_below_theta_graph(sic):
+    alpha, _ = max_weight_independent_set(sic.graph)
+    theta = solve_theta(sic.graph)
+    assert alpha <= theta.value + theta.gap
