@@ -41,14 +41,18 @@ from typing import Optional
 import numpy as np
 
 from .catalog import SicSet, WeightedGraph
+from .noise import IDEAL, expected_bell_value
+from .quantum import bell_operator
 
 _MAX_VERTICES = 64
 _EPS = float(np.finfo(float).eps)
 _ANDERSON_MEMORY = 10        # past steps the theta_graph extrapolation combines
+_STALL_CHECKS = 100          # certifications without a 1% narrower bracket
 
 
 class ThetaNonConvergence(RuntimeError):
-    """Raised when the SDP loop exhausts its iteration cap.
+    """Raised when the SDP loop exhausts its iteration cap, or when its
+    best bracket stops narrowing (a tolerance below its rounding floor).
 
     Carries the best certified bracket so callers can still report it.
     """
@@ -166,7 +170,10 @@ def _affine_project(v: np.ndarray, rows, cols) -> np.ndarray:
 
 def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
                 max_iter: int = 200_000, check_every: int = 25) -> ThetaResult:
-    """Weighted theta number with a certified bracket of width <= tol."""
+    """Weighted theta number with a certified bracket of width <= tol.
+
+    Gives up after ``max_iter`` iterations, or once the best bracket has
+    not narrowed by 1% over ``_STALL_CHECKS`` certifications in a row."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
@@ -230,6 +237,7 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     s_last = f_last = g_last = res_last = None
     extrapolated = False
     best: Optional[tuple] = None
+    stall_width, stalled = math.inf, 0
 
     for it in range(1, max_iter + 1):
         lam, q = np.linalg.eigh(s)
@@ -249,6 +257,12 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
                 best = (lower, upper, y_feas)
             if upper - lower <= tol:
                 return ThetaResult(lower, upper - lower, upper, y_feas, it, True)
+            if best[1] - best[0] < 0.99 * stall_width:
+                stall_width, stalled = best[1] - best[0], 0
+            else:
+                stalled += 1
+            if stalled >= _STALL_CHECKS:
+                raise ThetaNonConvergence(best[0], best[1], it)
 
         g = relax * y + (1.0 - relax) * z + u
         f = g - s
@@ -346,13 +360,11 @@ class BoundsReport:
 
 def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     """Bundle the classical bound, the quantum ceiling, and the ideal value."""
-    from .quantum import bell_operator, bell_value, max_entangled_state
-
     graph = sic.graph
     alpha, witness = max_weight_independent_set(graph)
     ceiling = state_ceiling(bell_operator(sic))
     graph_res = solve_theta(graph, tol=tol)
-    beta, _ = bell_value(sic, max_entangled_state(sic.dimension))
+    beta, _ = expected_bell_value(sic, IDEAL)
     return BoundsReport(
         set_name=sic.name,
         alpha=alpha,

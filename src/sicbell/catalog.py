@@ -19,6 +19,7 @@ enters only when vectors are normalized for quantum predictions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -83,17 +84,24 @@ class SicSet:
         coeffs.setflags(write=False)
         return coeffs
 
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """The rank-1 projectors onto the rays, a read-only (n, d, d)
+        stack; the other arm's family is its entrywise conjugate."""
+        vecs = np.array(self.float_vectors()).reshape(self.n, self.dimension)
+        stack = np.einsum("ia,ib->iab", vecs, vecs.conj())
+        stack.setflags(write=False)
+        return stack
+
     @property
     def norm_sq(self) -> tuple[int, ...]:
         return tuple(vector_norm_sq(v) for v in self.vectors)
 
     def float_vectors(self) -> list[np.ndarray]:
         """Unit-norm complex vectors, one per ray."""
-        out = []
-        for v in self.vectors:
-            arr = np.array(to_complex_vector(v), dtype=complex)
-            out.append(arr / np.sqrt(vector_norm_sq(v)))
-        return out
+        # math.sqrt: the exact squared norm can exceed int64, where np.sqrt fails
+        return [np.array(to_complex_vector(v), dtype=complex)
+                / math.sqrt(vector_norm_sq(v)) for v in self.vectors]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,30 +37,32 @@ from .catalog import (
 )
 from .montecarlo import (
     canonical_counts,
-    estimate_beta,
-    estimate_probabilities,
     exposure_for_sigma,
     fit_visibility,
-    plan_for,
-    simulate_counts,
+    run_experiment,
 )
 from .noise import (
+    IDEAL,
     NoiseConfig,
     SchmidtSpectrum,
-    apply_noise,
     default_modes,
     expected_bell_value,
     spiral_spectrum,
 )
-from .quantum import bell_value, max_entangled_state
 
 OUTDIR_ENV = "SICBELL_OUTDIR"
 MAX_BOOTSTRAP_REPLICATES = 10**6
 
-_CONFIG_KEYS = {
-    "set", "visibility", "crosstalk", "spectrum_width", "spectrum",
-    "pair_rate", "integration_time", "seed", "bootstrap_replicates",
+# the numeric config keys and their converters, in RunConfig field order;
+# a key left out of the config keeps the RunConfig default, and a null
+# spectrum_width means no width
+_CONFIG_FIELDS = {
+    "visibility": float, "crosstalk": float,
+    "spectrum_width": lambda value: None if value is None else float(value),
+    "pair_rate": float, "integration_time": float, "seed": int,
+    "bootstrap_replicates": int,
 }
+_CONFIG_KEYS = {"set", "spectrum", *_CONFIG_FIELDS}
 
 
 class CliError(ValueError):
@@ -119,6 +121,8 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
     name = set_name or doc.get("set")
     if not name:
         raise CliError("no set selected: pass --set or put \"set\" in the config")
+    if not isinstance(name, str):
+        raise CliError(f"config \"set\" must be a string, not {type(name).__name__}")
     spectrum = None
     if doc.get("spectrum") is not None:
         rows = doc["spectrum"]
@@ -128,21 +132,14 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
                 tuple(float(a) for _, a in rows))
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad spectrum in config: {exc}") from exc
+    if seed is not None:
+        doc = {**doc, "seed": seed}
     try:
-        cfg = RunConfig(
-            set_name=name,
-            visibility=float(doc.get("visibility", 1.0)),
-            crosstalk=float(doc.get("crosstalk", 0.0)),
-            spectrum_width=(None if doc.get("spectrum_width") is None
-                            else float(doc["spectrum_width"])),
-            spectrum=spectrum,
-            pair_rate=float(doc.get("pair_rate", 200_000.0)),
-            integration_time=float(doc.get("integration_time", 5.0)),
-            seed=int(seed if seed is not None else doc.get("seed", 0)),
-            bootstrap_replicates=int(doc.get("bootstrap_replicates", 10_000)),
-        )
+        fields = {key: convert(doc[key])
+                  for key, convert in _CONFIG_FIELDS.items() if key in doc}
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config value: {exc}") from exc
+    cfg = RunConfig(set_name=name, spectrum=spectrum, **fields)
     if cfg.bootstrap_replicates < 0:
         raise CliError(f"bootstrap_replicates {cfg.bootstrap_replicates} "
                        "is negative")
@@ -193,6 +190,13 @@ def _write_json(path: Path, doc: dict) -> None:
         handle.write("\n")
 
 
+def _write_csv(path: Path, fieldnames: Sequence[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _weight_summary(weights: Sequence[int]) -> str:
     seen: dict[int, int] = {}
     for w in weights:
@@ -225,19 +229,9 @@ def cmd_catalog(args) -> int:
 
 
 def _bounds_doc(report: BoundsReport) -> dict:
-    return {
-        "set": report.set_name,
-        "alpha": report.alpha,
-        "alpha_witness": list(report.alpha_witness),
-        "theta": report.theta,
-        "theta_gap": report.theta_gap,
-        "theta_graph": report.theta_graph,
-        "theta_graph_gap": report.theta_graph_gap,
-        "beta_ideal": report.beta_ideal,
-        "margin_quantum": report.margin_quantum,
-        "margin_ideal": report.margin_ideal,
-        "theta_graph_iterations": report.theta_graph_iterations,
-    }
+    """The report's fields in their own order, ``set_name`` as ``set``."""
+    return {("set" if key == "set_name" else key): value
+            for key, value in asdict(report).items()}
 
 
 def cmd_bounds(args) -> int:
@@ -256,11 +250,8 @@ def cmd_bounds(args) -> int:
         _write_json(target, doc)
     else:
         target = outdir / f"{sic.name}_bounds.csv"
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            keys = [k for k in doc if k != "alpha_witness"]
-            writer.writerow(keys)
-            writer.writerow([doc[k] for k in keys])
+        del doc["alpha_witness"]
+        _write_csv(target, list(doc), [doc])
     print(f"  wrote {target}")
     return 0
 
@@ -290,7 +281,7 @@ def cmd_predict(args) -> int:
     sic = resolve_set(cfg.set_name)
     noise = cfg.noise_config(sic.dimension)
     beta, table = expected_bell_value(sic, noise)
-    _, ideal_table = bell_value(sic, max_entangled_state(sic.dimension))
+    _, ideal_table = expected_bell_value(sic, IDEAL)
     print(f"{sic.name}: expected beta = {beta:.6f} "
           f"(visibility={noise.visibility}, crosstalk={noise.crosstalk})")
     rows = _figure_rows(sic, table, ideal_table.values)
@@ -301,12 +292,8 @@ def cmd_predict(args) -> int:
                              "settings": rows})
     else:
         target = outdir / f"{sic.name}_prediction.csv"
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=["index", "alice", "bob", "p_hat",
-                                    "sigma", "p_ideal"])
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(target, ["index", "alice", "bob", "p_hat", "sigma",
+                            "p_ideal"], rows)
     print(f"  wrote {target}")
     return 0
 
@@ -314,13 +301,10 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config, args.set, args.seed)
     sic = resolve_set(cfg.set_name)
-    noise = cfg.noise_config(sic.dimension)
-    inputs = apply_noise(sic, noise)
-    plan = plan_for(sic, cfg.pair_rate, cfg.integration_time, cfg.seed)
-    record = simulate_counts(plan, inputs)
-    table = estimate_probabilities(record)
-    report = estimate_beta(table, sic, record=record,
-                           bootstrap_replicates=cfg.bootstrap_replicates)
+    record, table, report = run_experiment(
+        sic, cfg.noise_config(sic.dimension), cfg.pair_rate,
+        cfg.integration_time, cfg.seed,
+        bootstrap_replicates=cfg.bootstrap_replicates)
     print(f"{sic.name}: beta_hat = {report.beta_hat:.4f} +- {report.sigma:.4f} "
           f"(alpha = {report.alpha:g}, {report.sigmas_of_violation:.2f} sigma, "
           f"p = {report.p_value:.3g})")
@@ -328,18 +312,14 @@ def cmd_simulate(args) -> int:
         print(f"  bootstrap p = {report.bootstrap_p_value:.3g} "
               f"({cfg.bootstrap_replicates} replicates)")
 
-    _, ideal_table = bell_value(sic, max_entangled_state(sic.dimension))
+    _, ideal_table = expected_bell_value(sic, IDEAL)
     rows = _figure_rows(sic, table, ideal_table.values,
                         canonical_counts(record)[2], record.exposure)
 
     outdir = _outdir(args.out)
     figure = outdir / f"{sic.name}_figure.csv"
-    with open(figure, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(
-            handle, fieldnames=["index", "alice", "bob", "count", "exposure",
-                                "p_hat", "sigma", "p_ideal"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(figure, ["index", "alice", "bob", "count", "exposure",
+                        "p_hat", "sigma", "p_ideal"], rows)
     report_doc = report.to_json_dict()
     report_doc["seed"] = record.seed
     report_doc["exposure"] = record.exposure
@@ -348,11 +328,7 @@ def cmd_simulate(args) -> int:
         _write_json(target, report_doc)
     else:
         target = outdir / f"{sic.name}_report.csv"
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            keys = sorted(report_doc)
-            writer.writerow(keys)
-            writer.writerow([report_doc[k] for k in keys])
+        _write_csv(target, sorted(report_doc), [report_doc])
     counts_path = outdir / f"{sic.name}_counts.json"
     _write_json(counts_path, record.to_json_dict())
     print(f"  wrote {target}, {figure}, {counts_path}")
@@ -427,10 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"(bracket [{exc.primal_bound}, {exc.dual_bound}] after "
               f"{exc.iterations} iterations)", file=sys.stderr)
         return 2
-    except (CliError, ValueError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, ValueError, KeyError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

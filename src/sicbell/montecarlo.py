@@ -11,15 +11,16 @@ is a pure function of the plan, the noise configuration, and the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import max_weight_independent_set
 from .catalog import SicSet, bell_settings
-from .noise import NoiseConfig, PredictionInputs, apply_noise, expected_bell_value
-from .quantum import ProbabilityTable, bell_value, max_entangled_state
+from .noise import (IDEAL, NoiseConfig, PredictionInputs, apply_noise,
+                    expected_bell_value)
+from .quantum import ProbabilityTable
 
 _MAX_SEED = 2**64
 _MAX_MEAN = float(2**63)
@@ -120,16 +121,10 @@ class ViolationReport:
     bootstrap_p_value: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "set": self.set_name,
-            "beta_hat": self.beta_hat,
-            "sigma": self.sigma,
-            "alpha": self.alpha,
-            "sigmas_of_violation": self.sigmas_of_violation,
-            "p_value": self.p_value,
-        }
-        if self.bootstrap_p_value is not None:
-            doc["bootstrap_p_value"] = self.bootstrap_p_value
+        doc = asdict(self)
+        doc["set"] = doc.pop("set_name")
+        if self.bootstrap_p_value is None:
+            del doc["bootstrap_p_value"]
         return doc
 
 
@@ -278,7 +273,7 @@ def fit_visibility(target_beta: float, sic: SicSet) -> float:
     v = (target - beta_mixed) / (beta_ideal - beta_mixed).
     """
     d = sic.dimension
-    beta_ideal, _ = bell_value(sic, max_entangled_state(d))
+    beta_ideal, _ = expected_bell_value(sic, IDEAL)
     # every rank-1 effect has probability 1/d^2 on the maximally mixed state
     beta_mixed = float(sic.coefficients.sum()) / d**2
     if not beta_mixed - 1e-12 <= target_beta <= beta_ideal + 1e-12:

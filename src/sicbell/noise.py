@@ -15,7 +15,9 @@ tunable parameter:
   orthogonal complement with weight ``epsilon``.
 
 ``apply_noise`` composes all of these into the state and measurement
-effects that the Monte Carlo layer samples from.
+effects (built on ``SicSet.projectors``) that the Monte Carlo layer
+samples from.  ``expected_bell_value(sic, IDEAL)`` is the one route to
+the ideal prediction, for the bounds, the CLI and ``fit_visibility``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import SicSet
-from .quantum import (
-    BipartiteState,
-    ProbabilityTable,
-    born_probabilities,
-    ray_projectors,
-)
+from .quantum import BipartiteState, ProbabilityTable, born_probabilities
 
 _NORM_TOL = 1e-12
 
@@ -224,7 +221,7 @@ def measurement_effects(sic: SicSet, crosstalk: float
         raise ValueError(f"crosstalk {crosstalk} outside [0, 1)")
     if crosstalk > 0.0 and d < 2:
         raise ValueError("crosstalk needs dimension at least 2")
-    alice = ray_projectors(sic)
+    alice = sic.projectors
     if crosstalk > 0.0:
         eye = np.eye(d, dtype=complex)
         alice = (1.0 - crosstalk) * alice + crosstalk * (eye - alice) / (d - 1)

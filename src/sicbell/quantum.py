@@ -6,9 +6,11 @@ because it is what makes the diagonal probabilities land on 1/d for the
 maximally entangled state.  Every probability is the Born-rule trace
 Tr[rho (A_i x B_j)] on the d^2-dimensional joint space, and a whole
 table of them comes from one tensor contraction of rho with the stacked
-effects of both arms (:func:`born_probabilities`).  The single-pair
+effects of both arms (:func:`born_probabilities`); the set owns its
+projector stack (``SicSet.projectors``).  The single-pair
 :func:`joint_probability` builds the Kronecker product explicitly; it is
-kept as the reference the contraction is tested against.
+kept as the reference the contraction is tested against.  The ideal
+prediction is ``noise.expected_bell_value(sic, noise.IDEAL)``.
 
 The functional evaluated here is
 
@@ -87,15 +89,6 @@ def joint_probability(rho: BipartiteState, vi: Sequence[complex],
     return min(max(p, 0.0), 1.0)
 
 
-def ray_projectors(sic: SicSet) -> np.ndarray:
-    """The set's rank-1 projectors stacked along axis 0, shape (n, d, d).
-
-    The other arm's conjugate family is the entrywise conjugate stack.
-    """
-    vecs = np.array(sic.float_vectors()).reshape(sic.n, sic.dimension)
-    return np.einsum("ia,ib->iab", vecs, vecs.conj())
-
-
 def born_probabilities(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray,
                        settings: Sequence[tuple[int, int]]) -> np.ndarray:
     """Tr[rho (A_i x B_j)] for every setting (i, j), clamped to [0, 1].
@@ -145,7 +138,7 @@ def bell_value(sic: SicSet, rho: BipartiteState) -> tuple[float, ProbabilityTabl
     if sic.dimension != rho.d:
         raise ValueError(
             f"set dimension {sic.dimension} does not match state dimension {rho.d}")
-    alice = ray_projectors(sic)
+    alice = sic.projectors
     values = born_probabilities(rho.rho, alice, alice.conj(), sic.settings)
     table = ProbabilityTable(sic.n, tuple(sorted(sic.graph.edges)), values)
     return float(sic.coefficients @ values), table
@@ -163,7 +156,7 @@ def bell_operator(sic: SicSet) -> np.ndarray:
     ii, jj = np.asarray(sic.settings, dtype=int).reshape(-1, 2).T
     coeffs = np.zeros((sic.n, sic.n))
     coeffs[ii, jj] = sic.coefficients
-    alice = ray_projectors(sic)
+    alice = sic.projectors
     d = sic.dimension
     op = np.einsum("ij,iac,jbe->abce", coeffs, alice, alice.conj(), optimize=True)
     return op.reshape(d * d, d * d)

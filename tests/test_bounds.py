@@ -283,6 +283,15 @@ def test_theta_nonconvergence_reports_bracket():
     assert exc.dual_bound >= np.sqrt(5.0) - 1e-9
 
 
+def test_theta_stalled_bracket_stops_early():
+    # ks18 certifies to about 1.2e-12 and no further
+    with pytest.raises(ThetaNonConvergence) as err:
+        solve_theta(get_set("ks18").graph, tol=1e-13)
+    exc = err.value
+    assert exc.iterations < 5_000
+    assert exc.primal_bound <= 4.5 <= exc.dual_bound
+
+
 # ---------------------------------------------------------------- report
 
 def test_bounds_report_catalog():

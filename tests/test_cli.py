@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,30 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: tol must be a positive finite number")
         assert err.count("\n") == 1
+
+    def test_stalled_bracket_exits_two_quickly(self, tmp_path, capsys):
+        # ks18's certified bracket stops narrowing near 1.2e-12
+        start = time.perf_counter()
+        assert main(["bounds", "ks18", "--tol", "1e-13",
+                     "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver did not converge")
+        assert int(err.split(" after ")[1].split()[0]) < 5_000
+
+    def test_large_entry_gives_catalog_bounds(self, tmp_path):
+        # ray 1 scaled by 10**30 is the same ray, with a squared norm
+        # beyond int64
+        doc = to_json_dict(build_yo13())
+        doc["vectors"][0][0] = [10**30, 0]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bounds", str(path), "--out", str(tmp_path / "big")]) == 0
+        assert main(["bounds", "yo13", "--out", str(tmp_path / "ref")]) == 0
+        big = json.loads((tmp_path / "big" / "yo13_bounds.json").read_text())
+        ref = json.loads((tmp_path / "ref" / "yo13_bounds.json").read_text())
+        for key in ("alpha", "theta", "beta_ideal"):
+            assert big[key] == ref[key]
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def explode(sic, tol=1e-6):
@@ -265,10 +290,11 @@ class TestConfigHandling:
         ({"bootstrap_replicates": -1}, "bootstrap_replicates -1 is negative"),
         ({"spectrum_width": 1e-300}, "its square underflows"),
         ({"bootstrap_replicates": 1e13}, "exceeds the cap of 1000000"),
+        ({"set": 5}, 'config "set" must be a string, not int'),
     ], ids=["visibility", "pair_rate", "exposure", "replicates", "width",
-            "replicates_cap"])
+            "replicates_cap", "set_type"])
     def test_bad_visibility_range(self, tmp_path, capsys, fields, message):
-        cfg = write_config(tmp_path / "c.json", set="yo13", **fields)
+        cfg = write_config(tmp_path / "c.json", **{"set": "yo13", **fields})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")

@@ -4,17 +4,24 @@ Each property compares the one-contraction quantum layer against an
 independent route: the single-pair Kronecker oracle, the trace of the
 Bell operator, a dense eigensolver, and pairwise float inner products.
 The noise-model inversion is checked by a round trip through the
-forward model.
+forward model, and fuzzed run configs by the CLI's exit contract.
 """
 
+import io
+import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sicbell.bounds import max_weight_independent_set, solve_theta, state_ceiling
 from sicbell.catalog import SicSet, verify_set
+from sicbell.cli import main
 from sicbell.exact import ONE, ZERO, ExactScalar
 from sicbell.montecarlo import fit_visibility
 from sicbell.noise import NoiseConfig, expected_bell_value, measurement_effects
@@ -25,7 +32,6 @@ from sicbell.quantum import (
     born_probabilities,
     joint_probability,
     max_entangled_state,
-    ray_projectors,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -66,7 +72,7 @@ _ranks = st.integers(1, 36)
 def test_contraction_matches_pairwise_oracle(sic, seed, rank):
     state = mixed_state(sic.dimension, seed, min(rank, sic.dimension ** 2))
     pairs = [(i, j) for i in range(sic.n) for j in range(sic.n)]
-    alice = ray_projectors(sic)
+    alice = sic.projectors
     table = born_probabilities(state.rho, alice, alice.conj(), pairs)
     vecs = sic.float_vectors()
     oracle = [joint_probability(state, vecs[i], vecs[j]) for i, j in pairs]
@@ -142,3 +148,41 @@ def test_independence_number_is_below_theta_graph(sic):
     alpha, _ = max_weight_independent_set(sic.graph)
     theta = solve_theta(sic.graph)
     assert alpha <= theta.value + theta.gap
+
+
+_CONFIG_KEYS = ["set", "visibility", "crosstalk", "spectrum_width", "spectrum",
+                "pair_rate", "integration_time", "seed", "bootstrap_replicates"]
+# what a JSON config can hold: every JSON type, the non-finite floats
+# Python's json reads and writes, integers beyond 64 bits, and numbers
+# in range for most keys
+_numbers = st.one_of(st.integers(-4, 4), st.floats(0.0, 1.0))
+_config_values = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)),
+    st.lists(_numbers, max_size=3),
+    st.lists(st.lists(_numbers, max_size=3), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.floats(0.0, 1.0), st.integers(0, 100),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(_CONFIG_KEYS), _config_values)
+@example("set", 5)
+@example("set", True)
+def test_fuzzed_config_exits_cleanly(key, value):
+    config = {"set": "yo13", "bootstrap_replicates": 100, key: value}
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        for command in ("predict", "simulate"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, "--config", path, "--out", out])
+            assert code in (0, 1)
+            if code == 1:
+                text = err.getvalue()
+                assert text.startswith("error:") and text.count("\n") == 1
+                assert text.endswith("\n")

@@ -13,7 +13,6 @@ from sicbell.quantum import (
     joint_probability,
     max_entangled_state,
     projector,
-    ray_projectors,
 )
 
 
@@ -134,7 +133,7 @@ def test_joint_probability_dimension_mismatch():
 def test_born_probabilities_reject_unphysical_state(scale):
     # 4 rho puts every diagonal probability at 4/3; NaN is never in range
     s = get_set("yo13")
-    alice = ray_projectors(s)
+    alice = s.projectors
     rho = scale * max_entangled_state(3).rho
     with pytest.raises(ArithmeticError):
         born_probabilities(rho, alice, alice.conj(), [(0, 0)])
