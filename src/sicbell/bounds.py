@@ -19,11 +19,11 @@ Two quantities are computed for a weighted graph (G, w):
   few steps (Walker & Ni 2011; Zhang, O'Donoghue & Boyd 2020); an
   extrapolated point whose residual exceeds that of the point it came
   from is replaced by that point's plain step, and the history starts
-  over.  The bordered formulation is the one that reduces to
-  the plain theta number at unit weights and to the weighted
-  independence number on perfect graphs; the superficially simpler
-  "Tr X = 1 with W_ij = sqrt(w_i w_j)" program is a strictly looser
-  relaxation once the weights are non-uniform.
+  over.  The bordered program reduces to the plain theta number at unit
+  weights and to the weighted independence number on perfect graphs.
+  Its n x n form, max <W, X> with W_ij = sqrt(w_i w_j) over Tr X = 1,
+  X_ij = 0 on edges and X >= 0, has the same value, not a looser one
+  (Knuth, "The Sandwich Theorem", Electron. J. Combin. 1 (1994) A1).
 
   Every reported value carries a certificate: a repaired feasible
   matrix gives a lower bound, and a repaired dual combination of the

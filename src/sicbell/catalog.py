@@ -12,8 +12,9 @@ Ships three built-in sets:
   coordinates, and within a context the entrywise exponent differences
   cover all residues mod 3, which forces the inner products to zero.
 
-Orthogonality is always decided in exact arithmetic; floating point
-enters only when vectors are normalized for quantum predictions.
+Orthogonality is always decided in exact arithmetic, as one integer
+Gram matrix per set (:func:`sicbell.exact.gram`); floating point enters
+only when vectors are normalized for quantum predictions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
@@ -32,8 +32,7 @@ from .exact import (
     ExactScalar,
     cube_root_power,
     from_int,
-    inner_product,
-    projector_sum_equals,
+    gram,
     to_complex_vector,
     vector_norm_sq,
 )
@@ -45,8 +44,7 @@ ExactVector = tuple[ExactScalar, ...]
 class SicSet:
     """A labeled set of rays with weights and optional measurement contexts.
 
-    Vectors are stored unnormalized; ``norm_sq`` records the exact squared
-    norms so normalization can be deferred to floating conversion.
+    Vectors are stored unnormalized, to be normalized on floating conversion.
     ``expected_edges`` is a structural signature used by :func:`verify_set`
     to detect corrupted entries.
     """
@@ -66,6 +64,15 @@ class SicSet:
     @property
     def n(self) -> int:
         return len(self.vectors)
+
+    @cached_property
+    def orthogonal(self) -> np.ndarray:
+        """Read-only (n, n) mask of the exactly vanishing inner products;
+        the diagonal marks the zero vectors."""
+        re, w = gram(self.vectors)
+        mask = (re == 0) & (w == 0)
+        mask.setflags(write=False)
+        return mask
 
     @cached_property
     def graph(self) -> "WeightedGraph":
@@ -92,10 +99,6 @@ class SicSet:
         stack = np.einsum("ia,ib->iab", vecs, vecs.conj())
         stack.setflags(write=False)
         return stack
-
-    @property
-    def norm_sq(self) -> tuple[int, ...]:
-        return tuple(vector_norm_sq(v) for v in self.vectors)
 
     def float_vectors(self) -> list[np.ndarray]:
         """Unit-norm complex vectors, one per ray."""
@@ -259,11 +262,10 @@ def get_set(name: str) -> SicSet:
 
 def orthogonality_graph(sic: SicSet) -> WeightedGraph:
     """Graph with an edge wherever two rays have exact inner product zero."""
-    edges = []
-    for i, j in combinations(range(sic.n), 2):
-        if inner_product(sic.vectors[i], sic.vectors[j]).is_zero():
-            edges.append((i, j))
-    return WeightedGraph(sic.n, sic.weights, tuple(edges))
+    rows, cols = np.nonzero(sic.orthogonal)
+    upper = rows < cols
+    return WeightedGraph(sic.n, sic.weights,
+                         tuple(zip(rows[upper].tolist(), cols[upper].tolist())))
 
 
 def bell_settings(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -376,23 +378,18 @@ def verify_set(sic: SicSet) -> ValidationReport:
         # the exact checks below need well-sized vectors; a wrong length
         # is already reported by vector_dimension
         usable = in_range and dims_ok
-        ortho = True
-        bad = ""
+        bad, ident = "", False
         if usable:
-            for ctx in sic.contexts:
-                for a, b in combinations(ctx, 2):
-                    if not inner_product(sic.vectors[a], sic.vectors[b]).is_zero():
-                        ortho = False
-                        bad = f"vectors {a} and {b} not orthogonal"
-                        break
-                if not ortho:
-                    break
-        checks.append(CheckResult("context_orthogonality", usable and ortho, bad))
-        ident = usable and all(
-            projector_sum_equals([sic.vectors[v] for v in ctx], Fraction(1))
-            for ctx in sic.contexts
-        )
-        checks.append(CheckResult("context_identity", ident))
+            pairs = np.array([p for ctx in sic.contexts for p in combinations(ctx, 2)],
+                             dtype=int).reshape(-1, 2)
+            failing = pairs[~sic.orthogonal[pairs[:, 0], pairs[:, 1]]]
+            if len(failing):
+                bad = "vectors {} and {} not orthogonal".format(*failing[0])
+            # d pairwise-orthogonal nonzero vectors in C^d resolve the identity
+            members = [v for ctx in sic.contexts for v in ctx]
+            ident = sized and not bad and not sic.orthogonal[members, members].any()
+        checks.append(CheckResult("context_orthogonality", usable and not bad, bad))
+        checks.append(CheckResult("context_identity", bool(ident)))
 
     if nonzero and dims_ok and weights_ok:
         graph = sic.graph
@@ -400,14 +397,11 @@ def verify_set(sic: SicSet) -> ValidationReport:
             checks.append(CheckResult(
                 "edge_count", len(graph.edges) == sic.expected_edges,
                 f"found {len(graph.edges)}, expected {sic.expected_edges}"))
-        # float classification must agree with the exact edge set
-        exact = np.zeros((sic.n, sic.n), dtype=bool)
-        rows, cols = np.array(graph.edges, dtype=int).reshape(-1, 2).T
-        exact[rows, cols] = exact[cols, rows] = True
+        # float classification must agree with the exact one
         fv = np.array(sic.float_vectors()).reshape(sic.n, sic.dimension)
         floating = np.abs(fv.conj() @ fv.T) < 1e-9
         checks.append(CheckResult("exact_float_agreement",
-                                  bool(np.array_equal(exact, floating))))
+                                  bool(np.array_equal(sic.orthogonal, floating))))
 
     return ValidationReport(sic.name, tuple(checks))
 

@@ -185,9 +185,9 @@ def _outdir(arg: Optional[str]) -> Path:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    # serialised first, so a non-finite value leaves no partial file
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, fieldnames: Sequence[str], rows) -> None:

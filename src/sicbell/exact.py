@@ -3,15 +3,16 @@
 Every catalog vector entry is an element a + b*w with integer a, b and
 w^2 = w - 1.  This keeps orthogonality decisions exact: an inner product
 is zero iff it reduces to (0, 0) in the ring, with no floating point
-involved.  Rational combinations (projector entries, context identity
-sums) reuse the same multiplication rules over Fraction coefficients.
+involved.  :func:`gram` decides every pair of a set at once, with two
+integer matrix products over the (a, b) coordinates.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 # w = exp(i*pi/3); conj(w) = 1 - w since w^5 = -w^2 = 1 - w.
 OMEGA = cmath.exp(1j * cmath.pi / 3)
@@ -19,11 +20,7 @@ OMEGA = cmath.exp(1j * cmath.pi / 3)
 
 @dataclass(frozen=True)
 class ExactScalar:
-    """Element a + b*w of Z[w] with w^2 = w - 1.
-
-    The same rules hold over Q[w]; :func:`projector_sum_equals` passes
-    Fraction coefficients.
-    """
+    """Element a + b*w of Z[w] with w^2 = w - 1."""
 
     a: int
     b: int
@@ -91,25 +88,24 @@ def to_complex_vector(v):
     return [x.to_complex() for x in v]
 
 
-def projector_sum_equals(vectors, scale: Fraction) -> bool:
-    """Check sum_i |v_i><v_i| / |v_i|^2 == scale * I, exactly.
+def gram(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Every <u_i|u_j> of equal-length exact vectors, as two (n, n)
+    integer arrays ``(re, w)`` with <u_i|u_j> = re[i, j] + w[i, j]*w.
 
-    `vectors` is a list of exact vectors of equal dimension.  Works in
-    rational w-coordinates (ExactScalar with Fraction coefficients), so
-    there is no tolerance to tune.
+    With entries a + b*w in arrays A, B, conj(a + b*w) = p + q*w for
+    P = A + B, Q = -B, so re = P A^T - Q B^T = [P | Q] [A | Q]^T and
+    w = P B^T + Q P^T = [P | Q] [B | P]^T.  Every sum is bounded by
+    4 d max(|a|, |b|)^2: int64 is used while that is below 2**62, exact
+    Python ints (``dtype=object``) otherwise, so nothing ever wraps.
     """
-    if not vectors:
-        return False
-    d = len(vectors[0])
-    total = [[ZERO] * d for _ in range(d)]
-    for v in vectors:
-        ns = vector_norm_sq(v)
-        if ns == 0:
-            return False
-        for r in range(d):
-            for c in range(d):
-                # (|v><v|)_{rc} = v_r * conj(v_c)
-                p = v[r] * v[c].conjugate()
-                total[r][c] += ExactScalar(Fraction(p.a, ns), Fraction(p.b, ns))
-    return all(total[r][c] == ExactScalar(scale if r == c else 0, 0)
-               for r in range(d) for c in range(d))
+    d, *other = sorted({len(v) for v in vectors}) or [0]
+    if other:
+        raise ValueError(f"dimension mismatch: vector lengths {[d, *other]}")
+    a = [x.a for v in vectors for x in v]
+    b = [x.b for v in vectors for x in v]
+    bound = max(map(abs, a + b), default=0)
+    dtype = np.int64 if 4 * d * bound * bound < 2**62 else object
+    a, b = np.array([a, b], dtype=dtype).reshape(2, len(vectors), d)
+    p, q = a + b, -b
+    left = np.hstack([p, q])
+    return left @ np.hstack([a, q]).T, left @ np.hstack([b, p]).T

@@ -194,12 +194,16 @@ def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
     """Normalized probabilities with Poisson standard errors.
 
     P = C/N and sigma = sqrt(C)/N; empty settings get sigma = 1/N so no
-    term ever claims zero variance.
+    term ever claims zero variance.  An exposure so small that these
+    overflow raises ArithmeticError.
     """
     n, edges, counts = canonical_counts(rec)
     counts = np.array(counts, dtype=float)
-    values = counts / rec.exposure
-    sigmas = np.where(counts > 0, np.sqrt(counts), 1.0) / rec.exposure
+    with np.errstate(over="ignore"):
+        values = counts / rec.exposure
+        sigmas = np.where(counts > 0, np.sqrt(counts), 1.0) / rec.exposure
+    if not np.isfinite([values, sigmas]).all():
+        raise ArithmeticError(f"exposure {rec.exposure} is too small: P or sigma overflows")
     return ProbabilityTable(n, edges, values, sigmas)
 
 
@@ -229,7 +233,10 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
     if table.sigmas is None:
         sigma = 0.0
     else:
-        sigma = float(math.sqrt(coeffs**2 @ table.sigmas**2))
+        with np.errstate(over="ignore"):
+            sigma = float(math.sqrt(coeffs**2 @ table.sigmas**2))
+        if not math.isfinite(sigma):
+            raise ArithmeticError("exposure too small: the error bar of beta_hat overflows")
 
     if sigma > 0.0:
         z = (beta_hat - alpha) / sigma

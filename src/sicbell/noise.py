@@ -57,6 +57,8 @@ class SchmidtSpectrum:
             raise ValueError("mode labels must be distinct")
         if len(self.amplitudes) != len(self.modes):
             raise ValueError("one amplitude per mode required")
+        if not all(math.isfinite(a) for a in self.amplitudes):
+            raise ValueError("amplitudes must be finite")
         if any(a < 0 for a in self.amplitudes):
             raise ValueError("amplitudes must be nonnegative")
         total = sum(a * a for a in self.amplitudes)

@@ -25,7 +25,9 @@ from sicbell.catalog import (
     to_json_dict,
     verify_set,
 )
-from sicbell.exact import from_int, inner_product, projector_sum_equals
+from sicbell.exact import from_int, inner_product
+
+from exact_oracle import projector_sum_equals
 
 
 def test_catalog_names_and_lookup():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import time
 from pathlib import Path
 
@@ -21,6 +22,56 @@ def write_config(path: Path, **fields) -> str:
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def _zero_in_context(doc):
+    doc["vectors"][2] = [[0, 0]] * 4
+
+
+def _zero_outside_contexts(doc):
+    doc["vectors"].append([[0, 0]] * 4)
+    doc["weights"].append(1)
+
+
+def _repeated_index(doc):
+    doc["contexts"][0] = [0, 0, 2, 3]
+
+
+def _short_vector(doc):
+    doc["vectors"][0] = doc["vectors"][0][:3]
+
+
+def _rows(header, *rows):
+    return "".join(f"{line}\n" for line in (header, *rows))
+
+
+# `sicbell catalog` output on corrupted copies of ks18, byte for byte:
+# the cases where context_identity, derived from the other checks, could
+# drift from the exact projector sum it stands for
+_PINNED_CATALOG = [
+    (_zero_in_context, _rows(
+        "ks18: 18 vectors, d=4, 73 edges, weights 1x18, 9 contexts",
+        "  [FAIL] nonzero_vectors", "  [ok] vector_dimension",
+        "  [ok] positive_weights", "  [ok] context_shape",
+        "  [ok] context_orthogonality", "  [FAIL] context_identity")),
+    (_zero_outside_contexts, _rows(
+        "ks18: 19 vectors, d=4, 81 edges, weights 1x19, 9 contexts",
+        "  [FAIL] nonzero_vectors", "  [ok] vector_dimension",
+        "  [ok] positive_weights", "  [ok] context_shape",
+        "  [ok] context_orthogonality", "  [ok] context_identity")),
+    (_repeated_index, _rows(
+        "ks18: 18 vectors, d=4, 63 edges, weights 1x18, 9 contexts",
+        "  [ok] nonzero_vectors", "  [ok] vector_dimension",
+        "  [ok] positive_weights", "  [ok] context_shape",
+        "  [FAIL] context_orthogonality: vectors 0 and 0 not orthogonal",
+        "  [FAIL] context_identity", "  [ok] edge_count",
+        "  [ok] exact_float_agreement")),
+    (_short_vector, _rows(
+        "ks18: 18 vectors, d=4, weights 1x18, 9 contexts",
+        "  [FAIL] nonzero_vectors", "  [FAIL] vector_dimension: d=4, n=18",
+        "  [ok] positive_weights", "  [ok] context_shape",
+        "  [FAIL] context_orthogonality", "  [FAIL] context_identity")),
+]
 
 
 class TestCatalog:
@@ -77,6 +128,20 @@ class TestCatalog:
         assert "[FAIL] vector_dimension" in captured.out
         assert "[FAIL] context_orthogonality" in captured.out
         assert "error:" not in captured.err
+
+    @pytest.mark.parametrize("corrupt, expected", _PINNED_CATALOG,
+                             ids=["zero_in_context", "zero_outside_contexts",
+                                  "repeated_index", "short_vector"])
+    def test_corrupted_set_output_is_pinned(self, tmp_path, capsys,
+                                            corrupt, expected):
+        doc = to_json_dict(get_set("ks18"))
+        corrupt(doc)
+        path = tmp_path / "corrupted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["catalog", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == "ks18: INVALID\n"
 
 
 class TestBounds:
@@ -291,8 +356,14 @@ class TestConfigHandling:
         ({"spectrum_width": 1e-300}, "its square underflows"),
         ({"bootstrap_replicates": 1e13}, "exceeds the cap of 1000000"),
         ({"set": 5}, 'config "set" must be a string, not int'),
+        ({"integration_time": 5e-324}, "exposure 9.8813e-319 is too small"),
+        ({"integration_time": 1e-160}, "exposure too small: the error bar"),
+        ({"spectrum": [[-3, math.nan], [0, 0.5], [3, 0.5]]},
+         "bad spectrum in config: amplitudes must be finite"),
     ], ids=["visibility", "pair_rate", "exposure", "replicates", "width",
-            "replicates_cap", "set_type"])
+            "replicates_cap", "set_type", "tiny_exposure", "sigma_overflow",
+            "nan_amplitude"])
+    @pytest.mark.filterwarnings("error")
     def test_bad_visibility_range(self, tmp_path, capsys, fields, message):
         cfg = write_config(tmp_path / "c.json", **{"set": "yo13", **fields})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -300,6 +371,13 @@ class TestConfigHandling:
         assert err.startswith("error: ")
         assert message in err
         assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_non_finite_artifact_value_is_refused(self, tmp_path):
+        target = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            cli_module._write_json(target, {"sigma": math.inf})
+        assert not target.exists()
 
     def test_explicit_spectrum(self, tmp_path, capsys):
         amp = 1.0 / 3.0 ** 0.5

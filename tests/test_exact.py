@@ -1,6 +1,8 @@
 import cmath
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sicbell.exact import (
@@ -12,11 +14,13 @@ from sicbell.exact import (
     ExactScalar,
     cube_root_power,
     from_int,
+    gram,
     inner_product,
-    projector_sum_equals,
     to_complex_vector,
     vector_norm_sq,
 )
+
+from exact_oracle import projector_sum_equals
 
 
 def rand_scalar(rng):
@@ -96,9 +100,46 @@ def test_to_complex_vector_norm():
 
 
 def test_projector_sum_standard_basis():
-    from fractions import Fraction
     basis = [tuple(from_int(1 if i == j else 0) for j in range(3)) for i in range(3)]
     assert projector_sum_equals(basis, Fraction(1))
     assert not projector_sum_equals(basis[:2], Fraction(1))
     doubled = basis + basis
     assert projector_sum_equals(doubled, Fraction(2))
+
+
+def assert_gram_matches_loop(vectors):
+    re, w = gram(vectors)
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            assert ExactScalar(int(re[i, j]), int(w[i, j])) == inner_product(u, v)
+    return re.dtype
+
+
+def extreme_vectors(m):
+    """Four vectors in d = 4 with every coordinate of size m, so that
+    <v, v> = 12 m**2 for the first: the largest sums int64 must hold."""
+    top, low = ExactScalar(m, m), ExactScalar(-m, m)
+    return [(top,) * 4, (low,) * 4, (top, low, top, low),
+            (ExactScalar(m, 0), ExactScalar(0, -m), ExactScalar(-m, -m), top)]
+
+
+def test_gram_int64_just_below_threshold():
+    # 4 * d * m**2 < 2**62 with d = 4 allows m up to 2**29 - 1
+    assert assert_gram_matches_loop(extreme_vectors(2**29 - 1)) == np.int64
+
+
+def test_gram_exact_ints_just_above_threshold():
+    assert assert_gram_matches_loop(extreme_vectors(2**29)) == object
+
+
+def test_gram_never_wraps():
+    # <u, u> = 4 * 2**62 = 2**64, which int64 arithmetic would wrap to 0
+    u = (from_int(2**31),) * 4
+    re, w = gram([u, u])
+    assert re.dtype == object
+    assert re[0, 1] == 2**64 and w[0, 1] == 0
+
+
+def test_gram_rejects_ragged_vectors():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gram([(ONE, ZERO), (ONE, ZERO, ZERO)])

@@ -92,6 +92,12 @@ class TestSpectra:
         with pytest.raises(ValueError):
             SchmidtSpectrum((0, 1), (-0.6, 0.8))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        # NaN slips past both the sign and the normalisation comparisons
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            SchmidtSpectrum((-3, 0, 3), (bad, 0.5, 0.5))
+
     def test_default_modes(self):
         assert default_modes(3) == (-3, 0, 3)
         assert default_modes(4) == (-4, -1, 1, 4)

@@ -3,8 +3,10 @@
 Each property compares the one-contraction quantum layer against an
 independent route: the single-pair Kronecker oracle, the trace of the
 Bell operator, a dense eigensolver, and pairwise float inner products.
-The noise-model inversion is checked by a round trip through the
-forward model, and fuzzed run configs by the CLI's exit contract.
+The exact orthogonality graph is checked against the pairwise
+``inner_product`` loop.  The noise-model inversion is checked by a round
+trip through the forward model, and fuzzed run configs by the CLI's exit
+contract.
 """
 
 import io
@@ -16,13 +18,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sicbell.bounds import max_weight_independent_set, solve_theta, state_ceiling
 from sicbell.catalog import SicSet, verify_set
 from sicbell.cli import main
-from sicbell.exact import ONE, ZERO, ExactScalar
+from sicbell.exact import ONE, ZERO, ExactScalar, gram
 from sicbell.montecarlo import fit_visibility
 from sicbell.noise import NoiseConfig, expected_bell_value, measurement_effects
 from sicbell.quantum import (
@@ -33,6 +35,8 @@ from sicbell.quantum import (
     joint_probability,
     max_entangled_state,
 )
+
+from exact_oracle import loop_edges
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -121,6 +125,33 @@ def test_exact_and_float_edges_agree(sic):
     assert floating == sic.graph.edges
     checks = {c.name: c.passed for c in verify_set(sic).checks}
     assert checks["exact_float_agreement"]
+
+
+# Entry bounds on both sides of the int64 threshold of the Gram product,
+# which lies between 2**28 and 2**30 for d = 3..6.
+_scale_bounds = st.sampled_from([1, 2**26, 2**29, 2**31, 10**30])
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets(), _scale_bounds, st.data())
+def test_gram_edges_match_exact_loop(sic, bound, data):
+    # scaling a ray by a nonzero ring element keeps its orthogonality,
+    # so large scales keep edges while pushing entries past int64
+    scalar = st.builds(ExactScalar, st.integers(-bound, bound),
+                       st.integers(-bound, bound))
+    vectors = tuple(tuple(s * x for x in v)
+                    for v, s in zip(sic.vectors, data.draw(
+                        st.lists(scalar, min_size=sic.n, max_size=sic.n))))
+    scaled = SicSet(name="scaled", dimension=sic.dimension, vectors=vectors,
+                    weights=sic.weights)
+    assert scaled.graph.edges == loop_edges(vectors)
+    assert all(type(k) is int for edge in scaled.graph.edges for k in edge)
+    assert list(np.diag(scaled.orthogonal)) == [
+        all(x.is_zero() for x in v) for v in vectors]
+    top = max(max(abs(x.a), abs(x.b)) for v in vectors for x in v)
+    expected = np.int64 if 4 * sic.dimension * top**2 < 2**62 else object
+    event(f"gram dtype {expected.__name__}")
+    assert gram(vectors)[0].dtype == expected
 
 
 @PROPERTY_SETTINGS
