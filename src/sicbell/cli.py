@@ -35,12 +35,7 @@ from .catalog import (
     load_set,
     verify_set,
 )
-from .montecarlo import (
-    canonical_counts,
-    exposure_for_sigma,
-    fit_visibility,
-    run_experiment,
-)
+from .montecarlo import exposure_for_sigma, fit_visibility, run_experiment
 from .noise import (
     IDEAL,
     NoiseConfig,
@@ -53,14 +48,26 @@ from .noise import (
 OUTDIR_ENV = "SICBELL_OUTDIR"
 MAX_BOOTSTRAP_REPLICATES = 10**6
 
+
+def _number(value, kind=float):
+    """A JSON number as ``kind``, float or int.  A bool or a string is
+    not a number, and an int takes only whole values, such as 1e6."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    if kind is int and value % 1:  # nan % 1 and inf % 1 are nan
+        raise ValueError(f"{value!r} is not an integer")
+    return kind(value)
+
+
 # the numeric config keys and their converters, in RunConfig field order;
 # a key left out of the config keeps the RunConfig default, and a null
 # spectrum_width means no width
 _CONFIG_FIELDS = {
-    "visibility": float, "crosstalk": float,
-    "spectrum_width": lambda value: None if value is None else float(value),
-    "pair_rate": float, "integration_time": float, "seed": int,
-    "bootstrap_replicates": int,
+    "visibility": _number, "crosstalk": _number,
+    "spectrum_width": lambda value: None if value is None else _number(value),
+    "pair_rate": _number, "integration_time": _number,
+    "seed": lambda value: _number(value, int),
+    "bootstrap_replicates": lambda value: _number(value, int),
 }
 _CONFIG_KEYS = {"set", "spectrum", *_CONFIG_FIELDS}
 
@@ -128,17 +135,19 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
         rows = doc["spectrum"]
         try:
             spectrum = SchmidtSpectrum(
-                tuple(int(m) for m, _ in rows),
-                tuple(float(a) for _, a in rows))
-        except (TypeError, ValueError) as exc:
+                tuple(_number(m, int) for m, _ in rows),
+                tuple(_number(a) for _, a in rows))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad spectrum in config: {exc}") from exc
     if seed is not None:
         doc = {**doc, "seed": seed}
-    try:
-        fields = {key: convert(doc[key])
-                  for key, convert in _CONFIG_FIELDS.items() if key in doc}
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad config value: {exc}") from exc
+    fields = {}
+    for key, convert in _CONFIG_FIELDS.items():
+        if key in doc:
+            try:
+                fields[key] = convert(doc[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CliError(f"bad config value for {key}: {exc}") from exc
     cfg = RunConfig(set_name=name, spectrum=spectrum, **fields)
     if cfg.bootstrap_replicates < 0:
         raise CliError(f"bootstrap_replicates {cfg.bootstrap_replicates} "
@@ -190,10 +199,10 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, fieldnames: Sequence[str], rows) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(handle)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -251,29 +260,26 @@ def cmd_bounds(args) -> int:
     else:
         target = outdir / f"{sic.name}_bounds.csv"
         del doc["alpha_witness"]
-        _write_csv(target, list(doc), [doc])
+        _write_csv(target, list(doc), [list(doc.values())])
     print(f"  wrote {target}")
     return 0
 
 
-def _figure_rows(sic: SicSet, table, ideal_values, counts=None,
-                 exposure=None):
-    """Rows for the bar-chart export: diagonals first, then ordered edges."""
-    rows = []
-    for k, (i, j) in enumerate(sic.settings):
-        row = {
-            "index": k + 1,
-            "alice": sic.labels[i],
-            "bob": sic.labels[j],
-            "p_hat": table.values[k],
-            "sigma": 0.0 if table.sigmas is None else table.sigmas[k],
-            "p_ideal": ideal_values[k],
-        }
-        if counts is not None:
-            row["count"] = counts[k]
-            row["exposure"] = exposure
-        rows.append(row)
-    return rows
+def _figure_table(sic: SicSet, table, ideal_values, counts=None,
+                  exposure=None) -> tuple[list[str], list[tuple]]:
+    """Header and rows of the bar-chart export, one row per setting:
+    diagonals first, then ordered edges."""
+    n = len(sic.settings)
+    columns = {"index": range(1, n + 1),
+               "alice": [sic.labels[i] for i, _ in sic.settings],
+               "bob": [sic.labels[j] for _, j in sic.settings]}
+    if counts is not None:
+        columns.update(count=counts, exposure=[exposure] * n)
+    columns.update(
+        p_hat=table.values.tolist(),
+        sigma=[0.0] * n if table.sigmas is None else table.sigmas.tolist(),
+        p_ideal=ideal_values.tolist())
+    return list(columns), list(zip(*columns.values()))
 
 
 def cmd_predict(args) -> int:
@@ -284,16 +290,16 @@ def cmd_predict(args) -> int:
     _, ideal_table = expected_bell_value(sic, IDEAL)
     print(f"{sic.name}: expected beta = {beta:.6f} "
           f"(visibility={noise.visibility}, crosstalk={noise.crosstalk})")
-    rows = _figure_rows(sic, table, ideal_table.values)
+    header, rows = _figure_table(sic, table, ideal_table.values)
     outdir = _outdir(args.out)
     if args.format == "json":
         target = outdir / f"{sic.name}_prediction.json"
         _write_json(target, {"set": sic.name, "beta_expected": beta,
-                             "settings": rows})
+                             "settings": [dict(zip(header, row))
+                                          for row in rows]})
     else:
         target = outdir / f"{sic.name}_prediction.csv"
-        _write_csv(target, ["index", "alice", "bob", "p_hat", "sigma",
-                            "p_ideal"], rows)
+        _write_csv(target, header, rows)
     print(f"  wrote {target}")
     return 0
 
@@ -313,13 +319,12 @@ def cmd_simulate(args) -> int:
               f"({cfg.bootstrap_replicates} replicates)")
 
     _, ideal_table = expected_bell_value(sic, IDEAL)
-    rows = _figure_rows(sic, table, ideal_table.values,
-                        canonical_counts(record)[2], record.exposure)
+    header, rows = _figure_table(sic, table, ideal_table.values,
+                                 record.canonical_counts[2], record.exposure)
 
     outdir = _outdir(args.out)
     figure = outdir / f"{sic.name}_figure.csv"
-    _write_csv(figure, ["index", "alice", "bob", "count", "exposure",
-                        "p_hat", "sigma", "p_ideal"], rows)
+    _write_csv(figure, header, rows)
     report_doc = report.to_json_dict()
     report_doc["seed"] = record.seed
     report_doc["exposure"] = record.exposure
@@ -328,9 +333,10 @@ def cmd_simulate(args) -> int:
         _write_json(target, report_doc)
     else:
         target = outdir / f"{sic.name}_report.csv"
-        _write_csv(target, sorted(report_doc), [report_doc])
+        keys = sorted(report_doc)
+        _write_csv(target, keys, [[report_doc[key] for key in keys]])
     counts_path = outdir / f"{sic.name}_counts.json"
-    _write_json(counts_path, record.to_json_dict())
+    counts_path.write_text(record.to_json_text(), encoding="utf-8")
     print(f"  wrote {target}, {figure}, {counts_path}")
     return 0
 

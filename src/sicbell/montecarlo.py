@@ -4,14 +4,17 @@ A run visits every measurement setting of a set (each diagonal and both
 orientations of each edge), accumulates coincidence counts for a fixed
 exposure, and estimates the inequality value with propagated counting
 errors.  Counts are Poisson distributed around N * P, where N is the
-calibrated number of pairs per setting exposure, so the whole pipeline
-is a pure function of the plan, the noise configuration, and the seed.
+calibrated number of pairs per setting exposure, and a run draws them
+from one PRNG stream keyed by its seed, so the whole pipeline is a pure
+function of the plan, the noise configuration, and the seed.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +28,9 @@ from .quantum import ProbabilityTable
 _MAX_SEED = 2**64
 _MAX_MEAN = float(2**63)
 _BOOTSTRAP_STREAM = 0x626F6F74
+_COUNTS_STREAM = 0x636F756E
+# one row of the counts file, as json.dumps(indent=2) lays it out
+_COUNT_ROW = '    {\n      "alice": %d,\n      "bob": %d,\n      "count": %d\n    }'
 
 
 @dataclass(frozen=True)
@@ -96,16 +102,26 @@ class CountRecord:
         if not self.exposure > 0:
             raise ValueError("exposure must be positive")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "set": self.set_name,
-            "exposure": self.exposure,
-            "seed": self.seed,
-            "counts": [
-                {"alice": i, "bob": j, "count": c}
-                for (i, j), c in zip(self.settings, self.counts)
-            ],
-        }
+    def to_json_text(self) -> str:
+        """The counts file: set, exposure, seed and one {alice, bob, count}
+        row per setting, laid out as ``json.dumps(indent=2, sort_keys=True)``
+        lays them out, plus a newline.  Each row is one fixed template."""
+        rows = ",\n".join([_COUNT_ROW % (i, j, c) for (i, j), c
+                           in zip(self.settings, self.counts)])
+        counts = f"[\n{rows}\n  ]" if rows else "[]"
+        head = json.dumps({"counts": None, "exposure": self.exposure,
+                           "seed": self.seed, "set": self.set_name},
+                          indent=2, sort_keys=True, allow_nan=False)
+        # "counts" sorts first, so the first match is its value
+        return head.replace('"counts": null', f'"counts": {counts}', 1) + "\n"
+
+    @cached_property
+    def canonical_counts(self) -> tuple[int, tuple[tuple[int, int], ...],
+                                        tuple[int, ...]]:
+        """The counts rearranged into canonical setting order, with the
+        (n, edges) that order is built from; derived once per record."""
+        n, edges, order = _canonical_layout(self.settings)
+        return n, edges, tuple(self.counts[k] for k in order)
 
 
 @dataclass(frozen=True)
@@ -128,17 +144,12 @@ class ViolationReport:
         return doc
 
 
-def _setting_rng(seed: int, index: int) -> np.random.Generator:
-    """A dedicated stream per setting, so ordering cannot matter."""
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
-
-
 def simulate_counts(plan: RunPlan, inputs: PredictionInputs) -> CountRecord:
     """Draw Poisson counts for every setting of a plan.
 
-    Each setting uses its own PRNG stream derived from (seed, setting
-    index), so identical seeds give identical records regardless of
-    evaluation order.
+    One vectorised draw, in plan order, from the run's single PRNG
+    stream derived from (seed, _COUNTS_STREAM): identical seeds and
+    plans give identical records.
     """
     if plan.set_name != inputs.set_name:
         raise ValueError(
@@ -152,8 +163,9 @@ def simulate_counts(plan: RunPlan, inputs: PredictionInputs) -> CountRecord:
     if means.max() > _MAX_MEAN:
         raise OverflowError(
             f"expected count {means.max()} exceeds the counter range")
-    counts = tuple(int(_setting_rng(plan.seed, index).poisson(mean))
-                   for index, mean in enumerate(means))
+    rng = np.random.default_rng(
+        np.random.SeedSequence([plan.seed, _COUNTS_STREAM]))
+    counts = tuple(rng.poisson(means).tolist())
     return CountRecord(
         set_name=plan.set_name,
         settings=plan.settings,
@@ -182,14 +194,6 @@ def _canonical_layout(settings: Sequence[tuple[int, int]]
     return n, tuple(edges), [position[s] for s in canonical]
 
 
-def canonical_counts(rec: CountRecord
-                     ) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
-    """A record's counts rearranged into canonical setting order, with
-    the (n, edges) that order is built from."""
-    n, edges, order = _canonical_layout(rec.settings)
-    return n, edges, [rec.counts[k] for k in order]
-
-
 def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
     """Normalized probabilities with Poisson standard errors.
 
@@ -197,7 +201,7 @@ def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
     term ever claims zero variance.  An exposure so small that these
     overflow raises ArithmeticError.
     """
-    n, edges, counts = canonical_counts(rec)
+    n, edges, counts = rec.canonical_counts
     counts = np.array(counts, dtype=float)
     with np.errstate(over="ignore"):
         values = counts / rec.exposure
@@ -250,7 +254,7 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
         if record is None:
             raise ValueError("bootstrap needs the count record")
         levels, group = np.unique(coeffs, return_inverse=True)
-        totals = np.bincount(group, weights=canonical_counts(record)[2])
+        totals = np.bincount(group, weights=record.canonical_counts[2])
         # numpy's Poisson takes means below about 2**63, which bounds one
         # setting (_MAX_MEAN) but not a group total: draw that in parts
         parts = 1 + int(totals.max() // 2.0**62)

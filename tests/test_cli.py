@@ -12,6 +12,7 @@ from sicbell.bounds import ThetaNonConvergence, solve_theta
 from sicbell.catalog import build_yo13, get_set, save_set, to_json_dict
 from sicbell.cli import OUTDIR_ENV, RunConfig, load_run_config, main, resolve_set
 from sicbell import cli as cli_module
+from sicbell import montecarlo
 
 
 def write_config(path: Path, **fields) -> str:
@@ -261,6 +262,34 @@ class TestSimulate:
         for stem in ("ks18_report.json", "ks18_figure.csv", "ks18_counts.json"):
             assert (first / stem).read_bytes() == (second / stem).read_bytes()
 
+    @pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
+    def test_counts_file_is_json_dumps_of_the_record(self, tmp_path, name):
+        assert main(["simulate", "--set", name, "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / f"{name}_counts.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        sic, cfg = get_set(name), RunConfig(set_name=name)
+        record, _, _ = montecarlo.run_experiment(
+            sic, cfg.noise_config(sic.dimension), cfg.pair_rate,
+            cfg.integration_time, 5)
+        assert doc == {"set": name, "exposure": record.exposure, "seed": 5,
+                       "counts": [{"alice": i, "bob": j, "count": c}
+                                  for (i, j), c in zip(record.settings,
+                                                       record.counts)]}
+
+    def test_canonical_layout_is_derived_once_per_run(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        layout = montecarlo._canonical_layout
+
+        def counted(settings):
+            calls.append(len(settings))
+            return layout(settings)
+        monkeypatch.setattr(montecarlo, "_canonical_layout", counted)
+        assert main(["simulate", "--set", "ks21", "--out", str(tmp_path)]) == 0
+        assert calls == [231]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="yo13", seed=1,
                            pair_rate=1e4, integration_time=1.0,
@@ -360,9 +389,25 @@ class TestConfigHandling:
         ({"integration_time": 1e-160}, "exposure too small: the error bar"),
         ({"spectrum": [[-3, math.nan], [0, 0.5], [3, 0.5]]},
          "bad spectrum in config: amplitudes must be finite"),
+        ({"seed": 1.5}, "bad config value for seed: 1.5 is not an integer"),
+        ({"seed": True}, "bad config value for seed: True is not a number"),
+        ({"bootstrap_replicates": 1.5},
+         "bad config value for bootstrap_replicates: 1.5 is not an integer"),
+        ({"spectrum": [[-1.9, 0.6], [0.2, 0.64], [1.7, 0.48]]},
+         "bad spectrum in config: -1.9 is not an integer"),
+        ({"spectrum": [[-1, True], [0, 0.0], [1, 0.0]]},
+         "bad spectrum in config: True is not a number"),
+        ({"pair_rate": "7"},
+         "bad config value for pair_rate: '7' is not a number"),
+        ({"visibility": False},
+         "bad config value for visibility: False is not a number"),
+        ({"integration_time": 10**400},
+         "bad config value for integration_time: int too large"),
     ], ids=["visibility", "pair_rate", "exposure", "replicates", "width",
             "replicates_cap", "set_type", "tiny_exposure", "sigma_overflow",
-            "nan_amplitude"])
+            "nan_amplitude", "fractional_seed", "bool_seed",
+            "fractional_replicates", "fractional_modes", "bool_amplitude",
+            "string_number", "bool_visibility", "huge_int"])
     @pytest.mark.filterwarnings("error")
     def test_bad_visibility_range(self, tmp_path, capsys, fields, message):
         cfg = write_config(tmp_path / "c.json", **{"set": "yo13", **fields})
@@ -372,6 +417,15 @@ class TestConfigHandling:
         assert message in err
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        as_floats = write_config(tmp_path / "f.json", set="yo13", seed=7.0,
+                                 bootstrap_replicates=1e3)
+        as_ints = write_config(tmp_path / "i.json", set="yo13", seed=7,
+                               bootstrap_replicates=1000)
+        cfg = load_run_config(as_floats, None, None)
+        assert cfg == load_run_config(as_ints, None, None)
+        assert type(cfg.seed) is int and type(cfg.bootstrap_replicates) is int
 
     def test_non_finite_artifact_value_is_refused(self, tmp_path):
         target = tmp_path / "report.json"

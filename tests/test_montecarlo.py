@@ -1,5 +1,6 @@
 """Tests for the counting simulation and violation statistics."""
 
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,8 @@ import pytest
 
 from sicbell.catalog import catalog_names, get_set, orthogonality_graph
 from sicbell.montecarlo import (
+    _BOOTSTRAP_STREAM,
+    _COUNTS_STREAM,
     CountRecord,
     RunPlan,
     ViolationReport,
@@ -91,6 +94,17 @@ class TestSimulateCounts:
         p = 1.0 / 3.0
         band = 3.0 * math.sqrt(p / n_pairs / 100.0)
         assert abs(np.mean(values) - p) < band
+
+    def test_counts_are_one_draw_from_the_run_stream(self):
+        sic = get_set("ks18")
+        inputs = apply_noise(sic, NoiseConfig(visibility=0.9, crosstalk=0.02))
+        plan = plan_for(sic, 2e4, 1.5, 2024)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([2024, _COUNTS_STREAM]))
+        means = plan.exposure * inputs.probabilities(plan.settings)
+        assert simulate_counts(plan, inputs).counts == tuple(
+            rng.poisson(means).tolist())
+        assert _COUNTS_STREAM != _BOOTSTRAP_STREAM
 
     def test_set_name_mismatch(self):
         plan = plan_for(get_set("yo13"), 1e4, 1.0, 0)
@@ -388,7 +402,7 @@ class TestExposureTuning:
 class TestSerialization:
     def test_record_json_round_fields(self):
         rec, _, report = run_experiment(get_set("yo13"), IDEAL, 1e4, 1.0, 11)
-        doc = rec.to_json_dict()
+        doc = json.loads(rec.to_json_text())
         assert doc["set"] == "yo13"
         assert doc["seed"] == 11
         assert len(doc["counts"]) == 61

@@ -5,8 +5,9 @@ independent route: the single-pair Kronecker oracle, the trace of the
 Bell operator, a dense eigensolver, and pairwise float inner products.
 The exact orthogonality graph is checked against the pairwise
 ``inner_product`` loop.  The noise-model inversion is checked by a round
-trip through the forward model, and fuzzed run configs by the CLI's exit
-contract.
+trip through the forward model, the counts file's template against
+``json.dumps`` on random count records, and fuzzed run configs by the
+CLI's exit contract and strict-JSON artifacts.
 """
 
 import io
@@ -25,7 +26,7 @@ from sicbell.bounds import max_weight_independent_set, solve_theta, state_ceilin
 from sicbell.catalog import SicSet, verify_set
 from sicbell.cli import main
 from sicbell.exact import ONE, ZERO, ExactScalar, gram
-from sicbell.montecarlo import fit_visibility
+from sicbell.montecarlo import CountRecord, fit_visibility
 from sicbell.noise import NoiseConfig, expected_bell_value, measurement_effects
 from sicbell.quantum import (
     BipartiteState,
@@ -181,6 +182,36 @@ def test_independence_number_is_below_theta_graph(sic):
     assert alpha <= theta.value + theta.gap
 
 
+# zero counts, counts near 2**62, and names JSON must escape
+_counts = st.one_of(st.just(0), st.integers(0, 10**6),
+                    st.integers(2**62 - 2**10, 2**62 + 2**10))
+_names = st.one_of(st.text(max_size=8), st.sampled_from(
+    ['a"b', "back\\slash", "ks21\u00e9\u2192\U0001f600"]))
+
+
+@st.composite
+def count_records(draw):
+    index = st.integers(0, 300)
+    settings = draw(st.lists(st.tuples(index, index), max_size=12, unique=True))
+    counts = draw(st.lists(_counts, min_size=len(settings),
+                           max_size=len(settings)))
+    exposure = draw(st.floats(min_value=0.0, exclude_min=True,
+                              allow_infinity=False))
+    return CountRecord(draw(_names), tuple(settings), tuple(counts), exposure,
+                       draw(st.integers(0, 2**64 - 1)))
+
+
+@PROPERTY_SETTINGS
+@given(count_records())
+def test_counts_file_text_is_json_dumps(record):
+    doc = {"set": record.set_name, "exposure": record.exposure,
+           "seed": record.seed,
+           "counts": [{"alice": i, "bob": j, "count": c}
+                      for (i, j), c in zip(record.settings, record.counts)]}
+    oracle = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert record.to_json_text() == oracle
+
+
 _CONFIG_KEYS = ["set", "visibility", "crosstalk", "spectrum_width", "spectrum",
                 "pair_rate", "integration_time", "seed", "bootstrap_replicates"]
 # what a JSON config can hold: every JSON type, the non-finite floats
@@ -196,6 +227,10 @@ _config_values = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     st.floats(0.0, 1.0), st.integers(0, 100),
 )
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
 
 
 @PROPERTY_SETTINGS
@@ -217,3 +252,9 @@ def test_fuzzed_config_exits_cleanly(key, value):
                 text = err.getvalue()
                 assert text.startswith("error:") and text.count("\n") == 1
                 assert text.endswith("\n")
+            else:  # every artifact is strict JSON: no NaN or Infinity
+                for name in os.listdir(out):
+                    if name.endswith(".json") and name != "config.json":
+                        path = os.path.join(out, name)
+                        with open(path, encoding="utf-8") as handle:
+                            json.loads(handle.read(), parse_constant=_refuse)
