@@ -425,19 +425,30 @@ def to_json_dict(sic: SicSet) -> dict:
     return doc
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer, taken as it is: a bool, a string or a float, even
+    a whole one, is refused rather than truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be a JSON integer, not {value!r}")
+    return value
+
+
 def from_json_dict(doc: dict) -> SicSet:
     try:
         vectors = tuple(
-            tuple(ExactScalar(int(a), int(b)) for a, b in vec) for vec in doc["vectors"]
+            tuple(ExactScalar(_json_int(a, "vector entry"), _json_int(b, "vector entry"))
+                  for a, b in vec) for vec in doc["vectors"]
         )
         contexts = doc.get("contexts")
         return SicSet(
             name=str(doc["name"]),
-            dimension=int(doc["dimension"]),
+            dimension=_json_int(doc["dimension"], "dimension"),
             vectors=vectors,
-            weights=tuple(int(w) for w in doc["weights"]),
-            contexts=None if contexts is None else tuple(tuple(int(v) for v in c) for c in contexts),
-            expected_edges=(int(doc["expected_edges"]) if "expected_edges" in doc else None),
+            weights=tuple(_json_int(w, "weight") for w in doc["weights"]),
+            contexts=None if contexts is None else tuple(
+                tuple(_json_int(v, "context index") for v in c) for c in contexts),
+            expected_edges=(_json_int(doc["expected_edges"], "expected_edges")
+                            if "expected_edges" in doc else None),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed set definition: {exc}") from exc

@@ -1,9 +1,12 @@
-"""Exact oracles over Z[w] and Q[w] for the tests, independent of the
-integer Gram product the package uses.
+"""Exact oracles for the tests, independent of the routes the package
+uses.
 
 ``loop_edges`` decides orthogonality one pair at a time through
-:func:`sicbell.exact.inner_product`; ``projector_sum_equals`` sums
-rank-1 projectors with Fraction coefficients.
+:func:`sicbell.exact.inner_product`, not the integer Gram product;
+``projector_sum_equals`` sums rank-1 projectors with Fraction
+coefficients; ``branch_and_bound_mwis`` is a maximum-weight independent
+set search with a greedy warm start, weight-sum pruning and an explicit
+lexicographic tie test, not the clique-cover search.
 """
 
 from fractions import Fraction
@@ -39,3 +42,57 @@ def projector_sum_equals(vectors, scale: Fraction) -> bool:
                 total[r][c] += ExactScalar(Fraction(p.a, ns), Fraction(p.b, ns))
     return all(total[r][c] == ExactScalar(scale if r == c else 0, 0)
                for r in range(d) for c in range(d))
+
+
+def branch_and_bound_mwis(graph):
+    """``(value, witness)`` of a maximum-weight independent set, the
+    witness being the lexicographically smallest optimal vertex tuple.
+
+    Pruning is strict so weight ties survive long enough for the
+    lexicographic rule.
+    """
+    n = graph.n
+    if n == 0:
+        return 0, ()
+    w = list(graph.weights)
+    adj = [0] * n
+    for i, j in graph.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    # greedy warm start: repeatedly take the densest weight-per-blocked-vertex pick
+    cand = (1 << n) - 1
+    greedy = []
+    while cand:
+        members = list(bits(cand))
+        v = max(members, key=lambda b: (w[b] / (bin(cand & adj[b]).count("1") + 1), -b))
+        greedy.append(v)
+        cand &= ~(adj[v] | (1 << v))
+    best_set = tuple(sorted(greedy))
+    best_w = sum(w[v] for v in greedy)
+
+    def rec(cand, cur_w, cur, rest):
+        nonlocal best_w, best_set
+        if cand == 0:
+            if cur_w > best_w or (cur_w == best_w and tuple(cur) < best_set):
+                best_w = cur_w
+                best_set = tuple(cur)
+            return
+        if cur_w + rest < best_w:
+            return
+        v = (cand & -cand).bit_length() - 1
+        drop = cand & (adj[v] | (1 << v))
+        lost = sum(w[u] for u in bits(drop))
+        cur.append(v)
+        rec(cand & ~drop, cur_w + w[v], cur, rest - lost)
+        cur.pop()
+        rec(cand & ~(1 << v), cur_w, cur, rest - w[v])
+
+    rec((1 << n) - 1, 0, [], sum(w))
+    return best_w, best_set

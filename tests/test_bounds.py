@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import numpy as np
@@ -89,10 +90,26 @@ def brute_force_mwis(n, weights, edges):
     return best_w, min(best_sets)
 
 
-def random_graph(rng, n, p):
+def random_graph(rng, n, p, max_weight=9):
     edges = tuple((i, j) for i, j in combinations(range(n), 2) if rng.random() < p)
-    weights = tuple(rng.randint(1, 9) for _ in range(n))
+    weights = tuple(rng.randint(1, max_weight) for _ in range(n))
     return WeightedGraph(n, weights, edges)
+
+
+def relabelled_union(names, seed):
+    """The disjoint union of catalog graphs, its vertices shuffled."""
+    rng = random.Random(seed)
+    parts = [orthogonality_graph(get_set(name)) for name in names]
+    n = sum(g.n for g in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    weights, edges, offset = [0] * n, [], 0
+    for g in parts:
+        for i, w in enumerate(g.weights):
+            weights[perm[offset + i]] = w
+        edges += [tuple(sorted((perm[offset + i], perm[offset + j]))) for i, j in g.edges]
+        offset += g.n
+    return WeightedGraph(n, tuple(weights), tuple(sorted(edges)))
 
 
 def cycle5():
@@ -102,14 +119,16 @@ def cycle5():
 # ---------------------------------------------------------------- alpha
 
 def test_mwis_matches_brute_force():
-    rng = random.Random(424242)
-    for _ in range(60):
-        n = rng.randint(1, 12)
-        g = random_graph(rng, n, rng.uniform(0.1, 0.7))
-        val, wit = max_weight_independent_set(g)
-        oracle_val, oracle_wit = brute_force_mwis(g.n, g.weights, g.edges)
-        assert val == oracle_val
-        assert wit == oracle_wit
+    # unit weights make ties, and so the lexicographic rule, common
+    for max_weight in (9, 1):
+        rng = random.Random(424242)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.7), max_weight)
+            val, wit = max_weight_independent_set(g)
+            oracle_val, oracle_wit = brute_force_mwis(g.n, g.weights, g.edges)
+            assert val == oracle_val
+            assert wit == oracle_wit
 
 
 def test_mwis_witness_is_independent():
@@ -130,6 +149,23 @@ def test_mwis_catalog_values():
         val, wit = max_weight_independent_set(g)
         assert val == target
         assert sum(g.weights[v] for v in wit) == target
+
+
+def test_mwis_on_a_52_vertex_union_is_quick():
+    # the independence number is additive over a disjoint union: 11 + 4 + 3
+    g = relabelled_union(("yo13", "ks18", "ks21"), seed=1)
+    start = time.perf_counter()
+    val, wit = max_weight_independent_set(g)
+    assert time.perf_counter() - start < 6.0
+    assert val == 18
+    assert sum(g.weights[v] for v in wit) == 18
+
+
+def test_mwis_tie_keeps_the_first_optimum():
+    # {0, 2}, {1} and {2, 3} all weigh 3; a search that let a later tied
+    # leaf replace the incumbent would return (2, 3)
+    g = WeightedGraph(4, (1, 3, 2, 1), ((0, 1), (0, 3), (1, 2), (1, 3)))
+    assert max_weight_independent_set(g) == (3, (0, 2))
 
 
 def test_mwis_edgeless_pair():

@@ -199,6 +199,36 @@ class TestBounds:
         for key in ("alpha", "theta", "beta_ideal"):
             assert big[key] == ref[key]
 
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("yo13", lambda doc: doc["weights"].__setitem__(0, 2.9), "weight"),
+        ("yo13", lambda doc: doc["weights"].__setitem__(0, True), "weight"),
+        ("yo13", lambda doc: doc["weights"].__setitem__(0, "3"), "weight"),
+        ("yo13", lambda doc: doc["vectors"][0].__setitem__(0, [1.5, 0]),
+         "vector entry"),
+        ("yo13", lambda doc: doc.__setitem__("dimension", 3.7), "dimension"),
+        ("yo13", lambda doc: doc.__setitem__("dimension", 3.0), "dimension"),
+        ("ks18", lambda doc: doc["contexts"][0].__setitem__(0, 0.0),
+         "context index"),
+        ("ks18", lambda doc: doc.__setitem__("expected_edges", "73"),
+         "expected_edges"),
+    ], ids=["fractional_weight", "bool_weight", "string_weight",
+            "fractional_entry", "fractional_dimension", "float_dimension",
+            "float_context_index", "string_edge_count"])
+    def test_non_integer_set_number_is_refused(self, tmp_path, capsys,
+                                               name, corrupt, message):
+        doc = to_json_dict(get_set(name))
+        corrupt(doc)
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["bounds", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load set from {path}: "
+                              f"malformed set definition: {message} "
+                              "must be a JSON integer, not ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def explode(sic, tol=1e-6):
             raise ThetaNonConvergence(4.0, 5.0, 30)

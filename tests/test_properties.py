@@ -4,10 +4,11 @@ Each property compares the one-contraction quantum layer against an
 independent route: the single-pair Kronecker oracle, the trace of the
 Bell operator, a dense eigensolver, and pairwise float inner products.
 The exact orthogonality graph is checked against the pairwise
-``inner_product`` loop.  The noise-model inversion is checked by a round
-trip through the forward model, the counts file's template against
-``json.dumps`` on random count records, and fuzzed run configs by the
-CLI's exit contract and strict-JSON artifacts.
+``inner_product`` loop, and the maximum-weight independent set against
+the weight-sum branch and bound.  The noise-model inversion is checked
+by a round trip through the forward model, the counts file's template
+against ``json.dumps`` on random count records, and fuzzed run configs
+by the CLI's exit contract and strict-JSON artifacts.
 """
 
 import io
@@ -23,7 +24,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sicbell.bounds import max_weight_independent_set, solve_theta, state_ceiling
-from sicbell.catalog import SicSet, verify_set
+from sicbell.catalog import SicSet, WeightedGraph, verify_set
 from sicbell.cli import main
 from sicbell.exact import ONE, ZERO, ExactScalar, gram
 from sicbell.montecarlo import CountRecord, fit_visibility
@@ -37,7 +38,7 @@ from sicbell.quantum import (
     max_entangled_state,
 )
 
-from exact_oracle import loop_edges
+from exact_oracle import branch_and_bound_mwis, loop_edges
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -180,6 +181,26 @@ def test_independence_number_is_below_theta_graph(sic):
     alpha, _ = max_weight_independent_set(sic.graph)
     theta = solve_theta(sic.graph)
     assert alpha <= theta.value + theta.gap
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Graphs up to 24 vertices with unit weights or weights in 1..3, so
+    that optimal sets tie often and the witness rests on the lexicographic
+    rule."""
+    n = draw(st.integers(0, 24))
+    density = draw(st.floats(0.05, 0.9))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = tuple(e for e in combinations(range(n), 2) if rng.random() < density)
+    top = draw(st.sampled_from([1, 3]))
+    weights = tuple(draw(st.lists(st.integers(1, top), min_size=n, max_size=n)))
+    return WeightedGraph(n, weights, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs())
+def test_mwis_matches_branch_and_bound_oracle(graph):
+    assert max_weight_independent_set(graph) == branch_and_bound_mwis(graph)
 
 
 # zero counts, counts near 2**62, and names JSON must escape
