@@ -7,30 +7,33 @@ Two quantities are computed for a weighted graph (G, w):
   in lexicographic order and prunes on a clique-cover bound, and
 * the weighted theta number, the value of the semidefinite program
 
-      maximize   sum_i w_i x_i
-      subject to Y >= 0 on indices {0, 1, .., n},
-                 Y_00 = 1,
-                 Y_ii = Y_0i = x_i        for every vertex i,
-                 Y_ij = 0                 for every edge (i, j),
+      maximize   <W, X>,   W_ij = sqrt(w_i w_j),
+      subject to X >= 0,  Tr X = 1,
+                 X_ij = 0                 for every edge (i, j),
 
-  solved in-house by an operator-splitting loop (alternating projection
-  onto the affine constraints and the semidefinite cone with a scaled
-  dual update).  The loop is a fixed-point iteration on one symmetric
-  matrix, accelerated by type-II Anderson extrapolation over its last
-  few steps (Walker & Ni 2011; Zhang, O'Donoghue & Boyd 2020); an
-  extrapolated point whose residual exceeds that of the point it came
-  from is replaced by that point's plain step, and the history starts
-  over.  The bordered program reduces to the plain theta number at unit
-  weights and to the weighted independence number on perfect graphs.
-  Its n x n form, max <W, X> with W_ij = sqrt(w_i w_j) over Tr X = 1,
-  X_ij = 0 on edges and X >= 0, has the same value, not a looser one
-  (Knuth, "The Sandwich Theorem", Electron. J. Combin. 1 (1994) A1).
+  Knuth's n x n form of the weighted Lovasz number ("The Sandwich
+  Theorem", Electron. J. Combin. 1 (1994) A1).  It equals the plain
+  theta number at unit weights and the weighted independence number on
+  perfect graphs.  It is solved in-house by an operator-splitting loop
+  (alternating projection onto the affine constraints and the
+  semidefinite cone with a scaled dual update), started at I / n with
+  the penalty rho = sum(w) = lambda_max(W), the scale of the objective,
+  as in the ADMM runs on theta of Wen, Goldfarb & Yin (Math. Prog.
+  Comp. 2 (2010)).  The loop is a fixed-point iteration on one
+  symmetric matrix, accelerated by type-II Anderson extrapolation over
+  its last few steps (Walker & Ni 2011; Zhang, O'Donoghue & Boyd 2020);
+  an extrapolated point whose residual exceeds that of the point it
+  came from is replaced by that point's plain step, and the history
+  starts over.
 
-  Every reported value carries a certificate: a repaired feasible
-  matrix gives a lower bound, and a repaired dual combination of the
-  constraint gradients gives an upper bound, so the true optimum is
-  bracketed by value .. value + gap regardless of how far the
-  iteration actually got or which path it took.
+  Every reported value carries a certificate.  The dual is
+  min over edge-supported H of lambda_max(W - H), so the edge part of
+  any iterate's multiplier gives an upper bound with one eigenvalue;
+  the projected iterate, which is exactly zero on edges, shifted to PSD
+  by its smallest eigenvalue and scaled to unit trace, gives a lower
+  bound.  Each eigenvalue and sum the bounds rest on is allowed its
+  rounding error, so the true optimum lies in value .. value + gap to
+  the last ulp, however far the iteration got or which path it took.
 """
 
 from __future__ import annotations
@@ -127,43 +130,9 @@ class ThetaResult:
     value: float            # certified feasible (lower) value
     gap: float              # dual_bound - value
     dual_bound: float
-    matrix: np.ndarray      # feasible bordered matrix Y, shape (n+1, n+1)
+    matrix: np.ndarray      # feasible X: PSD, trace 1, zero on edges, (n, n)
     iterations: int
     converged: bool
-
-    def vertex_weights(self) -> np.ndarray:
-        """The per-vertex portion x_i of the optimum (diagonal of Y)."""
-        return np.diag(self.matrix)[1:].copy()
-
-
-def _strictly_feasible(n: int) -> tuple[np.ndarray, float]:
-    """An interior feasible point of the bordered program and its
-    smallest eigenvalue; used to repair near-feasible iterates."""
-    s = 1.0 / (2.0 * n)
-    y0 = np.zeros((n + 1, n + 1))
-    y0[0, 0] = 1.0
-    y0[0, 1:] = s
-    y0[1:, 0] = s
-    y0[np.arange(1, n + 1), np.arange(1, n + 1)] = s
-    return y0, float(np.linalg.eigvalsh(y0)[0])
-
-
-def _affine_project(v: np.ndarray, rows, cols) -> np.ndarray:
-    """Nearest matrix with Y_00 = 1, tied border/diagonal entries, and
-    zero edge entries.  The constraint groups touch disjoint entries,
-    so the projection factorizes."""
-    y = v.copy()
-    n = y.shape[0] - 1
-    y[0, 0] = 1.0
-    idx = np.arange(1, n + 1)
-    tied = (y[idx, idx] + y[0, idx] + y[idx, 0]) / 3.0
-    y[idx, idx] = tied
-    y[0, idx] = tied
-    y[idx, 0] = tied
-    if len(rows):
-        y[rows, cols] = 0.0
-        y[cols, rows] = 0.0
-    return y
 
 
 def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
@@ -178,59 +147,45 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     if n == 0:
-        return ThetaResult(0.0, 0.0, 0.0, np.ones((1, 1)), 0, True)
-    w = np.asarray([float(x) for x in graph.weights])
+        return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0, True)
+    sqrt_w = np.sqrt([float(x) for x in graph.weights])
+    big_w = np.outer(sqrt_w, sqrt_w)
+    rho = float(sum(graph.weights))     # lambda_max(W), the objective's scale
+    rows = np.array([i for i, _ in graph.edges], dtype=int)
+    cols = np.array([j for _, j in graph.edges], dtype=int)
+    diag = np.diag_indices(n)
 
-    # edge positions shifted into the bordered matrix
-    rows = np.array([i + 1 for i, _ in graph.edges], dtype=int)
-    cols = np.array([j + 1 for _, j in graph.edges], dtype=int)
+    def certify(y, v):
+        """Bracket the optimum from the projected iterate y (zero on
+        edges) and the edge part of the normal-space element rho (v - y)."""
+        # lower: y + delta I is PSD once delta covers eigvalsh's rounding;
+        # the slack covers the sums in <W, y> and in the trace
+        y_norm = float(np.linalg.norm(y))
+        delta = max(0.0, (n + 1) * _EPS * y_norm - float(np.linalg.eigvalsh(y)[0]))
+        trace = float(np.trace(y)) + n * delta
+        slack = 4 * (n + 2) * _EPS * rho * (y_norm + n * delta)
+        lower = (float(sqrt_w @ y @ sqrt_w) + delta * rho - slack) / trace
+        x = y / trace
+        x[diag] += delta / trace
+        # upper: every edge-supported H gives the dual-feasible
+        # t = lambda_max(W - H).  Rounding in the edge entries only
+        # changes H; the allowance covers the computed eigenvalue (off
+        # by up to (n+1) eps ||M||), W's rounding (||W|| = rho) and the sum
+        m = big_w.copy()
+        m[rows, cols] -= rho * v[rows, cols]
+        m[cols, rows] = m[rows, cols]
+        upper = (float(np.linalg.eigvalsh(m)[-1])
+                 + (n + 2) * _EPS * (float(np.linalg.norm(m)) + 2.0 * rho))
+        return lower, upper, x
 
-    c_mat = np.zeros((n + 1, n + 1))
-    c_mat[np.arange(1, n + 1), np.arange(1, n + 1)] = w
-
-    y0, y0_min_eig = _strictly_feasible(n)
-    # repair budget for the dual certificate: a positive-definite
-    # combination of constraint gradients (each border triple sums to
-    # zero, so it stays inside the gradient span) and its smallest
-    # eigenvalue
-    k1 = np.zeros((n + 1, n + 1))
-    k1[0, 0] = n / 2.0 + 1.0
-    k1[0, 1:] = -0.5
-    k1[1:, 0] = -0.5
-    k1[np.arange(1, n + 1), np.arange(1, n + 1)] = 1.0
-    kappa = float(np.linalg.eigvalsh(k1)[0])
-
-    def certify(y, h):
-        """Bracket the optimum: repair y to feasibility for the lower
-        bound; repair the normal-space element h to dual feasibility
-        (h + shift >= C) for the upper bound."""
-        lam_min = float(np.linalg.eigvalsh(y)[0])
-        y_feas = y
-        if lam_min < 0.0:
-            gamma = (-lam_min + 1e-15) / (y0_min_eig - lam_min + 1e-15)
-            y_feas = (1.0 - gamma) * y + gamma * y0
-        lower = float(np.sum(w * np.diag(y_feas)[1:]))
-
-        # near the optimum h - C is singular and the bounds meet to a
-        # few ulps, so the computed eigenvalue is taken as off by up to
-        # (n+1) eps ||h - C|| lest rounding tip the upper bound below
-        # the optimum
-        hc = h - c_mat
-        rounding = (n + 1) * _EPS * float(np.linalg.norm(hc))
-        deficit = float(np.linalg.eigvalsh(hc)[0]) - rounding
-        scale = max(0.0, -deficit) / kappa
-        upper = float(h[0, 0]) + scale * k1[0, 0]
-        return lower, upper, y_feas
-
-    rho = max(1.0, float(np.max(w)))
     relax = 1.6
-    c_rho = c_mat / rho
+    c_rho = big_w / rho
     # Anderson history: differences of accepted states and of their
     # residuals, one column each, overwritten oldest first
-    d_s = np.empty(((n + 1) ** 2, _ANDERSON_MEMORY))
-    d_f = np.empty(((n + 1) ** 2, _ANDERSON_MEMORY))
+    d_s = np.empty((n * n, _ANDERSON_MEMORY))
+    d_f = np.empty((n * n, _ANDERSON_MEMORY))
     stored = head = 0
-    s = y0.copy()
+    s = np.eye(n) / n
     # last accepted state, its residual, its plain step and the residual norm
     s_last = f_last = g_last = res_last = None
     extrapolated = False
@@ -246,15 +201,19 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
         z = (z + z.T) / 2.0
         u = s - z
         v = z - u + c_rho
-        y = _affine_project(v, rows, cols)
+        # the nearest point with zero edge entries and unit trace: the
+        # two constraint groups touch disjoint entries
+        y = v.copy()
+        y[rows, cols] = 0.0
+        y[cols, rows] = 0.0
+        y[diag] += (1.0 - np.trace(y)) / n
 
         if it % check_every == 0 or it == 1:
-            h = rho * (v - y)        # lies in the span of the constraint gradients
-            lower, upper, y_feas = certify(y, h)
+            lower, upper, x = certify(y, v)
             if best is None or (upper - lower) < (best[1] - best[0]):
-                best = (lower, upper, y_feas)
+                best = (lower, upper, x)
             if upper - lower <= tol:
-                return ThetaResult(lower, upper - lower, upper, y_feas, it, True)
+                return ThetaResult(lower, upper - lower, upper, x, it, True)
             if best[1] - best[0] < 0.99 * stall_width:
                 stall_width, stalled = best[1] - best[0], 0
             else:
@@ -286,7 +245,7 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
             if reg > 0.0:
                 gram[np.diag_indices(stored)] += reg
                 gamma = np.linalg.solve(gram, df.T @ f.ravel())
-                step = ((d_s[:, :stored] + df) @ gamma).reshape(n + 1, n + 1)
+                step = ((d_s[:, :stored] + df) @ gamma).reshape(n, n)
                 s, extrapolated = g - (step + step.T) / 2.0, True
 
     lower, upper, _ = best

@@ -20,9 +20,9 @@ from sicbell.quantum import bell_operator
 
 
 def trace_form_theta(g, tol=2e-5, iters=60000):
-    """Independent oracle: the same quantity through a different program,
-    max <W, X> with W_ij = sqrt(w_i w_j) over unit-trace edge-zero PSD X,
-    with its own two-sided certificate."""
+    """Independent oracle: the program max <W, X> with W_ij = sqrt(w_i w_j)
+    over unit-trace edge-zero PSD X, by a plain unaccelerated loop at
+    rho = 1 with its own two-sided certificate."""
     n = g.n
     w = np.asarray([float(t) for t in g.weights])
     big_w = np.outer(np.sqrt(w), np.sqrt(w))
@@ -244,24 +244,50 @@ def test_theta_result_certificate():
         assert res.converged
         assert 0.0 <= res.gap <= 1e-6
         assert res.dual_bound >= res.value
-        y = res.matrix
-        assert y.shape == (g.n + 1, g.n + 1)
-        assert abs(y[0, 0] - 1.0) < 1e-12
-        assert float(np.linalg.eigvalsh(y)[0]) >= -1e-8
+        x = res.matrix
+        assert x.shape == (g.n, g.n)
+        assert abs(np.trace(x) - 1.0) <= 1e-12
+        assert float(np.linalg.eigvalsh(x)[0]) >= -1e-12
         for i, j in g.edges:
-            assert abs(y[i + 1, j + 1]) <= 1e-8
-        # border entries tie to the diagonal, and they add up to the value
-        x = res.vertex_weights()
-        assert np.allclose(y[0, 1:], x, atol=1e-12)
-        w = np.asarray([float(t) for t in g.weights])
-        assert abs(float(w @ x) - res.value) < 1e-9
+            assert x[i, j] == 0.0 and x[j, i] == 0.0
+        # the feasible point attains the value: <W, X> with W = sqrt(w) sqrt(w)^T
+        root = np.sqrt([float(t) for t in g.weights])
+        assert abs(float(root @ x @ root) - res.value) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
 def test_theta_catalog_iteration_budget(name):
-    # the accelerated loop certifies each catalog graph within 100
-    # iterations (the plain loop needed 175-475)
-    assert solve_theta(get_set(name).graph).iterations <= 100
+    # the n x n program with rho = sum(w) certifies each catalog graph
+    # within 50 iterations (the bordered program needed 50-75)
+    assert solve_theta(get_set(name).graph).iterations <= 50
+
+
+@pytest.mark.parametrize("weight", [1, 3, 5])
+def test_theta_uniform_weights_certify_at_default_tol(weight):
+    # theta scales with a uniform weight, and so does the penalty rho =
+    # sum(w); the bordered program needed 23,100 iterations at weight 1
+    # and gave up at weights 3 and 5
+    edges = get_set("yo13").graph.edges
+    res = solve_theta(WeightedGraph(13, (weight,) * 13, edges))
+    assert res.iterations <= 100
+    assert res.value <= 5 * weight <= res.dual_bound
+    assert res.gap <= 1e-6
+
+
+def test_theta_brackets_alpha_exactly_on_bipartite():
+    # bipartite graphs are perfect, so theta = alpha, an integer: the
+    # bracket must hold it with no slack, down to the last ulp
+    rng = random.Random(31337)
+    for k in range(300):
+        left, right = rng.randint(1, 6), rng.randint(1, 6)
+        n = left + right
+        edges = tuple((i, left + j) for i in range(left) for j in range(right)
+                      if rng.random() < 0.5)
+        weights = tuple(1 if k % 2 else rng.randint(1, 5) for _ in range(n))
+        g = WeightedGraph(n, weights, edges)
+        alpha, _ = max_weight_independent_set(g)
+        res = solve_theta(g)
+        assert res.value <= alpha <= res.dual_bound, (g, res.value, res.dual_bound)
 
 
 def test_theta_unit_weight_catalog_values():
@@ -273,7 +299,7 @@ def test_theta_unit_weight_catalog_values():
 
 
 def test_theta_agrees_with_trace_formulation():
-    # two different programs for the same number, each self-certified
+    # two independent solvers for the same number, each self-certified
     rng = random.Random(90210)
     graphs = [cycle5(), orthogonality_graph(get_set("yo13"))]
     for _ in range(6):
