@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -353,7 +354,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call, so no state carries over."""
     parser = _Parser(prog="sicbell",
                      description="Bell inequalities from contextuality sets: "
                                  "bounds, predictions, simulated runs.")

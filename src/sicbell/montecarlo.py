@@ -137,7 +137,14 @@ class ViolationReport:
     bootstrap_p_value: Optional[float] = None
 
     def to_json_dict(self) -> dict:
+        """The report as strict-JSON fields; a non-finite number, such
+        as the infinite significance of a table without sigmas, is
+        refused by name."""
         doc = asdict(self)
+        for key, value in doc.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"report field {key} is {value}, "
+                                 "which strict JSON cannot hold")
         doc["set"] = doc.pop("set_name")
         if self.bootstrap_p_value is None:
             del doc["bootstrap_p_value"]

@@ -6,7 +6,9 @@ uses.
 ``projector_sum_equals`` sums rank-1 projectors with Fraction
 coefficients; ``branch_and_bound_mwis`` is a maximum-weight independent
 set search with a greedy warm start, weight-sum pruning and an explicit
-lexicographic tie test, not the clique-cover search.
+lexicographic tie test, not the clique-cover search; ``is_psd`` decides
+positive semidefiniteness by LDL^T elimination over ``Fraction``, not by
+a floating-point eigensolver.
 """
 
 from fractions import Fraction
@@ -96,3 +98,32 @@ def branch_and_bound_mwis(graph):
 
     rec((1 << n) - 1, 0, [], sum(w))
     return best_w, best_set
+
+
+def is_psd(matrix) -> bool:
+    """Whether a symmetric matrix is positive semidefinite, exactly.
+
+    The lower triangle's entries (floats or rationals) convert to
+    Fractions without rounding, and LDL^T elimination runs on them: a
+    negative pivot is a negative direction; a zero pivot is allowed only
+    with the rest of its column zero, since a PSD matrix with a zero
+    diagonal entry is zero on that row and column, and the step is
+    skipped.
+    """
+    n = len(matrix)
+    a = [[Fraction(matrix[i][j]) for j in range(i + 1)] for i in range(n)]
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(a[i][k] for i in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            ratio = a[i][k] / pivot
+            if ratio:
+                row = a[i]
+                for j in range(k + 1, i + 1):
+                    row[j] -= ratio * a[j][k]
+    return True

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from sicbell.bounds import ThetaNonConvergence, solve_theta
 from sicbell.catalog import build_yo13, get_set, save_set, to_json_dict
 from sicbell.cli import OUTDIR_ENV, RunConfig, load_run_config, main, resolve_set
+import sicbell
 from sicbell import cli as cli_module
 from sicbell import montecarlo
 
@@ -508,3 +512,35 @@ class TestConfigHandling:
     def test_usage_error_is_exit_one(self, capsys):
         assert main(["bogus-command"]) == 1
         capsys.readouterr()
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path,
+                                                        capsys):
+        # the parser is built once per process; a call must not see the
+        # flags of the one before it
+        runs = [["bounds", "ks18"],
+                ["simulate", "--set", "ks21", "--seed", "3"],
+                ["simulate", "--set", "ks21"]]
+        for k, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / f"same{k}")]) == 0
+        capsys.readouterr()
+        assert main(["bounds", "ks18", "--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        seeds = [json.loads((tmp_path / f"same{k}" / "ks21_report.json")
+                            .read_text())["seed"] for k in (1, 2)]
+        assert seeds == [3, RunConfig(set_name="ks21").seed]
+
+        src = str(Path(sicbell.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for k, argv in enumerate(runs):
+            fresh, same = tmp_path / f"fresh{k}", tmp_path / f"same{k}"
+            subprocess.run([sys.executable, "-m", "sicbell.cli", *argv,
+                            "--out", str(fresh)],
+                           check=True, capture_output=True, env=env)
+            names = sorted(p.name for p in same.iterdir())
+            assert names == sorted(p.name for p in fresh.iterdir())
+            for name in names:
+                assert (same / name).read_bytes() == (fresh / name).read_bytes()

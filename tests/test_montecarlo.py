@@ -400,6 +400,17 @@ class TestExposureTuning:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("alpha, shown", [(None, "inf"), (100.0, "-inf")],
+                             ids=["above_alpha", "below_alpha"])
+    def test_non_finite_report_field_is_named(self, alpha, shown):
+        # a table without sigmas gives sigma 0, so an infinite significance
+        sic = get_set("ks18")
+        table = prediction_table(sic, apply_noise(sic, IDEAL))
+        report = estimate_beta(table, sic, alpha=alpha)
+        with pytest.raises(ValueError, match=f"^report field sigmas_of_violation "
+                                             f"is {shown}, "):
+            report.to_json_dict()
+
     def test_record_json_round_fields(self):
         rec, _, report = run_experiment(get_set("yo13"), IDEAL, 1e4, 1.0, 11)
         doc = json.loads(rec.to_json_text())

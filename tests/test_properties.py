@@ -17,13 +17,19 @@ import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from sicbell.bounds import max_weight_independent_set, solve_theta, state_ceiling
+from sicbell.bounds import (
+    ThetaNonConvergence,
+    max_weight_independent_set,
+    solve_theta,
+    state_ceiling,
+)
 from sicbell.catalog import SicSet, WeightedGraph, verify_set
 from sicbell.cli import main
 from sicbell.exact import ONE, ZERO, ExactScalar, gram
@@ -38,7 +44,7 @@ from sicbell.quantum import (
     max_entangled_state,
 )
 
-from exact_oracle import branch_and_bound_mwis, loop_edges
+from exact_oracle import branch_and_bound_mwis, is_psd, loop_edges
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -201,6 +207,42 @@ def weighted_graphs(draw):
 @given(weighted_graphs())
 def test_mwis_matches_branch_and_bound_oracle(graph):
     assert max_weight_independent_set(graph) == branch_and_bound_mwis(graph)
+
+
+@st.composite
+def square_weighted_graphs(draw):
+    """Graphs up to 30 vertices with weights in {1, 4, 9}, whose square
+    roots are exact."""
+    n = draw(st.integers(1, 30))
+    density = draw(st.floats(0.05, 0.9))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = tuple(e for e in combinations(range(n), 2) if rng.random() < density)
+    weights = tuple(draw(st.lists(st.sampled_from([1, 4, 9]),
+                                  min_size=n, max_size=n)))
+    return WeightedGraph(n, weights, edges)
+
+
+@settings(max_examples=20, deadline=None)
+@given(square_weighted_graphs(), st.sampled_from([1e-2, 1e-4, 1e-6]))
+def test_theta_lower_bound_holds_exactly(graph, tol):
+    # a loose tol ends the loop on a less-converged iterate, where the
+    # shift delta that makes it PSD, and its rounding allowance, matter
+    try:
+        res = solve_theta(graph, tol=tol, max_iter=1_000)
+    except ThetaNonConvergence:
+        assume(False)
+    x = res.matrix
+    assert (x == x.T).all()
+    for i, j in graph.edges:
+        assert x[i, j] == 0.0
+    assert is_psd(x)
+    root = [math.isqrt(w) for w in graph.weights]
+    exact = [[Fraction(v) for v in row] for row in x.tolist()]
+    trace = sum(exact[i][i] for i in range(graph.n))
+    attained = sum(root[i] * root[j] * exact[i][j]
+                   for i in range(graph.n) for j in range(graph.n))
+    assert trace > 0
+    assert attained / trace >= Fraction(res.value)
 
 
 # zero counts, counts near 2**62, and names JSON must escape
