@@ -36,7 +36,7 @@ Two quantities are computed for a weighted graph (G, w):
   the last ulp, however far the iteration got or which path it took.
 
   The loop certifies on a clock (its first iteration, then every
-  ``check_every``) and off it, whenever rho times the norm of the
+  ``_CHECK_EVERY``) and off it, whenever rho times the norm of the
   fixed-point residual falls to a trigger.  The residual bounds the
   distance to optimality (Boyd et al., Found. Trends Mach. Learn. 3
   (2011) section 3.3), and in the tail the bracket width tracks rho
@@ -50,18 +50,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .catalog import SicSet, WeightedGraph
-from .noise import IDEAL, expected_bell_value
 from .quantum import bell_operator
 
 _MAX_VERTICES = 64
 _EPS = float(np.finfo(float).eps)
 _ANDERSON_MEMORY = 10        # past steps the theta_graph extrapolation combines
 _STALL_CHECKS = 100          # certifications without a 1% narrower bracket
+_CHECK_EVERY = 25            # iterations between clock certifications
 
 
 class ThetaNonConvergence(RuntimeError):
@@ -135,6 +136,38 @@ def max_weight_independent_set(graph: WeightedGraph):
     return best_w, best_set
 
 
+def ks_colorable(graph: WeightedGraph, contexts
+                 ) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Whether the contexts admit a {0,1} vertex assignment with exactly
+    one 1 per context and no two adjacent 1s: ``(True, ones)`` or
+    ``(False, None)``.
+
+    One :func:`max_weight_independent_set` call decides it, on the graph
+    induced by the context members with each context made a clique and
+    each vertex weighted by the number of contexts that contain it.  An
+    independent set there meets each context at most once, so its weight
+    reaches the number of contexts exactly when it meets each one once;
+    the witness is that optimum's vertex tuple.  It inherits the search's
+    cap: more than 64 context members raise ValueError.
+    """
+    contexts = [set(c) for c in contexts]
+    members = sorted(set().union(*contexts))
+    bad = [v for v in members if not 0 <= v < graph.n]
+    if bad:
+        raise ValueError(f"context vertex {bad[0]} out of range for n={graph.n}")
+    index = {v: k for k, v in enumerate(members)}
+    edges = {(index[i], index[j]) for i, j in graph.edges
+             if i in index and j in index}
+    for ctx in contexts:
+        edges.update(combinations(sorted(index[v] for v in ctx), 2))
+    weights = tuple(sum(v in ctx for ctx in contexts) for v in members)
+    value, witness = max_weight_independent_set(
+        WeightedGraph(len(members), weights, tuple(sorted(edges))))
+    if value < len(contexts):
+        return False, None
+    return True, tuple(members[k] for k in witness)
+
+
 @dataclass(frozen=True)
 class ThetaResult:
     value: float            # certified feasible (lower) value
@@ -142,14 +175,13 @@ class ThetaResult:
     dual_bound: float
     matrix: np.ndarray      # feasible X: PSD, trace 1, zero on edges, (n, n)
     iterations: int
-    converged: bool
 
 
 def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
-                max_iter: int = 200_000, check_every: int = 25) -> ThetaResult:
+                max_iter: int = 200_000) -> ThetaResult:
     """Weighted theta number with a certified bracket of width <= tol.
 
-    Certifies at the first iteration, every ``check_every`` iterations,
+    Certifies at the first iteration, every ``_CHECK_EVERY`` iterations,
     and whenever rho ||f|| (f the fixed-point residual) reaches the
     trigger, which starts at tol.  Gives up after ``max_iter``
     iterations, or once the best bracket has not narrowed by 1% over
@@ -160,7 +192,7 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     if n == 0:
-        return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0, True)
+        return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0)
     sqrt_w = np.sqrt([float(x) for x in graph.weights])
     big_w = np.outer(sqrt_w, sqrt_w)
     rho = float(sum(graph.weights))     # lambda_max(W), the objective's scale
@@ -227,12 +259,12 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
 
         # off the clock a certificate can only end the loop, and one
         # still too wide lowers the trigger by its excess over tol
-        on_clock = it % check_every == 0 or it == 1
+        on_clock = it % _CHECK_EVERY == 0 or it == 1
         triggered = rho * res <= trigger
         if on_clock or triggered:
             lower, upper, x = certify(y, v)
             if upper - lower <= tol:
-                return ThetaResult(lower, upper - lower, upper, x, it, True)
+                return ThetaResult(lower, upper - lower, upper, x, it)
             if triggered:
                 trigger = tol * rho * res / (upper - lower)
         if on_clock:
@@ -342,7 +374,8 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     alpha, witness = max_weight_independent_set(graph)
     ceiling = state_ceiling(bell_operator(sic))
     graph_res = solve_theta(graph, tol=tol)
-    beta, _ = expected_bell_value(sic, IDEAL)
+    # the maximally entangled state clicks 1/d on each diagonal, 0 on edges
+    beta = sum(sic.weights) / sic.dimension
     return BoundsReport(
         set_name=sic.name,
         alpha=alpha,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
@@ -55,11 +55,6 @@ class SicSet:
     weights: tuple[int, ...]
     contexts: Optional[tuple[tuple[int, ...], ...]] = None
     expected_edges: Optional[int] = None
-    labels: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(1, len(self.vectors) + 1)))
 
     @property
     def n(self) -> int:
@@ -90,6 +85,18 @@ class SicSet:
         coeffs = bell_coefficients(self.weights, self.graph.edges)
         coeffs.setflags(write=False)
         return coeffs
+
+    @cached_property
+    def ideal_probabilities(self) -> np.ndarray:
+        """Click probability of each setting in the ideal experiment,
+        aligned with :attr:`settings`.  The maximally entangled state
+        measured with conjugate projectors clicks on (i, j) with
+        probability |<v_i|v_j>|^2 / d: 1/d on a diagonal, and exactly 0
+        on an edge, whose rays are exactly orthogonal."""
+        probs = np.zeros(len(self.settings))
+        probs[:self.n] = 1.0 / self.dimension
+        probs.setflags(write=False)
+        return probs
 
     @cached_property
     def projectors(self) -> np.ndarray:
@@ -125,13 +132,6 @@ class WeightedGraph:
             raise ValueError("weight count does not match vertex count")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-
-    def adjacency(self) -> list[set]:
-        adj = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
     def without_edge(self, edge: tuple[int, int]) -> "WeightedGraph":
         e = (min(edge), max(edge))
@@ -286,54 +286,6 @@ def bell_coefficients(weights: Sequence, edges: Sequence[tuple[int, int]]) -> np
         wij = float(max(weights[i], weights[j]))
         coeffs.extend([-wij / 2.0, -wij / 2.0])
     return np.asarray(coeffs)
-
-
-def ks_colorable(graph: WeightedGraph, contexts) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Search for a {0,1} vertex assignment with exactly one 1 per context
-    and no two adjacent 1s.
-
-    Exhaustive backtracking over contexts in the given order; deterministic.
-    Returns ``(True, chosen_vertices)`` or ``(False, None)``.
-    """
-    contexts = [tuple(c) for c in contexts]
-    for ctx in contexts:
-        for v in ctx:
-            if not (0 <= v < graph.n):
-                raise ValueError(f"context vertex {v} out of range for n={graph.n}")
-    adj = graph.adjacency()
-    UNKNOWN, ONE, IS_ZERO = 0, 1, 2
-    state = [UNKNOWN] * graph.n
-
-    def place(k: int) -> bool:
-        if k == len(contexts):
-            return True
-        ctx = contexts[k]
-        if any(state[v] == ONE for v in ctx):
-            return place(k + 1)
-        for v in ctx:
-            if state[v] == IS_ZERO:
-                continue
-            touched = []
-            state[v] = ONE
-            touched.append(v)
-            ok = True
-            for u in adj[v]:
-                if state[u] == ONE:
-                    ok = False
-                    break
-                if state[u] == UNKNOWN:
-                    state[u] = IS_ZERO
-                    touched.append(u)
-            if ok and place(k + 1):
-                return True
-            for u in touched:
-                state[u] = UNKNOWN
-        return False
-
-    if place(0):
-        witness = tuple(v for v in range(graph.n) if state[v] == ONE)
-        return True, witness
-    return False, None
 
 
 @dataclass(frozen=True)

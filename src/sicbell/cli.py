@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,7 +39,6 @@ from .catalog import (
 )
 from .montecarlo import exposure_for_sigma, fit_visibility, run_experiment
 from .noise import (
-    IDEAL,
     NoiseConfig,
     SchmidtSpectrum,
     default_modes,
@@ -244,12 +244,22 @@ def _bounds_doc(report: BoundsReport) -> dict:
             for key, value in asdict(report).items()}
 
 
+def _outward(lower: float, upper: float) -> str:
+    """The bracket [lower, upper] at six decimals, rounded outward; a
+    float converts to Decimal exactly, so the rounding is exact too."""
+    micro, wide = Decimal("1e-6"), Context(prec=330)  # room for any float
+    return (f"[{Decimal(lower).quantize(micro, ROUND_FLOOR, wide)}, "
+            f"{Decimal(upper).quantize(micro, ROUND_CEILING, wide)}]")
+
+
 def cmd_bounds(args) -> int:
     sic = resolve_set(args.name)
     report = bounds_report(sic, tol=args.tol)
+    graph_bracket = _outward(report.theta_graph,
+                             report.theta_graph + report.theta_graph_gap)
     print(f"{report.set_name}: alpha={report.alpha} "
           f"theta={report.theta:.6f} beta_ideal={report.beta_ideal:.6f} "
-          f"theta_graph={report.theta_graph:.6f}")
+          f"theta_graph={graph_bracket}")
     print(f"  witness={list(report.alpha_witness)} "
           f"margin_quantum={report.margin_quantum:.6f} "
           f"margin_ideal={report.margin_ideal:.6f}")
@@ -266,20 +276,20 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _figure_table(sic: SicSet, table, ideal_values, counts=None,
+def _figure_table(sic: SicSet, table, counts=None,
                   exposure=None) -> tuple[list[str], list[tuple]]:
     """Header and rows of the bar-chart export, one row per setting:
-    diagonals first, then ordered edges."""
+    diagonals first, then ordered edges; rays are numbered from 1."""
     n = len(sic.settings)
     columns = {"index": range(1, n + 1),
-               "alice": [sic.labels[i] for i, _ in sic.settings],
-               "bob": [sic.labels[j] for _, j in sic.settings]}
+               "alice": [i + 1 for i, _ in sic.settings],
+               "bob": [j + 1 for _, j in sic.settings]}
     if counts is not None:
         columns.update(count=counts, exposure=[exposure] * n)
     columns.update(
         p_hat=table.values.tolist(),
         sigma=[0.0] * n if table.sigmas is None else table.sigmas.tolist(),
-        p_ideal=ideal_values.tolist())
+        p_ideal=sic.ideal_probabilities.tolist())
     return list(columns), list(zip(*columns.values()))
 
 
@@ -288,10 +298,9 @@ def cmd_predict(args) -> int:
     sic = resolve_set(cfg.set_name)
     noise = cfg.noise_config(sic.dimension)
     beta, table = expected_bell_value(sic, noise)
-    _, ideal_table = expected_bell_value(sic, IDEAL)
     print(f"{sic.name}: expected beta = {beta:.6f} "
           f"(visibility={noise.visibility}, crosstalk={noise.crosstalk})")
-    header, rows = _figure_table(sic, table, ideal_table.values)
+    header, rows = _figure_table(sic, table)
     outdir = _outdir(args.out)
     if args.format == "json":
         target = outdir / f"{sic.name}_prediction.json"
@@ -319,9 +328,8 @@ def cmd_simulate(args) -> int:
         print(f"  bootstrap p = {report.bootstrap_p_value:.3g} "
               f"({cfg.bootstrap_replicates} replicates)")
 
-    _, ideal_table = expected_bell_value(sic, IDEAL)
-    header, rows = _figure_table(sic, table, ideal_table.values,
-                                 record.canonical_counts[2], record.exposure)
+    header, rows = _figure_table(sic, table, record.canonical_counts[2],
+                                 record.exposure)
 
     outdir = _outdir(args.out)
     figure = outdir / f"{sic.name}_figure.csv"

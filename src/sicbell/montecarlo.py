@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import max_weight_independent_set
 from .catalog import SicSet, bell_settings
-from .noise import (IDEAL, NoiseConfig, PredictionInputs, apply_noise,
+from .noise import (NoiseConfig, PredictionInputs, apply_noise,
                     expected_bell_value)
 from .quantum import ProbabilityTable
 
@@ -234,8 +234,7 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
     coefficient, with mean the group's total count, not one per setting.
     """
     graph = sic.graph
-    edges = tuple(sorted(graph.edges))
-    if table.n != sic.n or tuple(table.edges) != edges:
+    if table.n != sic.n or tuple(table.edges) != graph.edges:
         raise ValueError("table does not cover the settings of this set")
     coeffs = sic.coefficients
     beta_hat = float(coeffs @ table.values)
@@ -288,10 +287,11 @@ def fit_visibility(target_beta: float, sic: SicSet) -> float:
     equals ``target_beta`` at zero crosstalk and flat spectrum.
 
     The functional is affine in the state, so
-    v = (target - beta_mixed) / (beta_ideal - beta_mixed).
+    v = (target - beta_mixed) / (beta_ideal - beta_mixed),
+    with beta_ideal = sum(w) / d.
     """
     d = sic.dimension
-    beta_ideal, _ = expected_bell_value(sic, IDEAL)
+    beta_ideal = sum(sic.weights) / d
     # every rank-1 effect has probability 1/d^2 on the maximally mixed state
     beta_mixed = float(sic.coefficients.sum()) / d**2
     if not beta_mixed - 1e-12 <= target_beta <= beta_ideal + 1e-12:

@@ -16,8 +16,9 @@ tunable parameter:
 
 ``apply_noise`` composes all of these into the state and measurement
 effects (built on ``SicSet.projectors``) that the Monte Carlo layer
-samples from.  ``expected_bell_value(sic, IDEAL)`` is the one route to
-the ideal prediction, for the bounds, the CLI and ``fit_visibility``.
+samples from.  ``expected_bell_value(sic, IDEAL)`` is the general path
+to the ideal prediction and the tests' reference for its closed form,
+``SicSet.ideal_probabilities`` and beta = sum(w) / d.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
 def prediction_table(sic: SicSet, inputs: PredictionInputs) -> ProbabilityTable:
     """Exact click probabilities for every setting of a set."""
     values = inputs.probabilities(sic.settings)
-    return ProbabilityTable(sic.n, tuple(sorted(sic.graph.edges)), values)
+    return ProbabilityTable(sic.n, sic.graph.edges, values)
 
 
 def expected_bell_value(sic: SicSet, cfg: NoiseConfig

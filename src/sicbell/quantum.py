@@ -10,7 +10,8 @@ effects of both arms (:func:`born_probabilities`); the set owns its
 projector stack (``SicSet.projectors``).  The single-pair
 :func:`joint_probability` builds the Kronecker product explicitly; it is
 kept as the reference the contraction is tested against.  The ideal
-prediction is ``noise.expected_bell_value(sic, noise.IDEAL)``.
+prediction is ``SicSet.ideal_probabilities``; ``noise.expected_bell_value``
+at the noiseless config is its general path and the tests' reference.
 
 The functional evaluated here is
 
@@ -140,7 +141,7 @@ def bell_value(sic: SicSet, rho: BipartiteState) -> tuple[float, ProbabilityTabl
             f"set dimension {sic.dimension} does not match state dimension {rho.d}")
     alice = sic.projectors
     values = born_probabilities(rho.rho, alice, alice.conj(), sic.settings)
-    table = ProbabilityTable(sic.n, tuple(sorted(sic.graph.edges)), values)
+    table = ProbabilityTable(sic.n, sic.graph.edges, values)
     return float(sic.coefficients @ values), table
 
 

@@ -8,7 +8,8 @@ coefficients; ``branch_and_bound_mwis`` is a maximum-weight independent
 set search with a greedy warm start, weight-sum pruning and an explicit
 lexicographic tie test, not the clique-cover search; ``is_psd`` decides
 positive semidefiniteness by LDL^T elimination over ``Fraction``, not by
-a floating-point eigensolver.
+a floating-point eigensolver; ``colorable_by_enumeration`` tries every
+0/1 assignment of the context members, not an independent set search.
 """
 
 from fractions import Fraction
@@ -98,6 +99,23 @@ def branch_and_bound_mwis(graph):
 
     rec((1 << n) - 1, 0, [], sum(w))
     return best_w, best_set
+
+
+def is_coloring(graph, contexts, ones) -> bool:
+    """Whether the vertices ``ones`` are pairwise non-adjacent in
+    ``graph`` and meet each context in exactly one vertex."""
+    chosen = set(ones)
+    return (not any(i in chosen and j in chosen for i, j in graph.edges)
+            and all(len(chosen & set(ctx)) == 1 for ctx in contexts))
+
+
+def colorable_by_enumeration(graph, contexts) -> bool:
+    """Whether some subset of the context members is a colouring in
+    the sense of :func:`is_coloring`; tries all of them."""
+    members = sorted({v for ctx in contexts for v in ctx})
+    return any(is_coloring(graph, contexts, ones)
+               for size in range(len(members) + 1)
+               for ones in combinations(members, size))
 
 
 def is_psd(matrix) -> bool:

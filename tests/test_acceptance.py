@@ -13,12 +13,11 @@ import time
 
 import numpy as np
 
-from sicbell.bounds import bounds_report, max_weight_independent_set
+from sicbell.bounds import bounds_report, ks_colorable, max_weight_independent_set
 from sicbell.catalog import (
     WeightedGraph,
     catalog_names,
     get_set,
-    ks_colorable,
     orthogonality_graph,
 )
 from sicbell.cli import main

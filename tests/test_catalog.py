@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sicbell.bounds import ks_colorable
 from sicbell.catalog import (
     ExactScalar,
     SicSet,
@@ -18,7 +19,6 @@ from sicbell.catalog import (
     catalog_names,
     from_json_dict,
     get_set,
-    ks_colorable,
     load_set,
     orthogonality_graph,
     save_set,

@@ -172,6 +172,17 @@ class TestBounds:
         assert list(rows[0])[-1] == "theta_graph_iterations"
         assert int(rows[0]["theta_graph_iterations"]) >= 1
 
+    @pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
+    def test_summary_interval_holds_theta_graph_bracket(self, tmp_path,
+                                                        capsys, name):
+        assert main(["bounds", name, "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        low, high = line.split("theta_graph=[")[1].rstrip("]").split(", ")
+        assert len(low.split(".")[1]) == len(high.split(".")[1]) == 6
+        doc = json.loads((tmp_path / f"{name}_bounds.json").read_text())
+        lower = doc["theta_graph"]
+        assert float(low) <= lower <= lower + doc["theta_graph_gap"] <= float(high)
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tolerance_rejected(self, tmp_path, capsys, tol):
         assert main(["bounds", "ks18", "--tol", tol, "--out", str(tmp_path)]) == 1
@@ -180,7 +191,7 @@ class TestBounds:
         assert err.count("\n") == 1
 
     def test_stalled_bracket_exits_two_quickly(self, tmp_path, capsys):
-        # ks18's certified bracket stops narrowing near 1.2e-12
+        # ks18's certified bracket stops narrowing near 4.7e-13
         start = time.perf_counter()
         assert main(["bounds", "ks18", "--tol", "1e-13",
                      "--out", str(tmp_path)]) == 2

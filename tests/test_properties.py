@@ -5,10 +5,12 @@ independent route: the single-pair Kronecker oracle, the trace of the
 Bell operator, a dense eigensolver, and pairwise float inner products.
 The exact orthogonality graph is checked against the pairwise
 ``inner_product`` loop, and the maximum-weight independent set against
-the weight-sum branch and bound.  The noise-model inversion is checked
-by a round trip through the forward model, the counts file's template
-against ``json.dumps`` on random count records, and fuzzed run configs
-by the CLI's exit contract and strict-JSON artifacts.
+the weight-sum branch and bound, and KS colorability against
+enumeration of every 0/1 assignment.  The closed-form ideal prediction
+is checked against the noise model run at IDEAL, the noise-model
+inversion by a round trip through the forward model, the counts file's
+template against ``json.dumps`` on random count records, and fuzzed run
+configs by the CLI's exit contract and strict-JSON artifacts.
 """
 
 import io
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 from sicbell.bounds import (
     ThetaNonConvergence,
+    ks_colorable,
     max_weight_independent_set,
     solve_theta,
     state_ceiling,
@@ -34,7 +37,7 @@ from sicbell.catalog import SicSet, WeightedGraph, verify_set
 from sicbell.cli import main
 from sicbell.exact import ONE, ZERO, ExactScalar, gram
 from sicbell.montecarlo import CountRecord, fit_visibility
-from sicbell.noise import NoiseConfig, expected_bell_value, measurement_effects
+from sicbell.noise import IDEAL, NoiseConfig, expected_bell_value, measurement_effects
 from sicbell.quantum import (
     BipartiteState,
     bell_operator,
@@ -44,7 +47,13 @@ from sicbell.quantum import (
     max_entangled_state,
 )
 
-from exact_oracle import branch_and_bound_mwis, is_psd, loop_edges
+from exact_oracle import (
+    branch_and_bound_mwis,
+    colorable_by_enumeration,
+    is_coloring,
+    is_psd,
+    loop_edges,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -131,6 +140,8 @@ def test_exact_and_float_edges_agree(sic):
     floating = tuple(pair for pair in combinations(range(sic.n), 2)
                      if abs(np.vdot(fv[pair[0]], fv[pair[1]])) < 1e-9)
     assert floating == sic.graph.edges
+    # the Bell layout and its consumers take the graph's edge order as sorted
+    assert sic.graph.edges == tuple(sorted(sic.graph.edges))
     checks = {c.name: c.passed for c in verify_set(sic).checks}
     assert checks["exact_float_agreement"]
 
@@ -175,6 +186,14 @@ def test_fit_visibility_round_trips(sic, t):
 
 @PROPERTY_SETTINGS
 @given(ray_sets())
+def test_closed_form_ideal_matches_noise_model(sic):
+    beta, table = expected_bell_value(sic, IDEAL)
+    assert np.allclose(table.values, sic.ideal_probabilities, rtol=0.0, atol=1e-12)
+    assert abs(beta - sum(sic.weights) / sic.dimension) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets())
 def test_ideal_value_is_below_the_ceiling(sic):
     beta_ideal, _ = bell_value(sic, max_entangled_state(sic.dimension))
     ceiling = state_ceiling(bell_operator(sic))
@@ -207,6 +226,34 @@ def weighted_graphs(draw):
 @given(weighted_graphs())
 def test_mwis_matches_branch_and_bound_oracle(graph):
     assert max_weight_independent_set(graph) == branch_and_bound_mwis(graph)
+
+
+@st.composite
+def context_families(draw):
+    """A graph of 1-8 vertices at edge probability 0.3 and 1-4 contexts,
+    each a random vertex subset, so clique and non-clique contexts both
+    occur."""
+    n = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = tuple(e for e in combinations(range(n), 2) if rng.random() < 0.3)
+    context = st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                       unique=True).map(tuple)
+    contexts = tuple(draw(st.lists(context, min_size=1, max_size=4)))
+    return WeightedGraph(n, (1,) * n, edges), contexts
+
+
+@settings(max_examples=200, deadline=None)
+@given(context_families())
+@example((WeightedGraph(3, (1, 1, 1), ()), ((0, 1), (1, 2))))
+def test_ks_colorable_matches_enumeration(family):
+    graph, contexts = family
+    colorable, witness = ks_colorable(graph, contexts)
+    assert colorable == colorable_by_enumeration(graph, contexts)
+    if colorable:
+        assert witness == tuple(sorted(witness))
+        assert is_coloring(graph, contexts, witness)
+    else:
+        assert witness is None
 
 
 @st.composite
