@@ -305,11 +305,6 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     raise ThetaNonConvergence(lower, upper, max_iter)
 
 
-def lovasz_theta(graph: WeightedGraph, tol: float = 1e-6) -> float:
-    """Certified weighted theta value (within tol of the true optimum)."""
-    return solve_theta(graph, tol=tol).value
-
-
 @dataclass(frozen=True)
 class CeilingResult:
     value: float            # attained expectation (lower bound)

@@ -276,16 +276,15 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _figure_table(sic: SicSet, table, counts=None,
-                  exposure=None) -> tuple[list[str], list[tuple]]:
+def _figure_table(sic: SicSet, table, record=None) -> tuple[list[str], list[tuple]]:
     """Header and rows of the bar-chart export, one row per setting:
     diagonals first, then ordered edges; rays are numbered from 1."""
     n = len(sic.settings)
     columns = {"index": range(1, n + 1),
                "alice": [i + 1 for i, _ in sic.settings],
                "bob": [j + 1 for _, j in sic.settings]}
-    if counts is not None:
-        columns.update(count=counts, exposure=[exposure] * n)
+    if record is not None:
+        columns.update(count=record.counts, exposure=[record.exposure] * n)
     columns.update(
         p_hat=table.values.tolist(),
         sigma=[0.0] * n if table.sigmas is None else table.sigmas.tolist(),
@@ -328,8 +327,7 @@ def cmd_simulate(args) -> int:
         print(f"  bootstrap p = {report.bootstrap_p_value:.3g} "
               f"({cfg.bootstrap_replicates} replicates)")
 
-    header, rows = _figure_table(sic, table, record.canonical_counts[2],
-                                 record.exposure)
+    header, rows = _figure_table(sic, table, record)
 
     outdir = _outdir(args.out)
     figure = outdir / f"{sic.name}_figure.csv"

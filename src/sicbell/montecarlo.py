@@ -7,6 +7,10 @@ errors.  Counts are Poisson distributed around N * P, where N is the
 calibrated number of pairs per setting exposure, and a run draws them
 from one PRNG stream keyed by its seed, so the whole pipeline is a pure
 function of the plan, the noise configuration, and the seed.
+
+Records and tables keep the setting order they were made in, and
+nothing here reorders them: :func:`estimate_beta` refuses any order but
+``SicSet.settings``, the one :func:`plan_for` lays a full run out in.
 """
 
 from __future__ import annotations
@@ -14,13 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .bounds import max_weight_independent_set
-from .catalog import SicSet, bell_settings
+from .catalog import SicSet
 from .noise import (NoiseConfig, PredictionInputs, apply_noise,
                     expected_bell_value)
 from .quantum import ProbabilityTable
@@ -115,14 +118,6 @@ class CountRecord:
         # "counts" sorts first, so the first match is its value
         return head.replace('"counts": null', f'"counts": {counts}', 1) + "\n"
 
-    @cached_property
-    def canonical_counts(self) -> tuple[int, tuple[tuple[int, int], ...],
-                                        tuple[int, ...]]:
-        """The counts rearranged into canonical setting order, with the
-        (n, edges) that order is built from; derived once per record."""
-        n, edges, order = _canonical_layout(self.settings)
-        return n, edges, tuple(self.counts[k] for k in order)
-
 
 @dataclass(frozen=True)
 class ViolationReport:
@@ -162,10 +157,6 @@ def simulate_counts(plan: RunPlan, inputs: PredictionInputs) -> CountRecord:
         raise ValueError(
             f"plan is for {plan.set_name!r} but inputs are for "
             f"{inputs.set_name!r}")
-    n_effects = len(inputs.alice_effects)
-    for i, j in plan.settings:
-        if not (0 <= i < n_effects and 0 <= j < n_effects):
-            raise ValueError(f"setting ({i}, {j}) out of range")
     means = plan.exposure * inputs.probabilities(plan.settings)
     if means.max() > _MAX_MEAN:
         raise OverflowError(
@@ -182,40 +173,20 @@ def simulate_counts(plan: RunPlan, inputs: PredictionInputs) -> CountRecord:
     )
 
 
-def _canonical_layout(settings: Sequence[tuple[int, int]]
-                      ) -> tuple[int, tuple[tuple[int, int], ...], list[int]]:
-    """Recover (n, edges, permutation) from a full set of settings.
-
-    The permutation maps canonical setting order to positions in the
-    input sequence.  Raises if the settings do not form the canonical
-    coverage (all diagonals plus both orientations of every edge).
-    """
-    n = sum(1 for i, j in settings if i == j)
-    edges = sorted({(min(i, j), max(i, j)) for i, j in settings if i != j})
-    canonical = bell_settings(n, edges)
-    position = {s: k for k, s in enumerate(settings)}
-    if len(position) != len(settings) or set(position) != set(canonical):
-        raise ValueError(
-            "settings must cover every diagonal and both orientations "
-            "of every edge, exactly once")
-    return n, tuple(edges), [position[s] for s in canonical]
-
-
 def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
-    """Normalized probabilities with Poisson standard errors.
+    """Normalized probabilities with Poisson standard errors, in record order.
 
     P = C/N and sigma = sqrt(C)/N; empty settings get sigma = 1/N so no
     term ever claims zero variance.  An exposure so small that these
     overflow raises ArithmeticError.
     """
-    n, edges, counts = rec.canonical_counts
-    counts = np.array(counts, dtype=float)
+    counts = np.array(rec.counts, dtype=float)
     with np.errstate(over="ignore"):
         values = counts / rec.exposure
         sigmas = np.where(counts > 0, np.sqrt(counts), 1.0) / rec.exposure
     if not np.isfinite([values, sigmas]).all():
         raise ArithmeticError(f"exposure {rec.exposure} is too small: P or sigma overflows")
-    return ProbabilityTable(n, edges, values, sigmas)
+    return ProbabilityTable(rec.settings, values, sigmas)
 
 
 def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
@@ -232,14 +203,16 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
     with a handful of distinct coefficients, and a sum of independent
     Poissons is Poisson, so each replicate draws one Poisson per
     coefficient, with mean the group's total count, not one per setting.
+    A table or record not laid out in ``sic.settings`` raises ValueError.
     """
-    graph = sic.graph
-    if table.n != sic.n or tuple(table.edges) != graph.edges:
-        raise ValueError("table does not cover the settings of this set")
+    if table.settings != sic.settings:
+        raise ValueError("table is not laid out in the settings of this set")
+    if record is not None and record.settings != sic.settings:
+        raise ValueError("record is not laid out in the settings of this set")
     coeffs = sic.coefficients
     beta_hat = float(coeffs @ table.values)
     if alpha is None:
-        alpha = float(max_weight_independent_set(graph)[0])
+        alpha = float(max_weight_independent_set(sic.graph)[0])
     if table.sigmas is None:
         sigma = 0.0
     else:
@@ -260,7 +233,7 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
         if record is None:
             raise ValueError("bootstrap needs the count record")
         levels, group = np.unique(coeffs, return_inverse=True)
-        totals = np.bincount(group, weights=record.canonical_counts[2])
+        totals = np.bincount(group, weights=record.counts)
         # numpy's Poisson takes means below about 2**63, which bounds one
         # setting (_MAX_MEAN) but not a group total: draw that in parts
         parts = 1 + int(totals.max() // 2.0**62)
@@ -307,15 +280,22 @@ def exposure_for_sigma(sic: SicSet, cfg: NoiseConfig,
     """Pairs per setting needed to reach a requested error bar.
 
     Var(beta_hat) = sum coeff^2 P / N for Poisson counting, so the
-    exposure scales as the inverse square of the target sigma.
+    exposure scales as the inverse square of the target sigma.  A target
+    so small that the exposure is not a finite number is refused.
     """
-    if not sigma_target > 0:
-        raise ValueError("sigma_target must be positive")
+    if not 0 < sigma_target < math.inf:
+        raise ValueError(f"sigma_target must be positive and finite, "
+                         f"not {sigma_target}")
     _, table = expected_bell_value(sic, cfg)
     weight = float(sic.coefficients**2 @ table.values)
     if weight <= 0:
         raise ValueError("all settings have zero probability")
-    return weight / sigma_target**2
+    square = sigma_target**2
+    pairs = weight / square if square > 0 else math.inf
+    if not math.isfinite(pairs):
+        raise ValueError(f"sigma_target {sigma_target} is too small: "
+                         "the exposure it needs is not finite")
+    return pairs
 
 
 def run_experiment(sic: SicSet, cfg: NoiseConfig, pair_rate: float,

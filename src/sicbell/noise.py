@@ -254,7 +254,7 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
 def prediction_table(sic: SicSet, inputs: PredictionInputs) -> ProbabilityTable:
     """Exact click probabilities for every setting of a set."""
     values = inputs.probabilities(sic.settings)
-    return ProbabilityTable(sic.n, sic.graph.edges, values)
+    return ProbabilityTable(sic.settings, values)
 
 
 def expected_bell_value(sic: SicSet, cfg: NoiseConfig

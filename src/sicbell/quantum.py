@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import SicSet, bell_coefficients, bell_settings  # noqa: F401 (re-exported)
+from .catalog import SicSet
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,14 @@ def born_probabilities(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray,
     are (n, d, d) stacks of effects.  Indexing rho as rho[a, b, c, e]
     (Alice row, Bob row, Alice column, Bob column), the trace is
     sum rho[a, b, c, e] A_i[c, a] B_j[e, b] for every (i, j) at once.
+    An index outside the stacks, negative ones too, raises ValueError.
     """
     d = alice.shape[-1]
     ii, jj = np.asarray(settings, dtype=int).reshape(-1, 2).T
+    outside = (ii < 0) | (ii >= len(alice)) | (jj < 0) | (jj >= len(bob))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"setting ({ii[k]}, {jj[k]}) out of range")
     table = np.einsum("abce,ica,jeb->ij", rho.reshape(d, d, d, d), alice, bob,
                       optimize=True)
     p = table.real[ii, jj]
@@ -115,23 +120,14 @@ def born_probabilities(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray,
 class ProbabilityTable:
     """Probabilities (optionally with standard errors) for every setting.
 
-    ``values`` is aligned with ``bell_settings(n, edges)``: the n
-    diagonal entries first, then (i,j) and (j,i) for each sorted edge.
+    ``values[k]`` and ``sigmas[k]`` belong to ``settings[k]``.  Every
+    producer lays a table out in its set's order, ``SicSet.settings``,
+    and :func:`sicbell.montecarlo.estimate_beta` refuses any other.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    settings: tuple[tuple[int, int], ...]
     values: np.ndarray
     sigmas: Optional[np.ndarray] = None
-
-    def settings(self) -> list[tuple[int, int]]:
-        return bell_settings(self.n, self.edges)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.settings(), self.values.tolist()))
-
-    def diagonal(self) -> np.ndarray:
-        return self.values[: self.n]
 
 
 def bell_value(sic: SicSet, rho: BipartiteState) -> tuple[float, ProbabilityTable]:
@@ -141,7 +137,7 @@ def bell_value(sic: SicSet, rho: BipartiteState) -> tuple[float, ProbabilityTabl
             f"set dimension {sic.dimension} does not match state dimension {rho.d}")
     alice = sic.projectors
     values = born_probabilities(rho.rho, alice, alice.conj(), sic.settings)
-    table = ProbabilityTable(sic.n, sic.graph.edges, values)
+    table = ProbabilityTable(sic.settings, values)
     return float(sic.coefficients @ values), table
 
 

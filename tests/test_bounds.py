@@ -10,7 +10,6 @@ from sicbell.bounds import (
     ThetaNonConvergence,
     ThetaResult,
     bounds_report,
-    lovasz_theta,
     max_weight_independent_set,
     solve_theta,
     state_ceiling,
@@ -187,30 +186,30 @@ def test_mwis_empty_and_capacity():
 def test_theta_single_vertex():
     for w in (1, 4, 7):
         g = WeightedGraph(1, (w,), ())
-        assert abs(lovasz_theta(g) - w) < 1e-6
+        assert abs(solve_theta(g).value - w) < 1e-6
 
 
 def test_theta_complete_graph():
     for n in (2, 4, 6):
         edges = tuple(combinations(range(n), 2))
         g = WeightedGraph(n, (1,) * n, edges)
-        assert abs(lovasz_theta(g) - 1.0) < 1e-6
+        assert abs(solve_theta(g).value - 1.0) < 1e-6
 
 
 def test_theta_edgeless():
     for n in (2, 5, 9):
         g = WeightedGraph(n, (1,) * n, ())
-        assert abs(lovasz_theta(g) - n) < 1e-6
+        assert abs(solve_theta(g).value - n) < 1e-6
 
 
 def test_theta_weighted_edgeless_is_weight_sum():
     g = WeightedGraph(3, (2, 3, 7), ())
-    assert abs(lovasz_theta(g) - 12.0) < 1e-6
+    assert abs(solve_theta(g).value - 12.0) < 1e-6
 
 
 def test_theta_five_cycle():
     # the classic closed form for the pentagon
-    assert abs(lovasz_theta(cycle5()) - np.sqrt(5.0)) < 1e-6
+    assert abs(solve_theta(cycle5()).value - np.sqrt(5.0)) < 1e-6
 
 
 def test_theta_matches_alpha_on_bipartite():
@@ -228,14 +227,14 @@ def test_theta_matches_alpha_on_bipartite():
         weights = tuple(rng.randint(1, 6) for _ in range(n))
         g = WeightedGraph(n, weights, edges)
         alpha, _ = max_weight_independent_set(g)
-        assert abs(lovasz_theta(g) - alpha) < 1e-5
+        assert abs(solve_theta(g).value - alpha) < 1e-5
 
 
 def test_theta_monotone_under_edge_deletion():
     g = cycle5()
-    base = lovasz_theta(g)
+    base = solve_theta(g).value
     for e in g.edges:
-        assert lovasz_theta(g.without_edge(e)) >= base - 2e-6
+        assert solve_theta(g.without_edge(e)).value >= base - 2e-6
 
 
 def test_theta_result_certificate():
@@ -305,7 +304,7 @@ def test_theta_unit_weight_catalog_values():
     # quantum ceiling
     for name, target in (("ks18", 4.5), ("ks21", 3.5)):
         g = orthogonality_graph(get_set(name))
-        assert abs(lovasz_theta(g) - target) < 1e-5
+        assert abs(solve_theta(g).value - target) < 1e-5
 
 
 def test_theta_agrees_with_trace_formulation():

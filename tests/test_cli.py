@@ -323,18 +323,6 @@ class TestSimulate:
                                   for (i, j), c in zip(record.settings,
                                                        record.counts)]}
 
-    def test_canonical_layout_is_derived_once_per_run(self, tmp_path,
-                                                      monkeypatch):
-        calls = []
-        layout = montecarlo._canonical_layout
-
-        def counted(settings):
-            calls.append(len(settings))
-            return layout(settings)
-        monkeypatch.setattr(montecarlo, "_canonical_layout", counted)
-        assert main(["simulate", "--set", "ks21", "--out", str(tmp_path)]) == 0
-        assert calls == [231]
-
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="yo13", seed=1,
                            pair_rate=1e4, integration_time=1.0,
@@ -398,6 +386,14 @@ class TestFit:
         out = capsys.readouterr().out
         pairs = int(out.split("sigma 0.012: ")[1].split()[0])
         assert 150_000 < pairs < 300_000
+
+    @pytest.mark.parametrize("sigma", ["inf", "1e-170", "1e-300"])
+    def test_bad_sigma_target_rejected(self, capsys, sigma):
+        assert main(["fit", "--set", "yo13", "--target-beta", "11.573",
+                     "--sigma-target", sigma]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma_target")
+        assert err.count("\n") == 1
 
     def test_out_of_range_target(self, capsys):
         assert main(["fit", "--set", "yo13", "--target-beta", "99"]) == 1

@@ -23,7 +23,7 @@ from sicbell.montecarlo import (
     simulate_counts,
 )
 from sicbell.noise import NoiseConfig, apply_noise, expected_bell_value, prediction_table
-from sicbell.quantum import ProbabilityTable, bell_coefficients
+from sicbell.quantum import ProbabilityTable
 
 
 IDEAL = NoiseConfig()
@@ -132,8 +132,7 @@ class TestEstimateProbabilities:
             seed=5,
         )
         table = estimate_probabilities(rec)
-        assert table.n == 2
-        assert table.edges == ((0, 1),)
+        assert table.settings == rec.settings
         assert table.values[0] == pytest.approx(0.333333)
         assert table.sigmas[0] == pytest.approx(math.sqrt(333333) / 1e6)
         assert table.sigmas[0] == pytest.approx(5.77e-4, rel=1e-3)
@@ -142,27 +141,29 @@ class TestEstimateProbabilities:
         assert table.sigmas[2] == pytest.approx(1e-6)
         assert table.sigmas[3] == pytest.approx(2.0 / 1e6)
 
-    def test_shuffled_settings_are_reordered(self):
-        rec = CountRecord(
-            set_name="toy",
-            settings=((1, 0), (1, 1), (0, 1), (0, 0)),
-            counts=(40, 30, 20, 10),
-            exposure=100.0,
-            seed=0,
-        )
-        table = estimate_probabilities(rec)
-        assert table.values.tolist() == [0.1, 0.3, 0.2, 0.4]
+    def test_shuffled_settings_are_refused(self):
+        sic = get_set("yo13")
+        record, table, _ = run_experiment(sic, IDEAL, 1e4, 1.0, 0)
+        rec = CountRecord("yo13", record.settings[::-1], record.counts[::-1],
+                          record.exposure, record.seed)
+        shuffled = estimate_probabilities(rec)
+        # the table keeps the record's order, and nothing reorders it
+        assert shuffled.settings == rec.settings
+        assert shuffled.values.tolist() == table.values.tolist()[::-1]
+        with pytest.raises(ValueError, match="table is not laid out"):
+            estimate_beta(shuffled, sic)
+        with pytest.raises(ValueError, match="record is not laid out"):
+            estimate_beta(table, sic, record=rec, bootstrap_replicates=10)
 
     def test_incomplete_coverage_rejected(self):
-        rec = CountRecord(
-            set_name="toy",
-            settings=((0, 0), (1, 1), (0, 1)),
-            counts=(1, 1, 1),
-            exposure=10.0,
-            seed=0,
-        )
-        with pytest.raises(ValueError):
-            estimate_probabilities(rec)
+        sic = get_set("yo13")
+        record, _, _ = run_experiment(sic, IDEAL, 1e4, 1.0, 0)
+        rec = CountRecord("yo13", record.settings[:-1], record.counts[:-1],
+                          record.exposure, record.seed)
+        partial = estimate_probabilities(rec)
+        assert partial.settings == rec.settings
+        with pytest.raises(ValueError, match="table is not laid out"):
+            estimate_beta(partial, sic)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -212,7 +213,7 @@ class TestEstimateBeta:
         assert total == pytest.approx(97.0 + 24 * 9 / 2.0)
         base = prediction_table(sic, apply_noise(sic, IDEAL))
         s = 1e-3
-        table = ProbabilityTable(base.n, base.edges, base.values,
+        table = ProbabilityTable(base.settings, base.values,
                                  np.full(base.values.size, s))
         report = estimate_beta(table, sic)
         assert report.sigma == pytest.approx(s * math.sqrt(total), abs=1e-15)
@@ -230,7 +231,7 @@ class TestEstimateBeta:
             v = fit_visibility(target, sic)
             table = prediction_table(sic, apply_noise(sic, NoiseConfig(visibility=v)))
             s = sig / math.sqrt(total_squared_coefficient(sic))
-            table = ProbabilityTable(table.n, table.edges, table.values,
+            table = ProbabilityTable(table.settings, table.values,
                                      np.full(table.values.size, s))
             report = estimate_beta(table, sic)
             assert report.beta_hat == pytest.approx(target, abs=1e-9)

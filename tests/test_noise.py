@@ -329,6 +329,17 @@ class TestApplyNoise:
         assert inputs.probability(i, j) == pytest.approx(0.0, abs=1e-12)
         assert inputs.probability(i, i) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("setting", [(-13, 0), (0, -1), (13, 0), (0, 13),
+                                         (-14, 20)])
+    def test_out_of_range_setting_rejected(self, setting):
+        # a negative index must not wrap round to a real ray
+        inputs = apply_noise(get_set("yo13"), NoiseConfig())
+        message = rf"setting \({setting[0]}, {setting[1]}\) out of range"
+        with pytest.raises(ValueError, match=message):
+            inputs.probabilities([(0, 0), setting])
+        with pytest.raises(ValueError, match=message):
+            inputs.probability(*setting)
+
     def test_prediction_table_matches_bell_value(self):
         sic = get_set("ks21")
         inputs = apply_noise(sic, NoiseConfig())

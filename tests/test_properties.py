@@ -9,8 +9,9 @@ the weight-sum branch and bound, and KS colorability against
 enumeration of every 0/1 assignment.  The closed-form ideal prediction
 is checked against the noise model run at IDEAL, the noise-model
 inversion by a round trip through the forward model, the counts file's
-template against ``json.dumps`` on random count records, and fuzzed run
-configs by the CLI's exit contract and strict-JSON artifacts.
+template against ``json.dumps`` on random count records, a run's layout
+against the set's own setting order, and fuzzed run configs by the
+CLI's exit contract and strict-JSON artifacts.
 """
 
 import io
@@ -23,6 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +38,13 @@ from sicbell.bounds import (
 from sicbell.catalog import SicSet, WeightedGraph, verify_set
 from sicbell.cli import main
 from sicbell.exact import ONE, ZERO, ExactScalar, gram
-from sicbell.montecarlo import CountRecord, fit_visibility
+from sicbell.montecarlo import (
+    CountRecord,
+    estimate_beta,
+    estimate_probabilities,
+    fit_visibility,
+    run_experiment,
+)
 from sicbell.noise import IDEAL, NoiseConfig, expected_bell_value, measurement_effects
 from sicbell.quantum import (
     BipartiteState,
@@ -194,10 +202,30 @@ def test_closed_form_ideal_matches_noise_model(sic):
 
 @PROPERTY_SETTINGS
 @given(ray_sets())
+# the contraction rounds this set's beta to 1.0000000000000002, above its
+# exact optimum 1: the exact value sum(w) / d is what the ceiling bounds
+@example(SicSet(name="random", dimension=3,
+                vectors=((ONE, ZERO, ZERO), (ZERO, ZERO, ExactScalar(0, 1)),
+                         (ZERO, ExactScalar(0, 1), ZERO)),
+                weights=(1, 1, 1)))
 def test_ideal_value_is_below_the_ceiling(sic):
     beta_ideal, _ = bell_value(sic, max_entangled_state(sic.dimension))
+    assert abs(beta_ideal - sum(sic.weights) / sic.dimension) <= 1e-12
     ceiling = state_ceiling(bell_operator(sic))
-    assert beta_ideal <= ceiling.value + ceiling.gap
+    assert Fraction(sum(sic.weights), sic.dimension) <= Fraction(ceiling.dual_bound)
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets(), _seeds)
+def test_run_is_laid_out_in_the_set_order(sic, seed):
+    record, table, _ = run_experiment(sic, IDEAL, 1e4, 1.0, seed)
+    assert record.settings == table.settings == sic.settings
+    backwards = CountRecord(record.set_name, record.settings[::-1],
+                            record.counts[::-1], record.exposure, record.seed)
+    with pytest.raises(ValueError):
+        estimate_beta(estimate_probabilities(backwards), sic)
+    with pytest.raises(ValueError):
+        estimate_beta(table, sic, record=backwards, bootstrap_replicates=10)
 
 
 @PROPERTY_SETTINGS

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from sicbell.catalog import catalog_names, get_set, orthogonality_graph
+from sicbell.catalog import (
+    bell_coefficients,
+    bell_settings,
+    catalog_names,
+    get_set,
+    orthogonality_graph,
+)
 from sicbell.quantum import (
     BipartiteState,
     ProbabilityTable,
-    bell_coefficients,
-    bell_settings,
     bell_value,
     born_probabilities,
     conjugate_projector,
@@ -164,8 +168,8 @@ def test_bell_value_ideal_catalog():
 def test_bell_value_table_symmetric_for_ideal():
     s = get_set("ks18")
     _, table = bell_value(s, max_entangled_state(4))
-    d = table.as_dict()
-    for i, j in table.edges:
+    d = dict(zip(table.settings, table.values))
+    for i, j in s.graph.edges:
         assert abs(d[(i, j)] - d[(j, i)]) < 1e-12
 
 
