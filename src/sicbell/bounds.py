@@ -44,6 +44,19 @@ Two quantities are computed for a weighted graph (G, w):
   still wider than tol scales the trigger down by tol / width.  The
   clock checks alone keep the best bracket and run the stall rule, so
   the off-clock checks only ever end the loop sooner.
+
+Both quantities split over the graph's structure (Lovasz, IEEE Trans.
+Inf. Theory 25 (1979); Knuth 1994): they add up over the connected
+components, and on a join, whose complement is disconnected, they are
+the max over the complement's components.  :func:`_decompose` splits
+the graph that way, recursively, and both searches run only on the
+pieces that split no further.  A union's independent set is the union
+of its pieces' optima, a join's is the best piece's.  The theta_graph
+bracket of a join is [max of the lower bounds, max of the upper
+bounds], its pieces solved at ``tol``; a union's k pieces are solved at
+``tol / k``, their lower and upper bounds summed by ``math.fsum`` and
+rounded outward by one ulp, so the bracket stays certified and no wider
+than ``tol``.  ``theta_graph_iterations`` is summed over the pieces.
 """
 
 from __future__ import annotations
@@ -82,28 +95,76 @@ class ThetaNonConvergence(RuntimeError):
         )
 
 
+def _components(mask: int, adj: list) -> list:
+    """The vertex masks of the connected components of the subgraph of
+    ``adj`` induced by ``mask``, in order of their lowest vertex."""
+    parts = []
+    while mask:
+        part = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                reach |= adj[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
+            frontier = reach & mask & ~part
+            part |= frontier
+        parts.append(part)
+        mask &= ~part
+    return parts
+
+
+def _decompose(graph: WeightedGraph):
+    """``(adj, tree)``: the graph's bitmask adjacency and its split into
+    pieces.  A mask whose subgraph is disconnected becomes
+    ``("union", parts)`` over its components; a connected one whose
+    complement is disconnected becomes ``("join", parts)`` over the
+    complement's components; anything else is a leaf, the mask itself.
+    The parts split again, so a cograph splits down to single vertices."""
+    n = graph.n
+    adj = [0] * n
+    for i, j in graph.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    full = (1 << n) - 1
+    co_adj = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+
+    def split(mask):
+        for kind, links in (("union", adj), ("join", co_adj)):
+            parts = _components(mask, links)
+            if len(parts) > 1:
+                return kind, [split(part) for part in parts]
+        return mask
+
+    return adj, split(full)
+
+
 def max_weight_independent_set(graph: WeightedGraph):
     """Exact maximum-weight independent set: ``(value, witness)``, the
     witness being the lexicographically smallest optimal vertex tuple.
 
-    The search branches on the lowest candidate and takes it first, so
-    independent sets reach the leaves in lexicographic order of their
-    sorted tuples.  Weights are positive, so no optimal set is a prefix
-    of another, and the first leaf to reach the optimal weight is the
-    witness; a subtree is cut once it cannot beat the incumbent strictly.
-    Its bound is a greedy clique cover of the candidates, each clique
-    adding its heaviest vertex (an independent set meets a clique at most
-    once): the colouring bound of Tomita & Seki (2003) and Östergård
-    (Nordic J. Computing 8, 2001) on the complement graph.
+    The graph is split first (:func:`_decompose`).  On a union the values
+    add and the witnesses merge: two optima first differ at the least
+    element of their symmetric difference, which lies in one component,
+    so the merged lexicographic minima are the whole graph's.  On a join
+    an independent set lies in one part, so the heaviest part wins, the
+    lexicographically smaller witness on a tie.
+
+    On a leaf, the search branches on the lowest candidate and takes it
+    first, so independent sets reach the leaves of the search in
+    lexicographic order of their sorted tuples.  Weights are positive, so
+    no optimal set is a prefix of another, and the first leaf to reach
+    the optimal weight is the witness; a subtree is cut once it cannot
+    beat the incumbent strictly.  Its bound is a greedy clique cover of
+    the candidates, each clique adding its heaviest vertex (an
+    independent set meets a clique at most once): the colouring bound of
+    Tomita & Seki (2003) and Östergård (Nordic J. Computing 8, 2001) on
+    the complement graph.
     """
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
     w = list(graph.weights)
-    adj = [0] * n
-    for i, j in graph.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    adj, tree = _decompose(graph)
 
     def clique_cover_bound(cand):
         total = 0
@@ -118,22 +179,35 @@ def max_weight_independent_set(graph: WeightedGraph):
             total += heaviest
         return total
 
-    best_w, best_set = 0, ()
+    def search(leaf):
+        best_w, best_set = 0, ()
 
-    def rec(cand, cur_w, cur):
-        nonlocal best_w, best_set
-        if cand == 0:
-            if cur_w > best_w:
-                best_w, best_set = cur_w, tuple(cur)
-        elif cur_w + clique_cover_bound(cand) > best_w:
-            v = (cand & -cand).bit_length() - 1
-            cur.append(v)
-            rec(cand & ~(adj[v] | 1 << v), cur_w + w[v], cur)
-            cur.pop()
-            rec(cand ^ (1 << v), cur_w, cur)
+        def rec(cand, cur_w, cur):
+            nonlocal best_w, best_set
+            if cand == 0:
+                if cur_w > best_w:
+                    best_w, best_set = cur_w, tuple(cur)
+            elif cur_w + clique_cover_bound(cand) > best_w:
+                v = (cand & -cand).bit_length() - 1
+                cur.append(v)
+                rec(cand & ~(adj[v] | 1 << v), cur_w + w[v], cur)
+                cur.pop()
+                rec(cand ^ (1 << v), cur_w, cur)
 
-    rec((1 << n) - 1, 0, [])
-    return best_w, best_set
+        rec(leaf, 0, [])
+        return best_w, best_set
+
+    def solve(node):
+        if isinstance(node, int):
+            return search(node)
+        kind, parts = node
+        results = [solve(part) for part in parts]
+        if kind == "union":
+            return (sum(value for value, _ in results),
+                    tuple(sorted(v for _, witness in results for v in witness)))
+        return min(results, key=lambda r: (-r[0], r[1]))
+
+    return solve(tree)
 
 
 def ks_colorable(graph: WeightedGraph, contexts
@@ -189,8 +263,7 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    _check_tol(tol)
     if n == 0:
         return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0)
     sqrt_w = np.sqrt([float(x) for x in graph.weights])
@@ -305,6 +378,62 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     raise ThetaNonConvergence(lower, upper, max_iter)
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
+def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:
+    """The subgraph on the vertices of ``mask``, renumbered in order."""
+    if mask == (1 << graph.n) - 1:
+        return graph
+    vertices = [v for v in range(graph.n) if mask >> v & 1]
+    index = {v: k for k, v in enumerate(vertices)}
+    return WeightedGraph(len(index), tuple(graph.weights[v] for v in vertices),
+                         tuple((index[i], index[j]) for i, j in graph.edges
+                               if i in index and j in index))
+
+
+def _theta_bracket(graph: WeightedGraph, tol: float) -> tuple[float, float, int]:
+    """``(lower, upper, iterations)``: the weighted theta number bracketed
+    piece by piece over :func:`_decompose`'s split, each leaf by
+    :func:`solve_theta`.
+
+    theta adds up over a union and is the max over a join.  A join's
+    bracket is the max of its parts' lower and of their upper bounds, each
+    part solved at ``tol``.  A union's k parts are solved at ``tol / k``
+    and their bounds summed by ``math.fsum``, the lower sum rounded down
+    and the upper one up by one ulp, so the bracket stays certified and
+    no wider than ``tol``.  Iterations add up over the leaves.  If a leaf
+    raises :class:`ThetaNonConvergence`, the others still run and the
+    error carries the bracket assembled from every leaf's best one.
+    """
+    _check_tol(tol)
+    failed = False
+
+    def solve(node, tol):
+        nonlocal failed
+        if isinstance(node, int):
+            try:
+                res = solve_theta(_induced(graph, node), tol=tol)
+            except ThetaNonConvergence as exc:
+                failed = True
+                return exc.primal_bound, exc.dual_bound, exc.iterations
+            return res.value, res.dual_bound, res.iterations
+        kind, parts = node
+        if kind == "join":
+            lowers, uppers, iters = zip(*(solve(part, tol) for part in parts))
+            return max(lowers), max(uppers), sum(iters)
+        lowers, uppers, iters = zip(*(solve(part, tol / len(parts)) for part in parts))
+        return (math.nextafter(math.fsum(lowers), -math.inf),
+                math.nextafter(math.fsum(uppers), math.inf), sum(iters))
+
+    lower, upper, iterations = solve(_decompose(graph)[1], tol)
+    if failed:
+        raise ThetaNonConvergence(lower, upper, iterations)
+    return lower, upper, iterations
+
+
 @dataclass(frozen=True)
 class CeilingResult:
     value: float            # attained expectation (lower bound)
@@ -368,7 +497,7 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     graph = sic.graph
     alpha, witness = max_weight_independent_set(graph)
     ceiling = state_ceiling(bell_operator(sic))
-    graph_res = solve_theta(graph, tol=tol)
+    graph_lower, graph_upper, graph_iterations = _theta_bracket(graph, tol)
     # the maximally entangled state clicks 1/d on each diagonal, 0 on edges
     beta = sum(sic.weights) / sic.dimension
     return BoundsReport(
@@ -377,10 +506,10 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
         alpha_witness=witness,
         theta=ceiling.value,
         theta_gap=ceiling.gap,
-        theta_graph=graph_res.value,
-        theta_graph_gap=graph_res.gap,
+        theta_graph=graph_lower,
+        theta_graph_gap=graph_upper - graph_lower,
         beta_ideal=beta,
         margin_quantum=ceiling.value - alpha,
         margin_ideal=beta - alpha,
-        theta_graph_iterations=graph_res.iterations,
+        theta_graph_iterations=graph_iterations,
     )

@@ -98,6 +98,10 @@ class CountRecord:
     seed: int
 
     def __post_init__(self):
+        # int tuples, as in RunPlan: a counts file read back gives list pairs
+        object.__setattr__(
+            self, "settings",
+            tuple([(int(i), int(j)) for i, j in self.settings]))
         if len(self.counts) != len(self.settings):
             raise ValueError("one count per setting required")
         if any(c < 0 for c in self.counts):

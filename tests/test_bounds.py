@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -9,12 +10,16 @@ from sicbell.bounds import (
     BoundsReport,
     ThetaNonConvergence,
     ThetaResult,
+    _decompose,
+    _induced,
+    _theta_bracket,
     bounds_report,
     max_weight_independent_set,
     solve_theta,
     state_ceiling,
 )
-from sicbell.catalog import WeightedGraph, get_set, orthogonality_graph
+from sicbell.catalog import SicSet, WeightedGraph, get_set, orthogonality_graph
+from sicbell.exact import ZERO
 from sicbell.quantum import bell_operator
 
 
@@ -151,13 +156,16 @@ def test_mwis_catalog_values():
 
 
 def test_mwis_on_a_52_vertex_union_is_quick():
-    # the independence number is additive over a disjoint union: 11 + 4 + 3
-    g = relabelled_union(("yo13", "ks18", "ks21"), seed=1)
-    start = time.perf_counter()
-    val, wit = max_weight_independent_set(g)
-    assert time.perf_counter() - start < 6.0
-    assert val == 18
-    assert sum(g.weights[v] for v in wit) == 18
+    # the independence number is additive over a disjoint union
+    for names, alpha in ((("yo13", "ks18", "ks21"), 11 + 4 + 3),
+                         (("yo13",) * 4, 4 * 11)):
+        g = relabelled_union(names, seed=1)
+        assert g.n == 52
+        start = time.perf_counter()
+        val, wit = max_weight_independent_set(g)
+        assert time.perf_counter() - start < 6.0
+        assert val == alpha
+        assert sum(g.weights[v] for v in wit) == alpha
 
 
 def test_mwis_tie_keeps_the_first_optimum():
@@ -354,6 +362,35 @@ def test_theta_nonconvergence_reports_bracket():
     assert exc.dual_bound >= np.sqrt(5.0) - 1e-9
 
 
+def test_union_theta_bracket_holds_the_exact_sum_of_its_pieces():
+    # three relabelled copies of yo13.  At tol each copy certifies about
+    # 4.4e-7 wide, so only the split tol / 3 keeps the sum within tol;
+    # the outward rounding keeps it around the exact sum of the pieces'
+    # bounds, whatever way fsum rounds
+    tol = 1e-6
+    for seed in range(1, 5):
+        g = relabelled_union(("yo13",) * 3, seed=seed)
+        kind, pieces = _decompose(g)[1]
+        assert kind == "union" and len(pieces) == 3
+        parts = [solve_theta(_induced(g, mask), tol=tol / 3) for mask in pieces]
+        lower, upper, iterations = _theta_bracket(g, tol)
+        assert upper - lower <= tol
+        assert Fraction(lower) <= sum(Fraction(p.value) for p in parts)
+        assert Fraction(upper) >= sum(Fraction(p.dual_bound) for p in parts)
+        assert iterations == sum(p.iterations for p in parts)
+
+
+def test_split_theta_nonconvergence_reports_the_whole_bracket():
+    # C5 plus an isolated vertex of weight 2: theta = sqrt(5) + 2.  Both
+    # pieces stall short of tol / 2, and the error brackets the sum
+    g = WeightedGraph(6, (1,) * 5 + (2,), cycle5().edges)
+    with pytest.raises(ThetaNonConvergence) as err:
+        _theta_bracket(g, tol=1e-15)
+    exc = err.value
+    assert exc.primal_bound <= np.sqrt(5.0) + 2.0 <= exc.dual_bound
+    assert exc.dual_bound - exc.primal_bound < 1e-12
+
+
 def test_theta_stalled_bracket_stops_early():
     # ks18 certifies to about 4.7e-13 and no further
     with pytest.raises(ThetaNonConvergence) as err:
@@ -377,6 +414,23 @@ def test_bounds_report_catalog():
     assert rep.alpha <= rep.theta + rep.theta_gap
     # the graph relaxation can only sit above the realization ceiling
     assert rep.theta_graph >= rep.theta - 1e-6
+
+
+def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
+    # every cross pair of yo13 (+) ks18 is orthogonal: the graph is a join,
+    # so alpha and theta_graph are yo13's, and the iterations add up
+    yo13, ks18 = get_set("yo13"), get_set("ks18")
+    pad = (ZERO,)
+    total = SicSet(name="yo13+ks18", dimension=7,
+                   vectors=tuple(v + pad * 4 for v in yo13.vectors)
+                   + tuple(pad * 3 + v for v in ks18.vectors),
+                   weights=yo13.weights + ks18.weights)
+    rep = bounds_report(total)
+    parts = [bounds_report(sic) for sic in (yo13, ks18)]
+    assert (rep.alpha, rep.alpha_witness) == (11, parts[0].alpha_witness)
+    assert (rep.theta_graph, rep.theta_graph_gap) == (
+        parts[0].theta_graph, parts[0].theta_graph_gap)
+    assert rep.theta_graph_iterations == sum(p.theta_graph_iterations for p in parts)
 
 
 def test_bounds_report_margins():

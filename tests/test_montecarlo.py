@@ -423,3 +423,17 @@ class TestSerialization:
         assert rdoc["alpha"] == 11.0
         assert rdoc["sigmas_of_violation"] == pytest.approx(
             (rdoc["beta_hat"] - 11.0) / rdoc["sigma"])
+
+    def test_record_rebuilt_from_its_counts_file(self):
+        # a JSON reader hands back list pairs; the record keeps int tuples
+        sic = get_set("yo13")
+        rec, table, report = run_experiment(sic, IDEAL, 1e4, 1.0, 0)
+        doc = json.loads(rec.to_json_text())
+        rebuilt = CountRecord(doc["set"],
+                              [[r["alice"], r["bob"]] for r in doc["counts"]],
+                              [r["count"] for r in doc["counts"]],
+                              doc["exposure"], doc["seed"])
+        assert rebuilt.settings == sic.settings
+        again = estimate_beta(estimate_probabilities(rebuilt), sic)
+        assert again.beta_hat == report.beta_hat
+        assert rebuilt.to_json_text() == rec.to_json_text()

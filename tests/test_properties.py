@@ -5,8 +5,10 @@ independent route: the single-pair Kronecker oracle, the trace of the
 Bell operator, a dense eigensolver, and pairwise float inner products.
 The exact orthogonality graph is checked against the pairwise
 ``inner_product`` loop, and the maximum-weight independent set against
-the weight-sum branch and bound, and KS colorability against
-enumeration of every 0/1 assignment.  The closed-form ideal prediction
+the weight-sum branch and bound, on random graphs and on nested unions
+and joins of them, the split theta_graph bracket against the
+whole-graph solve, and KS colorability against enumeration of every 0/1
+assignment.  The closed-form ideal prediction
 is checked against the noise model run at IDEAL, the noise-model
 inversion by a round trip through the forward model, the counts file's
 template against ``json.dumps`` on random count records, a run's layout
@@ -18,6 +20,7 @@ import io
 import json
 import math
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -30,12 +33,14 @@ from hypothesis import strategies as st
 
 from sicbell.bounds import (
     ThetaNonConvergence,
+    _decompose,
+    _theta_bracket,
     ks_colorable,
     max_weight_independent_set,
     solve_theta,
     state_ceiling,
 )
-from sicbell.catalog import SicSet, WeightedGraph, verify_set
+from sicbell.catalog import SicSet, WeightedGraph, get_set, verify_set
 from sicbell.cli import main
 from sicbell.exact import ONE, ZERO, ExactScalar, gram
 from sicbell.montecarlo import (
@@ -254,6 +259,96 @@ def weighted_graphs(draw):
 @given(weighted_graphs())
 def test_mwis_matches_branch_and_bound_oracle(graph):
     assert max_weight_independent_set(graph) == branch_and_bound_mwis(graph)
+
+
+def _compose(kind, parts):
+    """The disjoint union, or the join (every cross pair an edge), of
+    ``(weights, edges)`` parts, numbered in order."""
+    weights, edges, blocks = [], [], []
+    for part_weights, part_edges in parts:
+        offset = len(weights)
+        weights += part_weights
+        edges += [(i + offset, j + offset) for i, j in part_edges]
+        blocks.append(range(offset, len(weights)))
+    if kind == "join":
+        edges += [(i, j) for a, b in combinations(blocks, 2) for i in a for j in b]
+    return weights, edges
+
+
+@st.composite
+def composed_graphs(draw, depth=2, max_parts=3):
+    """Random graphs of 1-4 vertices nested up to ``depth`` levels in
+    unions and joins of 2 to ``max_parts`` parts, then relabelled at
+    random, so that every piece of the split is scattered over the
+    vertex order.  Weights in 1..3 make ties, and the lexicographic rule,
+    common."""
+    rng = draw(st.randoms(use_true_random=False))
+
+    def pieces(level):
+        if level == 0 or draw(st.booleans()):
+            n = draw(st.integers(1, 4))
+            density = draw(st.floats(0.0, 1.0))
+            return ([draw(st.integers(1, 3)) for _ in range(n)],
+                    [e for e in combinations(range(n), 2) if rng.random() < density])
+        kind = draw(st.sampled_from(["union", "join"]))
+        return _compose(kind, [pieces(level - 1)
+                               for _ in range(draw(st.integers(2, max_parts)))])
+
+    weights, edges = pieces(depth)
+    perm = list(range(len(weights)))
+    rng.shuffle(perm)
+    placed = [0] * len(weights)
+    for v, w in enumerate(weights):
+        placed[perm[v]] = w
+    return WeightedGraph(len(weights), tuple(placed), tuple(sorted(
+        (min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(composed_graphs())
+def test_split_mwis_matches_branch_and_bound_oracle(graph):
+    assert max_weight_independent_set(graph) == branch_and_bound_mwis(graph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(composed_graphs(max_parts=2), st.sampled_from([1e-2, 1e-4, 1e-6]))
+def test_split_theta_bracket_meets_the_whole_graph_bracket(graph, tol):
+    # both brackets are certified, so both hold theta and they overlap
+    try:
+        whole = solve_theta(graph, tol=tol, max_iter=5_000)
+    except ThetaNonConvergence:
+        assume(False)
+    lower, upper, _ = _theta_bracket(graph, tol)
+    assert lower <= whole.dual_bound
+    assert whole.value <= upper
+    assert 0.0 <= upper - lower <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(composed_graphs(depth=1), min_size=2, max_size=4),
+       st.sampled_from([1e-2, 1e-4, 1e-6]))
+def test_union_theta_bracket_is_no_wider_than_tol(parts, tol):
+    weights, edges = _compose("union", [(list(g.weights), list(g.edges))
+                                        for g in parts])
+    graph = WeightedGraph(len(weights), tuple(weights), tuple(edges))
+    assert _decompose(graph)[1][0] == "union"
+    lower, upper, _ = _theta_bracket(graph, tol)
+    assert 0.0 <= upper - lower <= tol
+    alpha, _ = max_weight_independent_set(graph)
+    assert alpha <= upper
+
+
+def test_catalog_and_dense_random_graphs_are_one_piece():
+    # these graphs run the whole-graph searches; a split would leave the
+    # scaled-sets and catalog timings measuring pieces instead
+    rng = random.Random(7)
+    n = 44
+    dense = WeightedGraph(n, tuple(rng.randint(1, 3) for _ in range(n)),
+                          tuple(e for e in combinations(range(n), 2)
+                                if rng.random() < 0.5))
+    graphs = [get_set(name).graph for name in ("yo13", "ks18", "ks21")] + [dense]
+    for graph in graphs:
+        assert _decompose(graph)[1] == (1 << graph.n) - 1
 
 
 @st.composite
