@@ -76,6 +76,7 @@ _EPS = float(np.finfo(float).eps)
 _ANDERSON_MEMORY = 10        # past steps the theta_graph extrapolation combines
 _STALL_CHECKS = 100          # certifications without a 1% narrower bracket
 _CHECK_EVERY = 25            # iterations between clock certifications
+_MAX_ITER = 200_000          # solve_theta's default iteration cap
 
 
 class ThetaNonConvergence(RuntimeError):
@@ -252,7 +253,7 @@ class ThetaResult:
 
 
 def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
-                max_iter: int = 200_000) -> ThetaResult:
+                max_iter: int = _MAX_ITER) -> ThetaResult:
     """Weighted theta number with a certified bracket of width <= tol.
 
     Certifies at the first iteration, every ``_CHECK_EVERY`` iterations,
@@ -404,9 +405,11 @@ def _theta_bracket(graph: WeightedGraph, tol: float) -> tuple[float, float, int]
     part solved at ``tol``.  A union's k parts are solved at ``tol / k``
     and their bounds summed by ``math.fsum``, the lower sum rounded down
     and the upper one up by one ulp, so the bracket stays certified and
-    no wider than ``tol``.  Iterations add up over the leaves.  If a leaf
-    raises :class:`ThetaNonConvergence`, the others still run and the
-    error carries the bracket assembled from every leaf's best one.
+    no wider than ``tol``.  Iterations add up over the leaves.  Once a
+    leaf raises :class:`ThetaNonConvergence`, each later leaf gets one
+    iteration, whose certificate is enough for a bracket: the error
+    carries the one assembled from every leaf's best, and the run ends
+    about when the failing leaf's does.
     """
     _check_tol(tol)
     failed = False
@@ -415,7 +418,8 @@ def _theta_bracket(graph: WeightedGraph, tol: float) -> tuple[float, float, int]
         nonlocal failed
         if isinstance(node, int):
             try:
-                res = solve_theta(_induced(graph, node), tol=tol)
+                res = solve_theta(_induced(graph, node), tol=tol,
+                                  max_iter=1 if failed else _MAX_ITER)
             except ThetaNonConvergence as exc:
                 failed = True
                 return exc.primal_bound, exc.dual_bound, exc.iterations

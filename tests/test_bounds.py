@@ -381,14 +381,18 @@ def test_union_theta_bracket_holds_the_exact_sum_of_its_pieces():
 
 
 def test_split_theta_nonconvergence_reports_the_whole_bracket():
-    # C5 plus an isolated vertex of weight 2: theta = sqrt(5) + 2.  Both
-    # pieces stall short of tol / 2, and the error brackets the sum
+    # C5 plus an isolated vertex of weight 2: theta = sqrt(5) + 2.  C5
+    # stalls short of tol / 2, and the error brackets the sum
     g = WeightedGraph(6, (1,) * 5 + (2,), cycle5().edges)
     with pytest.raises(ThetaNonConvergence) as err:
         _theta_bracket(g, tol=1e-15)
     exc = err.value
     assert exc.primal_bound <= np.sqrt(5.0) + 2.0 <= exc.dual_bound
     assert exc.dual_bound - exc.primal_bound < 1e-12
+    # the vertex after the stalled C5 gets one iteration, not a stall of its own
+    with pytest.raises(ThetaNonConvergence) as alone:
+        solve_theta(cycle5(), tol=1e-15 / 2)
+    assert exc.iterations == alone.value.iterations + 1
 
 
 def test_theta_stalled_bracket_stops_early():
