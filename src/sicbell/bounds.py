@@ -49,14 +49,14 @@ Both quantities split over the graph's structure (Lovasz, IEEE Trans.
 Inf. Theory 25 (1979); Knuth 1994): they add up over the connected
 components, and on a join, whose complement is disconnected, they are
 the max over the complement's components.  :func:`_decompose` splits
-the graph that way, recursively, and both searches run only on the
-pieces that split no further.  A union's independent set is the union
-of its pieces' optima, a join's is the best piece's.  The theta_graph
-bracket of a join is [max of the lower bounds, max of the upper
-bounds], its pieces solved at ``tol``; a union's k pieces are solved at
-``tol / k``, their lower and upper bounds summed by ``math.fsum`` and
-rounded outward by one ulp, so the bracket stays certified and no wider
-than ``tol``.  ``theta_graph_iterations`` is summed over the pieces.
+the graph that way, recursively, and the independent-set search runs
+only on the pieces that split no further: a union's independent set is
+the union of its pieces' optima, a join's is the best piece's.
+theta_graph splits at a join only: its parts are solved whole at
+``tol``, and the bracket is [max of the lower bounds, max of the upper
+bounds], no wider than the widest part's.  Any other graph, connected
+or not, is solved whole.  ``theta_graph_iterations`` is summed over the
+parts.
 """
 
 from __future__ import annotations
@@ -114,6 +114,17 @@ def _components(mask: int, adj: list) -> list:
     return parts
 
 
+def _adjacency(graph: WeightedGraph) -> tuple[list, list]:
+    """The bitmask adjacency of the graph and of its complement."""
+    n = graph.n
+    adj = [0] * n
+    for i, j in graph.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    full = (1 << n) - 1
+    return adj, [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+
+
 def _decompose(graph: WeightedGraph):
     """``(adj, tree)``: the graph's bitmask adjacency and its split into
     pieces.  A mask whose subgraph is disconnected becomes
@@ -121,13 +132,7 @@ def _decompose(graph: WeightedGraph):
     complement is disconnected becomes ``("join", parts)`` over the
     complement's components; anything else is a leaf, the mask itself.
     The parts split again, so a cograph splits down to single vertices."""
-    n = graph.n
-    adj = [0] * n
-    for i, j in graph.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    full = (1 << n) - 1
-    co_adj = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+    adj, co_adj = _adjacency(graph)
 
     def split(mask):
         for kind, links in (("union", adj), ("join", co_adj)):
@@ -136,7 +141,7 @@ def _decompose(graph: WeightedGraph):
                 return kind, [split(part) for part in parts]
         return mask
 
-    return adj, split(full)
+    return adj, split((1 << graph.n) - 1)
 
 
 def max_weight_independent_set(graph: WeightedGraph):
@@ -264,7 +269,8 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
-    _check_tol(tol)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     if n == 0:
         return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0)
     sqrt_w = np.sqrt([float(x) for x in graph.weights])
@@ -379,11 +385,6 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     raise ThetaNonConvergence(lower, upper, max_iter)
 
 
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
-
-
 def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:
     """The subgraph on the vertices of ``mask``, renumbered in order."""
     if mask == (1 << graph.n) - 1:
@@ -396,46 +397,32 @@ def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:
 
 
 def _theta_bracket(graph: WeightedGraph, tol: float) -> tuple[float, float, int]:
-    """``(lower, upper, iterations)``: the weighted theta number bracketed
-    piece by piece over :func:`_decompose`'s split, each leaf by
-    :func:`solve_theta`.
+    """``(lower, upper, iterations)``: the weighted theta number,
+    bracketed to within ``tol``.
 
-    theta adds up over a union and is the max over a join.  A join's
-    bracket is the max of its parts' lower and of their upper bounds, each
-    part solved at ``tol``.  A union's k parts are solved at ``tol / k``
-    and their bounds summed by ``math.fsum``, the lower sum rounded down
-    and the upper one up by one ulp, so the bracket stays certified and
-    no wider than ``tol``.  Iterations add up over the leaves.  Once a
-    leaf raises :class:`ThetaNonConvergence`, each later leaf gets one
-    iteration, whose certificate is enough for a bracket: the error
-    carries the one assembled from every leaf's best, and the run ends
-    about when the failing leaf's does.
+    A join is solved part by part, over its complement's components,
+    each by :func:`solve_theta` at ``tol``.  theta is the max over the
+    parts, so the bracket is the max of their lower and of their upper
+    bounds, no wider than the widest part's.  Any other graph is solved
+    whole.  Iterations add up over the parts.  Once a part raises
+    :class:`ThetaNonConvergence`, each later part gets one iteration,
+    whose certificate is enough for a bracket: the error carries the one
+    assembled from every part's best.
     """
-    _check_tol(tol)
-    failed = False
-
-    def solve(node, tol):
-        nonlocal failed
-        if isinstance(node, int):
-            try:
-                res = solve_theta(_induced(graph, node), tol=tol,
-                                  max_iter=1 if failed else _MAX_ITER)
-            except ThetaNonConvergence as exc:
-                failed = True
-                return exc.primal_bound, exc.dual_bound, exc.iterations
-            return res.value, res.dual_bound, res.iterations
-        kind, parts = node
-        if kind == "join":
-            lowers, uppers, iters = zip(*(solve(part, tol) for part in parts))
-            return max(lowers), max(uppers), sum(iters)
-        lowers, uppers, iters = zip(*(solve(part, tol / len(parts)) for part in parts))
-        return (math.nextafter(math.fsum(lowers), -math.inf),
-                math.nextafter(math.fsum(uppers), math.inf), sum(iters))
-
-    lower, upper, iterations = solve(_decompose(graph)[1], tol)
+    full = (1 << graph.n) - 1
+    brackets, failed = [], False
+    for part in _components(full, _adjacency(graph)[1]) or [full]:
+        try:
+            res = solve_theta(_induced(graph, part), tol=tol,
+                              max_iter=1 if failed else _MAX_ITER)
+            brackets.append((res.value, res.dual_bound, res.iterations))
+        except ThetaNonConvergence as exc:
+            failed = True
+            brackets.append((exc.primal_bound, exc.dual_bound, exc.iterations))
+    lowers, uppers, iterations = zip(*brackets)
     if failed:
-        raise ThetaNonConvergence(lower, upper, iterations)
-    return lower, upper, iterations
+        raise ThetaNonConvergence(max(lowers), max(uppers), sum(iterations))
+    return max(lowers), max(uppers), sum(iterations)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import csv
 import functools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -201,29 +200,6 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _prediction_json_text(name: str, beta: float, header: Sequence[str],
-                          rows) -> str:
-    """The prediction file: beta_expected, set and one row object per
-    setting, laid out as ``json.dumps(indent=2, sort_keys=True)`` lays
-    them out, plus a newline.  Each row is one fixed template over the
-    sorted keys; its cells are Python ints and floats, whose ``repr`` is
-    their JSON text when finite."""
-    order = sorted(range(len(header)), key=header.__getitem__)
-    template = ("    {\n" + ",\n".join(f'      "{header[k]}": %r' for k in order)
-                + "\n    }")
-    cells = operator.itemgetter(*order)
-    body = ",\n".join([template % cells(row) for row in rows])
-    # the keys hold neither word, so only a non-finite number can
-    if "nan" in body or "inf" in body:
-        raise ValueError("prediction has a non-finite value, "
-                         "which strict JSON cannot hold")
-    head = json.dumps({"beta_expected": beta, "set": name}, indent=2,
-                      sort_keys=True, allow_nan=False)
-    settings = f"[\n{body}\n  ]" if body else "[]"
-    # "settings" sorts last: it goes in before the closing brace
-    return f'{head[:-2]},\n  "settings": {settings}\n}}\n'
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -327,8 +303,9 @@ def cmd_predict(args) -> int:
     outdir = _outdir(args.out)
     if args.format == "json":
         target = outdir / f"{sic.name}_prediction.json"
-        target.write_text(_prediction_json_text(sic.name, beta, header, rows),
-                          encoding="utf-8")
+        _write_json(target, {"set": sic.name, "beta_expected": beta,
+                             "settings": [dict(zip(header, row))
+                                          for row in rows]})
     else:
         target = outdir / f"{sic.name}_prediction.csv"
         _write_csv(target, header, rows)

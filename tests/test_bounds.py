@@ -1,6 +1,5 @@
 import random
 import time
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -10,8 +9,6 @@ from sicbell.bounds import (
     BoundsReport,
     ThetaNonConvergence,
     ThetaResult,
-    _decompose,
-    _induced,
     _theta_bracket,
     bounds_report,
     max_weight_independent_set,
@@ -362,36 +359,27 @@ def test_theta_nonconvergence_reports_bracket():
     assert exc.dual_bound >= np.sqrt(5.0) - 1e-9
 
 
-def test_union_theta_bracket_holds_the_exact_sum_of_its_pieces():
-    # three relabelled copies of yo13.  At tol each copy certifies about
-    # 4.4e-7 wide, so only the split tol / 3 keeps the sum within tol;
-    # the outward rounding keeps it around the exact sum of the pieces'
-    # bounds, whatever way fsum rounds
-    tol = 1e-6
-    for seed in range(1, 5):
-        g = relabelled_union(("yo13",) * 3, seed=seed)
-        kind, pieces = _decompose(g)[1]
-        assert kind == "union" and len(pieces) == 3
-        parts = [solve_theta(_induced(g, mask), tol=tol / 3) for mask in pieces]
-        lower, upper, iterations = _theta_bracket(g, tol)
-        assert upper - lower <= tol
-        assert Fraction(lower) <= sum(Fraction(p.value) for p in parts)
-        assert Fraction(upper) >= sum(Fraction(p.dual_bound) for p in parts)
-        assert iterations == sum(p.iterations for p in parts)
+def test_disconnected_graph_is_solved_whole():
+    # theta_graph splits only at a join: C5 plus an isolated vertex is
+    # one solve_theta call, bracket and iterations alike
+    g = WeightedGraph(6, (1,) * 5 + (2,), cycle5().edges)
+    whole = solve_theta(g, tol=1e-6)
+    assert _theta_bracket(g, 1e-6) == (whole.value, whole.dual_bound, whole.iterations)
 
 
 def test_split_theta_nonconvergence_reports_the_whole_bracket():
-    # C5 plus an isolated vertex of weight 2: theta = sqrt(5) + 2.  C5
-    # stalls short of tol / 2, and the error brackets the sum
-    g = WeightedGraph(6, (1,) * 5 + (2,), cycle5().edges)
+    # C5 joined to one more vertex: theta = max(sqrt(5), 1).  C5 stalls
+    # short of tol, and the error brackets the max
+    g = WeightedGraph(6, (1,) * 6,
+                      cycle5().edges + tuple((v, 5) for v in range(5)))
     with pytest.raises(ThetaNonConvergence) as err:
         _theta_bracket(g, tol=1e-15)
     exc = err.value
-    assert exc.primal_bound <= np.sqrt(5.0) + 2.0 <= exc.dual_bound
+    assert exc.primal_bound <= np.sqrt(5.0) <= exc.dual_bound
     assert exc.dual_bound - exc.primal_bound < 1e-12
     # the vertex after the stalled C5 gets one iteration, not a stall of its own
     with pytest.raises(ThetaNonConvergence) as alone:
-        solve_theta(cycle5(), tol=1e-15 / 2)
+        solve_theta(cycle5(), tol=1e-15)
     assert exc.iterations == alone.value.iterations + 1
 
 

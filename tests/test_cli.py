@@ -14,7 +14,6 @@ import pytest
 from sicbell.bounds import ThetaNonConvergence, solve_theta
 from sicbell.catalog import build_yo13, get_set, save_set, to_json_dict
 from sicbell.cli import OUTDIR_ENV, RunConfig, load_run_config, main, resolve_set
-from sicbell.noise import expected_bell_value
 import sicbell
 from sicbell import cli as cli_module
 from sicbell import montecarlo
@@ -280,29 +279,6 @@ class TestPredict:
         doc = json.loads((tmp_path / "ks18_prediction.json").read_text())
         assert doc["beta_expected"] == pytest.approx(4.5, abs=1e-10)
         assert len(doc["settings"]) == 18 + 2 * 63
-
-    @pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
-    @pytest.mark.parametrize("noise", [{}, {"visibility": 0.9, "crosstalk": 0.02,
-                                            "spectrum_width": 3}],
-                             ids=["ideal", "noisy"])
-    def test_json_text_is_json_dumps(self, tmp_path, name, noise):
-        cfg = write_config(tmp_path / "c.json", set=name, **noise)
-        assert main(["predict", "--config", cfg, "--out", str(tmp_path),
-                     "--format", "json"]) == 0
-        run = load_run_config(cfg, None, None)
-        sic = get_set(name)
-        beta, table = expected_bell_value(sic, run.noise_config(sic.dimension))
-        header, rows = cli_module._figure_table(sic, table)
-        doc = {"set": name, "beta_expected": beta,
-               "settings": [dict(zip(header, row)) for row in rows]}
-        oracle = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        assert (tmp_path / f"{name}_prediction.json").read_text() == oracle
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_json_text_refuses_non_finite(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            cli_module._prediction_json_text("yo13", 1.0, ["b", "a"],
-                                             [(1, 0.5), (2, bad)])
 
 
 class TestSimulate:

@@ -324,20 +324,6 @@ def test_split_theta_bracket_meets_the_whole_graph_bracket(graph, tol):
     assert 0.0 <= upper - lower <= tol
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(composed_graphs(depth=1), min_size=2, max_size=4),
-       st.sampled_from([1e-2, 1e-4, 1e-6]))
-def test_union_theta_bracket_is_no_wider_than_tol(parts, tol):
-    weights, edges = _compose("union", [(list(g.weights), list(g.edges))
-                                        for g in parts])
-    graph = WeightedGraph(len(weights), tuple(weights), tuple(edges))
-    assert _decompose(graph)[1][0] == "union"
-    lower, upper, _ = _theta_bracket(graph, tol)
-    assert 0.0 <= upper - lower <= tol
-    alpha, _ = max_weight_independent_set(graph)
-    assert alpha <= upper
-
-
 def test_catalog_and_dense_random_graphs_are_one_piece():
     # these graphs run the whole-graph searches; a split would leave the
     # scaled-sets and catalog timings measuring pieces instead
