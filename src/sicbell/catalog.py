@@ -1,6 +1,8 @@
 """Catalog of state-independent contextuality sets and their graphs.
 
-Ships three built-in sets:
+Ships three built-in sets, each defined only by its bundled
+``data/<name>.json`` file and decoded by :func:`from_json_dict`, like
+any custom set:
 
 * ``yo13``: 13 rays in d=3, integer entries, no contexts; weight 2 on the
   four rays of orthogonality-degree 3, weight 3 elsewhere.
@@ -11,6 +13,8 @@ Ships three built-in sets:
   of unity; each of the 15 non-basis vectors vanishes on two
   coordinates, and within a context the entrywise exponent differences
   cover all residues mod 3, which forces the inner products to zero.
+  The cube roots 1, w^2 and w^4 are stored as the pairs (1, 0), (-1, 1)
+  and (0, -1).
 
 Orthogonality is always decided in exact arithmetic, as one integer
 Gram matrix per set (:func:`sicbell.exact.gram`); floating point enters
@@ -24,14 +28,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .exact import (
     ExactScalar,
-    cube_root_power,
-    from_int,
     gram,
     to_complex_vector,
     vector_norm_sq,
@@ -139,121 +142,23 @@ class WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Built-in set tables
+# The built-in sets: the bundled data/<name>.json files
 # ---------------------------------------------------------------------------
 
-_YO13_ROWS = [
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),           # basis rays, weight 3
-    (0, 1, -1), (1, 0, -1), (1, -1, 0),        # difference rays, weight 3
-    (0, 1, 1), (1, 0, 1), (1, 1, 0),           # sum rays, weight 3
-    (1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1),  # diagonal rays, weight 2
-]
-_YO13_WEIGHTS = (3,) * 9 + (2,) * 4
-
-_KS18_ROWS = [
-    (0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0),
-    (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0),
-    (1, -1, 1, -1), (1, -1, -1, 1), (0, 0, 1, 1),
-    (1, 1, 1, 1), (0, 1, 0, -1),
-    (1, 0, 0, 1), (1, 0, 0, -1), (0, 1, -1, 0),
-    (1, 1, -1, 1), (1, 1, 1, -1), (-1, 1, 1, 1),
-]
-_KS18_CONTEXTS = (
-    (0, 1, 2, 3), (0, 4, 5, 6), (7, 8, 2, 9),
-    (7, 10, 6, 11), (1, 4, 12, 13), (8, 10, 13, 14),
-    (15, 16, 3, 9), (15, 17, 5, 11), (16, 17, 12, 14),
-)
-
-# KS21 pair vectors: coordinate -> cube-root exponent; missing coordinates
-# are the two zero entries of the pair.
-_KS21_PAIR_EXPONENTS = {
-    (0, 1): {2: 0, 3: 0, 4: 0, 5: 0},
-    (0, 2): {1: 0, 3: 0, 4: 1, 5: 2},
-    (0, 3): {1: 0, 2: 0, 4: 2, 5: 1},
-    (0, 4): {1: 0, 2: 1, 3: 2, 5: 0},
-    (0, 5): {1: 0, 2: 2, 3: 1, 4: 0},
-    (1, 2): {0: 0, 3: 0, 4: 2, 5: 1},
-    (1, 3): {0: 0, 2: 0, 4: 1, 5: 2},
-    (1, 4): {0: 0, 2: 2, 3: 1, 5: 0},
-    (1, 5): {0: 0, 2: 1, 3: 2, 4: 0},
-    (2, 3): {0: 0, 1: 0, 4: 0, 5: 0},
-    (2, 4): {0: 0, 1: 1, 3: 2, 5: 2},
-    (2, 5): {0: 0, 1: 2, 3: 1, 4: 1},
-    (3, 4): {0: 0, 1: 2, 2: 1, 5: 1},
-    (3, 5): {0: 0, 1: 1, 2: 2, 4: 2},
-    (4, 5): {0: 0, 1: 0, 2: 0, 3: 0},
-}
-
-
-def _int_vector(row: Sequence[int]) -> ExactVector:
-    return tuple(from_int(k) for k in row)
-
-
-def build_yo13() -> SicSet:
-    """The 13-ray set in dimension 3 with the gap-maximizing 3/2 weights."""
-    return SicSet(
-        name="yo13",
-        dimension=3,
-        vectors=tuple(_int_vector(r) for r in _YO13_ROWS),
-        weights=_YO13_WEIGHTS,
-        contexts=None,
-        expected_edges=24,
-    )
-
-
-def build_ks18() -> SicSet:
-    """The 18-vector, nine-context set in dimension 4, unit weights."""
-    return SicSet(
-        name="ks18",
-        dimension=4,
-        vectors=tuple(_int_vector(r) for r in _KS18_ROWS),
-        weights=(1,) * 18,
-        contexts=_KS18_CONTEXTS,
-        expected_edges=63,
-    )
-
-
-def build_ks21() -> SicSet:
-    """The 21-vector, seven-context set in dimension 6, unit weights."""
-    vectors: list[ExactVector] = []
-    zero = from_int(0)
-    for m in range(6):
-        vectors.append(tuple(from_int(1 if k == m else 0) for k in range(6)))
-    pairs = list(combinations(range(6), 2))
-    for p in pairs:
-        exps = _KS21_PAIR_EXPONENTS[p]
-        vectors.append(tuple(
-            cube_root_power(exps[m]) if m in exps else zero for m in range(6)
-        ))
-    pair_index = {p: 6 + k for k, p in enumerate(pairs)}
-    contexts = []
-    for i in range(6):
-        ctx = [i] + [pair_index[tuple(sorted((i, j)))] for j in range(6) if j != i]
-        contexts.append(tuple(sorted(ctx)))
-    contexts.append(tuple(range(6)))
-    return SicSet(
-        name="ks21",
-        dimension=6,
-        vectors=tuple(vectors),
-        weights=(1,) * 21,
-        contexts=tuple(contexts),
-        expected_edges=105,
-    )
-
-
-_BUILDERS = {"yo13": build_yo13, "ks18": build_ks18, "ks21": build_ks21}
+_DATA = Path(__file__).with_name("data")
+_CATALOG_NAMES = ("ks18", "ks21", "yo13")
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS))
+    return _CATALOG_NAMES
 
 
 def get_set(name: str) -> SicSet:
-    """Look up a built-in set by name."""
-    try:
-        return _BUILDERS[name.lower()]()
-    except KeyError:
-        raise KeyError(f"unknown set {name!r}; built-ins: {', '.join(catalog_names())}")
+    """Look up a built-in set by name and decode its bundled definition."""
+    key = name.lower()
+    if key not in _CATALOG_NAMES:
+        raise KeyError(f"unknown set {name!r}; built-ins: {', '.join(_CATALOG_NAMES)}")
+    return from_json_dict(json.loads((_DATA / f"{key}.json").read_bytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +290,32 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _set_name(value) -> str:
+    """A set's name goes into artifact file names: a non-empty string
+    with no path separator and no NUL."""
+    if type(value) is not str or not value or any(c in value for c in "/\\\0"):
+        raise ValueError("name must be a non-empty string without '/', '\\' "
+                         f"or NUL, not {value!r}")
+    return value
+
+
 def from_json_dict(doc: dict) -> SicSet:
+    # one shared scalar per distinct entry: ExactScalar is frozen, and the
+    # entries are type-checked before the lookup, since True == 1 as a key
+    scalars: dict[tuple[int, int], ExactScalar] = {}
+
+    def scalar(a, b) -> ExactScalar:
+        key = (_json_int(a, "vector entry"), _json_int(b, "vector entry"))
+        value = scalars.get(key)
+        if value is None:
+            value = scalars[key] = ExactScalar(*key)
+        return value
+
     try:
-        vectors = tuple(
-            tuple(ExactScalar(_json_int(a, "vector entry"), _json_int(b, "vector entry"))
-                  for a, b in vec) for vec in doc["vectors"]
-        )
+        vectors = tuple(tuple(scalar(a, b) for a, b in vec) for vec in doc["vectors"])
         contexts = doc.get("contexts")
         return SicSet(
-            name=str(doc["name"]),
+            name=_set_name(doc["name"]),
             dimension=_json_int(doc["dimension"], "dimension"),
             vectors=vectors,
             weights=tuple(_json_int(w, "weight") for w in doc["weights"]),

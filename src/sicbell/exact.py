@@ -54,19 +54,6 @@ class ExactScalar:
 
 
 ZERO = ExactScalar(0, 0)
-ONE = ExactScalar(1, 0)
-# Primitive cube root of unity w^2 = w - 1 and its square -w.
-OMEGA3 = ExactScalar(-1, 1)
-OMEGA3_SQ = ExactScalar(0, -1)
-
-
-def from_int(k: int) -> ExactScalar:
-    return ExactScalar(k, 0)
-
-
-def cube_root_power(k: int) -> ExactScalar:
-    """exp(2*pi*i*k/3) as an exact ring element."""
-    return (ONE, OMEGA3, OMEGA3_SQ)[k % 3]
 
 
 def inner_product(u, v) -> ExactScalar:

@@ -2,10 +2,12 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sicbell.catalog
 from sicbell.bounds import ks_colorable
 from sicbell.catalog import (
     ExactScalar,
@@ -13,9 +15,6 @@ from sicbell.catalog import (
     WeightedGraph,
     bell_coefficients,
     bell_settings,
-    build_ks18,
-    build_ks21,
-    build_yo13,
     catalog_names,
     from_json_dict,
     get_set,
@@ -25,7 +24,7 @@ from sicbell.catalog import (
     to_json_dict,
     verify_set,
 )
-from sicbell.exact import from_int, inner_product
+from sicbell.exact import inner_product
 
 from exact_oracle import projector_sum_equals
 
@@ -41,7 +40,7 @@ def test_catalog_names_and_lookup():
 
 
 def test_yo13_shape_and_edges():
-    s = build_yo13()
+    s = get_set("yo13")
     assert s.n == 13 and s.dimension == 3
     assert s.contexts is None
     g = orthogonality_graph(s)
@@ -64,12 +63,12 @@ def test_yo13_shape_and_edges():
 
 def test_yo13_projector_resolution():
     # the thirteen unnormalized projectors sum to 13/3 of the identity
-    s = build_yo13()
+    s = get_set("yo13")
     assert projector_sum_equals(list(s.vectors), Fraction(13, 3))
 
 
 def test_ks18_structure():
-    s = build_ks18()
+    s = get_set("ks18")
     assert s.n == 18 and s.dimension == 4
     assert len(s.contexts) == 9
     counts = Counter(v for ctx in s.contexts for v in ctx)
@@ -81,7 +80,7 @@ def test_ks18_structure():
 
 
 def test_ks21_structure():
-    s = build_ks21()
+    s = get_set("ks21")
     assert s.n == 21 and s.dimension == 6
     assert len(s.contexts) == 7
     counts = Counter(v for ctx in s.contexts for v in ctx)
@@ -100,7 +99,7 @@ def test_ks21_structure():
 def test_ks21_is_triangular_graph():
     # vertices biject with the 21 pairs of a 7-element context list so that
     # adjacency is exactly "the pairs intersect"
-    s = build_ks21()
+    s = get_set("ks21")
     membership = {v: [] for v in range(s.n)}
     for k, ctx in enumerate(s.contexts):
         for v in ctx:
@@ -123,7 +122,7 @@ def test_parity_sets_not_colorable(name):
 
 def test_single_basis_is_colorable():
     # control: one orthonormal basis alone always admits an assignment
-    basis = tuple(tuple(from_int(1 if i == j else 0) for j in range(4)) for i in range(4))
+    basis = tuple(tuple(ExactScalar(int(i == j), 0) for j in range(4)) for i in range(4))
     s = SicSet(name="basis4", dimension=4, vectors=basis, weights=(1,) * 4,
                contexts=((0, 1, 2, 3),))
     g = orthogonality_graph(s)
@@ -162,11 +161,11 @@ def test_verify_set_passes_builtin():
 
 
 def test_verify_set_flags_corruption():
-    s = build_yo13()
+    s = get_set("yo13")
     vecs = list(s.vectors)
     row = list(vecs[3])
-    assert row[1] == from_int(1)
-    row[1] = from_int(2)
+    assert row[1] == ExactScalar(1, 0)
+    row[1] = ExactScalar(2, 0)
     vecs[3] = tuple(row)
     bad = SicSet(name=s.name, dimension=s.dimension, vectors=tuple(vecs),
                  weights=s.weights, contexts=None, expected_edges=s.expected_edges)
@@ -200,10 +199,29 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_entries_are_ring_pairs():
-    doc = to_json_dict(build_ks21())
+    doc = to_json_dict(get_set("ks21"))
     # sixth-root coefficients: entry [a, b] means a + b*omega
     flat = {tuple(e) for vec in doc["vectors"] for e in vec}
     assert (1, 0) in flat and (-1, 1) in flat and (0, -1) in flat
+
+
+@pytest.mark.parametrize("twin", [[True, 0], [1.0, 0]], ids=["bool", "float"])
+def test_shared_entries_keep_the_type_check(twin):
+    # [1, 0] is decoded first and shared; a later [true, 0] or [1.0, 0]
+    # equals its key, and must still be refused for its type
+    doc = to_json_dict(get_set("yo13"))
+    assert doc["vectors"][0][0] == [1, 0]
+    doc["vectors"][1][1] = twin
+    with pytest.raises(ValueError, match=r"^malformed set definition: vector entry "
+                                         r"must be a JSON integer, not "):
+        from_json_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["yo13_ks18", "ks18_ks21", "..", "set 1.v2"])
+def test_file_safe_names_are_kept(name):
+    doc = to_json_dict(get_set("ks18"))
+    doc["name"] = name
+    assert from_json_dict(doc).name == name
 
 
 def test_from_json_rejects_garbage():
@@ -213,7 +231,7 @@ def test_from_json_rejects_garbage():
 
 def test_scaling_leaves_graph_alone():
     # doubling a ray must not change the edge set
-    s = build_yo13()
+    s = get_set("yo13")
     vecs = list(s.vectors)
     vecs[0] = tuple(x * ExactScalar(2, 0) for x in vecs[0])
     scaled = SicSet(name="scaled", dimension=3, vectors=tuple(vecs),
@@ -227,12 +245,13 @@ def test_float_vectors_unit_norm():
             assert abs(np.linalg.norm(arr) - 1.0) < 1e-12
 
 
-def test_bundled_data_files_match_builders():
-    from importlib import resources
-
-    base = resources.files("sicbell") / "data"
+def test_bundled_data_files_are_the_catalog():
+    # the data files are the only copy of the built-in sets: one per
+    # name, each decoded without loss, and each a valid set
+    data = Path(sicbell.catalog.__file__).with_name("data")
+    assert catalog_names() == tuple(sorted(p.stem for p in data.glob("*.json")))
     for name in catalog_names():
-        doc = json.loads((base / f"{name}.json").read_text())
-        sic = from_json_dict(doc)
-        assert sic == get_set(name)
-        assert verify_set(sic).ok
+        sic = get_set(name)
+        assert to_json_dict(sic) == json.loads((data / f"{name}.json").read_text())
+        rep = verify_set(sic)
+        assert rep.ok, (name, rep.failures())

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sicbell.bounds import ThetaNonConvergence, solve_theta
-from sicbell.catalog import build_yo13, get_set, save_set, to_json_dict
+from sicbell.catalog import get_set, save_set, to_json_dict
 from sicbell.cli import OUTDIR_ENV, RunConfig, load_run_config, main, resolve_set
 import sicbell
 from sicbell import cli as cli_module
@@ -109,12 +109,12 @@ class TestCatalog:
 
     def test_set_from_json_file(self, tmp_path, capsys):
         path = tmp_path / "custom.json"
-        save_set(build_yo13(), path)
+        save_set(get_set("yo13"), path)
         assert main(["catalog", str(path)]) == 0
         assert "13 vectors" in capsys.readouterr().out
 
     def test_zero_weight_is_itemised(self, tmp_path, capsys):
-        doc = to_json_dict(build_yo13())
+        doc = to_json_dict(get_set("yo13"))
         doc["weights"][0] = 0
         path = tmp_path / "zero_weight.json"
         path.write_text(json.dumps(doc))
@@ -203,7 +203,7 @@ class TestBounds:
     def test_large_entry_gives_catalog_bounds(self, tmp_path):
         # ray 1 scaled by 10**30 is the same ray, with a squared norm
         # beyond int64
-        doc = to_json_dict(build_yo13())
+        doc = to_json_dict(get_set("yo13"))
         doc["vectors"][0][0] = [10**30, 0]
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -500,7 +500,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", ["bounds", "predict", "simulate"])
     def test_invalid_custom_set_rejected(self, tmp_path, capsys, command):
-        doc = to_json_dict(build_yo13())
+        doc = to_json_dict(get_set("yo13"))
         doc["vectors"][0] = [[0, 0]] * 3
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(doc))
@@ -509,6 +509,29 @@ class TestConfigHandling:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: set {path} fails validation: nonzero_vectors\n"
+
+    @pytest.mark.parametrize("command", ["bounds", "predict", "simulate"])
+    @pytest.mark.parametrize("name", [
+        "outside", "../x", "a\\b", "a\0b", "", 5, None, ["yo13"],
+    ], ids=["absolute", "parent", "backslash", "nul", "empty", "number",
+            "null", "list"])
+    def test_set_name_cannot_leave_the_out_directory(self, tmp_path, capsys,
+                                                     command, name):
+        # the name goes into artifact file names, so it must not be a path
+        doc = to_json_dict(get_set("yo13"))
+        doc["name"] = str(tmp_path / name) if name == "outside" else name
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out" / "deep"
+        argv = ([command, str(path)] if command == "bounds"
+                else [command, "--set", str(path)])
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot load set from {path}: "
+                                       "malformed set definition: name must be ")
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.rglob("*")] == ["custom.json"]
 
     def test_outdir_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))

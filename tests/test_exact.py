@@ -7,13 +7,8 @@ import pytest
 
 from sicbell.exact import (
     OMEGA,
-    OMEGA3,
-    OMEGA3_SQ,
-    ONE,
     ZERO,
     ExactScalar,
-    cube_root_power,
-    from_int,
     gram,
     inner_product,
     to_complex_vector,
@@ -21,6 +16,12 @@ from sicbell.exact import (
 )
 
 from exact_oracle import projector_sum_equals
+
+
+ONE = ExactScalar(1, 0)
+# the primitive cube root of unity w^2 = w - 1, and its square w^4 = -w
+OMEGA3 = ExactScalar(-1, 1)
+OMEGA3_SQ = ExactScalar(0, -1)
 
 
 def rand_scalar(rng):
@@ -65,14 +66,11 @@ def test_root_of_unity_identities():
     assert abs(OMEGA - cmath.exp(1j * cmath.pi / 3)) < 1e-15
     w = ExactScalar(0, 1)
     assert w * w == ExactScalar(-1, 1)          # w^2 = w - 1
-    assert OMEGA3 == ExactScalar(-1, 1)
     assert OMEGA3 * OMEGA3 == OMEGA3_SQ
     assert OMEGA3 * OMEGA3 * OMEGA3 == ONE
     assert ONE + OMEGA3 + OMEGA3_SQ == ZERO
-    for k in range(9):
-        assert cube_root_power(k) == cube_root_power(k % 3)
-        z = cube_root_power(k).to_complex()
-        assert abs(z - cmath.exp(2j * cmath.pi * k / 3)) < 1e-12
+    for k, root in enumerate((ONE, OMEGA3, OMEGA3_SQ)):
+        assert abs(root.to_complex() - cmath.exp(2j * cmath.pi * k / 3)) < 1e-12
 
 
 def test_inner_product_conjugate_symmetry():
@@ -100,7 +98,7 @@ def test_to_complex_vector_norm():
 
 
 def test_projector_sum_standard_basis():
-    basis = [tuple(from_int(1 if i == j else 0) for j in range(3)) for i in range(3)]
+    basis = [tuple(ExactScalar(int(i == j), 0) for j in range(3)) for i in range(3)]
     assert projector_sum_equals(basis, Fraction(1))
     assert not projector_sum_equals(basis[:2], Fraction(1))
     doubled = basis + basis
@@ -134,7 +132,7 @@ def test_gram_exact_ints_just_above_threshold():
 
 def test_gram_never_wraps():
     # <u, u> = 4 * 2**62 = 2**64, which int64 arithmetic would wrap to 0
-    u = (from_int(2**31),) * 4
+    u = (ExactScalar(2**31, 0),) * 4
     re, w = gram([u, u])
     assert re.dtype == object
     assert re[0, 1] == 2**64 and w[0, 1] == 0

@@ -42,7 +42,7 @@ from sicbell.bounds import (
 )
 from sicbell.catalog import SicSet, WeightedGraph, get_set, verify_set
 from sicbell.cli import main
-from sicbell.exact import ONE, ZERO, ExactScalar, gram
+from sicbell.exact import ZERO, ExactScalar, gram
 from sicbell.montecarlo import (
     CountRecord,
     estimate_beta,
@@ -82,7 +82,8 @@ def ray_sets(draw):
     n = draw(st.integers(2, 8))
     # a zero draw becomes a basis ray, so every vector has a projector
     vector = st.lists(_scalars, min_size=d, max_size=d).map(
-        lambda v: tuple(v) if any(not s.is_zero() for s in v) else (ONE,) + tuple(v[1:]))
+        lambda v: tuple(v) if any(not s.is_zero() for s in v)
+        else (ExactScalar(1, 0),) + tuple(v[1:]))
     vectors = tuple(draw(st.lists(vector, min_size=n, max_size=n)))
     weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     return SicSet(name="random", dimension=d, vectors=vectors, weights=weights)
@@ -210,7 +211,7 @@ def test_closed_form_ideal_matches_noise_model(sic):
 # the contraction rounds this set's beta to 1.0000000000000002, above its
 # exact optimum 1: the exact value sum(w) / d is what the ceiling bounds
 @example(SicSet(name="random", dimension=3,
-                vectors=((ONE, ZERO, ZERO), (ZERO, ZERO, ExactScalar(0, 1)),
+                vectors=((ExactScalar(1, 0), ZERO, ZERO), (ZERO, ZERO, ExactScalar(0, 1)),
                          (ZERO, ExactScalar(0, 1), ZERO)),
                 weights=(1, 1, 1)))
 def test_ideal_value_is_below_the_ceiling(sic):
