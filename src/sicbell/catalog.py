@@ -313,6 +313,8 @@ def from_json_dict(doc: dict) -> SicSet:
 
     try:
         vectors = tuple(tuple(scalar(a, b) for a, b in vec) for vec in doc["vectors"])
+        if not vectors:
+            raise ValueError("a set needs at least one vector")
         contexts = doc.get("contexts")
         return SicSet(
             name=_set_name(doc["name"]),

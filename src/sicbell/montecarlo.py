@@ -4,13 +4,14 @@ A run visits every measurement setting of a set (each diagonal and both
 orientations of each edge), accumulates coincidence counts for a fixed
 exposure, and estimates the inequality value with propagated counting
 errors.  Counts are Poisson distributed around N * P, where N is the
-calibrated number of pairs per setting exposure, and a run draws them
-from one PRNG stream keyed by its seed, so the whole pipeline is a pure
-function of the plan, the noise configuration, and the seed.
+calibrated number of pairs per setting exposure and P the table that
+``predict`` writes; a run draws them from one PRNG stream keyed by its
+seed, so the whole pipeline is a pure function of the set, the noise
+configuration, the exposure and the seed.
 
 Records and tables keep the setting order they were made in, and
 nothing here reorders them: :func:`estimate_beta` refuses any order but
-``SicSet.settings``, the one :func:`plan_for` lays a full run out in.
+``SicSet.settings``, the order of the prediction table a run draws from.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 
 from .bounds import max_weight_independent_set
 from .catalog import SicSet
-from .noise import (NoiseConfig, PredictionInputs, apply_noise,
-                    expected_bell_value)
+from .noise import NoiseConfig, expected_bell_value
 from .quantum import ProbabilityTable
 
 _MAX_SEED = 2**64
@@ -34,57 +34,6 @@ _BOOTSTRAP_STREAM = 0x626F6F74
 _COUNTS_STREAM = 0x636F756E
 # one row of the counts file, as json.dumps(indent=2) lays it out
 _COUNT_ROW = '    {\n      "alice": %d,\n      "bob": %d,\n      "count": %d\n    }'
-
-
-@dataclass(frozen=True)
-class RunPlan:
-    """What to measure and for how long.
-
-    ``settings`` lists the (i, j) ray pairs to visit; ``pair_rate`` is the
-    expected coincidence rate for a unit-probability setting, so one
-    setting's exposure corresponds to N = pair_rate * integration_time
-    source pairs.  ``seed`` makes the run reproducible.
-    """
-
-    set_name: str
-    settings: tuple[tuple[int, int], ...]
-    pair_rate: float
-    integration_time: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "settings",
-            tuple((int(i), int(j)) for i, j in self.settings))
-        if not self.settings:
-            raise ValueError("plan needs at least one setting")
-        if len(set(self.settings)) != len(self.settings):
-            raise ValueError("duplicate settings in plan")
-        if not self.pair_rate > 0:
-            raise ValueError("pair_rate must be positive")
-        if not self.integration_time > 0:
-            raise ValueError("integration_time must be positive")
-        if not math.isfinite(self.exposure):
-            raise ValueError("pair_rate * integration_time is not finite")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must fit in 64 bits")
-
-    @property
-    def exposure(self) -> float:
-        """Calibrated pairs per setting, N = rate * time."""
-        return self.pair_rate * self.integration_time
-
-
-def plan_for(sic: SicSet, pair_rate: float, integration_time: float,
-             seed: int) -> RunPlan:
-    """A plan covering every setting of a set in canonical order."""
-    return RunPlan(
-        set_name=sic.name,
-        settings=sic.settings,
-        pair_rate=pair_rate,
-        integration_time=integration_time,
-        seed=seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -98,10 +47,12 @@ class CountRecord:
     seed: int
 
     def __post_init__(self):
-        # int tuples, as in RunPlan: a counts file read back gives list pairs
+        # int tuples: a counts file read back gives list pairs
         object.__setattr__(
             self, "settings",
             tuple([(int(i), int(j)) for i, j in self.settings]))
+        if len(set(self.settings)) != len(self.settings):
+            raise ValueError("duplicate settings in record")
         if len(self.counts) != len(self.settings):
             raise ValueError("one count per setting required")
         if any(c < 0 for c in self.counts):
@@ -150,30 +101,37 @@ class ViolationReport:
         return doc
 
 
-def simulate_counts(plan: RunPlan, inputs: PredictionInputs) -> CountRecord:
-    """Draw Poisson counts for every setting of a plan.
+def simulate_counts(sic: SicSet, table: ProbabilityTable, pair_rate: float,
+                    integration_time: float, seed: int) -> CountRecord:
+    """Draw Poisson counts around N * P for every setting of a table.
 
-    One vectorised draw, in plan order, from the run's single PRNG
-    stream derived from (seed, _COUNTS_STREAM): identical seeds and
-    plans give identical records.
+    N = pair_rate * integration_time is the calibrated number of pairs
+    per setting.  One vectorised draw, in table order, from the run's
+    single PRNG stream derived from (seed, _COUNTS_STREAM): identical
+    seeds and tables give identical records.
     """
-    if plan.set_name != inputs.set_name:
-        raise ValueError(
-            f"plan is for {plan.set_name!r} but inputs are for "
-            f"{inputs.set_name!r}")
-    means = plan.exposure * inputs.probabilities(plan.settings)
+    if not pair_rate > 0:
+        raise ValueError("pair_rate must be positive")
+    if not integration_time > 0:
+        raise ValueError("integration_time must be positive")
+    exposure = pair_rate * integration_time
+    if not math.isfinite(exposure):
+        raise ValueError("pair_rate * integration_time is not finite")
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError("seed must fit in 64 bits")
+    means = exposure * table.values
     if means.max() > _MAX_MEAN:
         raise OverflowError(
             f"expected count {means.max()} exceeds the counter range")
     rng = np.random.default_rng(
-        np.random.SeedSequence([plan.seed, _COUNTS_STREAM]))
+        np.random.SeedSequence([seed, _COUNTS_STREAM]))
     counts = tuple(rng.poisson(means).tolist())
     return CountRecord(
-        set_name=plan.set_name,
-        settings=plan.settings,
+        set_name=sic.name,
+        settings=table.settings,
         counts=counts,
-        exposure=plan.exposure,
-        seed=plan.seed,
+        exposure=exposure,
+        seed=seed,
     )
 
 
@@ -271,6 +229,8 @@ def fit_visibility(target_beta: float, sic: SicSet) -> float:
     beta_ideal = sum(sic.weights) / d
     # every rank-1 effect has probability 1/d^2 on the maximally mixed state
     beta_mixed = float(sic.coefficients.sum()) / d**2
+    if not beta_ideal > beta_mixed:  # d = 1: the mixed state is the ideal one
+        raise ValueError(f"white noise cannot move beta for set {sic.name}")
     if not beta_mixed - 1e-12 <= target_beta <= beta_ideal + 1e-12:
         raise ValueError(
             f"target {target_beta} outside the reachable range "
@@ -307,9 +267,8 @@ def run_experiment(sic: SicSet, cfg: NoiseConfig, pair_rate: float,
                    bootstrap_replicates: int = 0
                    ) -> tuple[CountRecord, ProbabilityTable, ViolationReport]:
     """The full pipeline: noise model, counts, estimates, significance."""
-    inputs = apply_noise(sic, cfg)
-    plan = plan_for(sic, pair_rate, integration_time, seed)
-    record = simulate_counts(plan, inputs)
+    _, expected = expected_bell_value(sic, cfg)
+    record = simulate_counts(sic, expected, pair_rate, integration_time, seed)
     table = estimate_probabilities(record)
     report = estimate_beta(table, sic, record=record,
                            bootstrap_replicates=bootstrap_replicates)

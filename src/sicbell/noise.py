@@ -196,8 +196,6 @@ class PredictionInputs:
     Tr[rho (A_i x B_j)].
     """
 
-    set_name: str
-    dimension: int
     state: BipartiteState
     alice_effects: np.ndarray = field(repr=False)
     bob_effects: np.ndarray = field(repr=False)
@@ -236,8 +234,8 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
 
     The source state is the (possibly non-flat) Schmidt state mixed with
     white noise at weight 1 - visibility; the analyzers carry the
-    crosstalk leakage.  The returned object feeds both the exact
-    prediction table and the count simulator.
+    crosstalk leakage.  The returned object feeds the exact prediction
+    table, which the count simulator draws from.
     """
     d = sic.dimension
     spec = cfg.spectrum if cfg.spectrum is not None else uniform_spectrum(default_modes(d))
@@ -248,7 +246,7 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
     v = cfg.visibility
     rho = v * pure + (1.0 - v) * np.eye(d * d, dtype=complex) / (d * d)
     alice, bob = measurement_effects(sic, cfg.crosstalk)
-    return PredictionInputs(sic.name, d, BipartiteState(d, rho), alice, bob)
+    return PredictionInputs(BipartiteState(d, rho), alice, bob)
 
 
 def prediction_table(sic: SicSet, inputs: PredictionInputs) -> ProbabilityTable:

@@ -26,14 +26,13 @@ from sicbell.montecarlo import (
     estimate_probabilities,
     exposure_for_sigma,
     fit_visibility,
-    plan_for,
     simulate_counts,
 )
 from sicbell.noise import (
     NoiseConfig,
     SchmidtSpectrum,
-    apply_noise,
     default_modes,
+    expected_bell_value,
     procrustean_filter,
     schmidt_state,
     spiral_spectrum,
@@ -130,13 +129,12 @@ def test_acceptance_4_statistics_round_trip(capsys):
         v = fit_visibility(target, sic)
         cfg = NoiseConfig(visibility=v)
         pairs = exposure_for_sigma(sic, cfg, sigma_target)
-        inputs = apply_noise(sic, cfg)
+        _, table = expected_bell_value(sic, cfg)
         zs = []
         sigmas = []
         for seed in range(10):
-            plan = plan_for(sic, pairs, 1.0, seed)
-            rep = estimate_beta(
-                estimate_probabilities(simulate_counts(plan, inputs)), sic)
+            rep = estimate_beta(estimate_probabilities(
+                simulate_counts(sic, table, pairs, 1.0, seed)), sic)
             zs.append(rep.sigmas_of_violation)
             sigmas.append(rep.sigma)
         mean_sigma = float(np.mean(sigmas))
@@ -226,14 +224,13 @@ def test_acceptance_7_statistical_soundness(capsys, tmp_path):
 
     for name in catalog_names():
         sic = get_set(name)
-        inputs = apply_noise(sic, NoiseConfig())
+        _, table = expected_bell_value(sic, NoiseConfig())
         truth = sum(sic.weights) / sic.dimension
         betas = []
         sigmas = []
         for seed in range(100):
-            plan = plan_for(sic, 1e4, 1.0, seed)
-            rep = estimate_beta(
-                estimate_probabilities(simulate_counts(plan, inputs)), sic)
+            rep = estimate_beta(estimate_probabilities(
+                simulate_counts(sic, table, 1e4, 1.0, seed)), sic)
             betas.append(rep.beta_hat)
             sigmas.append(rep.sigma)
         bias = abs(float(np.mean(betas)) - truth)
@@ -244,12 +241,12 @@ def test_acceptance_7_statistical_soundness(capsys, tmp_path):
     ratios = []
     for name in catalog_names():
         sic = get_set(name)
-        inputs = apply_noise(sic, NoiseConfig())
+        _, table = expected_bell_value(sic, NoiseConfig())
         for seed in range(5):
             small = estimate_beta(estimate_probabilities(simulate_counts(
-                plan_for(sic, 2.5e4, 1.0, seed), inputs)), sic)
+                sic, table, 2.5e4, 1.0, seed)), sic)
             large = estimate_beta(estimate_probabilities(simulate_counts(
-                plan_for(sic, 1e5, 1.0, seed), inputs)), sic)
+                sic, table, 1e5, 1.0, seed)), sic)
             ratios.append(small.sigma / large.sigma)
     mean_ratio = float(np.mean(ratios))
     ok &= abs(mean_ratio - 2.0) <= 0.2

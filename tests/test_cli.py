@@ -395,6 +395,20 @@ class TestFit:
         assert err.startswith("error: sigma_target")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["1", "0.5"])
+    def test_one_dimensional_set_has_no_visibility(self, tmp_path, capsys,
+                                                   target):
+        # at d = 1 the maximally mixed state is the ideal state, so beta
+        # does not depend on the visibility
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"name": "one", "dimension": 1,
+                                    "vectors": [[[1, 0]]], "weights": [1]}))
+        assert main(["fit", "--set", str(path), "--target-beta", target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: white noise cannot move beta for set "
+                                "one\n")
+
     def test_out_of_range_target(self, capsys):
         assert main(["fit", "--set", "yo13", "--target-beta", "99"]) == 1
         assert "error" in capsys.readouterr().err
@@ -532,6 +546,25 @@ class TestConfigHandling:
                                        "malformed set definition: name must be ")
         assert captured.err.count("\n") == 1
         assert [p.name for p in tmp_path.rglob("*")] == ["custom.json"]
+
+    @pytest.mark.parametrize("command", ["catalog", "bounds", "predict",
+                                         "simulate"])
+    def test_empty_set_is_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"name": "e", "dimension": 3,
+                                    "vectors": [], "weights": []}))
+        out = tmp_path / "out"
+        argv = ([command, str(path)] if command in ("catalog", "bounds")
+                else [command, "--set", str(path)])
+        if command != "catalog":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot load set from {path}: "
+                                "malformed set definition: a set needs at "
+                                "least one vector\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["empty.json"]
 
     def test_outdir_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "envout"))

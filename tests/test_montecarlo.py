@@ -12,13 +12,11 @@ from sicbell.montecarlo import (
     _BOOTSTRAP_STREAM,
     _COUNTS_STREAM,
     CountRecord,
-    RunPlan,
     ViolationReport,
     estimate_beta,
     estimate_probabilities,
     exposure_for_sigma,
     fit_visibility,
-    plan_for,
     run_experiment,
     simulate_counts,
 )
@@ -29,97 +27,92 @@ from sicbell.quantum import ProbabilityTable
 IDEAL = NoiseConfig()
 
 
-def ideal_inputs(name):
-    return apply_noise(get_set(name), IDEAL)
+def ideal_table(name):
+    sic = get_set(name)
+    return prediction_table(sic, apply_noise(sic, IDEAL))
 
 
-class TestRunPlan:
-    def test_canonical_plan_sizes(self):
-        # n diagonals plus two orientations per edge.
-        expected = {"yo13": 13 + 2 * 24, "ks18": 18 + 2 * 63, "ks21": 21 + 2 * 105}
-        for name, size in expected.items():
-            plan = plan_for(get_set(name), 1000.0, 1.0, 7)
-            assert len(plan.settings) == size
-            assert plan.exposure == pytest.approx(1000.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunPlan("x", (), 1.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            RunPlan("x", ((0, 0), (0, 0)), 1.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            RunPlan("x", ((0, 0),), -1.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            RunPlan("x", ((0, 0),), 1.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            RunPlan("x", ((0, 0),), 1.0, 1.0, -1)
-        with pytest.raises(ValueError):
-            RunPlan("x", ((0, 0),), 1.0, 1.0, 2**64)
+def one_setting_table(setting, inputs):
+    return ProbabilityTable((setting,), inputs.probabilities([setting]))
 
 
 class TestSimulateCounts:
+    def test_canonical_record_sizes(self):
+        # n diagonals plus two orientations per edge.
+        expected = {"yo13": 13 + 2 * 24, "ks18": 18 + 2 * 63, "ks21": 21 + 2 * 105}
+        for name, size in expected.items():
+            rec = simulate_counts(get_set(name), ideal_table(name), 1000.0, 1.0, 7)
+            assert len(rec.settings) == len(rec.counts) == size
+            assert rec.exposure == pytest.approx(1000.0)
+
+    def test_validation(self):
+        sic, table = get_set("yo13"), ideal_table("yo13")
+        with pytest.raises(ValueError, match="pair_rate must be positive"):
+            simulate_counts(sic, table, -1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="integration_time must be positive"):
+            simulate_counts(sic, table, 1.0, 0.0, 0)
+        with pytest.raises(ValueError, match="is not finite"):
+            simulate_counts(sic, table, 1e200, 1e200, 0)
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            simulate_counts(sic, table, 1.0, 1.0, -1)
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            simulate_counts(sic, table, 1.0, 1.0, 2**64)
+        with pytest.raises(ValueError, match="duplicate settings in record"):
+            CountRecord("x", ((0, 0), (0, 0)), (1, 1), 1.0, 0)
+
     def test_fixed_seed_is_deterministic(self):
-        inputs = ideal_inputs("yo13")
-        plan = plan_for(get_set("yo13"), 1e5, 1.0, 123456789)
-        first = simulate_counts(plan, inputs)
-        second = simulate_counts(plan, inputs)
+        sic, table = get_set("yo13"), ideal_table("yo13")
+        first = simulate_counts(sic, table, 1e5, 1.0, 123456789)
+        second = simulate_counts(sic, table, 1e5, 1.0, 123456789)
         assert first == second
 
     def test_different_seeds_differ(self):
-        inputs = ideal_inputs("yo13")
-        a = simulate_counts(plan_for(get_set("yo13"), 1e5, 1.0, 1), inputs)
-        b = simulate_counts(plan_for(get_set("yo13"), 1e5, 1.0, 2), inputs)
+        sic, table = get_set("yo13"), ideal_table("yo13")
+        a = simulate_counts(sic, table, 1e5, 1.0, 1)
+        b = simulate_counts(sic, table, 1e5, 1.0, 2)
         assert a.counts != b.counts
 
     def test_zero_probability_gives_zero_counts(self):
         # Ideal edge settings are exactly unpopulated.
         sic = get_set("yo13")
-        inputs = ideal_inputs("yo13")
         i, j = orthogonality_graph(sic).edges[0]
+        table = one_setting_table((i, j), apply_noise(sic, IDEAL))
         for seed in range(20):
-            plan = RunPlan("yo13", ((i, j),), 1e6, 1.0, seed)
-            rec = simulate_counts(plan, inputs)
+            rec = simulate_counts(sic, table, 1e6, 1.0, seed)
             assert rec.counts == (0,)
 
     def test_sample_mean_matches_poisson_moments(self):
         # A single diagonal setting at P = 1/3 and N = 1e6: the mean of
         # C/N over 100 seeds estimates P with standard error
         # sqrt(P/N/100).
-        inputs = ideal_inputs("yo13")
+        sic = get_set("yo13")
+        table = one_setting_table((0, 0), apply_noise(sic, IDEAL))
         n_pairs = 1e6
         values = []
         for seed in range(100):
-            plan = RunPlan("yo13", ((0, 0),), n_pairs, 1.0, seed)
-            values.append(simulate_counts(plan, inputs).counts[0] / n_pairs)
+            values.append(simulate_counts(sic, table, n_pairs, 1.0, seed).counts[0]
+                          / n_pairs)
         p = 1.0 / 3.0
         band = 3.0 * math.sqrt(p / n_pairs / 100.0)
         assert abs(np.mean(values) - p) < band
 
     def test_counts_are_one_draw_from_the_run_stream(self):
+        # run_experiment draws from the very table predict writes
         sic = get_set("ks18")
-        inputs = apply_noise(sic, NoiseConfig(visibility=0.9, crosstalk=0.02))
-        plan = plan_for(sic, 2e4, 1.5, 2024)
+        cfg = NoiseConfig(visibility=0.9, crosstalk=0.02)
+        record, _, _ = run_experiment(sic, cfg, 2e4, 1.5, 2024)
         rng = np.random.default_rng(
             np.random.SeedSequence([2024, _COUNTS_STREAM]))
-        means = plan.exposure * inputs.probabilities(plan.settings)
-        assert simulate_counts(plan, inputs).counts == tuple(
-            rng.poisson(means).tolist())
+        means = 2e4 * 1.5 * expected_bell_value(sic, cfg)[1].values
+        assert record.counts == tuple(rng.poisson(means).tolist())
+        assert record.settings == sic.settings and record.set_name == "ks18"
         assert _COUNTS_STREAM != _BOOTSTRAP_STREAM
 
-    def test_set_name_mismatch(self):
-        plan = plan_for(get_set("yo13"), 1e4, 1.0, 0)
-        with pytest.raises(ValueError):
-            simulate_counts(plan, ideal_inputs("ks18"))
-
-    def test_setting_out_of_range(self):
-        plan = RunPlan("yo13", ((0, 13),), 1e4, 1.0, 0)
-        with pytest.raises(ValueError):
-            simulate_counts(plan, ideal_inputs("yo13"))
-
     def test_overflow_guard(self):
-        plan = RunPlan("yo13", ((0, 0),), 5e19, 1.0, 0)
+        sic = get_set("yo13")
+        table = one_setting_table((0, 0), apply_noise(sic, IDEAL))
         with pytest.raises(OverflowError):
-            simulate_counts(plan, ideal_inputs("yo13"))
+            simulate_counts(sic, table, 5e19, 1.0, 0)
 
 
 class TestEstimateProbabilities:
@@ -312,14 +305,12 @@ class TestStatisticalBehavior:
         # 3 sigma / sqrt(100) of the exact expected value.
         for name in catalog_names():
             sic = get_set(name)
-            inputs = apply_noise(sic, IDEAL)
-            truth, _ = expected_bell_value(sic, IDEAL)
+            truth, table = expected_bell_value(sic, IDEAL)
             n_pairs = 1e4
             betas = []
             sigmas = []
             for seed in range(100):
-                plan = plan_for(sic, n_pairs, 1.0, seed)
-                rec = simulate_counts(plan, inputs)
+                rec = simulate_counts(sic, table, n_pairs, 1.0, seed)
                 rep = estimate_beta(estimate_probabilities(rec), sic)
                 betas.append(rep.beta_hat)
                 sigmas.append(rep.sigma)
@@ -329,13 +320,13 @@ class TestStatisticalBehavior:
     def test_sigma_halves_when_exposure_quadruples(self):
         for name in catalog_names():
             sic = get_set(name)
-            inputs = apply_noise(sic, IDEAL)
+            table = ideal_table(name)
             ratios = []
             for seed in range(5):
                 small = estimate_beta(estimate_probabilities(simulate_counts(
-                    plan_for(sic, 1e4, 1.0, seed), inputs)), sic)
+                    sic, table, 1e4, 1.0, seed)), sic)
                 large = estimate_beta(estimate_probabilities(simulate_counts(
-                    plan_for(sic, 4e4, 1.0, seed), inputs)), sic)
+                    sic, table, 4e4, 1.0, seed)), sic)
                 ratios.append(small.sigma / large.sigma)
             assert abs(float(np.mean(ratios)) - 2.0) < 0.2
 
@@ -344,12 +335,11 @@ class TestStatisticalBehavior:
         # sigma in at least 99 of 100 seeds for every set.
         for name in catalog_names():
             sic = get_set(name)
-            inputs = apply_noise(sic, IDEAL)
+            table = ideal_table(name)
             hits = 0
             for seed in range(100):
-                plan = plan_for(sic, 1e6, 1.0, seed)
-                rep = estimate_beta(
-                    estimate_probabilities(simulate_counts(plan, inputs)), sic)
+                rep = estimate_beta(estimate_probabilities(
+                    simulate_counts(sic, table, 1e6, 1.0, seed)), sic)
                 hits += rep.sigmas_of_violation > 5.0
             assert hits >= 99
 

@@ -12,8 +12,9 @@ assignment.  The closed-form ideal prediction
 is checked against the noise model run at IDEAL, the noise-model
 inversion by a round trip through the forward model, the counts file's
 template against ``json.dumps`` on random count records, a run's layout
-against the set's own setting order, and fuzzed run configs by the
-CLI's exit contract and strict-JSON artifacts.
+against the set's own setting order, and fuzzed run configs and
+mutated bundled set files by the CLI's exit contract and strict-JSON
+artifacts.
 """
 
 import io
@@ -40,7 +41,14 @@ from sicbell.bounds import (
     solve_theta,
     state_ceiling,
 )
-from sicbell.catalog import SicSet, WeightedGraph, get_set, verify_set
+from sicbell.catalog import (
+    SicSet,
+    WeightedGraph,
+    catalog_names,
+    get_set,
+    to_json_dict,
+    verify_set,
+)
 from sicbell.cli import main
 from sicbell.exact import ZERO, ExactScalar, gram
 from sicbell.montecarlo import (
@@ -453,28 +461,126 @@ def _refuse(constant):
     raise ValueError(f"{constant} is not strict JSON")
 
 
+def _exits_cleanly(argv, out):
+    """Run the CLI: it exits 0 and every artifact in ``out`` is strict
+    JSON (no NaN or Infinity), or it exits 1 with one ``error:`` line.
+    ``catalog`` may instead exit 1 after its report, with one INVALID line."""
+    report, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(report), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        text = err.getvalue()
+        invalid = argv[0] == "catalog" and text.endswith(": INVALID\n")
+        assert text.startswith("error:") or (invalid and "[FAIL]" in report.getvalue())
+        assert text.count("\n") == 1 and text.endswith("\n")
+        return
+    for name in os.listdir(out) if os.path.isdir(out) else ():
+        if name.endswith(".json"):
+            with open(os.path.join(out, name), encoding="utf-8") as handle:
+                json.loads(handle.read(), parse_constant=_refuse)
+
+
 @PROPERTY_SETTINGS
 @given(st.sampled_from(_CONFIG_KEYS), _config_values)
 @example("set", 5)
 @example("set", True)
 def test_fuzzed_config_exits_cleanly(key, value):
     config = {"set": "yo13", "bootstrap_replicates": 100, key: value}
-    with tempfile.TemporaryDirectory() as out:
-        path = os.path.join(out, "config.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(config, handle)
+        out = os.path.join(tmp, "out")
         for command in ("predict", "simulate"):
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main([command, "--config", path, "--out", out])
-            assert code in (0, 1)
-            if code == 1:
-                text = err.getvalue()
-                assert text.startswith("error:") and text.count("\n") == 1
-                assert text.endswith("\n")
-            else:  # every artifact is strict JSON: no NaN or Infinity
-                for name in os.listdir(out):
-                    if name.endswith(".json") and name != "config.json":
-                        path = os.path.join(out, name)
-                        with open(path, encoding="utf-8") as handle:
-                            json.loads(handle.read(), parse_constant=_refuse)
+            _exits_cleanly([command, "--config", path, "--out", out], out)
+
+
+_MUTATIONS = ("wrong_type", "huge", "drop", "duplicate", "zero", "missing",
+              "extra", "empty")
+_wrong_types = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.just(1.0),
+    st.sampled_from([1.5, math.inf, math.nan]), st.just({}),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+    st.lists(st.booleans(), max_size=2))
+
+# the values each in-place mutation puts where it finds the type it replaces
+_FILLS = {"wrong_type": (object, _wrong_types), "empty": (list, st.just([])),
+          "huge": (int, st.sampled_from([10**30, -(10**30)]))}
+
+
+def _slots(node):
+    """Every (container, key) of a JSON tree, depth first."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def mutated_sets(draw):
+    """A bundled set with one or two mutations: a value of the wrong type,
+    a vector entry of 10**30, a vector dropped, duplicated or zeroed, a
+    key missing or extra, or a list emptied."""
+    root = {"doc": to_json_dict(get_set(draw(st.sampled_from(catalog_names()))))}
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2)):
+        doc = root["doc"]
+        vectors = doc.get("vectors") if isinstance(doc, dict) else None
+        if kind in ("drop", "duplicate", "zero"):
+            if not isinstance(vectors, list) or not vectors:
+                continue
+            i = draw(st.integers(0, len(vectors) - 1))
+            weights = doc.get("weights")
+            with_weight = (isinstance(weights, list) and len(weights) == len(vectors)
+                           and draw(st.booleans()))
+            if kind == "drop":
+                del vectors[i]
+                if with_weight:
+                    del weights[i]
+            elif kind == "duplicate":
+                vectors.append(json.loads(json.dumps(vectors[i])))
+                if with_weight:
+                    weights.append(weights[i])
+            elif isinstance(vectors[i], list):
+                vectors[i] = [[0, 0] for _ in vectors[i]]
+        elif kind in ("missing", "extra"):
+            objects = [node[key] for node, key in _slots(root)
+                       if isinstance(node[key], dict)]
+            if not objects:
+                continue
+            target = draw(st.sampled_from(objects))
+            if kind == "extra":
+                target[draw(st.text(max_size=4))] = draw(_wrong_types)
+            elif target:
+                del target[draw(st.sampled_from(sorted(target)))]
+        else:
+            want, fill = _FILLS[kind]
+            # an entry of 10**30 in a weight stalls theta_graph (exit 2)
+            tree = {"vectors": vectors} if kind == "huge" else root
+            slots = [(node, key) for node, key in _slots(tree)
+                     if isinstance(node[key], want) and not isinstance(node[key], bool)]
+            if not slots:
+                continue
+            node, key = draw(st.sampled_from(slots))
+            node[key] = draw(fill)
+        event(kind)
+    return root["doc"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_sets())
+def test_fuzzed_set_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "set.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as handle:
+            json.dump({"bootstrap_replicates": 0}, handle)
+        out = os.path.join(tmp, "out")
+        _exits_cleanly(["catalog", path], out)
+        _exits_cleanly(["bounds", path, "--out", out], out)
+        for command in ("predict", "simulate"):
+            _exits_cleanly([command, "--set", path, "--config", config,
+                            "--out", out], out)
