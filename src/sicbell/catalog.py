@@ -104,7 +104,9 @@ class SicSet:
     @cached_property
     def projectors(self) -> np.ndarray:
         """The rank-1 projectors onto the rays, a read-only (n, d, d)
-        stack; the other arm's family is its entrywise conjugate."""
+        stack.  The other arm's family is its entrywise conjugate, formed
+        only in :mod:`sicbell.quantum` (``born_probabilities`` and
+        ``bell_operator``)."""
         vecs = np.array(self.float_vectors()).reshape(self.n, self.dimension)
         stack = np.einsum("ia,ib->iab", vecs, vecs.conj())
         stack.setflags(write=False)

@@ -14,10 +14,13 @@ tunable parameter:
 * analyzer crosstalk: each projective effect leaks uniformly into its
   orthogonal complement with weight ``epsilon``.
 
-``apply_noise`` composes all of these into the state and measurement
-effects (built on ``SicSet.projectors``) that the Monte Carlo layer
-samples from.  ``expected_bell_value(sic, IDEAL)`` is the general path
-to the ideal prediction and the tests' reference for its closed form,
+``apply_noise`` composes all of these into the state, a plain (d^2, d^2)
+density matrix, and the first arm's measurement effects (built on
+``SicSet.projectors``) that the Monte Carlo layer samples from; the
+second arm's conjugate effects are formed only in
+:func:`sicbell.quantum.born_probabilities`.
+``expected_bell_value(sic, IDEAL)`` is the general path to the ideal
+prediction and the tests' reference for its closed form,
 ``SicSet.ideal_probabilities`` and beta = sum(w) / d.
 """
 
@@ -30,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import SicSet
-from .quantum import BipartiteState, ProbabilityTable, born_probabilities
+from .quantum import ProbabilityTable, born_probabilities
 
 _NORM_TOL = 1e-12
 
@@ -69,11 +72,6 @@ class SchmidtSpectrum:
     @property
     def dimension(self) -> int:
         return len(self.modes)
-
-    def squared(self) -> np.ndarray:
-        """The Schmidt weights |c_l|^2 as an array."""
-        arr = np.array(self.amplitudes, dtype=float)
-        return arr * arr
 
 
 def default_modes(d: int) -> tuple[int, ...]:
@@ -130,8 +128,9 @@ def spiral_spectrum(width: float, modes: Sequence[int]) -> SchmidtSpectrum:
     return SchmidtSpectrum(modes, tuple(amps))
 
 
-def schmidt_state(spec: SchmidtSpectrum) -> BipartiteState:
-    """The pure two-photon state with the given Schmidt coefficients.
+def schmidt_state(spec: SchmidtSpectrum) -> np.ndarray:
+    """The pure two-photon state with the given Schmidt coefficients, as
+    its (d^2, d^2) density matrix.
 
     Mode pairs map to matching computational indices on the two arms, so
     the state vector is sum_k c_k |k>|k> and the flat spectrum reproduces
@@ -141,7 +140,7 @@ def schmidt_state(spec: SchmidtSpectrum) -> BipartiteState:
     psi = np.zeros(d * d, dtype=complex)
     for k, c in enumerate(spec.amplitudes):
         psi[k * d + k] = c
-    return BipartiteState(d, np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj())
 
 
 def procrustean_filter(spec: SchmidtSpectrum) -> tuple[SchmidtSpectrum, float]:
@@ -190,43 +189,43 @@ IDEAL = NoiseConfig()
 class PredictionInputs:
     """State and measurement effects ready for probability evaluation.
 
-    ``alice_effects[i]`` and ``bob_effects[j]`` are the POVM elements for
-    selecting ray i on arm A and ray j on arm B, stacked as (n, d, d)
-    arrays; the joint click probability for setting (i, j) is
-    Tr[rho (A_i x B_j)].
+    ``state`` is the (d^2, d^2) density matrix.  ``effects[i]`` is the
+    POVM element for selecting ray i on arm A, stacked as an (n, d, d)
+    array; arm B selects ray j with its entrywise conjugate, which
+    :func:`sicbell.quantum.born_probabilities` forms.  The joint click
+    probability for setting (i, j) is Tr[rho (A_i x A_j*)].
     """
 
-    state: BipartiteState
-    alice_effects: np.ndarray = field(repr=False)
-    bob_effects: np.ndarray = field(repr=False)
+    state: np.ndarray
+    effects: np.ndarray = field(repr=False)
 
     def probabilities(self, settings: Sequence[tuple[int, int]]) -> np.ndarray:
         """Click probabilities for every setting, in the given order."""
-        return born_probabilities(self.state.rho, self.alice_effects,
-                                  self.bob_effects, settings)
+        return born_probabilities(self.state, self.effects, settings)
 
     def probability(self, i: int, j: int) -> float:
         return float(self.probabilities([(i, j)])[0])
 
 
-def measurement_effects(sic: SicSet, crosstalk: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Analyzer POVM elements for both arms at the given crosstalk level.
+def measurement_effects(sic: SicSet, crosstalk: float) -> np.ndarray:
+    """Arm A's analyzer POVM elements at the given crosstalk level.
 
     Each ideal projector P keeps weight 1 - epsilon and leaks the rest
     uniformly into its complement: E = (1-eps) P + eps (I - P)/(d-1).
-    Arm B uses the entrywise conjugate family.  Both are (n, d, d) stacks.
+    The result is an (n, d, d) stack; arm B's entrywise conjugate family
+    is formed by :func:`sicbell.quantum.born_probabilities`.
     """
     d = sic.dimension
     if not 0.0 <= crosstalk < 1.0:
         raise ValueError(f"crosstalk {crosstalk} outside [0, 1)")
     if crosstalk > 0.0 and d < 2:
         raise ValueError("crosstalk needs dimension at least 2")
-    alice = sic.projectors
+    effects = sic.projectors
     if crosstalk > 0.0:
         eye = np.eye(d, dtype=complex)
-        alice = (1.0 - crosstalk) * alice + crosstalk * (eye - alice) / (d - 1)
-    return alice, alice.conj()
+        effects = ((1.0 - crosstalk) * effects
+                   + crosstalk * (eye - effects) / (d - 1))
+    return effects
 
 
 def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
@@ -242,11 +241,10 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
     if spec.dimension != d:
         raise ValueError(
             f"spectrum has {spec.dimension} modes but the set needs {d}")
-    pure = schmidt_state(spec).rho
+    pure = schmidt_state(spec)
     v = cfg.visibility
     rho = v * pure + (1.0 - v) * np.eye(d * d, dtype=complex) / (d * d)
-    alice, bob = measurement_effects(sic, cfg.crosstalk)
-    return PredictionInputs(BipartiteState(d, rho), alice, bob)
+    return PredictionInputs(rho, measurement_effects(sic, cfg.crosstalk))
 
 
 def prediction_table(sic: SicSet, inputs: PredictionInputs) -> ProbabilityTable:

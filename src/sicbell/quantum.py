@@ -3,11 +3,16 @@
 One party measures the catalog projectors directly, the other always
 measures their entrywise complex conjugates; this pairing is hard-wired
 because it is what makes the diagonal probabilities land on 1/d for the
-maximally entangled state.  Every probability is the Born-rule trace
-Tr[rho (A_i x B_j)] on the d^2-dimensional joint space, and a whole
-table of them comes from one tensor contraction of rho with the stacked
-effects of both arms (:func:`born_probabilities`); the set owns its
-projector stack (``SicSet.projectors``).  The single-pair
+maximally entangled state.  The conjugate family is formed here and
+nowhere else: :func:`born_probabilities` and :func:`bell_operator` take
+one arm's (n, d, d) effect stack and conjugate it for the other.
+
+A state is its density matrix, a plain (d^2, d^2) array on the joint
+space; d comes from the effects or the set, and a matrix of any other
+shape raises ``ValueError``.  Every probability is the Born-rule trace
+Tr[rho (A_i x A_j*)], and a whole table of them comes from one tensor
+contraction (:func:`born_probabilities`); the set owns its projector
+stack (``SicSet.projectors``).  The single-pair
 :func:`joint_probability` builds the Kronecker product explicitly; it is
 kept as the reference the contraction is tested against.  The ideal
 prediction is ``SicSet.ideal_probabilities``; ``noise.expected_bell_value``
@@ -32,33 +37,22 @@ import numpy as np
 from .catalog import SicSet
 
 
-@dataclass(frozen=True)
-class BipartiteState:
-    """Density matrix on a d x d joint system, stored dense."""
-
-    d: int
-    rho: np.ndarray
-
-    def validate(self) -> None:
-        m = self.rho
-        if m.shape != (self.d ** 2, self.d ** 2):
-            raise ValueError(f"state matrix must be {self.d ** 2} x {self.d ** 2}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("state is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
-            raise ValueError("state trace is not 1")
-        if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
-            raise ValueError("state has a negative eigenvalue")
+def _check_state(rho: np.ndarray, d: int) -> None:
+    """Refuse a density matrix that is not (d^2, d^2)."""
+    shape = np.shape(rho)
+    if shape != (d * d, d * d):
+        raise ValueError(f"state matrix has shape {shape}, "
+                         f"expected ({d * d}, {d * d}) for dimension {d}")
 
 
-def max_entangled_state(d: int) -> BipartiteState:
-    """Rank-1 projector onto (1/sqrt(d)) sum_j |j>|j>."""
+def max_entangled_state(d: int) -> np.ndarray:
+    """Rank-1 projector onto (1/sqrt(d)) sum_j |j>|j>, a (d^2, d^2) array."""
     if d < 2:
         raise ValueError("local dimension must be at least 2")
     psi = np.zeros(d * d, dtype=complex)
     for j in range(d):
         psi[j * d + j] = 1.0 / np.sqrt(d)
-    return BipartiteState(d, np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj())
 
 
 def projector(v: Sequence[complex]) -> np.ndarray:
@@ -71,43 +65,42 @@ def projector(v: Sequence[complex]) -> np.ndarray:
     return np.outer(arr, arr.conj())
 
 
-def conjugate_projector(v: Sequence[complex]) -> np.ndarray:
-    """Projector onto the entrywise-conjugated ray, |v*><v*|."""
-    return projector(np.conj(np.asarray(v, dtype=complex)))
-
-
-def joint_probability(rho: BipartiteState, vi: Sequence[complex],
+def joint_probability(rho: np.ndarray, vi: Sequence[complex],
                       vj: Sequence[complex]) -> float:
     """Tr[rho (Pi_i x Pi_j*)], clamped to [0, 1] against roundoff."""
     vi = np.asarray(vi, dtype=complex)
     vj = np.asarray(vj, dtype=complex)
-    if len(vi) != rho.d or len(vj) != rho.d:
-        raise ValueError("vector dimension does not match the state")
-    op = np.kron(projector(vi), conjugate_projector(vj))
-    p = float(np.trace(rho.rho @ op).real)
+    if len(vj) != len(vi):
+        raise ValueError("the two vectors differ in dimension")
+    _check_state(rho, len(vi))
+    op = np.kron(projector(vi), projector(np.conj(vj)))
+    p = float(np.trace(rho @ op).real)
     if p < -1e-9 or p > 1.0 + 1e-9:
         raise ArithmeticError(f"probability {p} outside [0,1] beyond roundoff")
     return min(max(p, 0.0), 1.0)
 
 
-def born_probabilities(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray,
+def born_probabilities(rho: np.ndarray, effects: np.ndarray,
                        settings: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Tr[rho (A_i x B_j)] for every setting (i, j), clamped to [0, 1].
+    """Tr[rho (A_i x A_j*)] for every setting (i, j), clamped to [0, 1].
 
-    ``rho`` is the d^2 x d^2 joint density matrix, ``alice`` and ``bob``
-    are (n, d, d) stacks of effects.  Indexing rho as rho[a, b, c, e]
-    (Alice row, Bob row, Alice column, Bob column), the trace is
-    sum rho[a, b, c, e] A_i[c, a] B_j[e, b] for every (i, j) at once.
-    An index outside the stacks, negative ones too, raises ValueError.
+    ``rho`` is the (d^2, d^2) joint density matrix and ``effects`` is
+    the (n, d, d) stack of the first arm's effects A_i; the second arm
+    measures their entrywise conjugates, formed here.  Indexing rho as
+    rho[a, b, c, e] (first-arm row, second-arm row, first-arm column,
+    second-arm column), the trace is sum rho[a, b, c, e] A_i[c, a]
+    A_j*[e, b] for every (i, j) at once.  A state of any other shape,
+    or an index outside the stack, negative ones too, raises ValueError.
     """
-    d = alice.shape[-1]
+    n, d = len(effects), effects.shape[-1]
+    _check_state(rho, d)
     ii, jj = np.asarray(settings, dtype=int).reshape(-1, 2).T
-    outside = (ii < 0) | (ii >= len(alice)) | (jj < 0) | (jj >= len(bob))
+    outside = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)
     if outside.any():
         k = int(np.argmax(outside))
         raise ValueError(f"setting ({ii[k]}, {jj[k]}) out of range")
-    table = np.einsum("abce,ica,jeb->ij", rho.reshape(d, d, d, d), alice, bob,
-                      optimize=True)
+    table = np.einsum("abce,ica,jeb->ij", rho.reshape(d, d, d, d), effects,
+                      effects.conj(), optimize=True)
     p = table.real[ii, jj]
     bad = p[~((p >= -1e-9) & (p <= 1.0 + 1e-9))]
     if bad.size:
@@ -130,13 +123,9 @@ class ProbabilityTable:
     sigmas: Optional[np.ndarray] = None
 
 
-def bell_value(sic: SicSet, rho: BipartiteState) -> tuple[float, ProbabilityTable]:
-    """Evaluate the functional for a set against a state."""
-    if sic.dimension != rho.d:
-        raise ValueError(
-            f"set dimension {sic.dimension} does not match state dimension {rho.d}")
-    alice = sic.projectors
-    values = born_probabilities(rho.rho, alice, alice.conj(), sic.settings)
+def bell_value(sic: SicSet, rho: np.ndarray) -> tuple[float, ProbabilityTable]:
+    """Evaluate the functional for a set against a (d^2, d^2) state."""
+    values = born_probabilities(rho, sic.projectors, sic.settings)
     table = ProbabilityTable(sic.settings, values)
     return float(sic.coefficients @ values), table
 

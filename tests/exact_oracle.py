@@ -10,10 +10,15 @@ lexicographic tie test, not the clique-cover search; ``is_psd`` decides
 positive semidefiniteness by LDL^T elimination over ``Fraction``, not by
 a floating-point eigensolver; ``colorable_by_enumeration`` tries every
 0/1 assignment of the context members, not an independent set search.
+``validate_state`` checks that a matrix is a density matrix on a d x d
+joint system: its shape, Hermiticity, unit trace and no negative
+eigenvalue.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from sicbell.exact import ZERO, ExactScalar, inner_product, vector_norm_sq
 
@@ -145,3 +150,15 @@ def is_psd(matrix) -> bool:
                 for j in range(k + 1, i + 1):
                     row[j] -= ratio * a[j][k]
     return True
+
+
+def validate_state(rho, d: int) -> None:
+    """Raise ValueError unless rho is a density matrix on a d x d system."""
+    if np.shape(rho) != (d * d, d * d):
+        raise ValueError(f"state matrix must be {d * d} x {d * d}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        raise ValueError("state is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-12:
+        raise ValueError("state trace is not 1")
+    if float(np.linalg.eigvalsh(rho)[0]) < -1e-10:
+        raise ValueError("state has a negative eigenvalue")

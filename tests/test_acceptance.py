@@ -204,14 +204,14 @@ def test_acceptance_6_structural_invariants(capsys):
         (-3, 0, 3), (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)))
     out, success = procrustean_filter(spec)
     state = schmidt_state(out)
-    ent_err = float(np.abs(state.rho - max_entangled_state(3).rho).max())
+    ent_err = float(np.abs(state - max_entangled_state(3)).max())
     ok &= ent_err <= 1e-12
     ok &= abs(success - 3 * 0.2) <= 1e-12
     wide = spiral_spectrum(1.3, default_modes(6))
     out6, success6 = procrustean_filter(wide)
-    ok &= abs(success6 - 6 * min(wide.squared())) <= 1e-12
-    ok &= np.abs(schmidt_state(out6).rho
-                 - max_entangled_state(6).rho).max() <= 1e-12
+    ok &= abs(success6 - 6 * min(np.square(wide.amplitudes))) <= 1e-12
+    ok &= np.abs(schmidt_state(out6)
+                 - max_entangled_state(6)).max() <= 1e-12
 
     report(capsys, 6, "structural invariants", ok,
            f"resolution err={resolution_err:.1e}, context err={context_err:.1e}, "

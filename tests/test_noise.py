@@ -23,6 +23,8 @@ from sicbell.noise import (
 )
 from sicbell.quantum import bell_value, max_entangled_state
 
+from exact_oracle import validate_state
+
 
 def reduced_state(rho: np.ndarray, d: int) -> np.ndarray:
     """Partial trace over the second arm."""
@@ -42,7 +44,7 @@ class TestSpectra:
         spec = uniform_spectrum((-3, 0, 3))
         assert spec.dimension == 3
         assert np.allclose(spec.amplitudes, 1.0 / math.sqrt(3.0))
-        assert abs(sum(spec.squared()) - 1.0) < 1e-12
+        assert abs(sum(np.square(spec.amplitudes)) - 1.0) < 1e-12
 
     def test_spiral_flat_limit(self):
         spec = spiral_spectrum(math.inf, (-3, 0, 3))
@@ -111,7 +113,7 @@ class TestSchmidtState:
         for d in (3, 4, 6):
             state = schmidt_state(uniform_spectrum(default_modes(d)))
             ideal = max_entangled_state(d)
-            assert np.allclose(state.rho, ideal.rho, atol=1e-15)
+            assert np.allclose(state, ideal, atol=1e-15)
 
     def test_product_state_limit(self):
         spec = SchmidtSpectrum((-3, 0, 3), (1.0, 0.0, 0.0))
@@ -119,7 +121,7 @@ class TestSchmidtState:
         yo13 = get_set("yo13")
         beta, _ = bell_value(yo13, state)
         assert beta <= 35.0 / 3.0 + 1e-9
-        red = reduced_state(state.rho, 3)
+        red = reduced_state(state, 3)
         assert abs(np.trace(red @ red).real - 1.0) < 1e-12
 
     def test_reduced_eigenvalues_are_schmidt_weights(self):
@@ -130,9 +132,10 @@ class TestSchmidtState:
             amps = raw / math.sqrt(float(raw @ raw))
             spec = SchmidtSpectrum(default_modes(d), tuple(amps))
             state = schmidt_state(spec)
-            state.validate()
-            eigs = np.sort(np.linalg.eigvalsh(reduced_state(state.rho, d)))
-            assert np.allclose(eigs, np.sort(spec.squared()), atol=1e-12)
+            validate_state(state, d)
+            eigs = np.sort(np.linalg.eigvalsh(reduced_state(state, d)))
+            assert np.allclose(eigs, np.sort(np.square(spec.amplitudes)),
+                               atol=1e-12)
 
 
 class TestProcrustean:
@@ -175,7 +178,7 @@ class TestProcrustean:
         spec = spiral_spectrum(1.2, default_modes(6))
         out, _ = procrustean_filter(spec)
         weights = np.sort(np.linalg.eigvalsh(
-            reduced_state(schmidt_state(out).rho, 6)))
+            reduced_state(schmidt_state(out), 6)))
         entropy = -sum(w * math.log(w) for w in weights if w > 0)
         assert entropy == pytest.approx(math.log(6), abs=1e-10)
 
@@ -283,8 +286,9 @@ class TestApplyNoise:
     def test_effects_are_valid_povm_elements(self):
         sic = get_set("ks18")
         for eps in (0.0, 0.1, 0.5, 0.9):
-            alice, bob = measurement_effects(sic, eps)
-            for fam in (alice, bob):
+            effects = measurement_effects(sic, eps)
+            # the second arm measures the entrywise conjugates
+            for fam in (effects, effects.conj()):
                 for e in fam:
                     assert np.allclose(e, e.conj().T, atol=1e-12)
                     eigs = np.linalg.eigvalsh(e)

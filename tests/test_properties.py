@@ -60,7 +60,6 @@ from sicbell.montecarlo import (
 )
 from sicbell.noise import IDEAL, NoiseConfig, expected_bell_value, measurement_effects
 from sicbell.quantum import (
-    BipartiteState,
     bell_operator,
     bell_value,
     born_probabilities,
@@ -74,6 +73,7 @@ from exact_oracle import (
     is_coloring,
     is_psd,
     loop_edges,
+    validate_state,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -97,12 +97,12 @@ def ray_sets(draw):
     return SicSet(name="random", dimension=d, vectors=vectors, weights=weights)
 
 
-def mixed_state(d: int, seed: int, rank: int) -> BipartiteState:
+def mixed_state(d: int, seed: int, rank: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d * d, rank)) + 1j * rng.normal(size=(d * d, rank))
     rho = g @ g.conj().T
-    state = BipartiteState(d, rho / np.trace(rho).real)
-    state.validate()
+    state = rho / np.trace(rho).real
+    validate_state(state, d)
     return state
 
 
@@ -115,8 +115,7 @@ _ranks = st.integers(1, 36)
 def test_contraction_matches_pairwise_oracle(sic, seed, rank):
     state = mixed_state(sic.dimension, seed, min(rank, sic.dimension ** 2))
     pairs = [(i, j) for i in range(sic.n) for j in range(sic.n)]
-    alice = sic.projectors
-    table = born_probabilities(state.rho, alice, alice.conj(), pairs)
+    table = born_probabilities(state, sic.projectors, pairs)
     vecs = sic.float_vectors()
     oracle = [joint_probability(state, vecs[i], vecs[j]) for i, j in pairs]
     assert np.allclose(table, oracle, rtol=0.0, atol=1e-12)
@@ -126,10 +125,10 @@ def test_contraction_matches_pairwise_oracle(sic, seed, rank):
 @given(ray_sets(), _seeds, st.floats(0.0, 0.9))
 def test_noisy_contraction_matches_kron_trace(sic, seed, crosstalk):
     state = mixed_state(sic.dimension, seed, 2)
-    alice, bob = measurement_effects(sic, crosstalk)
+    effects = measurement_effects(sic, crosstalk)
     pairs = [(i, j) for i in range(sic.n) for j in range(sic.n)]
-    table = born_probabilities(state.rho, alice, bob, pairs)
-    oracle = [np.trace(state.rho @ np.kron(alice[i], bob[j])).real
+    table = born_probabilities(state, effects, pairs)
+    oracle = [np.trace(state @ np.kron(effects[i], effects[j].conj())).real
               for i, j in pairs]
     assert np.allclose(table, oracle, rtol=0.0, atol=1e-12)
 
@@ -139,7 +138,7 @@ def test_noisy_contraction_matches_kron_trace(sic, seed, crosstalk):
 def test_bell_operator_trace_is_bell_value(sic, seed, rank):
     state = mixed_state(sic.dimension, seed, min(rank, sic.dimension ** 2))
     beta, _ = bell_value(sic, state)
-    traced = np.trace(state.rho @ bell_operator(sic)).real
+    traced = np.trace(state @ bell_operator(sic)).real
     assert abs(traced - beta) <= 1e-10
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,57 +10,59 @@ from sicbell.catalog import (
     get_set,
     orthogonality_graph,
 )
+from sicbell.noise import IDEAL, PredictionInputs, expected_bell_value
 from sicbell.quantum import (
-    BipartiteState,
     ProbabilityTable,
     bell_value,
     born_probabilities,
-    conjugate_projector,
     joint_probability,
     max_entangled_state,
     projector,
 )
 
+from exact_oracle import validate_state
+
 
 def isotropic_state(d, v):
-    ideal = max_entangled_state(d).rho
-    return BipartiteState(d, v * ideal + (1.0 - v) * np.eye(d * d) / d ** 2)
+    ideal = max_entangled_state(d)
+    return v * ideal + (1.0 - v) * np.eye(d * d) / d ** 2
 
 
 def test_max_entangled_basics():
     st = max_entangled_state(3)
-    st.validate()
-    assert abs(np.trace(st.rho) - 1.0) < 1e-14
-    assert abs(np.trace(st.rho @ st.rho) - 1.0) < 1e-12     # purity
+    validate_state(st, 3)
+    assert abs(np.trace(st) - 1.0) < 1e-14
+    assert abs(np.trace(st @ st) - 1.0) < 1e-12     # purity
     with pytest.raises(ValueError):
         max_entangled_state(1)
 
 
 def test_max_entangled_reduced_state():
     d = 4
-    rho = max_entangled_state(d).rho
+    rho = max_entangled_state(d)
     reduced = np.trace(rho.reshape(d, d, d, d), axis1=1, axis2=3)
     assert np.allclose(reduced, np.eye(d) / d, atol=1e-12)
 
 
 def test_max_entangled_overlap_with_00():
     st = max_entangled_state(6)
-    assert abs(st.rho[0, 0] - 1.0 / 6.0) < 1e-14
+    assert abs(st[0, 0] - 1.0 / 6.0) < 1e-14
 
 
 def test_state_validation_rejects_bad_inputs():
-    good = max_entangled_state(2).rho
-    with pytest.raises(ValueError):
-        BipartiteState(2, good[:3, :3]).validate()
+    good = max_entangled_state(2)
+    validate_state(good, 2)
+    with pytest.raises(ValueError, match="must be 4 x 4"):
+        validate_state(good[:3, :3], 2)
     skew = good.copy()
     skew[0, 1] += 1e-6
-    with pytest.raises(ValueError):
-        BipartiteState(2, skew).validate()
-    with pytest.raises(ValueError):
-        BipartiteState(2, 2.0 * good).validate()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_state(skew, 2)
+    with pytest.raises(ValueError, match="trace is not 1"):
+        validate_state(2.0 * good, 2)
     dented = np.diag([1.0 + 1e-9, -1e-9, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        BipartiteState(2, dented).validate()
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_state(dented, 2)
 
 
 def test_projector_properties():
@@ -75,15 +79,17 @@ def test_projector_properties():
 
 def test_conjugate_projector_real_vector_fixed():
     v = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(conjugate_projector(v), projector(v), atol=1e-15)
+    assert np.allclose(projector(np.conj(v)), projector(v), atol=1e-15)
 
 
 def test_conjugate_projector_involution():
-    for vec in get_set("ks21").float_vectors()[:8]:
-        once = np.conj(vec)
-        assert np.allclose(conjugate_projector(np.conj(once)), projector(np.conj(vec)))
-        assert np.allclose(conjugate_projector(once), projector(vec), atol=1e-14)
-        p = conjugate_projector(vec)
+    # the oracle's |v*><v*| is the entrywise conjugate of the set's
+    # projector, the family born_probabilities forms for the second arm
+    s = get_set("ks21")
+    for vec, proj in zip(s.float_vectors()[:8], s.projectors):
+        p = projector(np.conj(vec))
+        assert np.allclose(p, proj.conj(), atol=1e-14)
+        assert np.allclose(projector(np.conj(np.conj(vec))), proj, atol=1e-14)
         assert np.allclose(p, p.conj().T, atol=1e-14)
         assert abs(np.trace(p) - 1.0) < 1e-12
 
@@ -137,10 +143,9 @@ def test_joint_probability_dimension_mismatch():
 def test_born_probabilities_reject_unphysical_state(scale):
     # 4 rho puts every diagonal probability at 4/3; NaN is never in range
     s = get_set("yo13")
-    alice = s.projectors
-    rho = scale * max_entangled_state(3).rho
+    rho = scale * max_entangled_state(3)
     with pytest.raises(ArithmeticError):
-        born_probabilities(rho, alice, alice.conj(), [(0, 0)])
+        born_probabilities(rho, s.projectors, [(0, 0)])
 
 
 def test_bell_settings_and_coefficients():
@@ -189,7 +194,7 @@ def test_bell_value_affine_in_state():
     b1, _ = bell_value(s, rho1)
     b2, _ = bell_value(s, rho2)
     for lam in (0.25, 0.5, 0.9):
-        mix = BipartiteState(3, lam * rho1.rho + (1.0 - lam) * rho2.rho)
+        mix = lam * rho1 + (1.0 - lam) * rho2
         bmix, _ = bell_value(s, mix)
         assert abs(bmix - (lam * b1 + (1.0 - lam) * b2)) < 1e-12
 
@@ -211,8 +216,8 @@ def test_bell_value_basis_covariance():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u, _ = np.linalg.qr(m)
     big = np.kron(u, u.conj())
-    rotated_state = BipartiteState(3, big @ max_entangled_state(3).rho @ big.conj().T)
-    rotated_state.validate()
+    rotated_state = big @ max_entangled_state(3) @ big.conj().T
+    validate_state(rotated_state, 3)
     rot_vecs = [u @ v for v in vecs]
 
     settings = bell_settings(s.n, g.edges)
@@ -222,3 +227,38 @@ def test_bell_value_basis_covariance():
     ])
     beta_rot = float(bell_coefficients(s.weights, g.edges) @ vals)
     assert abs(beta_rot - beta0) < 1e-9
+
+
+# a (d^2, d^2) state for the wrong d, a state for no d, and not a matrix
+_WRONG_SHAPES = [np.eye(16) / 16, np.eye(8) / 8, np.eye(9)[:, :8] / 9,
+                 np.full(81, 1.0 / 81), np.array(1.0)]
+
+
+@pytest.mark.parametrize("rho", _WRONG_SHAPES, ids=lambda m: str(m.shape))
+def test_wrong_shape_state_is_refused(rho):
+    # yo13 is d = 3, so only a (9, 9) state fits its effects
+    s = get_set("yo13")
+    message = rf"state matrix has shape {re.escape(str(rho.shape))}"
+    with pytest.raises(ValueError, match=message):
+        born_probabilities(rho, s.projectors, [(0, 0)])
+    with pytest.raises(ValueError, match=message):
+        bell_value(s, rho)
+    v = s.float_vectors()[0]
+    with pytest.raises(ValueError, match=message):
+        joint_probability(rho, v, v)
+
+
+@pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
+def test_one_born_path_bit_for_bit(name):
+    s = get_set(name)
+    d = s.dimension
+    _, table = bell_value(s, max_entangled_state(d))
+    _, expected = expected_bell_value(s, IDEAL)
+    assert np.array_equal(table.values, expected.values)
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(d * d, 3)) + 1j * rng.normal(size=(d * d, 3))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    validate_state(rho, d)
+    direct = PredictionInputs(rho, s.projectors).probabilities(s.settings)
+    assert np.array_equal(direct, bell_value(s, rho)[1].values)
