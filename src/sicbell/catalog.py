@@ -16,9 +16,10 @@ any custom set:
   The cube roots 1, w^2 and w^4 are stored as the pairs (1, 0), (-1, 1)
   and (0, -1).
 
-Orthogonality is always decided in exact arithmetic, as one integer
-Gram matrix per set (:func:`sicbell.exact.gram`); floating point enters
-only when vectors are normalized for quantum predictions.
+A set's entries are unpacked once, into integer coordinates
+(:func:`sicbell.exact.coordinates`).  Their integer Gram product
+(:func:`sicbell.exact.gram`) decides orthogonality exactly; floating
+point enters only in the unit vectors, scaled by its diagonal.
 """
 
 from __future__ import annotations
@@ -29,16 +30,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .exact import (
-    ExactScalar,
-    gram,
-    to_complex_vector,
-    vector_norm_sq,
-)
+from . import exact
+from .exact import OMEGA, ExactScalar
 
 ExactVector = tuple[ExactScalar, ...]
 
@@ -64,13 +61,44 @@ class SicSet:
         return len(self.vectors)
 
     @cached_property
+    def coordinates(self) -> np.ndarray:
+        """Read-only (2, n, d) integer array [A, B] of the entries
+        a + b*w, unpacked once (:func:`sicbell.exact.coordinates`)."""
+        coords = exact.coordinates(self.vectors)
+        coords.setflags(write=False)
+        return coords
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every <v_i|v_j> as two read-only (n, n) integer arrays
+        ``(re, w)`` (:func:`sicbell.exact.gram`)."""
+        products = exact.gram(*self.coordinates)
+        for array in products:
+            array.setflags(write=False)
+        return products
+
+    @cached_property
     def orthogonal(self) -> np.ndarray:
         """Read-only (n, n) mask of the exactly vanishing inner products;
         the diagonal marks the zero vectors."""
-        re, w = gram(self.vectors)
+        re, w = self.gram
         mask = (re == 0) & (w == 0)
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def unit_vectors(self) -> np.ndarray:
+        """The rays scaled to unit norm, a read-only (n, d) complex array:
+        (A + B*w) / sqrt(<v_i|v_i>), the squared norms being the real
+        diagonal of the Gram product."""
+        a, b = self.coordinates
+        norms = np.diagonal(self.gram[0])
+        # math.sqrt: np.sqrt has no loop for the exact ints of dtype=object
+        roots = (np.array([math.sqrt(x) for x in norms]) if norms.dtype == object
+                 else np.sqrt(norms))
+        vecs = (a + b * OMEGA).astype(complex) / roots[:, None]
+        vecs.setflags(write=False)
+        return vecs
 
     @cached_property
     def graph(self) -> "WeightedGraph":
@@ -79,13 +107,18 @@ class SicSet:
 
     @cached_property
     def settings(self) -> tuple[tuple[int, int], ...]:
-        """Every measurement setting of the inequality, in canonical order."""
-        return tuple(bell_settings(self.n, self.graph.edges))
+        """Every measurement setting of the inequality, in canonical order:
+        diagonals, then both orientations of each edge in sorted order."""
+        return tuple([(i, i) for i in range(self.n)] + [
+            s for i, j in sorted(self.graph.edges) for s in ((i, j), (j, i))])
 
     @cached_property
     def coefficients(self) -> np.ndarray:
-        """Signed weight of each setting, aligned with :attr:`settings`."""
-        coeffs = bell_coefficients(self.weights, self.graph.edges)
+        """Signed weight of each setting, aligned with :attr:`settings`:
+        w_i on a diagonal (i, i), -max(w_i, w_j)/2 on an edge (i, j)."""
+        w = self.weights
+        coeffs = np.array([float(w[i]) if i == j else -float(max(w[i], w[j])) / 2.0
+                           for i, j in self.settings])
         coeffs.setflags(write=False)
         return coeffs
 
@@ -107,16 +140,10 @@ class SicSet:
         stack.  The other arm's family is its entrywise conjugate, formed
         only in :mod:`sicbell.quantum` (``born_probabilities`` and
         ``bell_operator``)."""
-        vecs = np.array(self.float_vectors()).reshape(self.n, self.dimension)
+        vecs = self.unit_vectors
         stack = np.einsum("ia,ib->iab", vecs, vecs.conj())
         stack.setflags(write=False)
         return stack
-
-    def float_vectors(self) -> list[np.ndarray]:
-        """Unit-norm complex vectors, one per ray."""
-        # math.sqrt: the exact squared norm can exceed int64, where np.sqrt fails
-        return [np.array(to_complex_vector(v), dtype=complex)
-                / math.sqrt(vector_norm_sq(v)) for v in self.vectors]
 
 
 @dataclass(frozen=True)
@@ -164,7 +191,7 @@ def get_set(name: str) -> SicSet:
 
 
 # ---------------------------------------------------------------------------
-# Graph construction, the Bell layout, and structural checks
+# Graph construction and structural checks
 # ---------------------------------------------------------------------------
 
 def orthogonality_graph(sic: SicSet) -> WeightedGraph:
@@ -173,26 +200,6 @@ def orthogonality_graph(sic: SicSet) -> WeightedGraph:
     upper = rows < cols
     return WeightedGraph(sic.n, sic.weights,
                          tuple(zip(rows[upper].tolist(), cols[upper].tolist())))
-
-
-def bell_settings(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Canonical measurement-setting order: diagonals, then both
-    orientations of each edge in sorted edge order."""
-    out = [(i, i) for i in range(n)]
-    for i, j in sorted(edges):
-        out.append((i, j))
-        out.append((j, i))
-    return out
-
-
-def bell_coefficients(weights: Sequence, edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Signed weight of each setting, aligned with :func:`bell_settings`:
-    w_i on a diagonal, -w_ij/2 on each orientation of an edge (i, j)."""
-    coeffs = [float(w) for w in weights]
-    for i, j in sorted(edges):
-        wij = float(max(weights[i], weights[j]))
-        coeffs.extend([-wij / 2.0, -wij / 2.0])
-    return np.asarray(coeffs)
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,8 @@ def verify_set(sic: SicSet) -> ValidationReport:
     """Run every structural invariant of a set and itemize the results."""
     checks: list[CheckResult] = []
 
-    nonzero = all(vector_norm_sq(v) > 0 for v in sic.vectors)
+    # a + b*w = 0 only when a = b = 0
+    nonzero = all(any(x.a or x.b for x in v) for v in sic.vectors)
     checks.append(CheckResult("nonzero_vectors", nonzero))
 
     dims_ok = all(len(v) == sic.dimension for v in sic.vectors)
@@ -257,7 +265,7 @@ def verify_set(sic: SicSet) -> ValidationReport:
                 "edge_count", len(graph.edges) == sic.expected_edges,
                 f"found {len(graph.edges)}, expected {sic.expected_edges}"))
         # float classification must agree with the exact one
-        fv = np.array(sic.float_vectors()).reshape(sic.n, sic.dimension)
+        fv = sic.unit_vectors
         floating = np.abs(fv.conj() @ fv.T) < 1e-9
         checks.append(CheckResult("exact_float_agreement",
                                   bool(np.array_equal(sic.orthogonal, floating))))

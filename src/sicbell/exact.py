@@ -3,8 +3,9 @@
 Every catalog vector entry is an element a + b*w with integer a, b and
 w^2 = w - 1.  This keeps orthogonality decisions exact: an inner product
 is zero iff it reduces to (0, 0) in the ring, with no floating point
-involved.  :func:`gram` decides every pair of a set at once, with two
-integer matrix products over the (a, b) coordinates.
+involved.  :func:`coordinates` unpacks a set's entries once, into one
+integer array of their (a, b) coordinates; :func:`gram` decides every
+pair of the set from it, with two integer matrix products.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ class ExactScalar:
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         return ExactScalar(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar(self.a - other.a, self.b - other.b)
-
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         # (a + bw)(c + dw) = ac + (ad+bc)w + bd(w-1)
         a, b, c, d = self.a, self.b, other.a, other.b
@@ -44,13 +42,6 @@ class ExactScalar:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def norm_sq(self) -> int:
-        """|a + bw|^2 = a^2 + ab + b^2 (always a nonnegative integer)."""
-        return self.a * self.a + self.a * self.b + self.b * self.b
-
-    def to_complex(self) -> complex:
-        return self.a + self.b * OMEGA
 
 
 ZERO = ExactScalar(0, 0)
@@ -66,24 +57,13 @@ def inner_product(u, v) -> ExactScalar:
     return acc
 
 
-def vector_norm_sq(v) -> int:
-    """Squared norm of an exact vector (a plain integer)."""
-    return sum(x.norm_sq() for x in v)
+def coordinates(vectors) -> np.ndarray:
+    """The entries a + b*w of equal-length exact vectors, as one
+    (2, n, d) integer array [A, B].
 
-
-def to_complex_vector(v):
-    return [x.to_complex() for x in v]
-
-
-def gram(vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Every <u_i|u_j> of equal-length exact vectors, as two (n, n)
-    integer arrays ``(re, w)`` with <u_i|u_j> = re[i, j] + w[i, j]*w.
-
-    With entries a + b*w in arrays A, B, conj(a + b*w) = p + q*w for
-    P = A + B, Q = -B, so re = P A^T - Q B^T = [P | Q] [A | Q]^T and
-    w = P B^T + Q P^T = [P | Q] [B | P]^T.  Every sum is bounded by
-    4 d max(|a|, |b|)^2: int64 is used while that is below 2**62, exact
-    Python ints (``dtype=object``) otherwise, so nothing ever wraps.
+    Every sum in :func:`gram` is bounded by 4 d max(|a|, |b|)^2: int64 is
+    used while that is below 2**62, exact Python ints (``dtype=object``)
+    otherwise, so nothing ever wraps.
     """
     d, *other = sorted({len(v) for v in vectors}) or [0]
     if other:
@@ -92,7 +72,18 @@ def gram(vectors) -> tuple[np.ndarray, np.ndarray]:
     b = [x.b for v in vectors for x in v]
     bound = max(map(abs, a + b), default=0)
     dtype = np.int64 if 4 * d * bound * bound < 2**62 else object
-    a, b = np.array([a, b], dtype=dtype).reshape(2, len(vectors), d)
+    return np.array([a, b], dtype=dtype).reshape(2, len(vectors), d)
+
+
+def gram(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every <u_i|u_j> of the vectors with coordinates ``a``, ``b``, as
+    two (n, n) integer arrays ``(re, w)`` with <u_i|u_j> = re[i, j] +
+    w[i, j]*w.
+
+    conj(a + b*w) = p + q*w for P = A + B, Q = -B, so
+    re = P A^T - Q B^T = [P | Q] [A | Q]^T and
+    w = P B^T + Q P^T = [P | Q] [B | P]^T.
+    """
     p, q = a + b, -b
     left = np.hstack([p, q])
     return left @ np.hstack([a, q]).T, left @ np.hstack([b, p]).T

@@ -152,14 +152,13 @@ def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
 
 
 def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
-                  alpha: Optional[float] = None,
                   record: Optional[CountRecord] = None,
                   bootstrap_replicates: int = 0) -> ViolationReport:
     """Evaluate the inequality on an estimated table.
 
     The error bar propagates the per-setting sigmas through the signed
-    weights.  ``alpha`` defaults to the exact independence bound of the
-    set's graph.  With ``record`` and ``bootstrap_replicates`` given, a
+    weights, and alpha is the exact independence bound of the set's
+    graph.  With ``record`` and ``bootstrap_replicates`` given, a
     parametric bootstrap p-value (counts resampled from Poisson(C)) is
     reported next to the Gaussian one.  beta* is linear in the counts
     with a handful of distinct coefficients, and a sum of independent
@@ -173,8 +172,7 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
         raise ValueError("record is not laid out in the settings of this set")
     coeffs = sic.coefficients
     beta_hat = float(coeffs @ table.values)
-    if alpha is None:
-        alpha = float(max_weight_independent_set(sic.graph)[0])
+    alpha = float(max_weight_independent_set(sic.graph)[0])
     if table.sigmas is None:
         sigma = 0.0
     else:
@@ -210,7 +208,7 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
         set_name=sic.name,
         beta_hat=beta_hat,
         sigma=sigma,
-        alpha=float(alpha),
+        alpha=alpha,
         sigmas_of_violation=z,
         p_value=p_value,
         bootstrap_p_value=boot,

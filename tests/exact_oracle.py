@@ -3,6 +3,9 @@ uses.
 
 ``loop_edges`` decides orthogonality one pair at a time through
 :func:`sicbell.exact.inner_product`, not the integer Gram product;
+``unit_vectors`` normalises each ray one entry at a time in complex
+floating point, dividing by the square root of ``norm_sq``, the exact
+squared norm <v|v>, not by the Gram diagonal of the coordinate arrays;
 ``projector_sum_equals`` sums rank-1 projectors with Fraction
 coefficients; ``branch_and_bound_mwis`` is a maximum-weight independent
 set search with a greedy warm start, weight-sum pruning and an explicit
@@ -15,18 +18,35 @@ joint system: its shape, Hermiticity, unit trace and no negative
 eigenvalue.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from sicbell.exact import ZERO, ExactScalar, inner_product, vector_norm_sq
+from sicbell.exact import OMEGA, ZERO, ExactScalar, inner_product
 
 
 def loop_edges(vectors) -> tuple[tuple[int, int], ...]:
     """Every pair (i, j), i < j, with exact inner product zero."""
     return tuple((i, j) for i, j in combinations(range(len(vectors)), 2)
                  if inner_product(vectors[i], vectors[j]).is_zero())
+
+
+def to_complex(x: ExactScalar) -> complex:
+    return x.a + x.b * OMEGA
+
+
+def norm_sq(v) -> int:
+    """<v|v>, a nonnegative integer."""
+    return inner_product(v, v).a
+
+
+def unit_vectors(vectors) -> np.ndarray:
+    """The rays scaled to unit norm, an (n, d) complex array.  math.sqrt
+    takes the exact squared norm as it is, also beyond int64."""
+    return np.array([np.array([to_complex(x) for x in v], dtype=complex)
+                     / math.sqrt(norm_sq(v)) for v in vectors])
 
 
 def projector_sum_equals(vectors, scale: Fraction) -> bool:
@@ -40,7 +60,7 @@ def projector_sum_equals(vectors, scale: Fraction) -> bool:
     d = len(vectors[0])
     total = [[ZERO] * d for _ in range(d)]
     for v in vectors:
-        ns = vector_norm_sq(v)
+        ns = norm_sq(v)
         if ns == 0:
             return False
         for r in range(d):

@@ -185,14 +185,14 @@ def test_acceptance_5_oracle_equivalence(capsys):
 
 def test_acceptance_6_structural_invariants(capsys):
     yo13 = get_set("yo13")
-    total = sum(projector(v) for v in yo13.float_vectors())
+    total = sum(projector(v) for v in yo13.unit_vectors)
     resolution_err = float(np.abs(total - (13.0 / 3.0) * np.eye(3)).max())
     ok = resolution_err <= 1e-12
 
     context_err = 0.0
     for name in ("ks18", "ks21"):
         sic = get_set(name)
-        vecs = sic.float_vectors()
+        vecs = sic.unit_vectors
         d = sic.dimension
         for ctx in sic.contexts:
             ctx_sum = sum(projector(vecs[i]) for i in ctx)

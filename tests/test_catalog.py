@@ -13,8 +13,6 @@ from sicbell.catalog import (
     ExactScalar,
     SicSet,
     WeightedGraph,
-    bell_coefficients,
-    bell_settings,
     catalog_names,
     from_json_dict,
     get_set,
@@ -146,9 +144,15 @@ def test_graph_property_is_built_once():
 def test_bell_layout_is_cached_and_read_only():
     s = get_set("yo13")
     assert s.settings is s.settings
-    assert list(s.settings) == bell_settings(s.n, s.graph.edges)
+    edges = sorted(s.graph.edges)
+    assert s.settings == tuple([(i, i) for i in range(s.n)]
+                               + [p for i, j in edges for p in ((i, j), (j, i))])
     assert s.coefficients is s.coefficients
-    assert np.array_equal(s.coefficients, bell_coefficients(s.weights, s.graph.edges))
+    # w_i on a diagonal, minus half the larger weight on each orientation
+    expected = [float(w) for w in s.weights]
+    for i, j in edges:
+        expected += [-max(s.weights[i], s.weights[j]) / 2] * 2
+    assert s.coefficients.tolist() == expected
     with pytest.raises(ValueError):
         s.coefficients[0] = 0.0
 
@@ -239,9 +243,12 @@ def test_scaling_leaves_graph_alone():
     assert orthogonality_graph(scaled).edges == orthogonality_graph(s).edges
 
 
-def test_float_vectors_unit_norm():
+def test_unit_vectors_unit_norm():
     for name in catalog_names():
-        for arr in get_set(name).float_vectors():
+        s = get_set(name)
+        assert s.unit_vectors.shape == (s.n, s.dimension)
+        assert not s.unit_vectors.flags.writeable
+        for arr in s.unit_vectors:
             assert abs(np.linalg.norm(arr) - 1.0) < 1e-12
 
 

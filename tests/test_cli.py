@@ -355,6 +355,16 @@ class TestSimulate:
         capsys.readouterr()
         assert hits >= 11
 
+    def test_csv_report_is_the_json_report(self, tmp_path):
+        for fmt in ("json", "csv"):
+            assert main(["simulate", "--set", "ks21", "--seed", "3", "--format", fmt,
+                         "--out", str(tmp_path / fmt)]) == 0
+        doc = json.loads((tmp_path / "json" / "ks21_report.json").read_text())
+        with open(tmp_path / "csv" / "ks21_report.csv", newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == sorted(doc)
+        assert rows == [[str(doc[key]) for key in header]]
+
     def test_report_carries_significance(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="ks21", seed=3,
                            pair_rate=1e6, integration_time=1.0,
@@ -424,6 +434,21 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "c.json", visibility=0.9)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "no set selected" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('["set", "yo13"]')
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ")
+        assert err.count("\n") == 1
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -9,13 +9,12 @@ from sicbell.exact import (
     OMEGA,
     ZERO,
     ExactScalar,
+    coordinates,
     gram,
     inner_product,
-    to_complex_vector,
-    vector_norm_sq,
 )
 
-from exact_oracle import projector_sum_equals
+from exact_oracle import norm_sq, projector_sum_equals, to_complex, unit_vectors
 
 
 ONE = ExactScalar(1, 0)
@@ -48,17 +47,17 @@ def test_conjugation_properties():
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
         prod = x * x.conjugate()
         assert prod.b == 0
-        assert prod.a == x.norm_sq()
+        assert prod.a == x.a * x.a + x.a * x.b + x.b * x.b
 
 
 def test_matches_complex_embedding():
     rng = random.Random(5)
     for _ in range(200):
         x, y = rand_scalar(rng), rand_scalar(rng)
-        fx, fy = x.to_complex(), y.to_complex()
-        assert abs((x * y).to_complex() - fx * fy) < 1e-12 * max(1.0, abs(fx * fy))
-        assert abs((x + y).to_complex() - (fx + fy)) < 1e-12
-        assert abs(x.conjugate().to_complex() - fx.conjugate()) < 1e-12
+        fx, fy = to_complex(x), to_complex(y)
+        assert abs(to_complex(x * y) - fx * fy) < 1e-12 * max(1.0, abs(fx * fy))
+        assert abs(to_complex(x + y) - (fx + fy)) < 1e-12
+        assert abs(to_complex(x.conjugate()) - fx.conjugate()) < 1e-12
 
 
 def test_root_of_unity_identities():
@@ -70,7 +69,7 @@ def test_root_of_unity_identities():
     assert OMEGA3 * OMEGA3 * OMEGA3 == ONE
     assert ONE + OMEGA3 + OMEGA3_SQ == ZERO
     for k, root in enumerate((ONE, OMEGA3, OMEGA3_SQ)):
-        assert abs(root.to_complex() - cmath.exp(2j * cmath.pi * k / 3)) < 1e-12
+        assert abs(to_complex(root) - cmath.exp(2j * cmath.pi * k / 3)) < 1e-12
 
 
 def test_inner_product_conjugate_symmetry():
@@ -80,7 +79,8 @@ def test_inner_product_conjugate_symmetry():
         v = tuple(rand_scalar(rng) for _ in range(4))
         assert inner_product(u, v) == inner_product(v, u).conjugate()
         n = inner_product(u, u)
-        assert n.b == 0 and n.a == vector_norm_sq(u) >= 0
+        assert n.b == 0
+        assert n.a == sum(x.a * x.a + x.a * x.b + x.b * x.b for x in u) >= 0
 
 
 def test_inner_product_dimension_mismatch():
@@ -90,11 +90,12 @@ def test_inner_product_dimension_mismatch():
         inner_product(u, v)
 
 
-def test_to_complex_vector_norm():
+def test_reference_unit_vector_norm():
     v = (ONE, OMEGA3, OMEGA3_SQ, ZERO)
-    zs = to_complex_vector(v)
+    assert norm_sq(v) == 3
+    zs = unit_vectors([v])[0]
     assert len(zs) == 4
-    assert abs(sum(abs(z) ** 2 for z in zs) - vector_norm_sq(v)) < 1e-12
+    assert abs(sum(abs(z) ** 2 for z in zs) - 1.0) < 1e-12
 
 
 def test_projector_sum_standard_basis():
@@ -106,7 +107,7 @@ def test_projector_sum_standard_basis():
 
 
 def assert_gram_matches_loop(vectors):
-    re, w = gram(vectors)
+    re, w = gram(*coordinates(vectors))
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
             assert ExactScalar(int(re[i, j]), int(w[i, j])) == inner_product(u, v)
@@ -133,11 +134,11 @@ def test_gram_exact_ints_just_above_threshold():
 def test_gram_never_wraps():
     # <u, u> = 4 * 2**62 = 2**64, which int64 arithmetic would wrap to 0
     u = (ExactScalar(2**31, 0),) * 4
-    re, w = gram([u, u])
+    re, w = gram(*coordinates([u, u]))
     assert re.dtype == object
     assert re[0, 1] == 2**64 and w[0, 1] == 0
 
 
 def test_gram_rejects_ragged_vectors():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        gram([(ONE, ZERO), (ONE, ZERO, ZERO)])
+        gram(*coordinates([(ONE, ZERO), (ONE, ZERO, ZERO)]))

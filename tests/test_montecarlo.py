@@ -391,13 +391,15 @@ class TestExposureTuning:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("alpha, shown", [(None, "inf"), (100.0, "-inf")],
+    # ks18's ideal table gives beta 4.5 > alpha = 4; at visibility 0 it
+    # gives -2.8125 < 4
+    @pytest.mark.parametrize("visibility, shown", [(1.0, "inf"), (0.0, "-inf")],
                              ids=["above_alpha", "below_alpha"])
-    def test_non_finite_report_field_is_named(self, alpha, shown):
+    def test_non_finite_report_field_is_named(self, visibility, shown):
         # a table without sigmas gives sigma 0, so an infinite significance
         sic = get_set("ks18")
-        table = prediction_table(sic, apply_noise(sic, IDEAL))
-        report = estimate_beta(table, sic, alpha=alpha)
+        table = prediction_table(sic, apply_noise(sic, NoiseConfig(visibility=visibility)))
+        report = estimate_beta(table, sic)
         with pytest.raises(ValueError, match=f"^report field sigmas_of_violation "
                                              f"is {shown}, "):
             report.to_json_dict()

@@ -50,7 +50,7 @@ from sicbell.catalog import (
     verify_set,
 )
 from sicbell.cli import main
-from sicbell.exact import ZERO, ExactScalar, gram
+from sicbell.exact import ZERO, ExactScalar, coordinates, gram
 from sicbell.montecarlo import (
     CountRecord,
     estimate_beta,
@@ -73,6 +73,7 @@ from exact_oracle import (
     is_coloring,
     is_psd,
     loop_edges,
+    unit_vectors,
     validate_state,
 )
 
@@ -116,7 +117,7 @@ def test_contraction_matches_pairwise_oracle(sic, seed, rank):
     state = mixed_state(sic.dimension, seed, min(rank, sic.dimension ** 2))
     pairs = [(i, j) for i in range(sic.n) for j in range(sic.n)]
     table = born_probabilities(state, sic.projectors, pairs)
-    vecs = sic.float_vectors()
+    vecs = sic.unit_vectors
     oracle = [joint_probability(state, vecs[i], vecs[j]) for i, j in pairs]
     assert np.allclose(table, oracle, rtol=0.0, atol=1e-12)
 
@@ -157,7 +158,7 @@ def test_state_ceiling_is_top_eigenvalue(sic):
 @PROPERTY_SETTINGS
 @given(ray_sets())
 def test_exact_and_float_edges_agree(sic):
-    fv = sic.float_vectors()
+    fv = sic.unit_vectors
     floating = tuple(pair for pair in combinations(range(sic.n), 2)
                      if abs(np.vdot(fv[pair[0]], fv[pair[1]])) < 1e-9)
     assert floating == sic.graph.edges
@@ -165,6 +166,34 @@ def test_exact_and_float_edges_agree(sic):
     assert sic.graph.edges == tuple(sorted(sic.graph.edges))
     checks = {c.name: c.passed for c in verify_set(sic).checks}
     assert checks["exact_float_agreement"]
+
+
+def assert_unit_vectors_are_entry_walk(sic):
+    """unit_vectors and projectors equal the per-entry reference bit
+    for bit."""
+    reference = unit_vectors(sic.vectors)
+    projectors = np.einsum("ia,ib->iab", reference, reference.conj())
+    for ours, theirs in ((sic.unit_vectors, reference), (sic.projectors, projectors)):
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets())
+def test_unit_vectors_match_entry_walk(sic):
+    assert_unit_vectors_are_entry_walk(sic)
+
+
+@pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
+def test_huge_entry_unit_vectors_match_entry_walk(name):
+    # each ray times 10**30 - 7w: entries near 10**30, exact ints
+    sic = get_set(name)
+    scale = ExactScalar(10**30, -7)
+    huge = SicSet(name=name, dimension=sic.dimension, weights=sic.weights,
+                  vectors=tuple(tuple(scale * x for x in v) for v in sic.vectors))
+    assert huge.coordinates.dtype == object
+    assert_unit_vectors_are_entry_walk(huge)
+    assert huge.graph == sic.graph
 
 
 # Entry bounds on both sides of the int64 threshold of the Gram product,
@@ -191,7 +220,7 @@ def test_gram_edges_match_exact_loop(sic, bound, data):
     top = max(max(abs(x.a), abs(x.b)) for v in vectors for x in v)
     expected = np.int64 if 4 * sic.dimension * top**2 < 2**62 else object
     event(f"gram dtype {expected.__name__}")
-    assert gram(vectors)[0].dtype == expected
+    assert gram(*coordinates(vectors))[0].dtype == expected
 
 
 @PROPERTY_SETTINGS

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from sicbell.catalog import (
-    bell_coefficients,
-    bell_settings,
     catalog_names,
     get_set,
     orthogonality_graph,
@@ -86,7 +84,7 @@ def test_conjugate_projector_involution():
     # the oracle's |v*><v*| is the entrywise conjugate of the set's
     # projector, the family born_probabilities forms for the second arm
     s = get_set("ks21")
-    for vec, proj in zip(s.float_vectors()[:8], s.projectors):
+    for vec, proj in zip(s.unit_vectors[:8], s.projectors):
         p = projector(np.conj(vec))
         assert np.allclose(p, proj.conj(), atol=1e-14)
         assert np.allclose(projector(np.conj(np.conj(vec))), proj, atol=1e-14)
@@ -98,7 +96,7 @@ def test_joint_probability_diagonal_is_inverse_dimension():
     for name in catalog_names():
         s = get_set(name)
         st = max_entangled_state(s.dimension)
-        for v in s.float_vectors():
+        for v in s.unit_vectors:
             assert abs(joint_probability(st, v, v) - 1.0 / s.dimension) < 1e-12
 
 
@@ -106,7 +104,7 @@ def test_joint_probability_vanishes_on_edges():
     for name in catalog_names():
         s = get_set(name)
         st = max_entangled_state(s.dimension)
-        vecs = s.float_vectors()
+        vecs = s.unit_vectors
         for i, j in orthogonality_graph(s).edges:
             assert joint_probability(st, vecs[i], vecs[j]) < 1e-12
 
@@ -116,7 +114,7 @@ def test_joint_probability_amplitude_identity():
     for name in catalog_names():
         s = get_set(name)
         st = max_entangled_state(s.dimension)
-        vecs = s.float_vectors()
+        vecs = s.unit_vectors
         for i in range(0, s.n, 3):
             for j in range(0, s.n, 4):
                 direct = joint_probability(st, vecs[i], vecs[j])
@@ -150,11 +148,10 @@ def test_born_probabilities_reject_unphysical_state(scale):
 
 def test_bell_settings_and_coefficients():
     s = get_set("yo13")
-    g = orthogonality_graph(s)
-    settings = bell_settings(s.n, g.edges)
+    settings = s.settings
     assert len(settings) == 13 + 2 * 24
-    assert settings[:2] == [(0, 0), (1, 1)]
-    coeffs = bell_coefficients(s.weights, g.edges)
+    assert settings[:2] == ((0, 0), (1, 1))
+    coeffs = s.coefficients
     assert len(coeffs) == len(settings)
     # sum of coefficients collapses to sum(w) - sum over edges of w_ij
     assert abs(coeffs.sum() - (35.0 - 72.0)) < 1e-12
@@ -209,8 +206,7 @@ def test_bell_value_basis_covariance():
     # leaves the functional unchanged
     rng = np.random.default_rng(314)
     s = get_set("yo13")
-    g = orthogonality_graph(s)
-    vecs = s.float_vectors()
+    vecs = s.unit_vectors
     beta0, _ = bell_value(s, max_entangled_state(3))
 
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -220,12 +216,11 @@ def test_bell_value_basis_covariance():
     validate_state(rotated_state, 3)
     rot_vecs = [u @ v for v in vecs]
 
-    settings = bell_settings(s.n, g.edges)
     vals = np.array([
         joint_probability(rotated_state, rot_vecs[i], rot_vecs[j])
-        for i, j in settings
+        for i, j in s.settings
     ])
-    beta_rot = float(bell_coefficients(s.weights, g.edges) @ vals)
+    beta_rot = float(s.coefficients @ vals)
     assert abs(beta_rot - beta0) < 1e-9
 
 
@@ -243,7 +238,7 @@ def test_wrong_shape_state_is_refused(rho):
         born_probabilities(rho, s.projectors, [(0, 0)])
     with pytest.raises(ValueError, match=message):
         bell_value(s, rho)
-    v = s.float_vectors()[0]
+    v = s.unit_vectors[0]
     with pytest.raises(ValueError, match=message):
         joint_probability(rho, v, v)
 
