@@ -202,6 +202,10 @@ def orthogonality_graph(sic: SicSet) -> WeightedGraph:
                          tuple(zip(rows[upper].tolist(), cols[upper].tolist())))
 
 
+# states and Bell operators are (d^2, d^2) arrays: 1024 x 1024 at most
+_MAX_DIMENSION = 32
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -230,9 +234,11 @@ def verify_set(sic: SicSet) -> ValidationReport:
     nonzero = all(any(x.a or x.b for x in v) for v in sic.vectors)
     checks.append(CheckResult("nonzero_vectors", nonzero))
 
-    dims_ok = all(len(v) == sic.dimension for v in sic.vectors)
-    checks.append(CheckResult("vector_dimension", dims_ok,
-                              f"d={sic.dimension}, n={sic.n}"))
+    capped = sic.dimension <= _MAX_DIMENSION
+    dims_ok = capped and all(len(v) == sic.dimension for v in sic.vectors)
+    checks.append(CheckResult(
+        "vector_dimension", dims_ok, f"d={sic.dimension}, n={sic.n}"
+        + ("" if capped else f", above the cap of d={_MAX_DIMENSION}")))
 
     weights_ok = len(sic.weights) == sic.n and all(w > 0 for w in sic.weights)
     checks.append(CheckResult("positive_weights", weights_ok))

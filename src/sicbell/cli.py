@@ -11,8 +11,11 @@ Subcommands:
 
 Results print as short summaries; machine-readable artifacts are written
 into ``--out`` (default: the ``SICBELL_OUTDIR`` environment variable,
-falling back to the current directory).  Exit codes: 0 on success, 1 on
-any validation problem, 2 when the bound solver fails to converge.
+falling back to the current directory).  This module alone lays out
+their bytes: every JSON artifact as ``json.dumps(indent=2,
+sort_keys=True)`` would, and a non-finite number is refused by name.
+Exit codes: 0 on success, 1 on any validation problem, 2 when the bound
+solver fails to converge.
 """
 
 from __future__ import annotations
@@ -24,27 +27,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from itertools import filterfalse
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bounds import BoundsReport, ThetaNonConvergence, bounds_report
-from .catalog import (
-    SicSet,
-    catalog_names,
-    get_set,
-    load_set,
-    verify_set,
-)
+from .bounds import ThetaNonConvergence, bounds_report
+from .catalog import SicSet, catalog_names, get_set, load_set, verify_set
 from .montecarlo import exposure_for_sigma, fit_visibility, run_experiment
-from .noise import (
-    NoiseConfig,
-    SchmidtSpectrum,
-    default_modes,
-    expected_bell_value,
-    spiral_spectrum,
-)
+from .noise import (NoiseConfig, SchmidtSpectrum, default_modes,
+                    expected_bell_value, spiral_spectrum)
 
 OUTDIR_ENV = "SICBELL_OUTDIR"
 MAX_BOOTSTRAP_REPLICATES = 10**6
@@ -140,6 +134,9 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
                 tuple(_number(a) for _, a in rows))
         except (TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad spectrum in config: {exc}") from exc
+    if spectrum is not None and doc.get("spectrum_width") is not None:
+        raise CliError("config gives both spectrum and spectrum_width: "
+                       "give one, or null for the other")
     if seed is not None:
         doc = {**doc, "seed": seed}
     fields = {}
@@ -188,31 +185,64 @@ def resolve_set(name: str) -> SicSet:
 
 
 def _outdir(arg: Optional[str]) -> Path:
-    root = arg or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(root)
+    path = Path(arg or os.environ.get(OUTDIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _doc(result) -> dict:
+    """A result dataclass as artifact fields: ``set_name`` becomes ``set``,
+    a None field is left out, and a non-finite float is refused by name."""
+    doc = {}
+    for name, value in vars(result).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"report field {name} is {value}, "
+                             "which no artifact can hold")
+        if value is not None:
+            doc["set" if name == "set_name" else name] = value
+    return doc
+
+
+def _json_text(doc: dict, **tables: dict[str, Sequence]) -> str:
+    """The text of ``json.dumps(doc | tables, indent=2, sort_keys=True)``
+    plus a newline.  Each keyword is a top-level table given as columns of
+    Python numbers; its rows come from one ``%r`` template, which spells an
+    int or a float as json does, and a non-finite value is refused by name."""
+    text = json.dumps({**doc, **dict.fromkeys(tables)}, indent=2,
+                      sort_keys=True, allow_nan=False)
+    for key, columns in tables.items():
+        names = sorted(columns)
+        for name in names:
+            for bad in filterfalse(math.isfinite, columns[name]):
+                raise ValueError(f"column {name} holds {bad}, "
+                                 "which no artifact can hold")
+        template = "    {\n%s\n    }" % ",\n".join(
+            [f"      {json.dumps(name)}: %r" for name in names])
+        body = ",\n".join([template % row for row
+                           in zip(*[columns[name] for name in names])])
+        # json.dumps escapes every '"' inside a string, so in a flat head
+        # '"<key>": null' occurs only as the key itself, whatever the values
+        key = json.dumps(key)
+        text = text.replace(f"{key}: null",
+                            f"{key}: [\n{body}\n  ]" if body else f"{key}: []", 1)
+    return text + "\n"
+
+
+def _write_json(path: Path, doc: dict, **tables: dict[str, Sequence]) -> None:
     # serialised first, so a non-finite value leaves no partial file
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(_json_text(doc, **tables), encoding="utf-8")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
 
 
 def _weight_summary(weights: Sequence[int]) -> str:
-    seen: dict[int, int] = {}
-    for w in weights:
-        seen[w] = seen.get(w, 0) + 1
     return "/".join(f"{w}x{c}" for w, c in
-                    sorted(seen.items(), key=lambda kv: -kv[0]))
+                    sorted(Counter(weights).items(), reverse=True))
 
 
 def cmd_catalog(args) -> int:
@@ -238,12 +268,6 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _bounds_doc(report: BoundsReport) -> dict:
-    """The report's fields in their own order, ``set_name`` as ``set``."""
-    return {("set" if key == "set_name" else key): value
-            for key, value in asdict(report).items()}
-
-
 def _outward(lower: float, upper: float) -> str:
     """The bracket [lower, upper] at six decimals, rounded outward; a
     float converts to Decimal exactly, so the rounding is exact too."""
@@ -264,20 +288,20 @@ def cmd_bounds(args) -> int:
           f"margin_quantum={report.margin_quantum:.6f} "
           f"margin_ideal={report.margin_ideal:.6f}")
     outdir = _outdir(args.out)
-    doc = _bounds_doc(report)
+    doc = _doc(report)
     if args.format == "json":
         target = outdir / f"{sic.name}_bounds.json"
         _write_json(target, doc)
     else:
         target = outdir / f"{sic.name}_bounds.csv"
         del doc["alpha_witness"]
-        _write_csv(target, list(doc), [list(doc.values())])
+        _write_csv(target, {key: [value] for key, value in doc.items()})
     print(f"  wrote {target}")
     return 0
 
 
-def _figure_table(sic: SicSet, table, record=None) -> tuple[list[str], list[tuple]]:
-    """Header and rows of the bar-chart export, one row per setting:
+def _figure_table(sic: SicSet, table, record=None) -> dict[str, list]:
+    """The columns of the bar-chart export, one row per setting:
     diagonals first, then ordered edges; rays are numbered from 1."""
     n = len(sic.settings)
     columns = {"index": range(1, n + 1),
@@ -289,7 +313,7 @@ def _figure_table(sic: SicSet, table, record=None) -> tuple[list[str], list[tupl
         p_hat=table.values.tolist(),
         sigma=[0.0] * n if table.sigmas is None else table.sigmas.tolist(),
         p_ideal=sic.ideal_probabilities.tolist())
-    return list(columns), list(zip(*columns.values()))
+    return columns
 
 
 def cmd_predict(args) -> int:
@@ -299,16 +323,15 @@ def cmd_predict(args) -> int:
     beta, table = expected_bell_value(sic, noise)
     print(f"{sic.name}: expected beta = {beta:.6f} "
           f"(visibility={noise.visibility}, crosstalk={noise.crosstalk})")
-    header, rows = _figure_table(sic, table)
+    columns = _figure_table(sic, table)
     outdir = _outdir(args.out)
     if args.format == "json":
         target = outdir / f"{sic.name}_prediction.json"
-        _write_json(target, {"set": sic.name, "beta_expected": beta,
-                             "settings": [dict(zip(header, row))
-                                          for row in rows]})
+        _write_json(target, {"set": sic.name, "beta_expected": beta},
+                    settings=columns)
     else:
         target = outdir / f"{sic.name}_prediction.csv"
-        _write_csv(target, header, rows)
+        _write_csv(target, columns)
     print(f"  wrote {target}")
     return 0
 
@@ -326,24 +349,21 @@ def cmd_simulate(args) -> int:
     if report.bootstrap_p_value is not None:
         print(f"  bootstrap p = {report.bootstrap_p_value:.3g} "
               f"({cfg.bootstrap_replicates} replicates)")
-
-    header, rows = _figure_table(sic, table, record)
-
+    report_doc = {**_doc(report), "seed": record.seed, "exposure": record.exposure}
     outdir = _outdir(args.out)
     figure = outdir / f"{sic.name}_figure.csv"
-    _write_csv(figure, header, rows)
-    report_doc = report.to_json_dict()
-    report_doc["seed"] = record.seed
-    report_doc["exposure"] = record.exposure
+    _write_csv(figure, _figure_table(sic, table, record))
     if args.format == "json":
         target = outdir / f"{sic.name}_report.json"
         _write_json(target, report_doc)
     else:
         target = outdir / f"{sic.name}_report.csv"
-        keys = sorted(report_doc)
-        _write_csv(target, keys, [[report_doc[key] for key in keys]])
+        _write_csv(target, {key: [report_doc[key]] for key in sorted(report_doc)})
     counts_path = outdir / f"{sic.name}_counts.json"
-    counts_path.write_text(record.to_json_text(), encoding="utf-8")
+    alice, bob = zip(*record.settings)
+    _write_json(counts_path, {"set": sic.name, "exposure": record.exposure,
+                              "seed": record.seed},
+                counts={"alice": alice, "bob": bob, "count": record.counts})
     print(f"  wrote {target}, {figure}, {counts_path}")
     return 0
 

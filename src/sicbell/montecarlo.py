@@ -12,13 +12,14 @@ configuration, the exposure and the seed.
 Records and tables keep the setting order they were made in, and
 nothing here reorders them: :func:`estimate_beta` refuses any order but
 ``SicSet.settings``, the order of the prediction table a run draws from.
+Results are plain dataclasses; the CLI alone turns them into artifact
+files.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,8 +33,6 @@ _MAX_SEED = 2**64
 _MAX_MEAN = float(2**63)
 _BOOTSTRAP_STREAM = 0x626F6F74
 _COUNTS_STREAM = 0x636F756E
-# one row of the counts file, as json.dumps(indent=2) lays it out
-_COUNT_ROW = '    {\n      "alice": %d,\n      "bob": %d,\n      "count": %d\n    }'
 
 
 @dataclass(frozen=True)
@@ -60,19 +59,6 @@ class CountRecord:
         if not self.exposure > 0:
             raise ValueError("exposure must be positive")
 
-    def to_json_text(self) -> str:
-        """The counts file: set, exposure, seed and one {alice, bob, count}
-        row per setting, laid out as ``json.dumps(indent=2, sort_keys=True)``
-        lays them out, plus a newline.  Each row is one fixed template."""
-        rows = ",\n".join([_COUNT_ROW % (i, j, c) for (i, j), c
-                           in zip(self.settings, self.counts)])
-        counts = f"[\n{rows}\n  ]" if rows else "[]"
-        head = json.dumps({"counts": None, "exposure": self.exposure,
-                           "seed": self.seed, "set": self.set_name},
-                          indent=2, sort_keys=True, allow_nan=False)
-        # "counts" sorts first, so the first match is its value
-        return head.replace('"counts": null', f'"counts": {counts}', 1) + "\n"
-
 
 @dataclass(frozen=True)
 class ViolationReport:
@@ -85,20 +71,6 @@ class ViolationReport:
     sigmas_of_violation: float
     p_value: float
     bootstrap_p_value: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        """The report as strict-JSON fields; a non-finite number, such
-        as the infinite significance of a table without sigmas, is
-        refused by name."""
-        doc = asdict(self)
-        for key, value in doc.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"report field {key} is {value}, "
-                                 "which strict JSON cannot hold")
-        doc["set"] = doc.pop("set_name")
-        if self.bootstrap_p_value is None:
-            del doc["bootstrap_p_value"]
-        return doc
 
 
 def simulate_counts(sic: SicSet, table: ProbabilityTable, pair_rate: float,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sicbell.bounds import ThetaNonConvergence, solve_theta
+from sicbell.bounds import ThetaNonConvergence, bounds_report, solve_theta
 from sicbell.catalog import get_set, save_set, to_json_dict
 from sicbell.cli import OUTDIR_ENV, RunConfig, load_run_config, main, resolve_set
 import sicbell
@@ -251,6 +252,20 @@ class TestBounds:
         assert main(["bounds", "ks18", "--out", str(tmp_path)]) == 2
         assert "did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_infinite_report_field_is_refused(self, tmp_path, monkeypatch,
+                                              capsys, fmt):
+        report = dataclasses.replace(bounds_report(get_set("ks18")),
+                                     theta_gap=math.inf)
+        monkeypatch.setattr(cli_module, "bounds_report",
+                            lambda sic, tol=1e-6: report)
+        assert main(["bounds", "ks18", "--format", fmt,
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: report field theta_gap is inf, "
+                                "which no artifact can hold\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPredict:
     def test_ideal_figure_columns(self, tmp_path, capsys):
@@ -279,6 +294,17 @@ class TestPredict:
         doc = json.loads((tmp_path / "ks18_prediction.json").read_text())
         assert doc["beta_expected"] == pytest.approx(4.5, abs=1e-10)
         assert len(doc["settings"]) == 18 + 2 * 63
+
+    @pytest.mark.parametrize("noise", [
+        {}, {"visibility": 0.97, "crosstalk": 0.01, "spectrum_width": 4},
+    ], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
+    def test_json_is_its_canonical_dump(self, tmp_path, name, noise):
+        cfg = write_config(tmp_path / "c.json", set=name, **noise)
+        assert main(["predict", "--config", cfg, "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / f"{name}_prediction.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestSimulate:
@@ -483,11 +509,14 @@ class TestConfigHandling:
          "bad config value for visibility: False is not a number"),
         ({"integration_time": 10**400},
          "bad config value for integration_time: int too large"),
+        ({"spectrum": [[-3, 0.6], [0, 0.64], [3, 0.48]], "spectrum_width": 4},
+         "config gives both spectrum and spectrum_width"),
     ], ids=["visibility", "pair_rate", "exposure", "replicates", "width",
             "replicates_cap", "set_type", "tiny_exposure", "sigma_overflow",
             "nan_amplitude", "fractional_seed", "bool_seed",
             "fractional_replicates", "fractional_modes", "bool_amplitude",
-            "string_number", "bool_visibility", "huge_int"])
+            "string_number", "bool_visibility", "huge_int",
+            "spectrum_and_width"])
     @pytest.mark.filterwarnings("error")
     def test_bad_visibility_range(self, tmp_path, capsys, fields, message):
         cfg = write_config(tmp_path / "c.json", **{"set": "yo13", **fields})
@@ -511,6 +540,14 @@ class TestConfigHandling:
         target = tmp_path / "report.json"
         with pytest.raises(ValueError):
             cli_module._write_json(target, {"sigma": math.inf})
+        assert not target.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_column_is_refused_by_name(self, tmp_path, bad):
+        target = tmp_path / "table.json"
+        with pytest.raises(ValueError, match=f"^column p_hat holds {bad}, "):
+            cli_module._write_json(target, {"set": "yo13"}, settings={
+                "index": [1, 2], "p_hat": [0.5, bad], "sigma": [0.0, 0.0]})
         assert not target.exists()
 
     def test_explicit_spectrum(self, tmp_path, capsys):
@@ -548,6 +585,35 @@ class TestConfigHandling:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: set {path} fails validation: nonzero_vectors\n"
+
+    @pytest.mark.parametrize("command", ["catalog", "bounds", "predict",
+                                         "simulate", "fit"])
+    def test_dimension_above_the_cap_is_refused(self, tmp_path, capsys,
+                                                command):
+        # two orthogonal rays in d = 33: the joint space would be 1089^2
+        d = 33
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "name": "wide", "dimension": d, "weights": [1, 1],
+            "vectors": [[[1, 0]] + [[0, 0]] * (d - 1),
+                        [[0, 0], [1, 0]] + [[0, 0]] * (d - 2)]}))
+        out = ["--out", str(tmp_path / "out")]
+        argv = {"catalog": ["catalog", str(path)],
+                "bounds": ["bounds", str(path), *out],
+                "predict": ["predict", "--set", str(path), *out],
+                "simulate": ["simulate", "--set", str(path), *out],
+                "fit": ["fit", "--set", str(path), "--target-beta", "1"]}
+        assert main(argv[command]) == 1
+        captured = capsys.readouterr()
+        if command == "catalog":
+            assert ("  [FAIL] vector_dimension: d=33, n=2, above the cap of d=32\n"
+                    in captured.out)
+            assert captured.err == "wide: INVALID\n"
+        else:
+            assert captured.out == ""
+            assert captured.err == (f"error: set {path} fails validation: "
+                                    "vector_dimension\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["wide.json"]
 
     @pytest.mark.parametrize("command", ["bounds", "predict", "simulate"])
     @pytest.mark.parametrize("name", [

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sicbell import cli
 from sicbell.catalog import catalog_names, get_set, orthogonality_graph
 from sicbell.montecarlo import (
     _BOOTSTRAP_STREAM,
@@ -402,30 +403,39 @@ class TestSerialization:
         report = estimate_beta(table, sic)
         with pytest.raises(ValueError, match=f"^report field sigmas_of_violation "
                                              f"is {shown}, "):
-            report.to_json_dict()
+            cli._doc(report)
 
-    def test_record_json_round_fields(self):
-        rec, _, report = run_experiment(get_set("yo13"), IDEAL, 1e4, 1.0, 11)
-        doc = json.loads(rec.to_json_text())
+    @staticmethod
+    def simulate_yo13(tmp_path, seed):
+        """The counts and report files of a CLI run with exposure 1e4."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"set": "yo13", "pair_rate": 1e4,
+                                      "integration_time": 1.0, "seed": seed}))
+        assert cli.main(["simulate", "--config", str(config),
+                         "--out", str(tmp_path)]) == 0
+        return tuple(json.loads((tmp_path / f"yo13_{kind}.json").read_text())
+                     for kind in ("counts", "report"))
+
+    def test_record_json_round_fields(self, tmp_path):
+        doc, rdoc = self.simulate_yo13(tmp_path, 11)
         assert doc["set"] == "yo13"
         assert doc["seed"] == 11
         assert len(doc["counts"]) == 61
         assert all(row["count"] >= 0 for row in doc["counts"])
-        rdoc = report.to_json_dict()
         assert rdoc["alpha"] == 11.0
         assert rdoc["sigmas_of_violation"] == pytest.approx(
             (rdoc["beta_hat"] - 11.0) / rdoc["sigma"])
 
-    def test_record_rebuilt_from_its_counts_file(self):
+    def test_record_rebuilt_from_its_counts_file(self, tmp_path):
         # a JSON reader hands back list pairs; the record keeps int tuples
         sic = get_set("yo13")
         rec, table, report = run_experiment(sic, IDEAL, 1e4, 1.0, 0)
-        doc = json.loads(rec.to_json_text())
+        doc, _ = self.simulate_yo13(tmp_path, 0)
         rebuilt = CountRecord(doc["set"],
                               [[r["alice"], r["bob"]] for r in doc["counts"]],
-                              [r["count"] for r in doc["counts"]],
+                              tuple(r["count"] for r in doc["counts"]),
                               doc["exposure"], doc["seed"])
         assert rebuilt.settings == sic.settings
         again = estimate_beta(estimate_probabilities(rebuilt), sic)
         assert again.beta_hat == report.beta_hat
-        assert rebuilt.to_json_text() == rec.to_json_text()
+        assert rebuilt == rec

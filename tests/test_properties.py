@@ -10,8 +10,9 @@ and joins of them, the split theta_graph bracket against the
 whole-graph solve, and KS colorability against enumeration of every 0/1
 assignment.  The closed-form ideal prediction
 is checked against the noise model run at IDEAL, the noise-model
-inversion by a round trip through the forward model, the counts file's
-template against ``json.dumps`` on random count records, a run's layout
+inversion by a round trip through the forward model, the CLI's row-table
+JSON writer against ``json.dumps`` on random count records and random
+float tables, a run's layout
 against the set's own setting order, and fuzzed run configs and
 mutated bundled set files by the CLI's exit contract and strict-JSON
 artifacts.
@@ -49,7 +50,7 @@ from sicbell.catalog import (
     to_json_dict,
     verify_set,
 )
-from sicbell.cli import main
+from sicbell.cli import _json_text, main
 from sicbell.exact import ZERO, ExactScalar, coordinates, gram
 from sicbell.montecarlo import (
     CountRecord,
@@ -442,7 +443,8 @@ def test_theta_lower_bound_holds_exactly(graph, tol):
 _counts = st.one_of(st.just(0), st.integers(0, 10**6),
                     st.integers(2**62 - 2**10, 2**62 + 2**10))
 _names = st.one_of(st.text(max_size=8), st.sampled_from(
-    ['a"b', "back\\slash", "ks21\u00e9\u2192\U0001f600"]))
+    ['a"b', "back\\slash", "ks21\u00e9\u2192\U0001f600", '"counts": null',
+     '"settings": null']))
 
 
 @st.composite
@@ -465,7 +467,32 @@ def test_counts_file_text_is_json_dumps(record):
            "counts": [{"alice": i, "bob": j, "count": c}
                       for (i, j), c in zip(record.settings, record.counts)]}
     oracle = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert record.to_json_text() == oracle
+    assert _json_text({"set": record.set_name, "exposure": record.exposure,
+                       "seed": record.seed},
+                      counts={"alice": [i for i, _ in record.settings],
+                              "bob": [j for _, j in record.settings],
+                              "count": record.counts}) == oracle
+
+
+# signed zeros, subnormals, one and the largest decades, next to any float
+_finite = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                                     1.0, 1e308, -1e308]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@PROPERTY_SETTINGS
+@given(name=_names, beta=_finite, rows=st.lists(
+    st.tuples(st.integers(1, 300), _finite, _finite), max_size=12))
+def test_float_table_text_is_json_dumps(name, beta, rows):
+    # "settings" sorts after "set", so the table is spliced in after the
+    # name; the columns are not given in sorted order, as in predict
+    columns = {"sigma": [s for _, _, s in rows], "index": [i for i, _, _ in rows],
+               "p_hat": [p for _, p, _ in rows]}
+    doc = {"set": name, "beta_expected": beta,
+           "settings": [{"index": i, "p_hat": p, "sigma": s} for i, p, s in rows]}
+    oracle = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert _json_text({"set": name, "beta_expected": beta},
+                      settings=columns) == oracle
 
 
 _CONFIG_KEYS = ["set", "visibility", "crosstalk", "spectrum_width", "spectrum",
