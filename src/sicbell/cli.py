@@ -81,7 +81,9 @@ class RunConfig:
     """Everything one simulated run depends on.
 
     Defaults describe the ideal experiment: perfect visibility, no
-    crosstalk, flat spectrum, and a million pairs per setting.
+    crosstalk, flat spectrum, and a million pairs per setting.  A config
+    that gives both spectra, or a replicate count below 0 or above
+    ``MAX_BOOTSTRAP_REPLICATES``, is refused however it is built.
     """
 
     set_name: str
@@ -93,6 +95,17 @@ class RunConfig:
     integration_time: float = 5.0
     seed: int = 0
     bootstrap_replicates: int = 10_000
+
+    def __post_init__(self):
+        if self.spectrum is not None and self.spectrum_width is not None:
+            raise CliError("config gives both spectrum and spectrum_width: "
+                           "give one, or null for the other")
+        if self.bootstrap_replicates < 0:
+            raise CliError(f"bootstrap_replicates {self.bootstrap_replicates} "
+                           "is negative")
+        if self.bootstrap_replicates > MAX_BOOTSTRAP_REPLICATES:
+            raise CliError(f"bootstrap_replicates {self.bootstrap_replicates} "
+                           f"exceeds the cap of {MAX_BOOTSTRAP_REPLICATES}")
 
     def noise_config(self, dimension: int) -> NoiseConfig:
         spectrum = self.spectrum
@@ -134,9 +147,6 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
                 tuple(_number(a) for _, a in rows))
         except (TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad spectrum in config: {exc}") from exc
-    if spectrum is not None and doc.get("spectrum_width") is not None:
-        raise CliError("config gives both spectrum and spectrum_width: "
-                       "give one, or null for the other")
     if seed is not None:
         doc = {**doc, "seed": seed}
     fields = {}
@@ -146,14 +156,7 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
                 fields[key] = convert(doc[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise CliError(f"bad config value for {key}: {exc}") from exc
-    cfg = RunConfig(set_name=name, spectrum=spectrum, **fields)
-    if cfg.bootstrap_replicates < 0:
-        raise CliError(f"bootstrap_replicates {cfg.bootstrap_replicates} "
-                       "is negative")
-    if cfg.bootstrap_replicates > MAX_BOOTSTRAP_REPLICATES:
-        raise CliError(f"bootstrap_replicates {cfg.bootstrap_replicates} "
-                       f"exceeds the cap of {MAX_BOOTSTRAP_REPLICATES}")
-    return cfg
+    return RunConfig(set_name=name, spectrum=spectrum, **fields)
 
 
 def _read_set(name: str) -> SicSet:

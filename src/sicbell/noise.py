@@ -16,11 +16,12 @@ tunable parameter:
 
 ``apply_noise`` composes all of these into the state, a plain (d^2, d^2)
 density matrix, and the first arm's measurement effects (built on
-``SicSet.projectors``) that the Monte Carlo layer samples from; the
-second arm's conjugate effects are formed only in
-:func:`sicbell.quantum.born_probabilities`.
-``expected_bell_value(sic, IDEAL)`` is the general path to the ideal
-prediction and the tests' reference for its closed form,
+``SicSet.projectors``); the second arm's conjugate effects are formed
+only in :func:`sicbell.quantum.born_probabilities`.
+``expected_bell_value`` is :func:`sicbell.quantum.bell_value` on that
+pair, the one Born-rule path: ``predict`` writes its table and
+``simulate`` draws counts from it.  At ``IDEAL`` it is the general path
+to the ideal prediction and the tests' reference for its closed form,
 ``SicSet.ideal_probabilities`` and beta = sum(w) / d.
 """
 
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import SicSet
-from .quantum import ProbabilityTable, born_probabilities
+from .quantum import ProbabilityTable, bell_value, born_probabilities
 
 _NORM_TOL = 1e-12
 
@@ -193,18 +194,15 @@ class PredictionInputs:
     POVM element for selecting ray i on arm A, stacked as an (n, d, d)
     array; arm B selects ray j with its entrywise conjugate, which
     :func:`sicbell.quantum.born_probabilities` forms.  The joint click
-    probability for setting (i, j) is Tr[rho (A_i x A_j*)].
+    probability for setting (i, j) is Tr[rho (A_i x A_j*)]; a whole
+    table comes from :func:`sicbell.quantum.bell_value`.
     """
 
     state: np.ndarray
     effects: np.ndarray = field(repr=False)
 
-    def probabilities(self, settings: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Click probabilities for every setting, in the given order."""
-        return born_probabilities(self.state, self.effects, settings)
-
     def probability(self, i: int, j: int) -> float:
-        return float(self.probabilities([(i, j)])[0])
+        return float(born_probabilities(self.state, self.effects, [(i, j)])[0])
 
 
 def measurement_effects(sic: SicSet, crosstalk: float) -> np.ndarray:
@@ -233,8 +231,8 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
 
     The source state is the (possibly non-flat) Schmidt state mixed with
     white noise at weight 1 - visibility; the analyzers carry the
-    crosstalk leakage.  The returned object feeds the exact prediction
-    table, which the count simulator draws from.
+    crosstalk leakage.  :func:`expected_bell_value` turns the pair into
+    the exact prediction table, which the count simulator draws from.
     """
     d = sic.dimension
     spec = cfg.spectrum if cfg.spectrum is not None else uniform_spectrum(default_modes(d))
@@ -247,14 +245,8 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
     return PredictionInputs(rho, measurement_effects(sic, cfg.crosstalk))
 
 
-def prediction_table(sic: SicSet, inputs: PredictionInputs) -> ProbabilityTable:
-    """Exact click probabilities for every setting of a set."""
-    values = inputs.probabilities(sic.settings)
-    return ProbabilityTable(sic.settings, values)
-
-
 def expected_bell_value(sic: SicSet, cfg: NoiseConfig
                         ) -> tuple[float, ProbabilityTable]:
     """The functional value a noiseless estimator would converge to."""
-    table = prediction_table(sic, apply_noise(sic, cfg))
-    return float(sic.coefficients @ table.values), table
+    inputs = apply_noise(sic, cfg)
+    return bell_value(sic, inputs.state, inputs.effects)

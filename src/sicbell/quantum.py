@@ -11,8 +11,10 @@ A state is its density matrix, a plain (d^2, d^2) array on the joint
 space; d comes from the effects or the set, and a matrix of any other
 shape raises ``ValueError``.  Every probability is the Born-rule trace
 Tr[rho (A_i x A_j*)], and a whole table of them comes from one tensor
-contraction (:func:`born_probabilities`); the set owns its projector
-stack (``SicSet.projectors``).  The single-pair
+contraction (:func:`born_probabilities`).  :func:`bell_value` is the one
+path from a state and arm A's effect stack to beta and its table: the
+set's projectors (``SicSet.projectors``) for ideal analysers, the noisy
+stack for ``noise.expected_bell_value``.  The single-pair
 :func:`joint_probability` builds the Kronecker product explicitly; it is
 kept as the reference the contraction is tested against.  The ideal
 prediction is ``SicSet.ideal_probabilities``; ``noise.expected_bell_value``
@@ -123,9 +125,10 @@ class ProbabilityTable:
     sigmas: Optional[np.ndarray] = None
 
 
-def bell_value(sic: SicSet, rho: np.ndarray) -> tuple[float, ProbabilityTable]:
-    """Evaluate the functional for a set against a (d^2, d^2) state."""
-    values = born_probabilities(rho, sic.projectors, sic.settings)
+def bell_value(sic: SicSet, rho: np.ndarray, effects: np.ndarray
+               ) -> tuple[float, ProbabilityTable]:
+    """Beta and its table for a (d^2, d^2) state and arm A's (n, d, d) effects."""
+    values = born_probabilities(rho, effects, sic.settings)
     table = ProbabilityTable(sic.settings, values)
     return float(sic.coefficients @ values), table
 

@@ -82,7 +82,7 @@ def test_acceptance_2_ideal_values(capsys):
     values = {}
     for name in targets:
         sic = get_set(name)
-        beta, _ = bell_value(sic, max_entangled_state(sic.dimension))
+        beta, _ = bell_value(sic, max_entangled_state(sic.dimension), sic.projectors)
         values[name] = beta
     elapsed = time.perf_counter() - start
     ok = elapsed < 1.0
@@ -174,7 +174,7 @@ def test_acceptance_5_oracle_equivalence(capsys):
         alpha, _ = max_weight_independent_set(graph)
         brute = exhaustive_alpha(graph)
         rep = cached_bounds(name)
-        beta, _ = bell_value(sic, max_entangled_state(sic.dimension))
+        beta, _ = bell_value(sic, max_entangled_state(sic.dimension), sic.projectors)
         ok &= alpha == brute
         ok &= rep.theta >= alpha
         ok &= rep.theta >= beta - 1e-5

@@ -179,6 +179,10 @@ def test_mwis_edgeless_pair():
 
 def test_mwis_empty_and_capacity():
     assert max_weight_independent_set(WeightedGraph(0, (), ())) == (0, ())
+    # the empty graph's theta is 0, returned without iterating
+    empty = solve_theta(WeightedGraph(0, (), ()))
+    assert (empty.value, empty.gap, empty.dual_bound) == (0.0, 0.0, 0.0)
+    assert empty.matrix.shape == (0, 0) and empty.iterations == 0
     big = WeightedGraph(65, (1,) * 65, ())
     with pytest.raises(ValueError):
         max_weight_independent_set(big)

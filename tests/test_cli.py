@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,9 @@ import pytest
 
 from sicbell.bounds import ThetaNonConvergence, bounds_report, solve_theta
 from sicbell.catalog import get_set, save_set, to_json_dict
-from sicbell.cli import OUTDIR_ENV, RunConfig, load_run_config, main, resolve_set
+from sicbell.cli import (MAX_BOOTSTRAP_REPLICATES, OUTDIR_ENV, CliError, RunConfig,
+                         load_run_config, main, resolve_set)
+from sicbell.noise import uniform_spectrum
 import sicbell
 from sicbell import cli as cli_module
 from sicbell import montecarlo
@@ -570,6 +573,34 @@ class TestConfigHandling:
         assert cfg.noise_config(3).visibility == 1.0
         assert cfg.noise_config(3).crosstalk == 0.0
         assert cfg.noise_config(3).spectrum is None
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"spectrum": uniform_spectrum((-3, 0, 3)), "spectrum_width": 4.0},
+         "config gives both spectrum and spectrum_width: give one, or null "
+         "for the other"),
+        ({"bootstrap_replicates": -5}, "bootstrap_replicates -5 is negative"),
+        ({"bootstrap_replicates": MAX_BOOTSTRAP_REPLICATES + 1},
+         "bootstrap_replicates 1000001 exceeds the cap of 1000000"),
+    ], ids=["spectrum_and_width", "replicates", "replicates_cap"])
+    def test_run_config_built_directly_is_checked(self, fields, message):
+        # a library caller that skips load_run_config meets the same refusals
+        with pytest.raises(CliError, match=f"^{re.escape(message)}$"):
+            RunConfig(set_name="yo13", **fields)
+
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    def test_crosstalk_needs_two_dimensions(self, tmp_path, capsys, command):
+        # a valid d = 1 set: two parallel rays, no edges
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"name": "one", "dimension": 1,
+                                    "vectors": [[[1, 0]], [[2, 0]]],
+                                    "weights": [1, 1]}))
+        cfg = write_config(tmp_path / "c.json", crosstalk=0.1)
+        assert main([command, "--set", str(path), "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: crosstalk needs dimension at least 2\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json", "one.json"]
 
     def test_resolve_set_catalog(self):
         assert resolve_set("ks18").n == 18

@@ -21,8 +21,8 @@ from sicbell.montecarlo import (
     run_experiment,
     simulate_counts,
 )
-from sicbell.noise import NoiseConfig, apply_noise, expected_bell_value, prediction_table
-from sicbell.quantum import ProbabilityTable
+from sicbell.noise import NoiseConfig, apply_noise, expected_bell_value
+from sicbell.quantum import ProbabilityTable, born_probabilities
 
 
 IDEAL = NoiseConfig()
@@ -30,11 +30,12 @@ IDEAL = NoiseConfig()
 
 def ideal_table(name):
     sic = get_set(name)
-    return prediction_table(sic, apply_noise(sic, IDEAL))
+    return expected_bell_value(sic, IDEAL)[1]
 
 
 def one_setting_table(setting, inputs):
-    return ProbabilityTable((setting,), inputs.probabilities([setting]))
+    values = born_probabilities(inputs.state, inputs.effects, [setting])
+    return ProbabilityTable((setting,), values)
 
 
 class TestSimulateCounts:
@@ -181,7 +182,7 @@ class TestEstimateBeta:
     def test_exact_table_reproduces_value(self):
         for name in catalog_names():
             sic = get_set(name)
-            table = prediction_table(sic, apply_noise(sic, IDEAL))
+            table = expected_bell_value(sic, IDEAL)[1]
             report = estimate_beta(table, sic)
             assert report.beta_hat == pytest.approx(
                 sum(sic.weights) / sic.dimension, abs=1e-12)
@@ -193,7 +194,7 @@ class TestEstimateBeta:
         expected = {"yo13": 11.0, "ks18": 4.0, "ks21": 3.0}
         for name, alpha in expected.items():
             sic = get_set(name)
-            table = prediction_table(sic, apply_noise(sic, IDEAL))
+            table = expected_bell_value(sic, IDEAL)[1]
             assert estimate_beta(table, sic).alpha == alpha
 
     def test_plugged_sigmas_propagate(self):
@@ -205,7 +206,7 @@ class TestEstimateBeta:
                    for i, j in graph.edges)
         total = total_squared_coefficient(sic)
         assert total == pytest.approx(97.0 + 24 * 9 / 2.0)
-        base = prediction_table(sic, apply_noise(sic, IDEAL))
+        base = expected_bell_value(sic, IDEAL)[1]
         s = 1e-3
         table = ProbabilityTable(base.settings, base.values,
                                  np.full(base.values.size, s))
@@ -223,7 +224,7 @@ class TestEstimateBeta:
         for name, (target, sig, ratio, rounded) in cases.items():
             sic = get_set(name)
             v = fit_visibility(target, sic)
-            table = prediction_table(sic, apply_noise(sic, NoiseConfig(visibility=v)))
+            table = expected_bell_value(sic, NoiseConfig(visibility=v))[1]
             s = sig / math.sqrt(total_squared_coefficient(sic))
             table = ProbabilityTable(table.settings, table.values,
                                      np.full(table.values.size, s))
@@ -235,14 +236,13 @@ class TestEstimateBeta:
             assert 0.0 <= report.p_value < 1e-10
 
     def test_wrong_set_rejected(self):
-        table = prediction_table(get_set("ks18"),
-                                 apply_noise(get_set("ks18"), IDEAL))
+        table = expected_bell_value(get_set("ks18"), IDEAL)[1]
         with pytest.raises(ValueError):
             estimate_beta(table, get_set("yo13"))
 
     def test_bootstrap_needs_record(self):
         sic = get_set("yo13")
-        table = prediction_table(sic, apply_noise(sic, IDEAL))
+        table = expected_bell_value(sic, IDEAL)[1]
         with pytest.raises(ValueError):
             estimate_beta(table, sic, bootstrap_replicates=100)
 
@@ -399,7 +399,7 @@ class TestSerialization:
     def test_non_finite_report_field_is_named(self, visibility, shown):
         # a table without sigmas gives sigma 0, so an infinite significance
         sic = get_set("ks18")
-        table = prediction_table(sic, apply_noise(sic, NoiseConfig(visibility=visibility)))
+        table = expected_bell_value(sic, NoiseConfig(visibility=visibility))[1]
         report = estimate_beta(table, sic)
         with pytest.raises(ValueError, match=f"^report field sigmas_of_violation "
                                              f"is {shown}, "):

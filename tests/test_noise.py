@@ -15,13 +15,12 @@ from sicbell.noise import (
     default_modes,
     expected_bell_value,
     measurement_effects,
-    prediction_table,
     procrustean_filter,
     schmidt_state,
     spiral_spectrum,
     uniform_spectrum,
 )
-from sicbell.quantum import bell_value, max_entangled_state
+from sicbell.quantum import bell_value, born_probabilities, max_entangled_state
 
 from exact_oracle import validate_state
 
@@ -93,6 +92,10 @@ class TestSpectra:
             SchmidtSpectrum((0, 1), (0.9, 0.1))
         with pytest.raises(ValueError):
             SchmidtSpectrum((0, 1), (-0.6, 0.8))
+        with pytest.raises(ValueError, match="^one amplitude per mode required$"):
+            SchmidtSpectrum((-3, 0, 3), (0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="^spectrum needs at least one mode$"):
+            uniform_spectrum(())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_amplitude_rejected(self, bad):
@@ -106,6 +109,8 @@ class TestSpectra:
         assert default_modes(6) == (-3, -2, -1, 1, 2, 3)
         assert default_modes(5) == (-2, -1, 0, 1, 2)
         assert default_modes(2) == (-1, 1)
+        with pytest.raises(ValueError, match="^dimension must be positive$"):
+            default_modes(0)
 
 
 class TestSchmidtState:
@@ -119,7 +124,7 @@ class TestSchmidtState:
         spec = SchmidtSpectrum((-3, 0, 3), (1.0, 0.0, 0.0))
         state = schmidt_state(spec)
         yo13 = get_set("yo13")
-        beta, _ = bell_value(yo13, state)
+        beta, _ = bell_value(yo13, state, yo13.projectors)
         assert beta <= 35.0 / 3.0 + 1e-9
         red = reduced_state(state, 3)
         assert abs(np.trace(red @ red).real - 1.0) < 1e-12
@@ -340,13 +345,12 @@ class TestApplyNoise:
         inputs = apply_noise(get_set("yo13"), NoiseConfig())
         message = rf"setting \({setting[0]}, {setting[1]}\) out of range"
         with pytest.raises(ValueError, match=message):
-            inputs.probabilities([(0, 0), setting])
+            born_probabilities(inputs.state, inputs.effects, [(0, 0), setting])
         with pytest.raises(ValueError, match=message):
             inputs.probability(*setting)
 
     def test_prediction_table_matches_bell_value(self):
         sic = get_set("ks21")
-        inputs = apply_noise(sic, NoiseConfig())
-        table = prediction_table(sic, inputs)
-        _, ideal_table = bell_value(sic, max_entangled_state(6))
+        _, table = expected_bell_value(sic, NoiseConfig())
+        _, ideal_table = bell_value(sic, max_entangled_state(6), sic.projectors)
         assert np.allclose(table.values, ideal_table.values, atol=1e-12)

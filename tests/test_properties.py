@@ -9,7 +9,8 @@ the weight-sum branch and bound, on random graphs and on nested unions
 and joins of them, the split theta_graph bracket against the
 whole-graph solve, and KS colorability against enumeration of every 0/1
 assignment.  The closed-form ideal prediction
-is checked against the noise model run at IDEAL, the noise-model
+is checked against the noise model run at IDEAL and against the
+Cabello-Severini-Winter bound (at most theta_graph's upper end), the noise-model
 inversion by a round trip through the forward model, the CLI's row-table
 JSON writer against ``json.dumps`` on random count records and random
 float tables, a run's layout
@@ -37,6 +38,7 @@ from sicbell.bounds import (
     ThetaNonConvergence,
     _decompose,
     _theta_bracket,
+    bounds_report,
     ks_colorable,
     max_weight_independent_set,
     solve_theta,
@@ -139,7 +141,7 @@ def test_noisy_contraction_matches_kron_trace(sic, seed, crosstalk):
 @given(ray_sets(), _seeds, _ranks)
 def test_bell_operator_trace_is_bell_value(sic, seed, rank):
     state = mixed_state(sic.dimension, seed, min(rank, sic.dimension ** 2))
-    beta, _ = bell_value(sic, state)
+    beta, _ = bell_value(sic, state, sic.projectors)
     traced = np.trace(state @ bell_operator(sic)).real
     assert abs(traced - beta) <= 1e-10
 
@@ -252,10 +254,23 @@ def test_closed_form_ideal_matches_noise_model(sic):
                          (ZERO, ExactScalar(0, 1), ZERO)),
                 weights=(1, 1, 1)))
 def test_ideal_value_is_below_the_ceiling(sic):
-    beta_ideal, _ = bell_value(sic, max_entangled_state(sic.dimension))
+    beta_ideal, _ = bell_value(sic, max_entangled_state(sic.dimension), sic.projectors)
     assert abs(beta_ideal - sum(sic.weights) / sic.dimension) <= 1e-12
     ceiling = state_ceiling(bell_operator(sic))
     assert Fraction(sum(sic.weights), sic.dimension) <= Fraction(ceiling.dual_bound)
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets())
+# ks18 and ks21 meet the bound (beta_ideal = theta_graph = n / d), so their
+# upper ends clear beta_ideal by the bracket's width only, about 1e-7
+@example(get_set("ks18"))
+@example(get_set("ks21"))
+def test_ideal_value_is_below_theta_graph(sic):
+    # Cabello-Severini-Winter: no quantum realization of the graph beats
+    # its weighted Lovasz number, so the certified upper end holds beta_ideal
+    report = bounds_report(sic)
+    assert report.beta_ideal <= report.theta_graph + report.theta_graph_gap
 
 
 @PROPERTY_SETTINGS

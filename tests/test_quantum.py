@@ -8,7 +8,7 @@ from sicbell.catalog import (
     get_set,
     orthogonality_graph,
 )
-from sicbell.noise import IDEAL, PredictionInputs, expected_bell_value
+from sicbell.noise import IDEAL, expected_bell_value
 from sicbell.quantum import (
     ProbabilityTable,
     bell_value,
@@ -135,6 +135,9 @@ def test_joint_probability_dimension_mismatch():
     st = max_entangled_state(3)
     with pytest.raises(ValueError):
         joint_probability(st, np.ones(4), np.ones(4))
+    # vectors of different lengths are refused before the state is read
+    with pytest.raises(ValueError, match="^the two vectors differ in dimension$"):
+        joint_probability(st, np.ones(3), np.ones(4))
 
 
 @pytest.mark.parametrize("scale", [4.0, np.nan])
@@ -161,7 +164,7 @@ def test_bell_value_ideal_catalog():
     targets = {"yo13": 35.0 / 3.0, "ks18": 4.5, "ks21": 3.5}
     for name, target in targets.items():
         s = get_set(name)
-        beta, table = bell_value(s, max_entangled_state(s.dimension))
+        beta, table = bell_value(s, max_entangled_state(s.dimension), s.projectors)
         assert abs(beta - target) < 1e-12
         assert isinstance(table, ProbabilityTable)
         assert np.all(table.values >= 0.0) and np.all(table.values <= 1.0)
@@ -169,7 +172,7 @@ def test_bell_value_ideal_catalog():
 
 def test_bell_value_table_symmetric_for_ideal():
     s = get_set("ks18")
-    _, table = bell_value(s, max_entangled_state(4))
+    _, table = bell_value(s, max_entangled_state(4), s.projectors)
     d = dict(zip(table.settings, table.values))
     for i, j in s.graph.edges:
         assert abs(d[(i, j)] - d[(j, i)]) < 1e-12
@@ -180,7 +183,7 @@ def test_bell_value_mixed_state_closed_form():
     expected = {"yo13": -37.0 / 9.0, "ks18": -45.0 / 16.0, "ks21": -84.0 / 36.0}
     for name, target in expected.items():
         s = get_set(name)
-        beta, _ = bell_value(s, isotropic_state(s.dimension, 0.0))
+        beta, _ = bell_value(s, isotropic_state(s.dimension, 0.0), s.projectors)
         assert abs(beta - target) < 1e-12
 
 
@@ -188,17 +191,18 @@ def test_bell_value_affine_in_state():
     s = get_set("yo13")
     rho1 = max_entangled_state(3)
     rho2 = isotropic_state(3, 0.0)
-    b1, _ = bell_value(s, rho1)
-    b2, _ = bell_value(s, rho2)
+    b1, _ = bell_value(s, rho1, s.projectors)
+    b2, _ = bell_value(s, rho2, s.projectors)
     for lam in (0.25, 0.5, 0.9):
         mix = lam * rho1 + (1.0 - lam) * rho2
-        bmix, _ = bell_value(s, mix)
+        bmix, _ = bell_value(s, mix, s.projectors)
         assert abs(bmix - (lam * b1 + (1.0 - lam) * b2)) < 1e-12
 
 
 def test_bell_value_dimension_mismatch():
+    s = get_set("yo13")
     with pytest.raises(ValueError):
-        bell_value(get_set("yo13"), max_entangled_state(4))
+        bell_value(s, max_entangled_state(4), s.projectors)
 
 
 def test_bell_value_basis_covariance():
@@ -207,7 +211,7 @@ def test_bell_value_basis_covariance():
     rng = np.random.default_rng(314)
     s = get_set("yo13")
     vecs = s.unit_vectors
-    beta0, _ = bell_value(s, max_entangled_state(3))
+    beta0, _ = bell_value(s, max_entangled_state(3), s.projectors)
 
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u, _ = np.linalg.qr(m)
@@ -237,7 +241,7 @@ def test_wrong_shape_state_is_refused(rho):
     with pytest.raises(ValueError, match=message):
         born_probabilities(rho, s.projectors, [(0, 0)])
     with pytest.raises(ValueError, match=message):
-        bell_value(s, rho)
+        bell_value(s, rho, s.projectors)
     v = s.unit_vectors[0]
     with pytest.raises(ValueError, match=message):
         joint_probability(rho, v, v)
@@ -247,7 +251,7 @@ def test_wrong_shape_state_is_refused(rho):
 def test_one_born_path_bit_for_bit(name):
     s = get_set(name)
     d = s.dimension
-    _, table = bell_value(s, max_entangled_state(d))
+    _, table = bell_value(s, max_entangled_state(d), s.projectors)
     _, expected = expected_bell_value(s, IDEAL)
     assert np.array_equal(table.values, expected.values)
     rng = np.random.default_rng(17)
@@ -255,5 +259,5 @@ def test_one_born_path_bit_for_bit(name):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     validate_state(rho, d)
-    direct = PredictionInputs(rho, s.projectors).probabilities(s.settings)
-    assert np.array_equal(direct, bell_value(s, rho)[1].values)
+    direct = born_probabilities(rho, s.projectors, s.settings)
+    assert np.array_equal(direct, bell_value(s, rho, s.projectors)[1].values)
