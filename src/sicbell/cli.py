@@ -60,8 +60,7 @@ def _number(value, kind=float):
 _CONFIG_FIELDS = {
     "visibility": _number, "crosstalk": _number,
     "spectrum_width": lambda value: None if value is None else _number(value),
-    "pair_rate": _number, "integration_time": _number,
-    "seed": lambda value: _number(value, int),
+    "exposure": _number, "seed": lambda value: _number(value, int),
     "bootstrap_replicates": lambda value: _number(value, int),
 }
 _CONFIG_KEYS = {"set", "spectrum", *_CONFIG_FIELDS}
@@ -81,8 +80,9 @@ class RunConfig:
     """Everything one simulated run depends on.
 
     Defaults describe the ideal experiment: perfect visibility, no
-    crosstalk, flat spectrum, and a million pairs per setting.  A config
-    that gives both spectra, or a replicate count below 0 or above
+    crosstalk, flat spectrum, and an ``exposure`` of a million pairs per
+    setting, the N that the counts are drawn around.  A config that gives
+    both spectra, or a replicate count below 0 or above
     ``MAX_BOOTSTRAP_REPLICATES``, is refused however it is built.
     """
 
@@ -91,8 +91,7 @@ class RunConfig:
     crosstalk: float = 0.0
     spectrum_width: Optional[float] = None
     spectrum: Optional[SchmidtSpectrum] = None
-    pair_rate: float = 200_000.0
-    integration_time: float = 5.0
+    exposure: float = 1_000_000.0
     seed: int = 0
     bootstrap_replicates: int = 10_000
 
@@ -126,7 +125,7 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
                 doc = json.load(handle)
         except OSError as exc:
             raise CliError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise CliError("config must be a JSON object")
@@ -169,7 +168,7 @@ def _read_set(name: str) -> SicSet:
             raise CliError(f"no such set file: {name}")
         try:
             return load_set(path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:
             raise CliError(f"cannot load set from {name}: {exc}") from exc
     raise CliError(
         f"unknown set {name!r}: choose from {', '.join(catalog_names())} "
@@ -343,8 +342,7 @@ def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config, args.set, args.seed)
     sic = resolve_set(cfg.set_name)
     record, table, report = run_experiment(
-        sic, cfg.noise_config(sic.dimension), cfg.pair_rate,
-        cfg.integration_time, cfg.seed,
+        sic, cfg.noise_config(sic.dimension), cfg.exposure, cfg.seed,
         bootstrap_replicates=cfg.bootstrap_replicates)
     print(f"{sic.name}: beta_hat = {report.beta_hat:.4f} +- {report.sigma:.4f} "
           f"(alpha = {report.alpha:g}, {report.sigmas_of_violation:.2f} sigma, "

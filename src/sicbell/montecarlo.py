@@ -3,11 +3,12 @@
 A run visits every measurement setting of a set (each diagonal and both
 orientations of each edge), accumulates coincidence counts for a fixed
 exposure, and estimates the inequality value with propagated counting
-errors.  Counts are Poisson distributed around N * P, where N is the
-calibrated number of pairs per setting exposure and P the table that
-``predict`` writes; a run draws them from one PRNG stream keyed by its
-seed, so the whole pipeline is a pure function of the set, the noise
-configuration, the exposure and the seed.
+errors.  Counts are Poisson distributed around N * P, where N, the
+exposure, is the calibrated number of pairs per setting and P the table
+that ``predict`` writes.  A run is parameterised by N alone, and it
+draws its counts from one PRNG stream keyed by its seed, so the whole
+pipeline is a pure function of the set, the noise configuration, the
+exposure and the seed.
 
 Records and tables keep the setting order they were made in, and
 nothing here reorders them: :func:`estimate_beta` refuses any order but
@@ -56,8 +57,8 @@ class CountRecord:
             raise ValueError("one count per setting required")
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be nonnegative")
-        if not self.exposure > 0:
-            raise ValueError("exposure must be positive")
+        if not 0 < self.exposure < math.inf:
+            raise ValueError(f"exposure must be positive and finite, not {self.exposure}")
 
 
 @dataclass(frozen=True)
@@ -73,22 +74,17 @@ class ViolationReport:
     bootstrap_p_value: Optional[float] = None
 
 
-def simulate_counts(sic: SicSet, table: ProbabilityTable, pair_rate: float,
-                    integration_time: float, seed: int) -> CountRecord:
+def simulate_counts(sic: SicSet, table: ProbabilityTable, exposure: float,
+                    seed: int) -> CountRecord:
     """Draw Poisson counts around N * P for every setting of a table.
 
-    N = pair_rate * integration_time is the calibrated number of pairs
-    per setting.  One vectorised draw, in table order, from the run's
-    single PRNG stream derived from (seed, _COUNTS_STREAM): identical
-    seeds and tables give identical records.
+    N = ``exposure`` is the calibrated number of pairs per setting.  One
+    vectorised draw, in table order, from the run's single PRNG stream
+    derived from (seed, _COUNTS_STREAM): identical seeds and tables give
+    identical records.
     """
-    if not pair_rate > 0:
-        raise ValueError("pair_rate must be positive")
-    if not integration_time > 0:
-        raise ValueError("integration_time must be positive")
-    exposure = pair_rate * integration_time
-    if not math.isfinite(exposure):
-        raise ValueError("pair_rate * integration_time is not finite")
+    if not 0 < exposure < math.inf:
+        raise ValueError(f"exposure must be positive and finite, not {exposure}")
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must fit in 64 bits")
     means = exposure * table.values
@@ -232,13 +228,13 @@ def exposure_for_sigma(sic: SicSet, cfg: NoiseConfig,
     return pairs
 
 
-def run_experiment(sic: SicSet, cfg: NoiseConfig, pair_rate: float,
-                   integration_time: float, seed: int, *,
-                   bootstrap_replicates: int = 0
+def run_experiment(sic: SicSet, cfg: NoiseConfig, exposure: float, seed: int,
+                   *, bootstrap_replicates: int = 0
                    ) -> tuple[CountRecord, ProbabilityTable, ViolationReport]:
-    """The full pipeline: noise model, counts, estimates, significance."""
+    """The full pipeline: noise model, counts at ``exposure`` pairs per
+    setting, estimates, significance."""
     _, expected = expected_bell_value(sic, cfg)
-    record = simulate_counts(sic, expected, pair_rate, integration_time, seed)
+    record = simulate_counts(sic, expected, exposure, seed)
     table = estimate_probabilities(record)
     report = estimate_beta(table, sic, record=record,
                            bootstrap_replicates=bootstrap_replicates)

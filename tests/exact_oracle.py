@@ -13,6 +13,9 @@ lexicographic tie test, not the clique-cover search; ``is_psd`` decides
 positive semidefiniteness by LDL^T elimination over ``Fraction``, not by
 a floating-point eigensolver; ``colorable_by_enumeration`` tries every
 0/1 assignment of the context members, not an independent set search.
+``local_bound`` is the classical bound of the Bell functional as its
+best deterministic local strategy, enumerated over every 0/1 assignment
+of one arm, not an independent set of the graph.
 ``validate_state`` checks that a matrix is a density matrix on a d x d
 joint system: its shape, Hermiticity, unit trace and no negative
 eigenvalue.
@@ -124,6 +127,33 @@ def branch_and_bound_mwis(graph):
 
     rec((1 << n) - 1, 0, [], sum(w))
     return best_w, best_set
+
+
+def local_bound(settings, coefficients) -> Fraction:
+    """The largest value of sum_(i, j) C_ij P(a_i = 1, b_j = 1) that a
+    local deterministic strategy a, b in {0, 1}^n reaches.  For a given
+    a the best b clicks on j exactly when sum_i C_ij a_i > 0, so the
+    bound is the maximum over a of sum_j max(0, sum_i C_ij a_i).  It is
+    worked in integers on 2C, which the half-weight penalties leave
+    integral, and in int32, which no partial sum can leave.  The rows of
+    a split into a low half, whose 2^low partial column sums are
+    tabulated once, and a high half, added one assignment at a time."""
+    n = 1 + max(i for i, _ in settings)
+    twice = np.zeros((n, n), dtype=np.int32)
+    for (i, j), c in zip(settings, coefficients):
+        assert float(2 * c).is_integer(), c
+        twice[i, j] = int(2 * c)
+    assert np.abs(twice.astype(np.int64)).sum() < 2**31
+
+    def sums(rows):  # the column sums of every 0/1 choice of rows
+        shifts = np.arange(len(rows), dtype=np.int32)
+        return ((np.arange(2 ** len(rows), dtype=np.int32)[:, None] >> shifts) & 1) @ rows
+
+    low = min(n, 12)
+    tabulated = sums(twice[:low])
+    best = max(int(np.maximum(tabulated + high, 0).sum(axis=1).max())
+               for high in sums(twice[low:]))
+    return Fraction(best, 2)
 
 
 def is_coloring(graph, contexts, ones) -> bool:

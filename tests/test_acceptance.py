@@ -134,7 +134,7 @@ def test_acceptance_4_statistics_round_trip(capsys):
         sigmas = []
         for seed in range(10):
             rep = estimate_beta(estimate_probabilities(
-                simulate_counts(sic, table, pairs, 1.0, seed)), sic)
+                simulate_counts(sic, table, pairs, seed)), sic)
             zs.append(rep.sigmas_of_violation)
             sigmas.append(rep.sigma)
         mean_sigma = float(np.mean(sigmas))
@@ -230,7 +230,7 @@ def test_acceptance_7_statistical_soundness(capsys, tmp_path):
         sigmas = []
         for seed in range(100):
             rep = estimate_beta(estimate_probabilities(
-                simulate_counts(sic, table, 1e4, 1.0, seed)), sic)
+                simulate_counts(sic, table, 1e4, seed)), sic)
             betas.append(rep.beta_hat)
             sigmas.append(rep.sigma)
         bias = abs(float(np.mean(betas)) - truth)
@@ -244,9 +244,9 @@ def test_acceptance_7_statistical_soundness(capsys, tmp_path):
         _, table = expected_bell_value(sic, NoiseConfig())
         for seed in range(5):
             small = estimate_beta(estimate_probabilities(simulate_counts(
-                sic, table, 2.5e4, 1.0, seed)), sic)
+                sic, table, 2.5e4, seed)), sic)
             large = estimate_beta(estimate_probabilities(simulate_counts(
-                sic, table, 1e5, 1.0, seed)), sic)
+                sic, table, 1e5, seed)), sic)
             ratios.append(small.sigma / large.sigma)
     mean_ratio = float(np.mean(ratios))
     ok &= abs(mean_ratio - 2.0) <= 0.2
@@ -254,8 +254,8 @@ def test_acceptance_7_statistical_soundness(capsys, tmp_path):
 
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
-        "set": "ks18", "seed": 31, "pair_rate": 5e4,
-        "integration_time": 1.0, "bootstrap_replicates": 1000}))
+        "set": "ks18", "seed": 31, "exposure": 5e4,
+        "bootstrap_replicates": 1000}))
     first = tmp_path / "first"
     second = tmp_path / "second"
     code1 = main(["simulate", "--config", str(config), "--out", str(first)])

@@ -314,7 +314,7 @@ class TestSimulate:
     def test_figure_row_counts(self, tmp_path):
         for name, rows in (("yo13", 61), ("ks18", 144), ("ks21", 231)):
             cfg = write_config(tmp_path / f"{name}.json", set=name,
-                               pair_rate=1000.0, integration_time=1.0,
+                               exposure=1000.0,
                                bootstrap_replicates=0)
             assert main(["simulate", "--config", cfg,
                          "--out", str(tmp_path)]) == 0
@@ -327,7 +327,7 @@ class TestSimulate:
 
     def test_fixed_seed_outputs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="ks18", seed=7,
-                           pair_rate=5e4, integration_time=1.0,
+                           exposure=5e4,
                            bootstrap_replicates=500)
         first = tmp_path / "first"
         second = tmp_path / "second"
@@ -345,8 +345,7 @@ class TestSimulate:
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         sic, cfg = get_set(name), RunConfig(set_name=name)
         record, _, _ = montecarlo.run_experiment(
-            sic, cfg.noise_config(sic.dimension), cfg.pair_rate,
-            cfg.integration_time, 5)
+            sic, cfg.noise_config(sic.dimension), cfg.exposure, 5)
         assert doc == {"set": name, "exposure": record.exposure, "seed": 5,
                        "counts": [{"alice": i, "bob": j, "count": c}
                                   for (i, j), c in zip(record.settings,
@@ -354,7 +353,7 @@ class TestSimulate:
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="yo13", seed=1,
-                           pair_rate=1e4, integration_time=1.0,
+                           exposure=1e4,
                            bootstrap_replicates=0)
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -375,7 +374,7 @@ class TestSimulate:
         hits = 0
         for seed in range(12):
             write_config(cfg_path, set="yo13", visibility=0.994063,
-                         pair_rate=224144.0, integration_time=1.0,
+                         exposure=224144.0,
                          seed=seed, bootstrap_replicates=0)
             assert main(["simulate", "--config", str(cfg_path),
                          "--out", str(tmp_path)]) == 0
@@ -396,7 +395,7 @@ class TestSimulate:
 
     def test_report_carries_significance(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="ks21", seed=3,
-                           pair_rate=1e6, integration_time=1.0,
+                           exposure=1e6,
                            bootstrap_replicates=1000)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "ks21_report.json").read_text())
@@ -406,7 +405,7 @@ class TestSimulate:
 
     def test_low_counts_still_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", set="ks21",
-                           pair_rate=1000.0, integration_time=1.0,
+                           exposure=1000.0,
                            bootstrap_replicates=0)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
@@ -486,16 +485,59 @@ class TestConfigHandling:
                      "--out", str(tmp_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_overflowing_exposure_is_refused(self, tmp_path, capsys):
+        # 1e309 is a JSON number, and it reads as inf
+        path = tmp_path / "c.json"
+        path.write_text('{"set": "yo13", "exposure": 1e309}')
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: exposure must be positive and finite, not inf\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "{}"], ["bounds", "{}"],
+        ["predict", "--set", "{}"], ["predict", "--config", "{}"],
+        ["simulate", "--set", "{}"], ["simulate", "--config", "{}"],
+    ], ids=["catalog", "bounds", "predict_set", "predict_config",
+            "simulate_set", "simulate_config"])
+    def test_deeply_nested_json_is_refused(self, tmp_path, capsys, argv):
+        # json gives up on this nesting with a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        argv = [arg.format(path) for arg in argv]
+        if argv[0] != "catalog":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(("error: cannot load set from "
+                                        f"{path}: maximum recursion depth",
+                                        f"error: config {path} is not valid "
+                                        "JSON: maximum recursion depth"))
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
+
     @pytest.mark.parametrize("fields, message", [
         ({"visibility": 1.5}, "visibility 1.5 outside"),
-        ({"pair_rate": 1e30}, "exceeds the counter range"),
-        ({"pair_rate": 1e308, "integration_time": 10.0}, "is not finite"),
+        # N, the pairs per setting, is the one key "exposure": the two
+        # knobs it was once the product of are unknown keys
+        ({"pair_rate": 1e30}, "error: unknown config keys: ['pair_rate']\n"),
+        ({"integration_time": 5.0},
+         "error: unknown config keys: ['integration_time']\n"),
+        ({"exposure": 5e30}, "exceeds the counter range"),
+        ({"exposure": math.inf},
+         "exposure must be positive and finite, not inf"),
+        ({"exposure": math.nan},
+         "exposure must be positive and finite, not nan"),
+        ({"exposure": 0}, "exposure must be positive and finite, not 0.0"),
+        ({"exposure": -1e6}, "exposure must be positive and finite, not -1000000.0"),
         ({"bootstrap_replicates": -1}, "bootstrap_replicates -1 is negative"),
         ({"spectrum_width": 1e-300}, "its square underflows"),
         ({"bootstrap_replicates": 1e13}, "exceeds the cap of 1000000"),
         ({"set": 5}, 'config "set" must be a string, not int'),
-        ({"integration_time": 5e-324}, "exposure 9.8813e-319 is too small"),
-        ({"integration_time": 1e-160}, "exposure too small: the error bar"),
+        ({"exposure": 9.8813e-319}, "exposure 9.8813e-319 is too small"),
+        ({"exposure": 2e-155}, "exposure too small: the error bar"),
         ({"spectrum": [[-3, math.nan], [0, 0.5], [3, 0.5]]},
          "bad spectrum in config: amplitudes must be finite"),
         ({"seed": 1.5}, "bad config value for seed: 1.5 is not an integer"),
@@ -506,15 +548,17 @@ class TestConfigHandling:
          "bad spectrum in config: -1.9 is not an integer"),
         ({"spectrum": [[-1, True], [0, 0.0], [1, 0.0]]},
          "bad spectrum in config: True is not a number"),
-        ({"pair_rate": "7"},
-         "bad config value for pair_rate: '7' is not a number"),
+        ({"exposure": "7"},
+         "bad config value for exposure: '7' is not a number"),
         ({"visibility": False},
          "bad config value for visibility: False is not a number"),
-        ({"integration_time": 10**400},
-         "bad config value for integration_time: int too large"),
+        ({"exposure": 10**400},
+         "bad config value for exposure: int too large"),
         ({"spectrum": [[-3, 0.6], [0, 0.64], [3, 0.48]], "spectrum_width": 4},
          "config gives both spectrum and spectrum_width"),
-    ], ids=["visibility", "pair_rate", "exposure", "replicates", "width",
+    ], ids=["visibility", "pair_rate", "integration_time", "counter_range",
+            "exposure", "nan_exposure",
+            "zero_exposure", "negative_exposure", "replicates", "width",
             "replicates_cap", "set_type", "tiny_exposure", "sigma_overflow",
             "nan_amplitude", "fractional_seed", "bool_seed",
             "fractional_replicates", "fractional_modes", "bool_amplitude",
@@ -570,6 +614,7 @@ class TestConfigHandling:
     def test_run_config_defaults(self):
         cfg = load_run_config(None, "yo13", None)
         assert cfg == RunConfig(set_name="yo13")
+        assert cfg.exposure == 1e6  # pairs per setting
         assert cfg.noise_config(3).visibility == 1.0
         assert cfg.noise_config(3).crosstalk == 0.0
         assert cfg.noise_config(3).spectrum is None

@@ -43,35 +43,45 @@ class TestSimulateCounts:
         # n diagonals plus two orientations per edge.
         expected = {"yo13": 13 + 2 * 24, "ks18": 18 + 2 * 63, "ks21": 21 + 2 * 105}
         for name, size in expected.items():
-            rec = simulate_counts(get_set(name), ideal_table(name), 1000.0, 1.0, 7)
+            rec = simulate_counts(get_set(name), ideal_table(name), 1000.0, 7)
             assert len(rec.settings) == len(rec.counts) == size
             assert rec.exposure == pytest.approx(1000.0)
 
+    @pytest.mark.parametrize("exposure", [-1.0, 0.0, math.nan, math.inf])
+    def test_exposure_must_be_positive_and_finite(self, exposure):
+        sic, table = get_set("yo13"), ideal_table("yo13")
+        with pytest.raises(ValueError, match=f"^exposure must be positive "
+                                             f"and finite, not {exposure}$"):
+            simulate_counts(sic, table, exposure, 0)
+
+    @pytest.mark.parametrize("exposure", [-1.0, 0.0, math.nan, math.inf])
+    def test_record_refuses_the_same_exposures(self, exposure):
+        # an infinite exposure would estimate every probability, and the
+        # error bar, as 0: the counts would vanish without an error
+        settings = get_set("yo13").settings
+        with pytest.raises(ValueError, match=f"^exposure must be positive "
+                                             f"and finite, not {exposure}$"):
+            CountRecord("yo13", settings, (5,) * len(settings), exposure, 0)
+
     def test_validation(self):
         sic, table = get_set("yo13"), ideal_table("yo13")
-        with pytest.raises(ValueError, match="pair_rate must be positive"):
-            simulate_counts(sic, table, -1.0, 1.0, 0)
-        with pytest.raises(ValueError, match="integration_time must be positive"):
-            simulate_counts(sic, table, 1.0, 0.0, 0)
-        with pytest.raises(ValueError, match="is not finite"):
-            simulate_counts(sic, table, 1e200, 1e200, 0)
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
-            simulate_counts(sic, table, 1.0, 1.0, -1)
+            simulate_counts(sic, table, 1.0, -1)
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
-            simulate_counts(sic, table, 1.0, 1.0, 2**64)
+            simulate_counts(sic, table, 1.0, 2**64)
         with pytest.raises(ValueError, match="duplicate settings in record"):
             CountRecord("x", ((0, 0), (0, 0)), (1, 1), 1.0, 0)
 
     def test_fixed_seed_is_deterministic(self):
         sic, table = get_set("yo13"), ideal_table("yo13")
-        first = simulate_counts(sic, table, 1e5, 1.0, 123456789)
-        second = simulate_counts(sic, table, 1e5, 1.0, 123456789)
+        first = simulate_counts(sic, table, 1e5, 123456789)
+        second = simulate_counts(sic, table, 1e5, 123456789)
         assert first == second
 
     def test_different_seeds_differ(self):
         sic, table = get_set("yo13"), ideal_table("yo13")
-        a = simulate_counts(sic, table, 1e5, 1.0, 1)
-        b = simulate_counts(sic, table, 1e5, 1.0, 2)
+        a = simulate_counts(sic, table, 1e5, 1)
+        b = simulate_counts(sic, table, 1e5, 2)
         assert a.counts != b.counts
 
     def test_zero_probability_gives_zero_counts(self):
@@ -80,7 +90,7 @@ class TestSimulateCounts:
         i, j = orthogonality_graph(sic).edges[0]
         table = one_setting_table((i, j), apply_noise(sic, IDEAL))
         for seed in range(20):
-            rec = simulate_counts(sic, table, 1e6, 1.0, seed)
+            rec = simulate_counts(sic, table, 1e6, seed)
             assert rec.counts == (0,)
 
     def test_sample_mean_matches_poisson_moments(self):
@@ -92,7 +102,7 @@ class TestSimulateCounts:
         n_pairs = 1e6
         values = []
         for seed in range(100):
-            values.append(simulate_counts(sic, table, n_pairs, 1.0, seed).counts[0]
+            values.append(simulate_counts(sic, table, n_pairs, seed).counts[0]
                           / n_pairs)
         p = 1.0 / 3.0
         band = 3.0 * math.sqrt(p / n_pairs / 100.0)
@@ -102,10 +112,10 @@ class TestSimulateCounts:
         # run_experiment draws from the very table predict writes
         sic = get_set("ks18")
         cfg = NoiseConfig(visibility=0.9, crosstalk=0.02)
-        record, _, _ = run_experiment(sic, cfg, 2e4, 1.5, 2024)
+        record, _, _ = run_experiment(sic, cfg, 3e4, 2024)
         rng = np.random.default_rng(
             np.random.SeedSequence([2024, _COUNTS_STREAM]))
-        means = 2e4 * 1.5 * expected_bell_value(sic, cfg)[1].values
+        means = 3e4 * expected_bell_value(sic, cfg)[1].values
         assert record.counts == tuple(rng.poisson(means).tolist())
         assert record.settings == sic.settings and record.set_name == "ks18"
         assert _COUNTS_STREAM != _BOOTSTRAP_STREAM
@@ -114,7 +124,7 @@ class TestSimulateCounts:
         sic = get_set("yo13")
         table = one_setting_table((0, 0), apply_noise(sic, IDEAL))
         with pytest.raises(OverflowError):
-            simulate_counts(sic, table, 5e19, 1.0, 0)
+            simulate_counts(sic, table, 5e19, 0)
 
 
 class TestEstimateProbabilities:
@@ -138,7 +148,7 @@ class TestEstimateProbabilities:
 
     def test_shuffled_settings_are_refused(self):
         sic = get_set("yo13")
-        record, table, _ = run_experiment(sic, IDEAL, 1e4, 1.0, 0)
+        record, table, _ = run_experiment(sic, IDEAL, 1e4, 0)
         rec = CountRecord("yo13", record.settings[::-1], record.counts[::-1],
                           record.exposure, record.seed)
         shuffled = estimate_probabilities(rec)
@@ -152,7 +162,7 @@ class TestEstimateProbabilities:
 
     def test_incomplete_coverage_rejected(self):
         sic = get_set("yo13")
-        record, _, _ = run_experiment(sic, IDEAL, 1e4, 1.0, 0)
+        record, _, _ = run_experiment(sic, IDEAL, 1e4, 0)
         rec = CountRecord("yo13", record.settings[:-1], record.counts[:-1],
                           record.exposure, record.seed)
         partial = estimate_probabilities(rec)
@@ -256,7 +266,7 @@ class TestEstimateBeta:
         checked = 0
         for seed in range(6):
             rec, table, report = run_experiment(
-                sic, cfg, n_pairs, 1.0, seed, bootstrap_replicates=10_000)
+                sic, cfg, n_pairs, seed, bootstrap_replicates=10_000)
             if not 2.0 <= report.sigmas_of_violation <= 3.4:
                 continue
             checked += 1
@@ -274,7 +284,7 @@ class TestEstimateBeta:
         sic = get_set("ks21")
         tracemalloc.start()
         try:
-            _, _, report = run_experiment(sic, IDEAL, 1e4, 1.0, 5,
+            _, _, report = run_experiment(sic, IDEAL, 1e4, 5,
                                           bootstrap_replicates=50_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -287,15 +297,15 @@ class TestEstimateBeta:
         # total about 2.7e19 counts, past numpy's largest Poisson mean.
         sic = get_set("yo13")
         _, _, report = run_experiment(sic, NoiseConfig(visibility=0.9), 1e19,
-                                      1.0, 1, bootstrap_replicates=200)
+                                      1, bootstrap_replicates=200)
         assert report.beta_hat < report.alpha
         assert report.bootstrap_p_value == 1.0
 
     def test_bootstrap_is_deterministic(self):
         sic = get_set("ks18")
-        _, _, first = run_experiment(sic, IDEAL, 1e4, 1.0, 99,
+        _, _, first = run_experiment(sic, IDEAL, 1e4, 99,
                                      bootstrap_replicates=2000)
-        _, _, second = run_experiment(sic, IDEAL, 1e4, 1.0, 99,
+        _, _, second = run_experiment(sic, IDEAL, 1e4, 99,
                                       bootstrap_replicates=2000)
         assert first == second
 
@@ -311,7 +321,7 @@ class TestStatisticalBehavior:
             betas = []
             sigmas = []
             for seed in range(100):
-                rec = simulate_counts(sic, table, n_pairs, 1.0, seed)
+                rec = simulate_counts(sic, table, n_pairs, seed)
                 rep = estimate_beta(estimate_probabilities(rec), sic)
                 betas.append(rep.beta_hat)
                 sigmas.append(rep.sigma)
@@ -325,9 +335,9 @@ class TestStatisticalBehavior:
             ratios = []
             for seed in range(5):
                 small = estimate_beta(estimate_probabilities(simulate_counts(
-                    sic, table, 1e4, 1.0, seed)), sic)
+                    sic, table, 1e4, seed)), sic)
                 large = estimate_beta(estimate_probabilities(simulate_counts(
-                    sic, table, 4e4, 1.0, seed)), sic)
+                    sic, table, 4e4, seed)), sic)
                 ratios.append(small.sigma / large.sigma)
             assert abs(float(np.mean(ratios)) - 2.0) < 0.2
 
@@ -340,7 +350,7 @@ class TestStatisticalBehavior:
             hits = 0
             for seed in range(100):
                 rep = estimate_beta(estimate_probabilities(
-                    simulate_counts(sic, table, 1e6, 1.0, seed)), sic)
+                    simulate_counts(sic, table, 1e6, seed)), sic)
                 hits += rep.sigmas_of_violation > 5.0
             assert hits >= 99
 
@@ -369,7 +379,7 @@ class TestFitVisibility:
         assert beta == pytest.approx(11.573, abs=1e-12)
         cfg = NoiseConfig(visibility=v)
         n_pairs = exposure_for_sigma(sic, cfg, 0.012)
-        _, _, report = run_experiment(sic, cfg, n_pairs, 1.0, 20240819)
+        _, _, report = run_experiment(sic, cfg, n_pairs, 20240819)
         assert abs(report.beta_hat - 11.573) < 3.0 * 0.012
 
 
@@ -378,7 +388,7 @@ class TestExposureTuning:
         for name, target in (("yo13", 0.012), ("ks18", 0.027), ("ks21", 0.038)):
             sic = get_set(name)
             n_pairs = exposure_for_sigma(sic, IDEAL, target)
-            _, _, report = run_experiment(sic, IDEAL, n_pairs, 1.0, 3)
+            _, _, report = run_experiment(sic, IDEAL, n_pairs, 3)
             assert abs(report.sigma - target) / target < 0.25
 
     def test_scaling_law(self):
@@ -409,8 +419,8 @@ class TestSerialization:
     def simulate_yo13(tmp_path, seed):
         """The counts and report files of a CLI run with exposure 1e4."""
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"set": "yo13", "pair_rate": 1e4,
-                                      "integration_time": 1.0, "seed": seed}))
+        config.write_text(json.dumps({"set": "yo13", "exposure": 1e4,
+                                      "seed": seed}))
         assert cli.main(["simulate", "--config", str(config),
                          "--out", str(tmp_path)]) == 0
         return tuple(json.loads((tmp_path / f"yo13_{kind}.json").read_text())
@@ -429,7 +439,7 @@ class TestSerialization:
     def test_record_rebuilt_from_its_counts_file(self, tmp_path):
         # a JSON reader hands back list pairs; the record keeps int tuples
         sic = get_set("yo13")
-        rec, table, report = run_experiment(sic, IDEAL, 1e4, 1.0, 0)
+        rec, table, report = run_experiment(sic, IDEAL, 1e4, 0)
         doc, _ = self.simulate_yo13(tmp_path, 0)
         rebuilt = CountRecord(doc["set"],
                               [[r["alice"], r["bob"]] for r in doc["counts"]],

@@ -8,7 +8,10 @@ The exact orthogonality graph is checked against the pairwise
 the weight-sum branch and bound, on random graphs and on nested unions
 and joins of them, the split theta_graph bracket against the
 whole-graph solve, and KS colorability against enumeration of every 0/1
-assignment.  The closed-form ideal prediction
+assignment.  The independence number is checked as the local bound of
+the Bell functional, the best deterministic strategy found by
+enumeration, on random ray sets, on rays realizing random weighted
+graphs, and on the catalog.  The closed-form ideal prediction
 is checked against the noise model run at IDEAL and against the
 Cabello-Severini-Winter bound (at most theta_graph's upper end), the noise-model
 inversion by a round trip through the forward model, the CLI's row-table
@@ -75,6 +78,7 @@ from exact_oracle import (
     colorable_by_enumeration,
     is_coloring,
     is_psd,
+    local_bound,
     loop_edges,
     unit_vectors,
     validate_state,
@@ -276,7 +280,7 @@ def test_ideal_value_is_below_theta_graph(sic):
 @PROPERTY_SETTINGS
 @given(ray_sets(), _seeds)
 def test_run_is_laid_out_in_the_set_order(sic, seed):
-    record, table, _ = run_experiment(sic, IDEAL, 1e4, 1.0, seed)
+    record, table, _ = run_experiment(sic, IDEAL, 1e4, seed)
     assert record.settings == table.settings == sic.settings
     backwards = CountRecord(record.set_name, record.settings[::-1],
                             record.counts[::-1], record.exposure, record.seed)
@@ -292,6 +296,59 @@ def test_independence_number_is_below_theta_graph(sic):
     alpha, _ = max_weight_independent_set(sic.graph)
     theta = solve_theta(sic.graph)
     assert alpha <= theta.value + theta.gap
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets())
+def test_alpha_is_the_local_bound(sic):
+    assert (local_bound(sic.settings, sic.coefficients)
+            == max_weight_independent_set(sic.graph)[0])
+
+
+def realize(graph: WeightedGraph) -> SicSet:
+    """Real rays whose orthogonality graph is ``graph``: ray v has a 1 on
+    its own coordinate and on one coordinate per non-edge {u, v}, which
+    it shares with u, so two rays overlap exactly on a non-edge."""
+    one = ExactScalar(1, 0)
+    apart = [e for e in combinations(range(graph.n), 2) if e not in graph.edges]
+    d = graph.n + len(apart)
+    rows = [[ZERO] * d for _ in range(graph.n)]
+    for v, row in enumerate(rows):
+        row[v] = one
+    for k, pair in enumerate(apart, graph.n):
+        for v in pair:
+            rows[v][k] = one
+    return SicSet("realized", d, tuple(map(tuple, rows)), graph.weights)
+
+
+@st.composite
+def local_bound_graphs(draw):
+    """Graphs of 1-12 vertices with weights in {1, 2, 3, 5, 9}, where the
+    max(w_i, w_j) / 2 penalty of an edge often differs from either end's
+    weight."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = tuple(e for e in combinations(range(n), 2) if rng.random() < density)
+    weights = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 5, 9]),
+                                  min_size=n, max_size=n)))
+    return WeightedGraph(n, weights, edges)
+
+
+@PROPERTY_SETTINGS
+@given(local_bound_graphs())
+def test_alpha_is_the_local_bound_on_weighted_graphs(graph):
+    sic = realize(graph)
+    assert sic.graph == graph
+    assert (local_bound(sic.settings, sic.coefficients)
+            == max_weight_independent_set(graph)[0])
+
+
+@pytest.mark.parametrize("name, alpha", [("yo13", 11), ("ks18", 4), ("ks21", 3)])
+def test_catalog_alpha_is_the_local_bound(name, alpha):
+    sic = get_set(name)
+    assert local_bound(sic.settings, sic.coefficients) == alpha
+    assert max_weight_independent_set(sic.graph)[0] == alpha
 
 
 @st.composite
@@ -511,7 +568,7 @@ def test_float_table_text_is_json_dumps(name, beta, rows):
 
 
 _CONFIG_KEYS = ["set", "visibility", "crosstalk", "spectrum_width", "spectrum",
-                "pair_rate", "integration_time", "seed", "bootstrap_replicates"]
+                "exposure", "seed", "bootstrap_replicates"]
 # what a JSON config can hold: every JSON type, the non-finite floats
 # Python's json reads and writes, integers beyond 64 bits, and numbers
 # in range for most keys
