@@ -184,10 +184,9 @@ def catalog_names() -> tuple[str, ...]:
 
 def get_set(name: str) -> SicSet:
     """Look up a built-in set by name and decode its bundled definition."""
-    key = name.lower()
-    if key not in _CATALOG_NAMES:
+    if name not in _CATALOG_NAMES:
         raise KeyError(f"unknown set {name!r}; built-ins: {', '.join(_CATALOG_NAMES)}")
-    return from_json_dict(json.loads((_DATA / f"{key}.json").read_bytes()))
+    return from_json_dict(json.loads((_DATA / f"{name}.json").read_bytes()))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 from .bounds import ThetaNonConvergence, bounds_report
 from .catalog import SicSet, catalog_names, get_set, load_set, verify_set
 from .montecarlo import exposure_for_sigma, fit_visibility, run_experiment
-from .noise import (NoiseConfig, SchmidtSpectrum, default_modes,
-                    expected_bell_value, spiral_spectrum)
+from .noise import (NoiseConfig, default_modes, expected_bell_value,
+                    schmidt_amplitudes, spiral_spectrum)
 
 OUTDIR_ENV = "SICBELL_OUTDIR"
 MAX_BOOTSTRAP_REPLICATES = 10**6
@@ -81,16 +81,18 @@ class RunConfig:
 
     Defaults describe the ideal experiment: perfect visibility, no
     crosstalk, flat spectrum, and an ``exposure`` of a million pairs per
-    setting, the N that the counts are drawn around.  A config that gives
-    both spectra, or a replicate count below 0 or above
-    ``MAX_BOOTSTRAP_REPLICATES``, is refused however it is built.
+    setting, the N that the counts are drawn around.  ``spectrum`` lists
+    the amplitudes c_k in basis order, ``spectrum_width`` weights the mode
+    ladder instead.  A config that gives both spectra, or a replicate
+    count below 0 or above ``MAX_BOOTSTRAP_REPLICATES``, is refused
+    however it is built.
     """
 
     set_name: str
     visibility: float = 1.0
     crosstalk: float = 0.0
     spectrum_width: Optional[float] = None
-    spectrum: Optional[SchmidtSpectrum] = None
+    spectrum: Optional[tuple[float, ...]] = None
     exposure: float = 1_000_000.0
     seed: int = 0
     bootstrap_replicates: int = 10_000
@@ -137,15 +139,13 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
         raise CliError("no set selected: pass --set or put \"set\" in the config")
     if not isinstance(name, str):
         raise CliError(f"config \"set\" must be a string, not {type(name).__name__}")
-    spectrum = None
-    if doc.get("spectrum") is not None:
-        rows = doc["spectrum"]
+    spectrum = doc.get("spectrum")
+    if spectrum is not None:
         try:
-            spectrum = SchmidtSpectrum(
-                tuple(_number(m, int) for m, _ in rows),
-                tuple(_number(a) for _, a in rows))
+            spectrum = schmidt_amplitudes([_number(a) for a in spectrum])
         except (TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"bad spectrum in config: {exc}") from exc
+            raise CliError(f"bad spectrum in config: {exc}; give a list of "
+                           "amplitudes, one per basis index") from exc
     if seed is not None:
         doc = {**doc, "seed": seed}
     fields = {}

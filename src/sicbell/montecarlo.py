@@ -31,7 +31,7 @@ from .noise import NoiseConfig, expected_bell_value
 from .quantum import ProbabilityTable
 
 _MAX_SEED = 2**64
-_MAX_MEAN = float(2**63)
+_MAX_MEAN = 2.0**63 - 10 * math.sqrt(2.0**63)  # numpy's largest Poisson mean
 _BOOTSTRAP_STREAM = 0x626F6F74
 _COUNTS_STREAM = 0x636F756E
 
@@ -162,8 +162,8 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
             raise ValueError("bootstrap needs the count record")
         levels, group = np.unique(coeffs, return_inverse=True)
         totals = np.bincount(group, weights=record.counts)
-        # numpy's Poisson takes means below about 2**63, which bounds one
-        # setting (_MAX_MEAN) but not a group total: draw that in parts
+        # numpy's Poisson takes means up to _MAX_MEAN, which bounds one
+        # setting but not a group total: draw that in parts
         parts = 1 + int(totals.max() // 2.0**62)
         rng = np.random.default_rng(
             np.random.SeedSequence([record.seed, _BOOTSTRAP_STREAM]))

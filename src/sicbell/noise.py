@@ -5,8 +5,9 @@ conjugate rank-1 projectors on the two arms.  Real sources and mode
 analyzers fall short in a few specific ways, each modeled here by one
 tunable parameter:
 
-* finite source bandwidth: the two-photon amplitude over the chosen mode
-  ladder is center-peaked rather than flat (``spiral_spectrum``),
+* finite source bandwidth: the amplitudes c_k of sum_k c_k |k>|k>, a
+  tuple in the set's basis order (``schmidt_amplitudes``), peak at the
+  center of the mode ladder rather than flat (``spiral_spectrum``),
 * entanglement concentration: a filter on one arm flattens the spectrum
   at the cost of throughput (``procrustean_filter``),
 * white noise: the state is mixed with the maximally mixed background,
@@ -39,44 +40,25 @@ from .quantum import ProbabilityTable, bell_value, born_probabilities
 _NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Amplitudes of a two-photon state over a ladder of paired modes.
-
-    ``modes`` lists the mode label carried by the photon in arm A; the
-    partner photon carries the opposite label, so one integer indexes the
-    pair.  ``amplitudes`` are the nonnegative Schmidt coefficients in the
-    same order and must be normalized: sum of squares equal to 1.
-    """
-
-    modes: tuple[int, ...]
-    amplitudes: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-        object.__setattr__(self, "amplitudes",
-                           tuple(float(a) for a in self.amplitudes))
-        if not self.modes:
-            raise ValueError("spectrum needs at least one mode")
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError("mode labels must be distinct")
-        if len(self.amplitudes) != len(self.modes):
-            raise ValueError("one amplitude per mode required")
-        if not all(math.isfinite(a) for a in self.amplitudes):
-            raise ValueError("amplitudes must be finite")
-        if any(a < 0 for a in self.amplitudes):
-            raise ValueError("amplitudes must be nonnegative")
-        total = sum(a * a for a in self.amplitudes)
-        if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError(f"squared amplitudes sum to {total}, expected 1")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.modes)
+def schmidt_amplitudes(values: Sequence[float]) -> tuple[float, ...]:
+    """The Schmidt coefficients c_k, one per basis index k, as a tuple of
+    floats: finite, nonnegative, and with squares summing to 1."""
+    amps = tuple(float(a) for a in values)
+    if not amps:
+        raise ValueError("spectrum needs at least one mode")
+    if not all(math.isfinite(a) for a in amps):
+        raise ValueError("amplitudes must be finite")
+    if any(a < 0 for a in amps):
+        raise ValueError("amplitudes must be nonnegative")
+    total = sum(a * a for a in amps)
+    if abs(total - 1.0) > _NORM_TOL:
+        raise ValueError(f"squared amplitudes sum to {total}, expected 1")
+    return amps
 
 
 def default_modes(d: int) -> tuple[int, ...]:
-    """The mode ladder used for each catalog dimension.
+    """The mode ladder for each dimension: label k is the OAM mode of basis
+    index k, and only ``spectrum_width`` reads it, in ``spiral_spectrum``.
 
     The spacings mirror the experimental choice of well-separated labels
     (larger gaps suppress analyzer crosstalk).  Dimensions without a
@@ -97,21 +79,13 @@ def default_modes(d: int) -> tuple[int, ...]:
     return tuple(m for m in range(-half, half + 1) if m != 0)
 
 
-def uniform_spectrum(modes: Sequence[int]) -> SchmidtSpectrum:
-    """The flat spectrum: every mode pair equally weighted."""
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError("spectrum needs at least one mode")
-    c = 1.0 / math.sqrt(len(modes))
-    return SchmidtSpectrum(modes, (c,) * len(modes))
-
-
-def spiral_spectrum(width: float, modes: Sequence[int]) -> SchmidtSpectrum:
+def spiral_spectrum(width: float, modes: Sequence[int]) -> tuple[float, ...]:
     """Gaussian mode spectrum c_l proportional to exp(-l^2 / (2 width^2)).
 
     ``width`` sets the bandwidth of the source: small widths concentrate
     the amplitude on the low-order modes, while ``width = inf`` gives the
-    flat spectrum.  Amplitudes are normalized over the selected modes.
+    flat spectrum.  Amplitudes are normalized over the selected modes and
+    returned in the order of ``modes``, the basis order of the ladder.
     """
     modes = tuple(int(m) for m in modes)
     if not modes:
@@ -126,39 +100,37 @@ def spiral_spectrum(width: float, modes: Sequence[int]) -> SchmidtSpectrum:
     expo = -(sq - sq.min()) / (2.0 * width * width)
     amps = np.exp(expo)
     amps /= math.sqrt(float(amps @ amps))
-    return SchmidtSpectrum(modes, tuple(amps))
+    return schmidt_amplitudes(amps)
 
 
-def schmidt_state(spec: SchmidtSpectrum) -> np.ndarray:
+def schmidt_state(amplitudes: Sequence[float]) -> np.ndarray:
     """The pure two-photon state with the given Schmidt coefficients, as
     its (d^2, d^2) density matrix.
 
-    Mode pairs map to matching computational indices on the two arms, so
-    the state vector is sum_k c_k |k>|k> and the flat spectrum reproduces
-    the maximally entangled state.
+    Coefficient k pairs basis index k on both arms, so the state vector
+    is sum_k c_k |k>|k> and the flat spectrum reproduces the maximally
+    entangled state.
     """
-    d = spec.dimension
-    psi = np.zeros(d * d, dtype=complex)
-    for k, c in enumerate(spec.amplitudes):
-        psi[k * d + k] = c
+    psi = np.diag(np.array(schmidt_amplitudes(amplitudes), dtype=complex)).ravel()
     return np.outer(psi, psi.conj())
 
 
-def procrustean_filter(spec: SchmidtSpectrum) -> tuple[SchmidtSpectrum, float]:
+def procrustean_filter(amplitudes: Sequence[float]
+                       ) -> tuple[tuple[float, ...], float]:
     """Flatten a spectrum by attenuating every mode down to the weakest.
 
     One arm passes through a mode-dependent attenuator with amplitude
     transmission t_l = min_k c_k / c_l, which equalizes all coefficients.
-    Returns the concentrated (uniform) spectrum and the success
+    Returns the concentrated (flat) amplitudes and the success
     probability d * min_k |c_k|^2, the fraction of pairs surviving the
     filter.  Fails if any coefficient is zero, since a missing mode can
     not be repopulated by attenuation.
     """
-    if any(a == 0.0 for a in spec.amplitudes):
+    amps = schmidt_amplitudes(amplitudes)
+    if any(a == 0.0 for a in amps):
         raise ValueError("cannot concentrate a spectrum with a zero amplitude")
-    c_min = min(spec.amplitudes)
-    success = spec.dimension * c_min * c_min
-    return uniform_spectrum(spec.modes), success
+    d, c_min = len(amps), min(amps)
+    return (1.0 / math.sqrt(d),) * d, d * c_min * c_min
 
 
 @dataclass(frozen=True)
@@ -169,18 +141,22 @@ class NoiseConfig:
     the maximally mixed background.  ``crosstalk`` is the probability that
     an analyzer click came from the orthogonal complement of the selected
     mode rather than the mode itself.  ``spectrum`` overrides the source
-    amplitudes; ``None`` means the flat (maximally entangled) spectrum.
+    amplitudes, c_k for basis index k, as :func:`schmidt_amplitudes`
+    checks them; ``None`` means the flat (maximally entangled) spectrum.
     """
 
     visibility: float = 1.0
     crosstalk: float = 0.0
-    spectrum: Optional[SchmidtSpectrum] = None
+    spectrum: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility {self.visibility} outside [0, 1]")
         if not 0.0 <= self.crosstalk < 1.0:
             raise ValueError(f"crosstalk {self.crosstalk} outside [0, 1)")
+        if self.spectrum is not None:
+            object.__setattr__(self, "spectrum",
+                               schmidt_amplitudes(self.spectrum))
 
 
 IDEAL = NoiseConfig()
@@ -235,10 +211,9 @@ def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
     the exact prediction table, which the count simulator draws from.
     """
     d = sic.dimension
-    spec = cfg.spectrum if cfg.spectrum is not None else uniform_spectrum(default_modes(d))
-    if spec.dimension != d:
-        raise ValueError(
-            f"spectrum has {spec.dimension} modes but the set needs {d}")
+    spec = cfg.spectrum if cfg.spectrum is not None else (1.0 / math.sqrt(d),) * d
+    if len(spec) != d:
+        raise ValueError(f"spectrum has {len(spec)} modes but the set needs {d}")
     pure = schmidt_state(spec)
     v = cfg.visibility
     rho = v * pure + (1.0 - v) * np.eye(d * d, dtype=complex) / (d * d)

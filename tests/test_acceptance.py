@@ -30,7 +30,6 @@ from sicbell.montecarlo import (
 )
 from sicbell.noise import (
     NoiseConfig,
-    SchmidtSpectrum,
     default_modes,
     expected_bell_value,
     procrustean_filter,
@@ -200,16 +199,15 @@ def test_acceptance_6_structural_invariants(capsys):
                               float(np.abs(ctx_sum - np.eye(d)).max()))
     ok &= context_err <= 1e-12
 
-    spec = SchmidtSpectrum(
-        (-3, 0, 3), (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)))
-    out, success = procrustean_filter(spec)
+    out, success = procrustean_filter(
+        (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)))
     state = schmidt_state(out)
     ent_err = float(np.abs(state - max_entangled_state(3)).max())
     ok &= ent_err <= 1e-12
     ok &= abs(success - 3 * 0.2) <= 1e-12
     wide = spiral_spectrum(1.3, default_modes(6))
     out6, success6 = procrustean_filter(wide)
-    ok &= abs(success6 - 6 * min(np.square(wide.amplitudes))) <= 1e-12
+    ok &= abs(success6 - 6 * min(np.square(wide))) <= 1e-12
     ok &= np.abs(schmidt_state(out6)
                  - max_entangled_state(6)).max() <= 1e-12
 

@@ -33,8 +33,10 @@ def test_catalog_names_and_lookup():
         s = get_set(name)
         assert s.name == name
         assert len(s.vectors) == s.n == len(s.weights)
-    with pytest.raises(KeyError):
-        get_set("nope")
+    # a built-in name is exactly as listed, in the library as in the CLI
+    for name in ("nope", "YO13", "Ks18"):
+        with pytest.raises(KeyError, match="unknown set"):
+            get_set(name)
 
 
 def test_yo13_shape_and_edges():

@@ -17,7 +17,6 @@ from sicbell.bounds import ThetaNonConvergence, bounds_report, solve_theta
 from sicbell.catalog import get_set, save_set, to_json_dict
 from sicbell.cli import (MAX_BOOTSTRAP_REPLICATES, OUTDIR_ENV, CliError, RunConfig,
                          load_run_config, main, resolve_set)
-from sicbell.noise import uniform_spectrum
 import sicbell
 from sicbell import cli as cli_module
 from sicbell import montecarlo
@@ -538,15 +537,18 @@ class TestConfigHandling:
         ({"set": 5}, 'config "set" must be a string, not int'),
         ({"exposure": 9.8813e-319}, "exposure 9.8813e-319 is too small"),
         ({"exposure": 2e-155}, "exposure too small: the error bar"),
-        ({"spectrum": [[-3, math.nan], [0, 0.5], [3, 0.5]]},
+        ({"spectrum": [math.nan, 0.5, 0.5]},
          "bad spectrum in config: amplitudes must be finite"),
         ({"seed": 1.5}, "bad config value for seed: 1.5 is not an integer"),
         ({"seed": True}, "bad config value for seed: True is not a number"),
         ({"bootstrap_replicates": 1.5},
          "bad config value for bootstrap_replicates: 1.5 is not an integer"),
-        ({"spectrum": [[-1.9, 0.6], [0.2, 0.64], [1.7, 0.48]]},
-         "bad spectrum in config: -1.9 is not an integer"),
-        ({"spectrum": [[-1, True], [0, 0.0], [1, 0.0]]},
+        # a spectrum is its amplitudes in basis order: the [mode,
+        # amplitude] pairs it once took are refused
+        ({"spectrum": [[-3, 0.6], [0, 0.64], [3, 0.48]]},
+         "bad spectrum in config: [-3, 0.6] is not a number; give a list "
+         "of amplitudes, one per basis index\n"),
+        ({"spectrum": [True, 0.0, 0.0]},
          "bad spectrum in config: True is not a number"),
         ({"exposure": "7"},
          "bad config value for exposure: '7' is not a number"),
@@ -554,14 +556,14 @@ class TestConfigHandling:
          "bad config value for visibility: False is not a number"),
         ({"exposure": 10**400},
          "bad config value for exposure: int too large"),
-        ({"spectrum": [[-3, 0.6], [0, 0.64], [3, 0.48]], "spectrum_width": 4},
+        ({"spectrum": [0.6, 0.64, 0.48], "spectrum_width": 4},
          "config gives both spectrum and spectrum_width"),
     ], ids=["visibility", "pair_rate", "integration_time", "counter_range",
             "exposure", "nan_exposure",
             "zero_exposure", "negative_exposure", "replicates", "width",
             "replicates_cap", "set_type", "tiny_exposure", "sigma_overflow",
             "nan_amplitude", "fractional_seed", "bool_seed",
-            "fractional_replicates", "fractional_modes", "bool_amplitude",
+            "fractional_replicates", "pair_format", "bool_amplitude",
             "string_number", "bool_visibility", "huge_int",
             "spectrum_and_width"])
     @pytest.mark.filterwarnings("error")
@@ -600,7 +602,7 @@ class TestConfigHandling:
     def test_explicit_spectrum(self, tmp_path, capsys):
         amp = 1.0 / 3.0 ** 0.5
         cfg = write_config(tmp_path / "c.json", set="yo13",
-                           spectrum=[[-3, amp], [0, amp], [3, amp]])
+                           spectrum=[amp, amp, amp])
         assert main(["predict", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "expected beta = 11.666667" in capsys.readouterr().out
 
@@ -620,7 +622,7 @@ class TestConfigHandling:
         assert cfg.noise_config(3).spectrum is None
 
     @pytest.mark.parametrize("fields, message", [
-        ({"spectrum": uniform_spectrum((-3, 0, 3)), "spectrum_width": 4.0},
+        ({"spectrum": (3 ** -0.5,) * 3, "spectrum_width": 4.0},
          "config gives both spectrum and spectrum_width: give one, or null "
          "for the other"),
         ({"bootstrap_replicates": -5}, "bootstrap_replicates -5 is negative"),

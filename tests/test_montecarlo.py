@@ -123,8 +123,11 @@ class TestSimulateCounts:
     def test_overflow_guard(self):
         sic = get_set("yo13")
         table = one_setting_table((0, 0), apply_noise(sic, IDEAL))
-        with pytest.raises(OverflowError):
-            simulate_counts(sic, table, 5e19, 0)
+        # a third of 2.767e19 lies above numpy's largest Poisson mean,
+        # 2**63 - 10 sqrt(2**63), but below 2**63
+        for exposure in (5e19, 2.7670116030e19):
+            with pytest.raises(OverflowError, match="exceeds the counter range"):
+                simulate_counts(sic, table, exposure, 0)
 
 
 class TestEstimateProbabilities:

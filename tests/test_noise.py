@@ -8,17 +8,17 @@ import pytest
 
 from sicbell.catalog import catalog_names, get_set, orthogonality_graph
 from sicbell.noise import (
+    IDEAL,
     NoiseConfig,
     PredictionInputs,
-    SchmidtSpectrum,
     apply_noise,
     default_modes,
     expected_bell_value,
     measurement_effects,
     procrustean_filter,
+    schmidt_amplitudes,
     schmidt_state,
     spiral_spectrum,
-    uniform_spectrum,
 )
 from sicbell.quantum import bell_value, born_probabilities, max_entangled_state
 
@@ -40,14 +40,17 @@ def mixed_value(sic) -> float:
 
 class TestSpectra:
     def test_uniform_spectrum(self):
-        spec = uniform_spectrum((-3, 0, 3))
-        assert spec.dimension == 3
-        assert np.allclose(spec.amplitudes, 1.0 / math.sqrt(3.0))
-        assert abs(sum(np.square(spec.amplitudes)) - 1.0) < 1e-12
+        # the flat default of apply_noise is d equal amplitudes 1/sqrt(d)
+        for name in catalog_names():
+            sic = get_set(name)
+            d = sic.dimension
+            flat = schmidt_amplitudes([1.0 / math.sqrt(d)] * d)
+            assert np.array_equal(apply_noise(sic, IDEAL).state,
+                                  schmidt_state(flat))
 
     def test_spiral_flat_limit(self):
         spec = spiral_spectrum(math.inf, (-3, 0, 3))
-        assert np.allclose(spec.amplitudes, 1.0 / math.sqrt(3.0), atol=1e-15)
+        assert np.allclose(spec, 1.0 / math.sqrt(3.0), atol=1e-15)
 
     def test_spiral_matches_direct_formula(self):
         width = 1.7
@@ -55,28 +58,30 @@ class TestSpectra:
         raw = [math.exp(-(m * m) / (2.0 * width * width)) for m in modes]
         norm = math.sqrt(sum(r * r for r in raw))
         spec = spiral_spectrum(width, modes)
-        assert np.allclose(spec.amplitudes, [r / norm for r in raw], atol=1e-14)
+        assert np.allclose(spec, [r / norm for r in raw], atol=1e-14)
 
     def test_spiral_center_peaked(self):
-        spec = spiral_spectrum(2.0, (-3, 0, 3))
-        c = dict(zip(spec.modes, spec.amplitudes))
+        modes = (-3, 0, 3)
+        spec = spiral_spectrum(2.0, modes)
+        c = dict(zip(modes, spec))
         assert c[0] > c[-3]
         assert c[-3] == pytest.approx(c[3], abs=1e-15)
-        assert abs(sum(a * a for a in spec.amplitudes) - 1.0) < 1e-12
+        assert abs(sum(a * a for a in spec) - 1.0) < 1e-12
 
     def test_spiral_even_symmetry_d4(self):
-        spec = spiral_spectrum(2.0, (-4, -1, 1, 4))
-        c = dict(zip(spec.modes, spec.amplitudes))
+        modes = (-4, -1, 1, 4)
+        c = dict(zip(modes, spiral_spectrum(2.0, modes)))
         assert c[-1] == pytest.approx(c[1], abs=1e-15)
         assert c[-4] == pytest.approx(c[4], abs=1e-15)
         assert c[1] > c[4]
 
     def test_spiral_narrow_width_stays_finite(self):
-        spec = spiral_spectrum(0.05, (-3, -2, -1, 1, 2, 3))
-        amps = np.array(spec.amplitudes)
+        modes = (-3, -2, -1, 1, 2, 3)
+        spec = spiral_spectrum(0.05, modes)
+        amps = np.array(spec)
         assert np.all(np.isfinite(amps))
         assert abs(float(amps @ amps) - 1.0) < 1e-12
-        c = dict(zip(spec.modes, spec.amplitudes))
+        c = dict(zip(modes, spec))
         assert c[1] > c[2] > c[3]
 
     def test_spectrum_validation(self):
@@ -86,22 +91,18 @@ class TestSpectra:
             spiral_spectrum(0.0, (-3, 0, 3))
         with pytest.raises(ValueError):
             spiral_spectrum(-1.0, (-3, 0, 3))
-        with pytest.raises(ValueError):
-            SchmidtSpectrum((0, 0, 1), (0.6, 0.6, 0.5291502622129181))
-        with pytest.raises(ValueError):
-            SchmidtSpectrum((0, 1), (0.9, 0.1))
-        with pytest.raises(ValueError):
-            SchmidtSpectrum((0, 1), (-0.6, 0.8))
-        with pytest.raises(ValueError, match="^one amplitude per mode required$"):
-            SchmidtSpectrum((-3, 0, 3), (0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="^squared amplitudes sum to "):
+            schmidt_amplitudes((0.9, 0.1))
+        with pytest.raises(ValueError, match="^amplitudes must be nonnegative$"):
+            schmidt_amplitudes((-0.6, 0.8))
         with pytest.raises(ValueError, match="^spectrum needs at least one mode$"):
-            uniform_spectrum(())
+            schmidt_amplitudes(())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_amplitude_rejected(self, bad):
         # NaN slips past both the sign and the normalisation comparisons
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            SchmidtSpectrum((-3, 0, 3), (bad, 0.5, 0.5))
+            schmidt_amplitudes((bad, 0.5, 0.5))
 
     def test_default_modes(self):
         assert default_modes(3) == (-3, 0, 3)
@@ -116,13 +117,12 @@ class TestSpectra:
 class TestSchmidtState:
     def test_uniform_equals_max_entangled(self):
         for d in (3, 4, 6):
-            state = schmidt_state(uniform_spectrum(default_modes(d)))
+            state = schmidt_state((1.0 / math.sqrt(d),) * d)
             ideal = max_entangled_state(d)
             assert np.allclose(state, ideal, atol=1e-15)
 
     def test_product_state_limit(self):
-        spec = SchmidtSpectrum((-3, 0, 3), (1.0, 0.0, 0.0))
-        state = schmidt_state(spec)
+        state = schmidt_state((1.0, 0.0, 0.0))
         yo13 = get_set("yo13")
         beta, _ = bell_value(yo13, state, yo13.projectors)
         assert beta <= 35.0 / 3.0 + 1e-9
@@ -135,30 +135,27 @@ class TestSchmidtState:
             d = rng.choice((3, 4, 6))
             raw = np.array([rng.random() + 0.05 for _ in range(d)])
             amps = raw / math.sqrt(float(raw @ raw))
-            spec = SchmidtSpectrum(default_modes(d), tuple(amps))
-            state = schmidt_state(spec)
+            state = schmidt_state(amps)
             validate_state(state, d)
             eigs = np.sort(np.linalg.eigvalsh(reduced_state(state, d)))
-            assert np.allclose(eigs, np.sort(np.square(spec.amplitudes)),
+            assert np.allclose(eigs, np.sort(np.square(amps)),
                                atol=1e-12)
 
 
 class TestProcrustean:
     def test_uniform_passes_through(self):
-        spec = uniform_spectrum(default_modes(4))
+        spec = (0.5,) * 4
         out, success = procrustean_filter(spec)
         assert out == spec
         assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_known_success_probabilities(self):
-        spec = SchmidtSpectrum(
-            (-3, 0, 3),
-            (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)))
+        spec = (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2))
         out, success = procrustean_filter(spec)
         assert success == pytest.approx(0.6, abs=1e-12)
-        assert np.allclose(out.amplitudes, 1.0 / math.sqrt(3.0))
+        assert np.allclose(out, 1.0 / math.sqrt(3.0))
 
-        two = SchmidtSpectrum((-1, 1), (math.sqrt(0.9), math.sqrt(0.1)))
+        two = (math.sqrt(0.9), math.sqrt(0.1))
         _, success2 = procrustean_filter(two)
         assert success2 == pytest.approx(0.2, abs=1e-12)
 
@@ -171,13 +168,11 @@ class TestProcrustean:
             d = rng.choice((3, 4, 6))
             raw = np.array([rng.random() + 0.02 for _ in range(d)])
             amps = raw / math.sqrt(float(raw @ raw))
-            spec = SchmidtSpectrum(default_modes(d), tuple(amps))
-            out, success = procrustean_filter(spec)
-            c = np.array(spec.amplitudes)
-            filtered = c * (c.min() / c)
+            out, success = procrustean_filter(amps)
+            filtered = amps * (amps.min() / amps)
             assert success == pytest.approx(float(filtered @ filtered), abs=1e-12)
             assert success <= 1.0 + 1e-12
-            assert np.allclose(out.amplitudes, 1.0 / math.sqrt(d))
+            assert np.allclose(out, 1.0 / math.sqrt(d))
 
     def test_output_entropy_is_maximal(self):
         spec = spiral_spectrum(1.2, default_modes(6))
@@ -193,9 +188,8 @@ class TestProcrustean:
         assert success < 1.0
 
     def test_zero_amplitude_rejected(self):
-        spec = SchmidtSpectrum((-3, 0, 3), (1.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            procrustean_filter(spec)
+        with pytest.raises(ValueError, match="zero amplitude"):
+            procrustean_filter((1.0, 0.0, 0.0))
 
 
 class TestNoiseConfig:
@@ -216,9 +210,17 @@ class TestNoiseConfig:
             NoiseConfig(crosstalk=-0.2)
 
     def test_spectrum_dimension_mismatch(self):
-        cfg = NoiseConfig(spectrum=uniform_spectrum((-1, 1)))
-        with pytest.raises(ValueError):
+        cfg = NoiseConfig(spectrum=(0.6, 0.8))
+        with pytest.raises(ValueError,
+                           match="^spectrum has 2 modes but the set needs 3$"):
             apply_noise(get_set("yo13"), cfg)
+
+    def test_spectrum_is_a_list_of_amplitudes(self):
+        # c_k for basis index k, held as a tuple of floats
+        cfg = NoiseConfig(spectrum=[0.6, 0.8])
+        assert cfg.spectrum == (0.6, 0.8)
+        assert type(cfg.spectrum) is tuple
+        assert NoiseConfig(spectrum=np.array([0.6, 0.8])) == cfg
 
 
 class TestApplyNoise:

@@ -242,6 +242,28 @@ def test_fit_visibility_round_trips(sic, t):
 
 
 @PROPERTY_SETTINGS
+@given(ray_sets(), st.floats(0.0, 1.0), st.floats(0.0, 0.9), st.data())
+def test_amplitude_k_belongs_to_basis_index_k(sic, visibility, crosstalk, data):
+    # relabel the basis: coordinate k of every ray and amplitude k move
+    # to the same new index, and every probability stays put
+    d = sic.dimension
+    perm = data.draw(st.permutations(range(d)))
+    raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)
+                    .filter(lambda r: max(r) >= 0.1))
+    norm = math.sqrt(sum(r * r for r in raw))
+    amps = [r / norm for r in raw]
+    moved = SicSet(name=sic.name, dimension=d, weights=sic.weights,
+                   vectors=tuple(tuple(v[k] for k in perm) for v in sic.vectors))
+    beta, table = expected_bell_value(
+        sic, NoiseConfig(visibility, crosstalk, amps))
+    beta_moved, table_moved = expected_bell_value(
+        moved, NoiseConfig(visibility, crosstalk, [amps[k] for k in perm]))
+    assert table_moved.settings == table.settings
+    assert np.allclose(table_moved.values, table.values, rtol=0.0, atol=1e-12)
+    assert abs(beta_moved - beta) <= 1e-12
+
+
+@PROPERTY_SETTINGS
 @given(ray_sets())
 def test_closed_form_ideal_matches_noise_model(sic):
     beta, table = expected_bell_value(sic, IDEAL)
