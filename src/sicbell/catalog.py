@@ -165,10 +165,6 @@ class WeightedGraph:
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
 
-    def without_edge(self, edge: tuple[int, int]) -> "WeightedGraph":
-        e = (min(edge), max(edge))
-        return WeightedGraph(self.n, self.weights, tuple(x for x in self.edges if x != e))
-
 
 # ---------------------------------------------------------------------------
 # The built-in sets: the bundled data/<name>.json files

@@ -361,7 +361,7 @@ def cmd_simulate(args) -> int:
         target = outdir / f"{sic.name}_report.csv"
         _write_csv(target, {key: [report_doc[key]] for key in sorted(report_doc)})
     counts_path = outdir / f"{sic.name}_counts.json"
-    alice, bob = zip(*record.settings)
+    alice, bob = zip(*sic.settings)
     _write_json(counts_path, {"set": sic.name, "exposure": record.exposure,
                               "seed": record.seed},
                 counts={"alice": alice, "bob": bob, "count": record.counts})

@@ -10,11 +10,11 @@ draws its counts from one PRNG stream keyed by its seed, so the whole
 pipeline is a pure function of the set, the noise configuration, the
 exposure and the seed.
 
-Records and tables keep the setting order they were made in, and
-nothing here reorders them: :func:`estimate_beta` refuses any order but
-``SicSet.settings``, the order of the prediction table a run draws from.
-Results are plain dataclasses; the CLI alone turns them into artifact
-files.
+``SicSet.settings`` is the one record of the setting order: ``counts[k]``
+of a record and ``values[k]`` of a table belong to ``sic.settings[k]``,
+and neither carries the order itself.  The only layout check is the size
+check at the top of :func:`estimate_beta`.  Results are plain
+dataclasses; the CLI alone turns them into artifact files.
 """
 
 from __future__ import annotations
@@ -38,23 +38,16 @@ _COUNTS_STREAM = 0x636F756E
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Raw coincidence counts for one run, with the exposure and seed."""
+    """Raw coincidence counts for one run, with the exposure and seed.
 
-    set_name: str
-    settings: tuple[tuple[int, int], ...]
+    ``counts[k]`` belongs to ``sic.settings[k]`` of the run's set.
+    """
+
     counts: tuple[int, ...]
     exposure: float
     seed: int
 
     def __post_init__(self):
-        # int tuples: a counts file read back gives list pairs
-        object.__setattr__(
-            self, "settings",
-            tuple([(int(i), int(j)) for i, j in self.settings]))
-        if len(set(self.settings)) != len(self.settings):
-            raise ValueError("duplicate settings in record")
-        if len(self.counts) != len(self.settings):
-            raise ValueError("one count per setting required")
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be nonnegative")
         if not 0 < self.exposure < math.inf:
@@ -74,7 +67,7 @@ class ViolationReport:
     bootstrap_p_value: Optional[float] = None
 
 
-def simulate_counts(sic: SicSet, table: ProbabilityTable, exposure: float,
+def simulate_counts(table: ProbabilityTable, exposure: float,
                     seed: int) -> CountRecord:
     """Draw Poisson counts around N * P for every setting of a table.
 
@@ -94,13 +87,7 @@ def simulate_counts(sic: SicSet, table: ProbabilityTable, exposure: float,
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, _COUNTS_STREAM]))
     counts = tuple(rng.poisson(means).tolist())
-    return CountRecord(
-        set_name=sic.name,
-        settings=table.settings,
-        counts=counts,
-        exposure=exposure,
-        seed=seed,
-    )
+    return CountRecord(counts=counts, exposure=exposure, seed=seed)
 
 
 def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
@@ -116,11 +103,11 @@ def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
         sigmas = np.where(counts > 0, np.sqrt(counts), 1.0) / rec.exposure
     if not np.isfinite([values, sigmas]).all():
         raise ArithmeticError(f"exposure {rec.exposure} is too small: P or sigma overflows")
-    return ProbabilityTable(rec.settings, values, sigmas)
+    return ProbabilityTable(values, sigmas)
 
 
-def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
-                  record: Optional[CountRecord] = None,
+def estimate_beta(table: ProbabilityTable, sic: SicSet,
+                  record: Optional[CountRecord] = None, *,
                   bootstrap_replicates: int = 0) -> ViolationReport:
     """Evaluate the inequality on an estimated table.
 
@@ -132,12 +119,14 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet, *,
     with a handful of distinct coefficients, and a sum of independent
     Poissons is Poisson, so each replicate draws one Poisson per
     coefficient, with mean the group's total count, not one per setting.
-    A table or record not laid out in ``sic.settings`` raises ValueError.
+    A table or record whose length is not ``len(sic.settings)`` raises
+    ValueError.
     """
-    if table.settings != sic.settings:
-        raise ValueError("table is not laid out in the settings of this set")
-    if record is not None and record.settings != sic.settings:
-        raise ValueError("record is not laid out in the settings of this set")
+    size = len(sic.settings)
+    for entries in [table.values] + ([] if record is None else [record.counts]):
+        if len(entries) != size:
+            raise ValueError(f"{len(entries)} entries given for the {size} "
+                             f"settings of set {sic.name}")
     coeffs = sic.coefficients
     beta_hat = float(coeffs @ table.values)
     alpha = float(max_weight_independent_set(sic.graph)[0])
@@ -234,8 +223,8 @@ def run_experiment(sic: SicSet, cfg: NoiseConfig, exposure: float, seed: int,
     """The full pipeline: noise model, counts at ``exposure`` pairs per
     setting, estimates, significance."""
     _, expected = expected_bell_value(sic, cfg)
-    record = simulate_counts(sic, expected, exposure, seed)
+    record = simulate_counts(expected, exposure, seed)
     table = estimate_probabilities(record)
-    report = estimate_beta(table, sic, record=record,
+    report = estimate_beta(table, sic, record,
                            bootstrap_replicates=bootstrap_replicates)
     return record, table, report

@@ -26,7 +26,8 @@ The functional evaluated here is
 
 with the pair weight w_ij = max(w_i, w_j).  The setting order and the
 signed weights come from :mod:`sicbell.catalog` (``SicSet.settings``
-and ``SicSet.coefficients``).
+and ``SicSet.coefficients``).  ``SicSet.settings`` is the only record
+of the order: a table's ``values[k]`` belongs to ``sic.settings[k]``.
 """
 
 from __future__ import annotations
@@ -115,12 +116,11 @@ def born_probabilities(rho: np.ndarray, effects: np.ndarray,
 class ProbabilityTable:
     """Probabilities (optionally with standard errors) for every setting.
 
-    ``values[k]`` and ``sigmas[k]`` belong to ``settings[k]``.  Every
-    producer lays a table out in its set's order, ``SicSet.settings``,
-    and :func:`sicbell.montecarlo.estimate_beta` refuses any other.
+    ``values[k]`` and ``sigmas[k]`` belong to ``sic.settings[k]`` of the
+    set the table was made for; the table does not carry the order.
+    :func:`sicbell.montecarlo.estimate_beta` checks only its length.
     """
 
-    settings: tuple[tuple[int, int], ...]
     values: np.ndarray
     sigmas: Optional[np.ndarray] = None
 
@@ -129,8 +129,7 @@ def bell_value(sic: SicSet, rho: np.ndarray, effects: np.ndarray
                ) -> tuple[float, ProbabilityTable]:
     """Beta and its table for a (d^2, d^2) state and arm A's (n, d, d) effects."""
     values = born_probabilities(rho, effects, sic.settings)
-    table = ProbabilityTable(sic.settings, values)
-    return float(sic.coefficients @ values), table
+    return float(sic.coefficients @ values), ProbabilityTable(values)
 
 
 def bell_operator(sic: SicSet) -> np.ndarray:

@@ -133,7 +133,7 @@ def test_acceptance_4_statistics_round_trip(capsys):
         sigmas = []
         for seed in range(10):
             rep = estimate_beta(estimate_probabilities(
-                simulate_counts(sic, table, pairs, seed)), sic)
+                simulate_counts(table, pairs, seed)), sic)
             zs.append(rep.sigmas_of_violation)
             sigmas.append(rep.sigma)
         mean_sigma = float(np.mean(sigmas))
@@ -228,7 +228,7 @@ def test_acceptance_7_statistical_soundness(capsys, tmp_path):
         sigmas = []
         for seed in range(100):
             rep = estimate_beta(estimate_probabilities(
-                simulate_counts(sic, table, 1e4, seed)), sic)
+                simulate_counts(table, 1e4, seed)), sic)
             betas.append(rep.beta_hat)
             sigmas.append(rep.sigma)
         bias = abs(float(np.mean(betas)) - truth)
@@ -242,9 +242,9 @@ def test_acceptance_7_statistical_soundness(capsys, tmp_path):
         _, table = expected_bell_value(sic, NoiseConfig())
         for seed in range(5):
             small = estimate_beta(estimate_probabilities(simulate_counts(
-                sic, table, 2.5e4, seed)), sic)
+                table, 2.5e4, seed)), sic)
             large = estimate_beta(estimate_probabilities(simulate_counts(
-                sic, table, 1e5, seed)), sic)
+                table, 1e5, seed)), sic)
             ratios.append(small.sigma / large.sigma)
     mean_ratio = float(np.mean(ratios))
     ok &= abs(mean_ratio - 2.0) <= 0.2

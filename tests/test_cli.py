@@ -347,7 +347,7 @@ class TestSimulate:
             sic, cfg.noise_config(sic.dimension), cfg.exposure, 5)
         assert doc == {"set": name, "exposure": record.exposure, "seed": 5,
                        "counts": [{"alice": i, "bob": j, "count": c}
-                                  for (i, j), c in zip(record.settings,
+                                  for (i, j), c in zip(sic.settings,
                                                        record.counts)]}
 
     def test_seed_flag_overrides_config(self, tmp_path):

@@ -35,7 +35,7 @@ def ideal_table(name):
 
 def one_setting_table(setting, inputs):
     values = born_probabilities(inputs.state, inputs.effects, [setting])
-    return ProbabilityTable((setting,), values)
+    return ProbabilityTable(values)
 
 
 class TestSimulateCounts:
@@ -43,45 +43,42 @@ class TestSimulateCounts:
         # n diagonals plus two orientations per edge.
         expected = {"yo13": 13 + 2 * 24, "ks18": 18 + 2 * 63, "ks21": 21 + 2 * 105}
         for name, size in expected.items():
-            rec = simulate_counts(get_set(name), ideal_table(name), 1000.0, 7)
-            assert len(rec.settings) == len(rec.counts) == size
+            rec = simulate_counts(ideal_table(name), 1000.0, 7)
+            assert len(rec.counts) == size
             assert rec.exposure == pytest.approx(1000.0)
 
     @pytest.mark.parametrize("exposure", [-1.0, 0.0, math.nan, math.inf])
     def test_exposure_must_be_positive_and_finite(self, exposure):
-        sic, table = get_set("yo13"), ideal_table("yo13")
+        table = ideal_table("yo13")
         with pytest.raises(ValueError, match=f"^exposure must be positive "
                                              f"and finite, not {exposure}$"):
-            simulate_counts(sic, table, exposure, 0)
+            simulate_counts(table, exposure, 0)
 
     @pytest.mark.parametrize("exposure", [-1.0, 0.0, math.nan, math.inf])
     def test_record_refuses_the_same_exposures(self, exposure):
         # an infinite exposure would estimate every probability, and the
         # error bar, as 0: the counts would vanish without an error
-        settings = get_set("yo13").settings
         with pytest.raises(ValueError, match=f"^exposure must be positive "
                                              f"and finite, not {exposure}$"):
-            CountRecord("yo13", settings, (5,) * len(settings), exposure, 0)
+            CountRecord((5,) * 61, exposure, 0)
 
     def test_validation(self):
-        sic, table = get_set("yo13"), ideal_table("yo13")
+        table = ideal_table("yo13")
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
-            simulate_counts(sic, table, 1.0, -1)
+            simulate_counts(table, 1.0, -1)
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
-            simulate_counts(sic, table, 1.0, 2**64)
-        with pytest.raises(ValueError, match="duplicate settings in record"):
-            CountRecord("x", ((0, 0), (0, 0)), (1, 1), 1.0, 0)
+            simulate_counts(table, 1.0, 2**64)
 
     def test_fixed_seed_is_deterministic(self):
-        sic, table = get_set("yo13"), ideal_table("yo13")
-        first = simulate_counts(sic, table, 1e5, 123456789)
-        second = simulate_counts(sic, table, 1e5, 123456789)
+        table = ideal_table("yo13")
+        first = simulate_counts(table, 1e5, 123456789)
+        second = simulate_counts(table, 1e5, 123456789)
         assert first == second
 
     def test_different_seeds_differ(self):
-        sic, table = get_set("yo13"), ideal_table("yo13")
-        a = simulate_counts(sic, table, 1e5, 1)
-        b = simulate_counts(sic, table, 1e5, 2)
+        table = ideal_table("yo13")
+        a = simulate_counts(table, 1e5, 1)
+        b = simulate_counts(table, 1e5, 2)
         assert a.counts != b.counts
 
     def test_zero_probability_gives_zero_counts(self):
@@ -90,7 +87,7 @@ class TestSimulateCounts:
         i, j = orthogonality_graph(sic).edges[0]
         table = one_setting_table((i, j), apply_noise(sic, IDEAL))
         for seed in range(20):
-            rec = simulate_counts(sic, table, 1e6, seed)
+            rec = simulate_counts(table, 1e6, seed)
             assert rec.counts == (0,)
 
     def test_sample_mean_matches_poisson_moments(self):
@@ -102,7 +99,7 @@ class TestSimulateCounts:
         n_pairs = 1e6
         values = []
         for seed in range(100):
-            values.append(simulate_counts(sic, table, n_pairs, seed).counts[0]
+            values.append(simulate_counts(table, n_pairs, seed).counts[0]
                           / n_pairs)
         p = 1.0 / 3.0
         band = 3.0 * math.sqrt(p / n_pairs / 100.0)
@@ -117,7 +114,6 @@ class TestSimulateCounts:
             np.random.SeedSequence([2024, _COUNTS_STREAM]))
         means = 3e4 * expected_bell_value(sic, cfg)[1].values
         assert record.counts == tuple(rng.poisson(means).tolist())
-        assert record.settings == sic.settings and record.set_name == "ks18"
         assert _COUNTS_STREAM != _BOOTSTRAP_STREAM
 
     def test_overflow_guard(self):
@@ -127,20 +123,13 @@ class TestSimulateCounts:
         # 2**63 - 10 sqrt(2**63), but below 2**63
         for exposure in (5e19, 2.7670116030e19):
             with pytest.raises(OverflowError, match="exceeds the counter range"):
-                simulate_counts(sic, table, exposure, 0)
+                simulate_counts(table, exposure, 0)
 
 
 class TestEstimateProbabilities:
     def test_normalization_and_errors(self):
-        rec = CountRecord(
-            set_name="toy",
-            settings=((0, 0), (1, 1), (0, 1), (1, 0)),
-            counts=(333333, 1000000, 0, 4),
-            exposure=1e6,
-            seed=5,
-        )
+        rec = CountRecord(counts=(333333, 1000000, 0, 4), exposure=1e6, seed=5)
         table = estimate_probabilities(rec)
-        assert table.settings == rec.settings
         assert table.values[0] == pytest.approx(0.333333)
         assert table.sigmas[0] == pytest.approx(math.sqrt(333333) / 1e6)
         assert table.sigmas[0] == pytest.approx(5.77e-4, rel=1e-3)
@@ -149,37 +138,25 @@ class TestEstimateProbabilities:
         assert table.sigmas[2] == pytest.approx(1e-6)
         assert table.sigmas[3] == pytest.approx(2.0 / 1e6)
 
-    def test_shuffled_settings_are_refused(self):
+    def test_incomplete_coverage_rejected(self):
+        # a record one count short gives a table one value short, and
+        # estimate_beta refuses both by their length
         sic = get_set("yo13")
         record, table, _ = run_experiment(sic, IDEAL, 1e4, 0)
-        rec = CountRecord("yo13", record.settings[::-1], record.counts[::-1],
-                          record.exposure, record.seed)
-        shuffled = estimate_probabilities(rec)
-        # the table keeps the record's order, and nothing reorders it
-        assert shuffled.settings == rec.settings
-        assert shuffled.values.tolist() == table.values.tolist()[::-1]
-        with pytest.raises(ValueError, match="table is not laid out"):
-            estimate_beta(shuffled, sic)
-        with pytest.raises(ValueError, match="record is not laid out"):
-            estimate_beta(table, sic, record=rec, bootstrap_replicates=10)
-
-    def test_incomplete_coverage_rejected(self):
-        sic = get_set("yo13")
-        record, _, _ = run_experiment(sic, IDEAL, 1e4, 0)
-        rec = CountRecord("yo13", record.settings[:-1], record.counts[:-1],
-                          record.exposure, record.seed)
+        rec = CountRecord(record.counts[:-1], record.exposure, record.seed)
         partial = estimate_probabilities(rec)
-        assert partial.settings == rec.settings
-        with pytest.raises(ValueError, match="table is not laid out"):
+        assert partial.values.tolist() == table.values.tolist()[:-1]
+        message = "^60 entries given for the 61 settings of set yo13$"
+        with pytest.raises(ValueError, match=message):
             estimate_beta(partial, sic)
+        with pytest.raises(ValueError, match=message):
+            estimate_beta(table, sic, rec, bootstrap_replicates=10)
 
     def test_record_validation(self):
-        with pytest.raises(ValueError):
-            CountRecord("x", ((0, 0),), (1, 2), 10.0, 0)
-        with pytest.raises(ValueError):
-            CountRecord("x", ((0, 0),), (-1,), 10.0, 0)
-        with pytest.raises(ValueError):
-            CountRecord("x", ((0, 0),), (1,), 0.0, 0)
+        with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+            CountRecord((-1,), 10.0, 0)
+        with pytest.raises(ValueError, match="^exposure must be positive"):
+            CountRecord((1,), 0.0, 0)
 
 
 def total_squared_coefficient(sic) -> float:
@@ -221,8 +198,7 @@ class TestEstimateBeta:
         assert total == pytest.approx(97.0 + 24 * 9 / 2.0)
         base = expected_bell_value(sic, IDEAL)[1]
         s = 1e-3
-        table = ProbabilityTable(base.settings, base.values,
-                                 np.full(base.values.size, s))
+        table = ProbabilityTable(base.values, np.full(base.values.size, s))
         report = estimate_beta(table, sic)
         assert report.sigma == pytest.approx(s * math.sqrt(total), abs=1e-15)
 
@@ -239,8 +215,7 @@ class TestEstimateBeta:
             v = fit_visibility(target, sic)
             table = expected_bell_value(sic, NoiseConfig(visibility=v))[1]
             s = sig / math.sqrt(total_squared_coefficient(sic))
-            table = ProbabilityTable(table.settings, table.values,
-                                     np.full(table.values.size, s))
+            table = ProbabilityTable(table.values, np.full(table.values.size, s))
             report = estimate_beta(table, sic)
             assert report.beta_hat == pytest.approx(target, abs=1e-9)
             assert report.sigma == pytest.approx(sig, abs=1e-12)
@@ -250,7 +225,8 @@ class TestEstimateBeta:
 
     def test_wrong_set_rejected(self):
         table = expected_bell_value(get_set("ks18"), IDEAL)[1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^144 entries given for the 61 "
+                                             "settings of set yo13$"):
             estimate_beta(table, get_set("yo13"))
 
     def test_bootstrap_needs_record(self):
@@ -324,7 +300,7 @@ class TestStatisticalBehavior:
             betas = []
             sigmas = []
             for seed in range(100):
-                rec = simulate_counts(sic, table, n_pairs, seed)
+                rec = simulate_counts(table, n_pairs, seed)
                 rep = estimate_beta(estimate_probabilities(rec), sic)
                 betas.append(rep.beta_hat)
                 sigmas.append(rep.sigma)
@@ -338,9 +314,9 @@ class TestStatisticalBehavior:
             ratios = []
             for seed in range(5):
                 small = estimate_beta(estimate_probabilities(simulate_counts(
-                    sic, table, 1e4, seed)), sic)
+                    table, 1e4, seed)), sic)
                 large = estimate_beta(estimate_probabilities(simulate_counts(
-                    sic, table, 4e4, seed)), sic)
+                    table, 4e4, seed)), sic)
                 ratios.append(small.sigma / large.sigma)
             assert abs(float(np.mean(ratios)) - 2.0) < 0.2
 
@@ -353,7 +329,7 @@ class TestStatisticalBehavior:
             hits = 0
             for seed in range(100):
                 rep = estimate_beta(estimate_probabilities(
-                    simulate_counts(sic, table, 1e6, seed)), sic)
+                    simulate_counts(table, 1e6, seed)), sic)
                 hits += rep.sigmas_of_violation > 5.0
             assert hits >= 99
 
@@ -440,15 +416,14 @@ class TestSerialization:
             (rdoc["beta_hat"] - 11.0) / rdoc["sigma"])
 
     def test_record_rebuilt_from_its_counts_file(self, tmp_path):
-        # a JSON reader hands back list pairs; the record keeps int tuples
+        # the file's alice/bob columns are the set's own settings, so its
+        # count column alone rebuilds the record
         sic = get_set("yo13")
         rec, table, report = run_experiment(sic, IDEAL, 1e4, 0)
         doc, _ = self.simulate_yo13(tmp_path, 0)
-        rebuilt = CountRecord(doc["set"],
-                              [[r["alice"], r["bob"]] for r in doc["counts"]],
-                              tuple(r["count"] for r in doc["counts"]),
+        assert [(r["alice"], r["bob"]) for r in doc["counts"]] == list(sic.settings)
+        rebuilt = CountRecord(tuple(r["count"] for r in doc["counts"]),
                               doc["exposure"], doc["seed"])
-        assert rebuilt.settings == sic.settings
         again = estimate_beta(estimate_probabilities(rebuilt), sic)
         assert again.beta_hat == report.beta_hat
         assert rebuilt == rec

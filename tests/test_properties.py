@@ -16,8 +16,8 @@ is checked against the noise model run at IDEAL and against the
 Cabello-Severini-Winter bound (at most theta_graph's upper end), the noise-model
 inversion by a round trip through the forward model, the CLI's row-table
 JSON writer against ``json.dumps`` on random count records and random
-float tables, a run's layout
-against the set's own setting order, and fuzzed run configs and
+float tables, a run's size
+against the set's own setting count, and fuzzed run configs and
 mutated bundled set files by the CLI's exit contract and strict-JSON
 artifacts.
 """
@@ -66,6 +66,7 @@ from sicbell.montecarlo import (
 )
 from sicbell.noise import IDEAL, NoiseConfig, expected_bell_value, measurement_effects
 from sicbell.quantum import (
+    ProbabilityTable,
     bell_operator,
     bell_value,
     born_probabilities,
@@ -258,7 +259,7 @@ def test_amplitude_k_belongs_to_basis_index_k(sic, visibility, crosstalk, data):
         sic, NoiseConfig(visibility, crosstalk, amps))
     beta_moved, table_moved = expected_bell_value(
         moved, NoiseConfig(visibility, crosstalk, [amps[k] for k in perm]))
-    assert table_moved.settings == table.settings
+    assert moved.settings == sic.settings
     assert np.allclose(table_moved.values, table.values, rtol=0.0, atol=1e-12)
     assert abs(beta_moved - beta) <= 1e-12
 
@@ -301,15 +302,20 @@ def test_ideal_value_is_below_theta_graph(sic):
 
 @PROPERTY_SETTINGS
 @given(ray_sets(), _seeds)
-def test_run_is_laid_out_in_the_set_order(sic, seed):
+def test_estimate_beta_checks_the_size_alone(sic, seed):
     record, table, _ = run_experiment(sic, IDEAL, 1e4, seed)
-    assert record.settings == table.settings == sic.settings
-    backwards = CountRecord(record.set_name, record.settings[::-1],
-                            record.counts[::-1], record.exposure, record.seed)
-    with pytest.raises(ValueError):
-        estimate_beta(estimate_probabilities(backwards), sic)
-    with pytest.raises(ValueError):
-        estimate_beta(table, sic, record=backwards, bootstrap_replicates=10)
+    size = len(sic.settings)
+    assert len(record.counts) == len(table.values) == size
+    short = CountRecord(record.counts[:-1], record.exposure, record.seed)
+    long = ProbabilityTable(np.append(table.values, 0.0), np.append(table.sigmas, 0.0))
+    # a table one value short or one long, and a bootstrap record one count short
+    for wrong, rec, length in ((estimate_probabilities(short), None, size - 1),
+                               (long, None, size + 1),
+                               (table, short, size - 1)):
+        with pytest.raises(ValueError) as refused:
+            estimate_beta(wrong, sic, rec, bootstrap_replicates=10)
+        assert str(refused.value) == (f"{length} entries given for the {size} "
+                                      f"settings of set {sic.name}")
 
 
 @PROPERTY_SETTINGS
@@ -543,28 +549,29 @@ _names = st.one_of(st.text(max_size=8), st.sampled_from(
 
 @st.composite
 def count_records(draw):
+    """A set name, its settings and a count record laid out in them."""
     index = st.integers(0, 300)
     settings = draw(st.lists(st.tuples(index, index), max_size=12, unique=True))
     counts = draw(st.lists(_counts, min_size=len(settings),
                            max_size=len(settings)))
     exposure = draw(st.floats(min_value=0.0, exclude_min=True,
                               allow_infinity=False))
-    return CountRecord(draw(_names), tuple(settings), tuple(counts), exposure,
-                       draw(st.integers(0, 2**64 - 1)))
+    return draw(_names), settings, CountRecord(
+        tuple(counts), exposure, draw(st.integers(0, 2**64 - 1)))
 
 
 @PROPERTY_SETTINGS
 @given(count_records())
-def test_counts_file_text_is_json_dumps(record):
-    doc = {"set": record.set_name, "exposure": record.exposure,
-           "seed": record.seed,
+def test_counts_file_text_is_json_dumps(drawn):
+    name, settings, record = drawn
+    doc = {"set": name, "exposure": record.exposure, "seed": record.seed,
            "counts": [{"alice": i, "bob": j, "count": c}
-                      for (i, j), c in zip(record.settings, record.counts)]}
+                      for (i, j), c in zip(settings, record.counts)]}
     oracle = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert _json_text({"set": record.set_name, "exposure": record.exposure,
+    assert _json_text({"set": name, "exposure": record.exposure,
                        "seed": record.seed},
-                      counts={"alice": [i for i, _ in record.settings],
-                              "bob": [j for _, j in record.settings],
+                      counts={"alice": [i for i, _ in settings],
+                              "bob": [j for _, j in settings],
                               "count": record.counts}) == oracle
 
 

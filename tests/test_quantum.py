@@ -173,7 +173,7 @@ def test_bell_value_ideal_catalog():
 def test_bell_value_table_symmetric_for_ideal():
     s = get_set("ks18")
     _, table = bell_value(s, max_entangled_state(4), s.projectors)
-    d = dict(zip(table.settings, table.values))
+    d = dict(zip(s.settings, table.values))
     for i, j in s.graph.edges:
         assert abs(d[(i, j)] - d[(j, i)]) < 1e-12
 
