@@ -45,6 +45,18 @@ Two quantities are computed for a weighted graph (G, w):
   clock checks alone keep the best bracket and run the stall rule, so
   the off-clock checks only ever end the loop sooner.
 
+  A set can certify its own theta number, and then the loop does not
+  run.  For a unit-weight set whose contexts are d-element bases
+  covering every ray r times, such as ks18 and ks21, n / d is both the
+  value of the Cabello-Severini-Winter matrix |<v_i|v_j>|^2 / n and the
+  top eigenvalue of J - H for H = (n / (d r)) sum_c (J_c - I_c) (PRL 112,
+  040401 (2014)).  :func:`bounds_report` hands that pair to
+  :func:`solve_theta`, which certifies it as it would an iterate before
+  the first iteration.  The bracket is then only its rounding
+  allowances wide, about 5e-13, and ``theta_graph_iterations`` is 0.
+  Any other set, and a start bracket wider than tol, goes to the loop
+  from I / n.
+
 Both quantities split over the graph's structure (Lovasz, IEEE Trans.
 Inf. Theory 25 (1979); Knuth 1994): they add up over the connected
 components, and on a join, whose complement is disconnected, they are
@@ -258,8 +270,16 @@ class ThetaResult:
 
 
 def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
-                max_iter: int = _MAX_ITER) -> ThetaResult:
+                max_iter: int = _MAX_ITER,
+                start: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ThetaResult:
     """Weighted theta number with a certified bracket of width <= tol.
+
+    ``start``, a pair ``(x0, h)`` of (n, n) arrays, is certified before
+    the loop, as an iterate would be: ``x0`` with its edge entries set to
+    zero gives the lower bound and the edge entries of ``h`` the upper
+    one.  If that bracket is within tol it is returned with
+    ``iterations = 0``; otherwise the pair is dropped and the loop runs
+    as without it.
 
     Certifies at the first iteration, every ``_CHECK_EVERY`` iterations,
     and whenever rho ||f|| (f the fixed-point residual) reaches the
@@ -271,6 +291,12 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
+    if start is not None:
+        x0, h = (np.asarray(a, dtype=float) for a in start)
+        if not (x0.shape == h.shape == (n, n) and np.isfinite([x0, h]).all()
+                and np.trace(x0) > 0.0):
+            raise ValueError(f"start must be two finite ({n}, {n}) arrays, "
+                             "the first with a positive trace")
     if n == 0:
         return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0)
     sqrt_w = np.sqrt([float(x) for x in graph.weights])
@@ -302,6 +328,16 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
         upper = (float(np.linalg.eigvalsh(m)[-1])
                  + (n + 2) * _EPS * (float(np.linalg.norm(m)) + 2.0 * rho))
         return lower, upper, x
+
+    if start is not None:
+        # the projection onto symmetric matrices with zero edge entries,
+        # which leaves a feasible x0 as it is
+        y = (x0 + x0.T) / 2.0
+        y[rows, cols] = 0.0
+        y[cols, rows] = 0.0
+        lower, upper, x = certify(y, h / rho)
+        if upper - lower <= tol:
+            return ThetaResult(lower, upper - lower, upper, x, 0)
 
     relax = 1.6
     c_rho = big_w / rho
@@ -396,7 +432,8 @@ def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:
                                if i in index and j in index))
 
 
-def _theta_bracket(graph: WeightedGraph, tol: float) -> tuple[float, float, int]:
+def _theta_bracket(graph: WeightedGraph, tol: float,
+                   start: Optional[tuple] = None) -> tuple[float, float, int]:
     """``(lower, upper, iterations)``: the weighted theta number,
     bracketed to within ``tol``.
 
@@ -404,17 +441,20 @@ def _theta_bracket(graph: WeightedGraph, tol: float) -> tuple[float, float, int]
     each by :func:`solve_theta` at ``tol``.  theta is the max over the
     parts, so the bracket is the max of their lower and of their upper
     bounds, no wider than the widest part's.  Any other graph is solved
-    whole.  Iterations add up over the parts.  Once a part raises
-    :class:`ThetaNonConvergence`, each later part gets one iteration,
-    whose certificate is enough for a bracket: the error carries the one
-    assembled from every part's best.
+    whole, from ``start`` if given; the parts of a join are renumbered,
+    so they never get it.  Iterations add up over the parts.  Once a
+    part raises :class:`ThetaNonConvergence`, each later part gets one
+    iteration, whose certificate is enough for a bracket: the error
+    carries the one assembled from every part's best.
     """
     full = (1 << graph.n) - 1
+    parts = _components(full, _adjacency(graph)[1]) or [full]
+    start = start if len(parts) == 1 else None
     brackets, failed = [], False
-    for part in _components(full, _adjacency(graph)[1]) or [full]:
+    for part in parts:
         try:
             res = solve_theta(_induced(graph, part), tol=tol,
-                              max_iter=1 if failed else _MAX_ITER)
+                              max_iter=1 if failed else _MAX_ITER, start=start)
             brackets.append((res.value, res.dual_bound, res.iterations))
         except ThetaNonConvergence as exc:
             failed = True
@@ -483,12 +523,48 @@ class BoundsReport:
     theta_graph_iterations: int
 
 
+def _closed_form_start(sic: SicSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The set's own theta_graph certificate as a :func:`solve_theta`
+    start ``(x0, h)``, for a unit-weight set whose contexts are d-element
+    bases covering every ray the same number of times r; None otherwise.
+
+    x0 is the Cabello-Severini-Winter matrix |<v_i|v_j>|^2 / n (PRL 112,
+    040401 (2014)): the Gram matrix of the v_i (x) conj(v_i) over n, so
+    PSD with unit trace, zero on edges (up to the rounding that
+    solve_theta's projection removes), and of value
+    ||sum_i P_i||_F^2 / n = n / d, since the r-fold cover by bases makes
+    sum_i P_i = (n / d) I.  h is (n / (d r)) (B B^T - r I), B the ray by
+    context incidence matrix.  B B^T has the all-ones vector as an
+    eigenvector of eigenvalue d r, so J - (n / (d r)) B B^T vanishes on
+    it and is negative semidefinite on its complement, and J - h has top
+    eigenvalue n / d.  h is nonzero only on pairs that share a context;
+    solve_theta reads it on edges alone, so a context that is not
+    orthogonal loosens the bracket and never falsifies it."""
+    n, d, contexts = sic.n, sic.dimension, sic.contexts
+    if not contexts or any(w != 1 for w in sic.weights):
+        return None
+    incidence = np.zeros((n, len(contexts)))
+    for k, ctx in enumerate(contexts):
+        if len(set(ctx)) != d or not all(0 <= v < n for v in ctx):
+            return None
+        incidence[list(ctx), k] = 1.0
+    cover = incidence.sum(axis=1)
+    r = cover[0]
+    if (cover != r).any():
+        return None
+    vecs = sic.unit_vectors
+    x0 = np.abs(vecs @ vecs.conj().T) ** 2 / n
+    h = n / (d * r) * (incidence @ incidence.T - r * np.eye(n))
+    return x0, h
+
+
 def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     """Bundle the classical bound, the quantum ceiling, and the ideal value."""
     graph = sic.graph
     alpha, witness = max_weight_independent_set(graph)
     ceiling = state_ceiling(bell_operator(sic))
-    graph_lower, graph_upper, graph_iterations = _theta_bracket(graph, tol)
+    graph_lower, graph_upper, graph_iterations = _theta_bracket(
+        graph, tol, _closed_form_start(sic))
     # the maximally entangled state clicks 1/d on each diagonal, 0 on edges
     beta = sum(sic.weights) / sic.dimension
     return BoundsReport(

@@ -13,7 +13,8 @@ exposure and the seed.
 ``SicSet.settings`` is the one record of the setting order: ``counts[k]``
 of a record and ``values[k]`` of a table belong to ``sic.settings[k]``,
 and neither carries the order itself.  The only layout check is the size
-check at the top of :func:`estimate_beta`.  Results are plain
+check at the top of :func:`estimate_beta`, on a table's values and
+sigmas and a record's counts.  Results are plain
 dataclasses; the CLI alone turns them into artifact files.
 """
 
@@ -119,11 +120,13 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet,
     with a handful of distinct coefficients, and a sum of independent
     Poissons is Poisson, so each replicate draws one Poisson per
     coefficient, with mean the group's total count, not one per setting.
-    A table or record whose length is not ``len(sic.settings)`` raises
-    ValueError.
+    A table (values or sigmas) or record whose length is not
+    ``len(sic.settings)`` raises ValueError.
     """
     size = len(sic.settings)
-    for entries in [table.values] + ([] if record is None else [record.counts]):
+    for entries in ([table.values]
+                    + ([] if table.sigmas is None else [table.sigmas])
+                    + ([] if record is None else [record.counts])):
         if len(entries) != size:
             raise ValueError(f"{len(entries)} entries given for the {size} "
                              f"settings of set {sic.name}")

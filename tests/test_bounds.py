@@ -1,5 +1,7 @@
+import dataclasses
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +11,7 @@ from sicbell.bounds import (
     BoundsReport,
     ThetaNonConvergence,
     ThetaResult,
+    _closed_form_start,
     _theta_bracket,
     bounds_report,
     max_weight_independent_set,
@@ -18,6 +21,8 @@ from sicbell.bounds import (
 from sicbell.catalog import SicSet, WeightedGraph, get_set, orthogonality_graph
 from sicbell.exact import ZERO
 from sicbell.quantum import bell_operator
+
+from exact_oracle import is_psd
 
 
 def trace_form_theta(g, tol=2e-5, iters=60000):
@@ -415,7 +420,8 @@ def test_bounds_report_catalog():
 
 def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
     # every cross pair of yo13 (+) ks18 is orthogonal: the graph is a join,
-    # so alpha and theta_graph are yo13's, and the iterations add up
+    # so alpha and theta_graph are yo13's, and the iterations of the
+    # parts' ADMM runs add up (the renumbered parts carry no contexts)
     yo13, ks18 = get_set("yo13"), get_set("ks18")
     pad = (ZERO,)
     total = SicSet(name="yo13+ks18", dimension=7,
@@ -427,7 +433,138 @@ def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
     assert (rep.alpha, rep.alpha_witness) == (11, parts[0].alpha_witness)
     assert (rep.theta_graph, rep.theta_graph_gap) == (
         parts[0].theta_graph, parts[0].theta_graph_gap)
-    assert rep.theta_graph_iterations == sum(p.theta_graph_iterations for p in parts)
+    assert rep.theta_graph_iterations == sum(
+        solve_theta(sic.graph).iterations for sic in (yo13, ks18))
+
+
+# ------------------------------------------------- closed-form certificate
+
+def _fields(res):
+    return (res.value, res.gap, res.dual_bound, res.iterations, res.matrix.tolist())
+
+
+@pytest.mark.parametrize("name", ["ks18", "ks21"])
+def test_closed_form_certificate_is_exact(name):
+    # both halves over Fraction: X0_ij = |<v_i|v_j>|^2 / (|v_i|^2 |v_j|^2 n)
+    # from the integer Gram product, |a + b w|^2 = a^2 + ab + b^2 for
+    # w = e^(i pi / 3), and H from the contexts alone
+    sic = get_set(name)
+    n, d = sic.n, sic.dimension
+    re, w = (array.tolist() for array in sic.gram)
+    norm = [re[i][i] for i in range(n)]
+    x0 = [[Fraction(re[i][j] ** 2 + re[i][j] * w[i][j] + w[i][j] ** 2,
+                    norm[i] * norm[j] * n) for j in range(n)] for i in range(n)]
+    assert all(x0[i][j] == x0[j][i] == 0 for i, j in sic.graph.edges)
+    assert sum(x0[i][i] for i in range(n)) == 1
+    assert is_psd(x0)
+    assert sum(map(sum, x0)) == Fraction(n, d)
+
+    shared = [[sum(i in ctx and j in ctx for ctx in sic.contexts) for j in range(n)]
+              for i in range(n)]
+    r = shared[0][0]
+    h = [[Fraction(n, d * r) * (shared[i][j] if i != j else 0) for j in range(n)]
+         for i in range(n)]
+    edges = set(sic.graph.edges)
+    assert all(h[i][j] == 0 for i in range(n) for j in range(i, n) if (i, j) not in edges)
+    assert is_psd([[Fraction(n, d) * (i == j) - 1 + h[i][j] for j in range(n)]
+                   for i in range(n)])
+
+    # the pair bounds_report passes on is these matrices in floating point
+    x0_float, h_float = _closed_form_start(sic)
+    assert [[Fraction(v) for v in row] for row in h_float.tolist()] == h
+    assert np.abs(x0_float - np.array(x0, dtype=float)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["ks18", "ks21"])
+def test_closed_form_start_certifies_before_the_loop(name):
+    sic = get_set(name)
+    target = sic.n / sic.dimension
+    res = solve_theta(sic.graph, start=_closed_form_start(sic))
+    assert res.iterations == 0
+    assert res.gap <= 1e-12
+    assert res.value <= target <= res.dual_bound
+    # the certified point is feasible and attains the value, exactly
+    x = res.matrix
+    assert (x == x.T).all() and all(x[i, j] == 0.0 for i, j in sic.graph.edges)
+    assert is_psd(x)
+    exact = [[Fraction(v) for v in row] for row in x.tolist()]
+    trace = sum(exact[i][i] for i in range(sic.n))
+    assert sum(map(sum, exact)) / trace >= Fraction(res.value)
+
+
+@pytest.mark.parametrize("name", ["ks18", "ks21"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_form_start_survives_relabelling(name, seed):
+    # vectors and contexts permuted together: the same certificate
+    sic = get_set(name)
+    perm = list(range(sic.n))
+    random.Random(seed).shuffle(perm)
+    inverse = {old: new for new, old in enumerate(perm)}
+    moved = dataclasses.replace(
+        sic, vectors=tuple(sic.vectors[old] for old in perm),
+        contexts=tuple(tuple(inverse[v] for v in ctx) for ctx in sic.contexts))
+    rep = bounds_report(moved)
+    assert rep.theta_graph_iterations == 0
+    assert rep.theta_graph <= sic.n / sic.dimension <= rep.theta_graph + rep.theta_graph_gap
+
+
+@pytest.mark.parametrize("contexts", ["one_removed", "none"])
+def test_no_regular_cover_falls_back_to_the_loop(contexts):
+    ks18 = get_set("ks18")
+    sic = dataclasses.replace(
+        ks18, contexts=ks18.contexts[1:] if contexts == "one_removed" else None)
+    assert _closed_form_start(sic) is None
+    rep = bounds_report(sic)
+    plain = solve_theta(ks18.graph)
+    assert plain.iterations > 0
+    assert (rep.theta_graph, rep.theta_graph_gap, rep.theta_graph_iterations) == (
+        plain.value, plain.gap, plain.iterations)
+
+
+@pytest.mark.parametrize("scale", [0.99, 1.01, 0.0])
+def test_a_wrong_dual_start_never_excludes_the_optimum(scale):
+    # any edge-supported H is dual feasible: a scaled one only loosens
+    # the bracket, and then the loop runs exactly as without a start
+    ks18 = get_set("ks18")
+    x0, h = _closed_form_start(ks18)
+    start = (x0, scale * h)
+    res = solve_theta(ks18.graph, start=start)
+    assert res.value <= 4.5 <= res.dual_bound
+    assert _fields(res) == _fields(solve_theta(ks18.graph))
+    # a tol wide enough to take the loose bracket as it is
+    loose = solve_theta(ks18.graph, tol=20.0, start=start)
+    assert loose.iterations == 0
+    assert loose.value <= 4.5 <= loose.dual_bound
+
+
+def test_start_off_the_edges_is_projected():
+    # a primal start that is not zero on edges, or not symmetric, is
+    # projected before it is certified, so its lower bound still holds
+    ks18 = get_set("ks18")
+    x0, h = _closed_form_start(ks18)
+    skewed = x0 + 0.01 * np.triu(np.ones_like(x0))
+    res = solve_theta(ks18.graph, tol=10.0, start=(skewed, h))
+    assert res.iterations == 0
+    assert all(res.matrix[i, j] == 0.0 for i, j in ks18.graph.edges)
+    assert res.value <= 4.5 <= res.dual_bound
+
+
+def test_a_join_gives_its_parts_no_start():
+    # the parts of a join are renumbered, so a start for the whole graph
+    # is dropped: C5 joined to one vertex
+    g = WeightedGraph(6, (1,) * 6,
+                      cycle5().edges + tuple((v, 5) for v in range(5)))
+    start = (np.eye(6) / 6, np.zeros((6, 6)))
+    assert _theta_bracket(g, 1e-6, start) == _theta_bracket(g, 1e-6)
+
+
+def test_malformed_start_rejected():
+    g = cycle5()
+    good = np.eye(5) / 5
+    for start in ((np.eye(4), good), (good, np.zeros((5, 4))),
+                  (good, np.full((5, 5), np.nan)), (np.zeros((5, 5)), good)):
+        with pytest.raises(ValueError, match="^start must be two finite"):
+            solve_theta(g, start=start)
 
 
 def test_bounds_report_margins():

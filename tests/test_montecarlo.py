@@ -229,6 +229,16 @@ class TestEstimateBeta:
                                              "settings of set yo13$"):
             estimate_beta(table, get_set("yo13"))
 
+    def test_sigmas_of_the_wrong_length_rejected(self):
+        # the sigmas are checked like the values: one short and one long
+        sic = get_set("yo13")
+        values = expected_bell_value(sic, IDEAL)[1].values
+        for size in (60, 62):
+            table = ProbabilityTable(values, np.full(size, 1e-3))
+            with pytest.raises(ValueError, match=f"^{size} entries given for "
+                                                 "the 61 settings of set yo13$"):
+                estimate_beta(table, sic)
+
     def test_bootstrap_needs_record(self):
         sic = get_set("yo13")
         table = expected_bell_value(sic, IDEAL)[1]

@@ -290,7 +290,7 @@ def test_ideal_value_is_below_the_ceiling(sic):
 @PROPERTY_SETTINGS
 @given(ray_sets())
 # ks18 and ks21 meet the bound (beta_ideal = theta_graph = n / d), so their
-# upper ends clear beta_ideal by the bracket's width only, about 1e-7
+# upper ends clear beta_ideal by the certificate's rounding allowance, about 3e-13
 @example(get_set("ks18"))
 @example(get_set("ks21"))
 def test_ideal_value_is_below_theta_graph(sic):
