@@ -26,14 +26,16 @@ Two quantities are computed for a weighted graph (G, w):
   came from is replaced by that point's plain step, and the history
   starts over.
 
-  Every reported value carries a certificate.  The dual is
-  min over edge-supported H of lambda_max(W - H), so the edge part of
-  any iterate's multiplier gives an upper bound with one eigenvalue;
-  the projected iterate, which is exactly zero on edges, shifted to PSD
-  by its smallest eigenvalue and scaled to unit trace, gives a lower
-  bound.  Each eigenvalue and sum the bounds rest on is allowed its
-  rounding error, so the true optimum lies in value .. value + gap to
-  the last ulp, however far the iteration got or which path it took.
+  Every reported value carries a certificate, and the result carries
+  both halves of it.  The dual is min over edge-supported H of
+  lambda_max(W - H), so the edge part of any iterate's multiplier gives
+  an upper bound with one eigenvalue (``ThetaResult.h``); the projected
+  iterate, which is exactly zero on edges, shifted to PSD by its
+  smallest eigenvalue and scaled to unit trace, gives a lower bound
+  (``ThetaResult.matrix``).  Each eigenvalue and sum the bounds rest on
+  is allowed its rounding error, so the true optimum lies in value ..
+  value + gap to the last ulp, however far the iteration got or which
+  path it took.
 
   The loop certifies on a clock (its first iteration, then every
   ``_CHECK_EVERY``) and off it, whenever rho times the norm of the
@@ -54,8 +56,8 @@ Two quantities are computed for a weighted graph (G, w):
   :func:`solve_theta`, which certifies it as it would an iterate before
   the first iteration.  The bracket is then only its rounding
   allowances wide, about 5e-13, and ``theta_graph_iterations`` is 0.
-  Any other set, and a start bracket wider than tol, goes to the loop
-  from I / n.
+  Any other set, and a start bracket wider than tol, goes to the split
+  below and the loop from I / n.
 
 Both quantities split over the graph's structure (Lovasz, IEEE Trans.
 Inf. Theory 25 (1979); Knuth 1994): they add up over the connected
@@ -63,18 +65,19 @@ components, and on a join, whose complement is disconnected, they are
 the max over the complement's components.  :func:`_decompose` splits
 the graph that way, recursively, and the independent-set search runs
 only on the pieces that split no further: a union's independent set is
-the union of its pieces' optima, a join's is the best piece's.
-theta_graph splits at a join only: its parts are solved whole at
-``tol``, and the bracket is [max of the lower bounds, max of the upper
-bounds], no wider than the widest part's.  Any other graph, connected
-or not, is solved whole.  ``theta_graph_iterations`` is summed over the
-parts.
+the union of its pieces' optima, a join's is the best piece's.  The
+theta loop, too, runs only on those pieces.  A union's parts are solved
+at tol / k, and their certificates assembled into one for the union,
+which is certified on the whole union like a start; a join's bracket is
+[max of the parts' lower bounds, max of their upper bounds], no wider
+than the widest part's.  ``theta_graph_iterations`` is summed over the
+pieces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -95,7 +98,8 @@ class ThetaNonConvergence(RuntimeError):
     """Raised when the SDP loop exhausts its iteration cap, or when its
     best bracket stops narrowing (a tolerance below its rounding floor).
 
-    Carries the best certified bracket so callers can still report it.
+    Carries the best certified bracket of the whole graph, and the
+    iterations of every loop run, so callers can still report them.
     """
 
     def __init__(self, primal_bound: float, dual_bound: float, iterations: int):
@@ -140,8 +144,8 @@ def _adjacency(graph: WeightedGraph) -> tuple[list, list]:
 def _decompose(graph: WeightedGraph):
     """``(adj, tree)``: the graph's bitmask adjacency and its split into
     pieces.  A mask whose subgraph is disconnected becomes
-    ``("union", parts)`` over its components; a connected one whose
-    complement is disconnected becomes ``("join", parts)`` over the
+    ``("union", mask, parts)`` over its components; a connected one whose
+    complement is disconnected becomes ``("join", mask, parts)`` over the
     complement's components; anything else is a leaf, the mask itself.
     The parts split again, so a cograph splits down to single vertices."""
     adj, co_adj = _adjacency(graph)
@@ -150,7 +154,7 @@ def _decompose(graph: WeightedGraph):
         for kind, links in (("union", adj), ("join", co_adj)):
             parts = _components(mask, links)
             if len(parts) > 1:
-                return kind, [split(part) for part in parts]
+                return kind, mask, [split(part) for part in parts]
         return mask
 
     return adj, split((1 << graph.n) - 1)
@@ -218,7 +222,7 @@ def max_weight_independent_set(graph: WeightedGraph):
     def solve(node):
         if isinstance(node, int):
             return search(node)
-        kind, parts = node
+        kind, _, parts = node
         results = [solve(part) for part in parts]
         if kind == "union":
             return (sum(value for value, _ in results),
@@ -267,6 +271,7 @@ class ThetaResult:
     dual_bound: float
     matrix: np.ndarray      # feasible X: PSD, trace 1, zero on edges, (n, n)
     iterations: int
+    h: np.ndarray           # edge-supported H: lambda_max(W - H) <= dual_bound
 
 
 def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
@@ -274,71 +279,151 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
                 start: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ThetaResult:
     """Weighted theta number with a certified bracket of width <= tol.
 
-    ``start``, a pair ``(x0, h)`` of (n, n) arrays, is certified before
-    the loop, as an iterate would be: ``x0`` with its edge entries set to
-    zero gives the lower bound and the edge entries of ``h`` the upper
-    one.  If that bracket is within tol it is returned with
-    ``iterations = 0``; otherwise the pair is dropped and the loop runs
-    as without it.
+    ``start``, a pair ``(x0, h)`` of (n, n) arrays, is certified first,
+    on the whole graph, as an iterate would be: ``x0`` with its edge
+    entries set to zero gives the lower bound and the edge entries of
+    ``h`` the upper one.  If that bracket is within tol it is returned
+    with ``iterations = 0``; otherwise the pair is dropped.
 
-    Certifies at the first iteration, every ``_CHECK_EVERY`` iterations,
-    and whenever rho ||f|| (f the fixed-point residual) reaches the
-    trigger, which starts at tol.  Gives up after ``max_iter``
-    iterations, or once the best bracket has not narrowed by 1% over
-    ``_STALL_CHECKS`` clock certifications in a row."""
+    The graph is then split (:func:`_decompose`) and the loop runs only
+    on the pieces that split no further.  The k parts of a union are
+    solved at tol / k, and their certificates are assembled into one for
+    the union (:func:`_union_start`), which is certified on the union as
+    a start is; should it come out wider than tol, the loop runs on the
+    union whole.  A join's parts are solved at tol, and its bracket is
+    [max of their lower bounds, max of their upper bounds]
+    (:func:`_join_result`).  ``max_iter`` caps the iterations of all
+    loops together, each loop getting what is left.
+
+    The loop certifies at its first iteration, every ``_CHECK_EVERY``
+    iterations, and whenever rho ||f|| (f the fixed-point residual)
+    reaches the trigger, which starts at tol.  It gives up once its
+    iterations run out, or once the best bracket has not narrowed by 1%
+    over ``_STALL_CHECKS`` clock certifications in a row.  After that,
+    every later loop gets one iteration, and :class:`ThetaNonConvergence`
+    carries the whole graph's bracket, assembled from every piece's
+    best: the sum over a union's parts, rounded outward, and the max
+    over a join's."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     if start is not None:
-        x0, h = (np.asarray(a, dtype=float) for a in start)
+        start = tuple(np.asarray(a, dtype=float) for a in start)
+        x0, h = start
         if not (x0.shape == h.shape == (n, n) and np.isfinite([x0, h]).all()
                 and np.trace(x0) > 0.0):
             raise ValueError(f"start must be two finite ({n}, {n}) arrays, "
                              "the first with a positive trace")
     if n == 0:
-        return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0)
-    sqrt_w = np.sqrt([float(x) for x in graph.weights])
-    big_w = np.outer(sqrt_w, sqrt_w)
-    rho = float(sum(graph.weights))     # lambda_max(W), the objective's scale
-    rows = np.array([i for i, _ in graph.edges], dtype=int)
-    cols = np.array([j for _, j in graph.edges], dtype=int)
-    diag = np.diag_indices(n)
+        return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0, np.zeros((0, 0)))
+    if start is not None:
+        cert = _Program(graph).certify_start(start, tol)
+        if cert is not None:
+            return cert
 
-    def certify(y, v):
+    spent, failed = 0, False
+
+    def run(program, piece_tol):
+        """``program``'s loop on what is left of max_iter; its
+        ThetaNonConvergence is returned, not raised."""
+        nonlocal spent, failed
+        failed = failed or spent >= max_iter
+        try:
+            res = _loop(program, piece_tol, 1 if failed else max_iter - spent)
+        except ThetaNonConvergence as exc:
+            spent, failed = spent + exc.iterations, True
+            return exc
+        spent += res.iterations
+        return res
+
+    def solve(node, node_tol):
+        if isinstance(node, int):
+            return run(_Program(_induced(graph, node)), node_tol)
+        kind, mask, parts = node
+        part_tol = node_tol / len(parts) if kind == "union" else node_tol
+        results = [solve(part, part_tol) for part in parts]
+        if not failed:
+            sub = _induced(graph, mask)
+            places = [_places(mask, part if isinstance(part, int) else part[1])
+                      for part in parts]
+            if kind == "join":
+                return _join_result(sub, places, results)
+            program = _Program(sub)
+            res = (program.certify_start(_union_start(sub, places, results), node_tol)
+                   or run(program, node_tol))
+            if not failed:
+                return replace(res, iterations=res.iterations
+                               + sum(r.iterations for r in results))
+        lowers = [r.primal_bound if isinstance(r, ThetaNonConvergence) else r.value
+                  for r in results]
+        uppers = [r.dual_bound for r in results]
+        if kind == "union":
+            # fsum is correctly rounded, so one step outward holds the sums
+            return ThetaNonConvergence(math.nextafter(math.fsum(lowers), -math.inf),
+                                       math.nextafter(math.fsum(uppers), math.inf), spent)
+        return ThetaNonConvergence(max(lowers), max(uppers), spent)
+
+    res = solve(_decompose(graph)[1], tol)
+    if isinstance(res, ThetaNonConvergence):
+        raise ThetaNonConvergence(res.primal_bound, res.dual_bound, spent)
+    return res
+
+
+class _Program:
+    """The theta program of one graph, and its certificate."""
+
+    def __init__(self, graph: WeightedGraph):
+        self.n = graph.n
+        self.sqrt_w = np.sqrt([float(x) for x in graph.weights])
+        self.big_w = np.outer(self.sqrt_w, self.sqrt_w)
+        self.rho = float(sum(graph.weights))    # lambda_max(W), the objective's scale
+        self.rows = np.array([i for i, _ in graph.edges], dtype=int)
+        self.cols = np.array([j for _, j in graph.edges], dtype=int)
+
+    def certify(self, y, v, iterations: int) -> ThetaResult:
         """Bracket the optimum from the projected iterate y (zero on
-        edges) and the edge part of the normal-space element rho (v - y)."""
+        edges) and the edge part H of the normal-space element rho (v - y)."""
+        n, rho, rows, cols = self.n, self.rho, self.rows, self.cols
         # lower: y + delta I is PSD once delta covers eigvalsh's rounding;
         # the slack covers the sums in <W, y> and in the trace
         y_norm = float(np.linalg.norm(y))
         delta = max(0.0, (n + 1) * _EPS * y_norm - float(np.linalg.eigvalsh(y)[0]))
         trace = float(np.trace(y)) + n * delta
         slack = 4 * (n + 2) * _EPS * rho * (y_norm + n * delta)
-        lower = (float(sqrt_w @ y @ sqrt_w) + delta * rho - slack) / trace
+        lower = (float(self.sqrt_w @ y @ self.sqrt_w) + delta * rho - slack) / trace
         x = y / trace
-        x[diag] += delta / trace
+        x[np.diag_indices(n)] += delta / trace
         # upper: every edge-supported H gives the dual-feasible
         # t = lambda_max(W - H).  Rounding in the edge entries only
         # changes H; the allowance covers the computed eigenvalue (off
         # by up to (n+1) eps ||M||), W's rounding (||W|| = rho) and the sum
-        m = big_w.copy()
-        m[rows, cols] -= rho * v[rows, cols]
-        m[cols, rows] = m[rows, cols]
+        h = np.zeros((n, n))
+        h[rows, cols] = rho * v[rows, cols]
+        h[cols, rows] = h[rows, cols]
+        m = self.big_w - h
         upper = (float(np.linalg.eigvalsh(m)[-1])
                  + (n + 2) * _EPS * (float(np.linalg.norm(m)) + 2.0 * rho))
-        return lower, upper, x
+        return ThetaResult(lower, upper - lower, upper, x, iterations, h)
 
-    if start is not None:
-        # the projection onto symmetric matrices with zero edge entries,
-        # which leaves a feasible x0 as it is
+    def certify_start(self, start, tol: float) -> Optional[ThetaResult]:
+        """The certified start ``(x0, h)``, if its bracket is within tol.
+        x0 is first projected onto symmetric matrices with zero edge
+        entries, which leaves a feasible x0 as it is."""
+        x0, h = start
         y = (x0 + x0.T) / 2.0
-        y[rows, cols] = 0.0
-        y[cols, rows] = 0.0
-        lower, upper, x = certify(y, h / rho)
-        if upper - lower <= tol:
-            return ThetaResult(lower, upper - lower, upper, x, 0)
+        y[self.rows, self.cols] = 0.0
+        y[self.cols, self.rows] = 0.0
+        cert = self.certify(y, h / self.rho, 0)
+        return cert if cert.gap <= tol else None
 
+def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
+    """The Anderson-accelerated loop on ``program`` from I / n (see
+    :func:`solve_theta`)."""
+    n, rho, rows, cols = program.n, program.rho, program.rows, program.cols
+    diag = np.diag_indices(n)
+    certify, big_w = program.certify, program.big_w
     relax = 1.6
     c_rho = big_w / rho
     # Anderson history: differences of accepted states and of their
@@ -350,7 +435,7 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     # last accepted state, its residual, its plain step and the residual norm
     s_last = f_last = g_last = res_last = None
     extrapolated = False
-    best: Optional[tuple] = None
+    best: Optional[ThetaResult] = None
     stall_width, stalled = math.inf, 0
     trigger = tol
 
@@ -378,20 +463,20 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
         on_clock = it % _CHECK_EVERY == 0 or it == 1
         triggered = rho * res <= trigger
         if on_clock or triggered:
-            lower, upper, x = certify(y, v)
-            if upper - lower <= tol:
-                return ThetaResult(lower, upper - lower, upper, x, it)
+            cert = certify(y, v, it)
+            if cert.gap <= tol:
+                return cert
             if triggered:
-                trigger = tol * rho * res / (upper - lower)
+                trigger = tol * rho * res / cert.gap
         if on_clock:
-            if best is None or (upper - lower) < (best[1] - best[0]):
-                best = (lower, upper, x)
-            if best[1] - best[0] < 0.99 * stall_width:
-                stall_width, stalled = best[1] - best[0], 0
+            if best is None or cert.gap < best.gap:
+                best = cert
+            if best.gap < 0.99 * stall_width:
+                stall_width, stalled = best.gap, 0
             else:
                 stalled += 1
             if stalled >= _STALL_CHECKS:
-                raise ThetaNonConvergence(best[0], best[1], it)
+                raise ThetaNonConvergence(best.value, best.dual_bound, it)
 
         if extrapolated and res > res_last:
             # safeguard: the extrapolation did worse than the point it
@@ -417,8 +502,7 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
                 step = ((d_s[:, :stored] + df) @ gamma).reshape(n, n)
                 s, extrapolated = g - (step + step.T) / 2.0, True
 
-    lower, upper, _ = best
-    raise ThetaNonConvergence(lower, upper, max_iter)
+    raise ThetaNonConvergence(best.value, best.dual_bound, max_iter)
 
 
 def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:
@@ -432,37 +516,63 @@ def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:
                                if i in index and j in index))
 
 
-def _theta_bracket(graph: WeightedGraph, tol: float,
-                   start: Optional[tuple] = None) -> tuple[float, float, int]:
-    """``(lower, upper, iterations)``: the weighted theta number,
-    bracketed to within ``tol``.
+def _places(mask: int, part: int) -> list:
+    """Where the vertices of ``part`` fall among those of ``mask``."""
+    return [(mask & ((1 << v) - 1)).bit_count()
+            for v in range(part.bit_length()) if part >> v & 1]
 
-    A join is solved part by part, over its complement's components,
-    each by :func:`solve_theta` at ``tol``.  theta is the max over the
-    parts, so the bracket is the max of their lower and of their upper
-    bounds, no wider than the widest part's.  Any other graph is solved
-    whole, from ``start`` if given; the parts of a join are renumbered,
-    so they never get it.  Iterations add up over the parts.  Once a
-    part raises :class:`ThetaNonConvergence`, each later part gets one
-    iteration, whose certificate is enough for a bracket: the error
-    carries the one assembled from every part's best.
-    """
-    full = (1 << graph.n) - 1
-    parts = _components(full, _adjacency(graph)[1]) or [full]
-    start = start if len(parts) == 1 else None
-    brackets, failed = [], False
-    for part in parts:
-        try:
-            res = solve_theta(_induced(graph, part), tol=tol,
-                              max_iter=1 if failed else _MAX_ITER, start=start)
-            brackets.append((res.value, res.dual_bound, res.iterations))
-        except ThetaNonConvergence as exc:
-            failed = True
-            brackets.append((exc.primal_bound, exc.dual_bound, exc.iterations))
-    lowers, uppers, iterations = zip(*brackets)
-    if failed:
-        raise ThetaNonConvergence(max(lowers), max(uppers), sum(iterations))
-    return max(lowers), max(uppers), sum(iterations)
+
+def _union_start(graph: WeightedGraph, places: list, parts: list):
+    """A :func:`solve_theta` start ``(x0, h)`` for a disjoint union,
+    assembled from its parts' results, ``places`` giving where each
+    part's vertices fall in ``graph``.
+
+    With s_k = sqrt(w) on part k, X_k its matrix, theta_k = s_k^T X_k s_k
+    and u_k = X_k s_k, x0 = (blockdiag(theta_k X_k - u_k u_k^T) + u u^T)
+    / theta, u = (u_1, ..., u_k) and theta = sum theta_k: the Gram matrix
+    of the parts' vectors with their s_k directions aligned, so PSD, of
+    unit trace, zero on edges and of value theta.  Its diagonal blocks
+    are theta_k X_k / theta, the rest u u^T / theta.  With U_k the parts'
+    upper bounds and U their sum, h = blockdiag((U / U_k) h_k): by
+    Cauchy-Schwarz, (sum_k s_k^T z_k)^2 <= U sum_k (s_k^T z_k)^2 / U_k,
+    so lambda_max(W - h) <= U."""
+    sqrt_w = np.sqrt([float(x) for x in graph.weights])
+    total = sum(part.dual_bound for part in parts)
+    u = np.zeros(graph.n)
+    values = []
+    for place, part in zip(places, parts):
+        u[place] = part.matrix @ sqrt_w[place]
+        values.append(float(sqrt_w[place] @ u[place]))
+    x0 = np.outer(u, u)
+    h = np.zeros_like(x0)
+    for place, part, value in zip(places, parts, values):
+        block = np.ix_(place, place)
+        x0[block] = value * part.matrix
+        h[block] = (total / part.dual_bound) * part.h
+    return x0 / sum(values), h
+
+
+def _join_result(graph: WeightedGraph, places: list, parts: list) -> ThetaResult:
+    """A join's theta is the max over its parts (Knuth 1994), so its
+    bracket is [max of the parts' lower bounds, max of their upper
+    bounds], no wider than the widest part's.  The matrix is that of the
+    part with the best lower bound, zero elsewhere, and h is W on the
+    cross pairs, all of them edges, and each part's h on its block: W - h
+    is then block diagonal, its top eigenvalue the max of the parts'.
+    Iterations add up over the parts."""
+    lower = max(part.value for part in parts)
+    upper = max(part.dual_bound for part in parts)
+    sqrt_w = np.sqrt([float(x) for x in graph.weights])
+    h = np.outer(sqrt_w, sqrt_w)
+    x = np.zeros_like(h)
+    best = next(k for k, part in enumerate(parts) if part.value == lower)
+    for k, (place, part) in enumerate(zip(places, parts)):
+        block = np.ix_(place, place)
+        h[block] = part.h
+        if k == best:
+            x[block] = part.matrix
+    return ThetaResult(lower, upper - lower, upper, x,
+                       sum(part.iterations for part in parts), h)
 
 
 @dataclass(frozen=True)
@@ -563,8 +673,7 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     graph = sic.graph
     alpha, witness = max_weight_independent_set(graph)
     ceiling = state_ceiling(bell_operator(sic))
-    graph_lower, graph_upper, graph_iterations = _theta_bracket(
-        graph, tol, _closed_form_start(sic))
+    theta_graph = solve_theta(graph, tol, start=_closed_form_start(sic))
     # the maximally entangled state clicks 1/d on each diagonal, 0 on edges
     beta = sum(sic.weights) / sic.dimension
     return BoundsReport(
@@ -573,10 +682,10 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
         alpha_witness=witness,
         theta=ceiling.value,
         theta_gap=ceiling.gap,
-        theta_graph=graph_lower,
-        theta_graph_gap=graph_upper - graph_lower,
+        theta_graph=theta_graph.value,
+        theta_graph_gap=theta_graph.gap,
         beta_ideal=beta,
         margin_quantum=ceiling.value - alpha,
         margin_ideal=beta - alpha,
-        theta_graph_iterations=graph_iterations,
+        theta_graph_iterations=theta_graph.iterations,
     )

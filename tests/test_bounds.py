@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,19 +8,21 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sicbell import bounds
 from sicbell.bounds import (
     BoundsReport,
     ThetaNonConvergence,
     ThetaResult,
+    _Program,
     _closed_form_start,
-    _theta_bracket,
+    _union_start,
     bounds_report,
     max_weight_independent_set,
     solve_theta,
     state_ceiling,
 )
 from sicbell.catalog import SicSet, WeightedGraph, get_set, orthogonality_graph
-from sicbell.exact import ZERO
+from sicbell.exact import ZERO, ExactScalar
 from sicbell.quantum import bell_operator
 
 from exact_oracle import is_psd
@@ -187,7 +190,7 @@ def test_mwis_empty_and_capacity():
     # the empty graph's theta is 0, returned without iterating
     empty = solve_theta(WeightedGraph(0, (), ()))
     assert (empty.value, empty.gap, empty.dual_bound) == (0.0, 0.0, 0.0)
-    assert empty.matrix.shape == (0, 0) and empty.iterations == 0
+    assert empty.matrix.shape == empty.h.shape == (0, 0) and empty.iterations == 0
     big = WeightedGraph(65, (1,) * 65, ())
     with pytest.raises(ValueError):
         max_weight_independent_set(big)
@@ -369,28 +372,97 @@ def test_theta_nonconvergence_reports_bracket():
     assert exc.dual_bound >= np.sqrt(5.0) - 1e-9
 
 
-def test_disconnected_graph_is_solved_whole():
-    # theta_graph splits only at a join: C5 plus an isolated vertex is
-    # one solve_theta call, bracket and iterations alike
-    g = WeightedGraph(6, (1,) * 5 + (2,), cycle5().edges)
-    whole = solve_theta(g, tol=1e-6)
-    assert _theta_bracket(g, 1e-6) == (whole.value, whole.dual_bound, whole.iterations)
+def _bracket(call):
+    """``(lower, upper, iterations)`` of a solve_theta call, certified or not."""
+    try:
+        res = call()
+    except ThetaNonConvergence as exc:
+        return exc.primal_bound, exc.dual_bound, exc.iterations
+    return res.value, res.dual_bound, res.iterations
+
+
+def c5_plus_vertex(weight, joined):
+    """C5 with a sixth vertex of ``weight``, joined to all of C5 or apart."""
+    cross = tuple((v, 5) for v in range(5)) if joined else ()
+    return WeightedGraph(6, (1,) * 5 + (weight,), cycle5().edges + cross)
+
+
+def test_disconnected_graph_is_solved_by_parts():
+    # C5 plus an isolated vertex: theta = sqrt(5) + 2.  Each part is
+    # solved at tol / 2, and the result is the certificate assembled
+    # from theirs, certified on the whole graph with no iteration of its own
+    g = c5_plus_vertex(2, joined=False)
+    parts = [solve_theta(part, tol=5e-7)
+             for part in (cycle5(), WeightedGraph(1, (2,), ()))]
+    res = solve_theta(g, tol=1e-6)
+    assert res.iterations == sum(part.iterations for part in parts)
+    assert res.value <= np.sqrt(5.0) + 2.0 <= res.dual_bound
+    assert res.gap <= 1e-6
+    start = _union_start(g, [[0, 1, 2, 3, 4], [5]], parts)
+    cert = _Program(g).certify_start(start, 1e-6)
+    assert _fields(res) == _fields(dataclasses.replace(cert, iterations=res.iterations))
+    # the assembled dual is each part's, scaled to the union's upper bound
+    total = parts[0].dual_bound + parts[1].dual_bound
+    assert np.allclose(res.h[:5, :5], total / parts[0].dual_bound * parts[0].h,
+                       rtol=1e-14, atol=0.0)
+    assert (res.h[5] == 0.0).all()
+
+
+def test_a_union_certificate_wider_than_tol_falls_back_to_the_loop(monkeypatch):
+    # should the assembled pair come out wider than tol, the loop runs on
+    # the whole union from I / n, after the parts' iterations
+    g = c5_plus_vertex(2, joined=False)
+    parts = sum(solve_theta(part, tol=5e-7).iterations
+                for part in (cycle5(), WeightedGraph(1, (2,), ())))
+    monkeypatch.setattr(bounds, "_union_start",
+                        lambda graph, places, results: (np.eye(6), np.zeros((6, 6))))
+    whole = bounds._loop(bounds._Program(g), 1e-6, 1_000)
+    expected = dataclasses.replace(whole, iterations=parts + whole.iterations)
+    assert _fields(solve_theta(g)) == _fields(expected)
 
 
 def test_split_theta_nonconvergence_reports_the_whole_bracket():
     # C5 joined to one more vertex: theta = max(sqrt(5), 1).  C5 stalls
-    # short of tol, and the error brackets the max
-    g = WeightedGraph(6, (1,) * 6,
-                      cycle5().edges + tuple((v, 5) for v in range(5)))
+    # short of tol, and the error brackets the max of the parts' brackets
+    g = c5_plus_vertex(1, joined=True)
     with pytest.raises(ThetaNonConvergence) as err:
-        _theta_bracket(g, tol=1e-15)
+        solve_theta(g, tol=1e-15)
     exc = err.value
     assert exc.primal_bound <= np.sqrt(5.0) <= exc.dual_bound
     assert exc.dual_bound - exc.primal_bound < 1e-12
     # the vertex after the stalled C5 gets one iteration, not a stall of its own
-    with pytest.raises(ThetaNonConvergence) as alone:
-        solve_theta(cycle5(), tol=1e-15)
-    assert exc.iterations == alone.value.iterations + 1
+    c5 = _bracket(lambda: solve_theta(cycle5(), tol=1e-15))
+    vertex = _bracket(lambda: solve_theta(WeightedGraph(1, (1,), ()), tol=1e-15,
+                                          max_iter=1))
+    assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
+        max(c5[0], vertex[0]), max(c5[1], vertex[1]), c5[2] + 1)
+
+
+def test_split_theta_nonconvergence_sums_a_union():
+    # C5 apart from a vertex of weight 2: theta = sqrt(5) + 2, and the
+    # error carries the sum of the parts' brackets, each solved at
+    # tol / 2, rounded one step outward
+    g = c5_plus_vertex(2, joined=False)
+    with pytest.raises(ThetaNonConvergence) as err:
+        solve_theta(g, tol=1e-15)
+    exc = err.value
+    c5 = _bracket(lambda: solve_theta(cycle5(), tol=5e-16))
+    vertex = _bracket(lambda: solve_theta(WeightedGraph(1, (2,), ()), tol=5e-16,
+                                          max_iter=1))
+    assert exc.iterations == c5[2] + 1
+    assert exc.primal_bound == math.nextafter(math.fsum([c5[0], vertex[0]]), -math.inf)
+    assert exc.dual_bound == math.nextafter(math.fsum([c5[1], vertex[1]]), math.inf)
+    assert exc.primal_bound <= np.sqrt(5.0) + 2.0 <= exc.dual_bound
+
+
+def test_max_iter_caps_the_pieces_together():
+    # the union's parts share the cap: C5 needs more than it leaves
+    g = c5_plus_vertex(2, joined=False)
+    c5 = solve_theta(cycle5(), tol=5e-7).iterations
+    assert solve_theta(g, max_iter=c5 + 1).iterations == c5 + 1
+    with pytest.raises(ThetaNonConvergence) as err:
+        solve_theta(g, max_iter=c5 - 1)
+    assert err.value.iterations == c5
 
 
 def test_theta_stalled_bracket_stops_early():
@@ -437,10 +509,41 @@ def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
         solve_theta(sic.graph).iterations for sic in (yo13, ks18))
 
 
+def test_bounds_report_on_a_disjoint_union_adds_the_parts():
+    # yo13 rays (x) x and y (x) ks18 rays in d = 12: <a (x) x | y (x) b> =
+    # <a|y><x|b>, and with entries in {0, +-1} neither factor vanishes
+    # (balanced ternary), so no cross pair is orthogonal and the graph is
+    # the disjoint union of yo13's and ks18's
+    yo13, ks18 = get_set("yo13"), get_set("ks18")
+    x, y = ((ExactScalar(c, 0) for c in t) for t in ((1, 3, 9, 27), (1, 3, 9)))
+    x, y = tuple(x), tuple(y)
+
+    def kron(u, v):
+        return tuple(p * q for p in u for q in v)
+
+    union = SicSet(name="yo13|ks18", dimension=12,
+                   vectors=tuple(kron(v, x) for v in yo13.vectors)
+                   + tuple(kron(y, v) for v in ks18.vectors),
+                   weights=yo13.weights + ks18.weights)
+    assert union.graph.edges == yo13.graph.edges + tuple(
+        (i + 13, j + 13) for i, j in ks18.graph.edges)
+    rep = bounds_report(union)
+    assert rep.alpha == 15
+    # each part is solved at tol / 2, and the union's bracket, certified
+    # on the whole graph, holds the sum of theirs
+    parts = [solve_theta(sic.graph, tol=5e-7) for sic in (yo13, ks18)]
+    upper = rep.theta_graph + rep.theta_graph_gap
+    assert rep.theta_graph <= sum(part.value for part in parts)
+    assert sum(part.dual_bound for part in parts) <= upper
+    assert rep.theta_graph_gap <= 1e-6
+    assert rep.theta_graph_iterations == sum(part.iterations for part in parts)
+
+
 # ------------------------------------------------- closed-form certificate
 
 def _fields(res):
-    return (res.value, res.gap, res.dual_bound, res.iterations, res.matrix.tolist())
+    return (res.value, res.gap, res.dual_bound, res.iterations, res.matrix.tolist(),
+            res.h.tolist())
 
 
 @pytest.mark.parametrize("name", ["ks18", "ks21"])
@@ -550,12 +653,30 @@ def test_start_off_the_edges_is_projected():
 
 
 def test_a_join_gives_its_parts_no_start():
-    # the parts of a join are renumbered, so a start for the whole graph
-    # is dropped: C5 joined to one vertex
-    g = WeightedGraph(6, (1,) * 6,
-                      cycle5().edges + tuple((v, 5) for v in range(5)))
+    # a start is tried on the whole graph, and a loose one is dropped
+    # before the split: the parts of a join are renumbered, so they never
+    # get it.  C5 joined to one vertex
+    g = c5_plus_vertex(1, joined=True)
     start = (np.eye(6) / 6, np.zeros((6, 6)))
-    assert _theta_bracket(g, 1e-6, start) == _theta_bracket(g, 1e-6)
+    assert _fields(solve_theta(g, 1e-6, start=start)) == _fields(solve_theta(g, 1e-6))
+    # a tol wide enough takes it as it is, on the whole graph
+    loose = solve_theta(g, tol=10.0, start=start)
+    assert loose.iterations == 0 and loose.matrix.shape == (6, 6)
+    assert loose.value <= np.sqrt(5.0) <= loose.dual_bound
+
+
+@pytest.mark.parametrize("kind", ["leaf", "union", "join"])
+def test_a_result_certifies_as_its_own_start(kind):
+    # (matrix, h) is the whole certificate: passed back, it certifies
+    # before the first iteration
+    g = {"leaf": cycle5(), "union": c5_plus_vertex(2, joined=False),
+         "join": c5_plus_vertex(2, joined=True)}[kind]
+    res = solve_theta(g)
+    assert res.iterations > 0
+    again = solve_theta(g, start=(res.matrix, res.h))
+    assert again.iterations == 0
+    theta = np.sqrt(5.0) + (2.0 if kind == "union" else 0.0)
+    assert again.value <= theta <= again.dual_bound
 
 
 def test_malformed_start_rejected():

@@ -7,7 +7,8 @@ The exact orthogonality graph is checked against the pairwise
 ``inner_product`` loop, and the maximum-weight independent set against
 the weight-sum branch and bound, on random graphs and on nested unions
 and joins of them, the split theta_graph bracket against the
-whole-graph solve, and KS colorability against enumeration of every 0/1
+whole-graph loop, both sides of its certificate exactly over Fraction,
+and KS colorability against enumeration of every 0/1
 assignment.  The independence number is checked as the local bound of
 the Bell functional, the best deterministic strategy found by
 enumeration, on random ray sets, on rays realizing random weighted
@@ -39,8 +40,9 @@ from hypothesis import strategies as st
 
 from sicbell.bounds import (
     ThetaNonConvergence,
+    _Program,
     _decompose,
-    _theta_bracket,
+    _loop,
     bounds_report,
     ks_colorable,
     max_weight_independent_set,
@@ -414,19 +416,20 @@ def _compose(kind, parts):
 
 
 @st.composite
-def composed_graphs(draw, depth=2, max_parts=3):
-    """Random graphs of 1-4 vertices nested up to ``depth`` levels in
-    unions and joins of 2 to ``max_parts`` parts, then relabelled at
-    random, so that every piece of the split is scattered over the
-    vertex order.  Weights in 1..3 make ties, and the lexicographic rule,
-    common."""
+def composed_graphs(draw, depth=2, max_parts=3, weight=st.integers(1, 3),
+                    max_piece=4):
+    """Random graphs of 1 to ``max_piece`` vertices nested up to
+    ``depth`` levels in unions and joins of 2 to ``max_parts`` parts,
+    then relabelled at random, so that every piece of the split is
+    scattered over the vertex order.  Weights are drawn from ``weight``;
+    the default, 1..3, makes ties, and the lexicographic rule, common."""
     rng = draw(st.randoms(use_true_random=False))
 
     def pieces(level):
         if level == 0 or draw(st.booleans()):
-            n = draw(st.integers(1, 4))
+            n = draw(st.integers(1, max_piece))
             density = draw(st.floats(0.0, 1.0))
-            return ([draw(st.integers(1, 3)) for _ in range(n)],
+            return ([draw(weight) for _ in range(n)],
                     [e for e in combinations(range(n), 2) if rng.random() < density])
         kind = draw(st.sampled_from(["union", "join"]))
         return _compose(kind, [pieces(level - 1)
@@ -451,20 +454,31 @@ def test_split_mwis_matches_branch_and_bound_oracle(graph):
 @settings(max_examples=30, deadline=None)
 @given(composed_graphs(max_parts=2), st.sampled_from([1e-2, 1e-4, 1e-6]))
 def test_split_theta_bracket_meets_the_whole_graph_bracket(graph, tol):
-    # both brackets are certified, so both hold theta and they overlap
+    # the split solve and the loop on the whole graph are both
+    # certified, so both brackets hold theta and they overlap
     try:
-        whole = solve_theta(graph, tol=tol, max_iter=5_000)
+        whole = _loop(_Program(graph), tol, 5_000)
     except ThetaNonConvergence:
         assume(False)
-    lower, upper, _ = _theta_bracket(graph, tol)
-    assert lower <= whole.dual_bound
-    assert whole.value <= upper
-    assert 0.0 <= upper - lower <= tol
+    split = solve_theta(graph, tol=tol)
+    assert split.value <= whole.dual_bound
+    assert whole.value <= split.dual_bound
+    assert 0.0 <= split.gap <= tol
+    edges = set(graph.edges)
+    for i, j in combinations(range(graph.n), 2):
+        assert split.matrix[i, j] == split.matrix[j, i]
+        if (i, j) in edges:
+            assert split.matrix[i, j] == 0.0
+        else:
+            assert split.h[i, j] == split.h[j, i] == 0.0
 
 
 def test_catalog_and_dense_random_graphs_are_one_piece():
-    # these graphs run the whole-graph searches; a split would leave the
-    # scaled-sets and catalog timings measuring pieces instead
+    # each of these graphs is one piece, on which the MWIS search and the
+    # theta_graph loop run whole: the catalog timings, and this dense
+    # 44-vertex graph that the loop does not certify, measure the loop
+    # itself.  The scaled-sets union and direct sums do split, into
+    # catalog graphs
     rng = random.Random(7)
     n = 44
     dense = WeightedGraph(n, tuple(rng.randint(1, 3) for _ in range(n)),
@@ -516,15 +530,8 @@ def square_weighted_graphs(draw):
     return WeightedGraph(n, weights, edges)
 
 
-@settings(max_examples=20, deadline=None)
-@given(square_weighted_graphs(), st.sampled_from([1e-2, 1e-4, 1e-6]))
-def test_theta_lower_bound_holds_exactly(graph, tol):
-    # a loose tol ends the loop on a less-converged iterate, where the
-    # shift delta that makes it PSD, and its rounding allowance, matter
-    try:
-        res = solve_theta(graph, tol=tol, max_iter=1_000)
-    except ThetaNonConvergence:
-        assume(False)
+def _assert_lower_side_exact(graph, res):
+    """res.matrix is exactly feasible and attains at least res.value."""
     x = res.matrix
     assert (x == x.T).all()
     for i, j in graph.edges:
@@ -537,6 +544,44 @@ def test_theta_lower_bound_holds_exactly(graph, tol):
                    for i in range(graph.n) for j in range(graph.n))
     assert trace > 0
     assert attained / trace >= Fraction(res.value)
+
+
+@settings(max_examples=20, deadline=None)
+@given(square_weighted_graphs(), st.sampled_from([1e-2, 1e-4, 1e-6]))
+def test_theta_lower_bound_holds_exactly(graph, tol):
+    # a loose tol ends the loop on a less-converged iterate, where the
+    # shift delta that makes it PSD, and its rounding allowance, matter
+    try:
+        res = solve_theta(graph, tol=tol, max_iter=1_000)
+    except ThetaNonConvergence:
+        assume(False)
+    _assert_lower_side_exact(graph, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(square_weighted_graphs(),
+                 composed_graphs(max_parts=2, weight=st.sampled_from([1, 4, 9]),
+                                 max_piece=7)),
+       st.sampled_from([1e-2, 1e-4, 1e-6]))
+def test_theta_certificate_holds_exactly(graph, tol):
+    # leaves, unions and joins with exact square roots of the weights:
+    # h is edge-supported and dual_bound I - (W - h) is PSD over Fraction,
+    # so lambda_max(W - h) <= dual_bound; the matrix attains value
+    try:
+        res = solve_theta(graph, tol=tol, max_iter=1_000)
+    except ThetaNonConvergence:
+        assume(False)
+    tree = _decompose(graph)[1]
+    event(f"n = {graph.n // 10 * 10}+, " + ("leaf" if isinstance(tree, int) else tree[0]))
+    _assert_lower_side_exact(graph, res)
+    n, edges = graph.n, set(graph.edges)
+    h = [[Fraction(v) for v in row] for row in res.h.tolist()]
+    assert all(h[i][j] == h[j][i] == 0 for i in range(n) for j in range(i, n)
+               if (i, j) not in edges)
+    root = [math.isqrt(w) for w in graph.weights]
+    upper = Fraction(res.dual_bound)
+    assert is_psd([[upper * (i == j) - root[i] * root[j] + h[i][j] for j in range(n)]
+                   for i in range(n)])
 
 
 # zero counts, counts near 2**62, and names JSON must escape
