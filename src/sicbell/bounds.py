@@ -67,11 +67,12 @@ the graph that way, recursively, and the independent-set search runs
 only on the pieces that split no further: a union's independent set is
 the union of its pieces' optima, a join's is the best piece's.  The
 theta loop, too, runs only on those pieces.  A union's parts are solved
-at tol / k, and their certificates assembled into one for the union,
-which is certified on the whole union like a start; a join's bracket is
-[max of the parts' lower bounds, max of their upper bounds], no wider
-than the widest part's.  ``theta_graph_iterations`` is summed over the
-pieces.
+at their weight's share of its tol, so the shares add up to tol however
+deep the split, and their certificates are assembled into one for the
+union, which is certified on the whole union like a start; a join's
+bracket is [max of the parts' lower bounds, max of their upper bounds],
+no wider than the widest part's.  ``theta_graph_iterations`` is summed
+over the pieces.
 """
 
 from __future__ import annotations
@@ -286,24 +287,31 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     with ``iterations = 0``; otherwise the pair is dropped.
 
     The graph is then split (:func:`_decompose`) and the loop runs only
-    on the pieces that split no further.  The k parts of a union are
-    solved at tol / k, and their certificates are assembled into one for
-    the union (:func:`_union_start`), which is certified on the union as
-    a start is; should it come out wider than tol, the loop runs on the
-    union whole.  A join's parts are solved at tol, and its bracket is
-    [max of their lower bounds, max of their upper bounds]
-    (:func:`_join_result`).  ``max_iter`` caps the iterations of all
-    loops together, each loop getting what is left.
+    on the pieces that split no further.  Each part of a union is solved
+    at tol times its share of the union's weight, so a piece's tol is at
+    least its share of the whole graph's, however deep it lies, and the
+    parts' certificates are assembled into one for the union
+    (:func:`_union_start`), which is certified on the union as a start
+    is; should it come out wider than tol, the loop runs on the union
+    whole.  A join's parts are solved at tol, and its bracket is [max of
+    their lower bounds, max of their upper bounds] (:func:`_join_result`).
+    ``max_iter`` caps the iterations of all loops together, each loop
+    getting what is left; a loop left once the cap is spent still gets
+    one iteration, so the total can pass max_iter by the number of
+    those loops.
 
     The loop certifies at its first iteration, every ``_CHECK_EVERY``
     iterations, and whenever rho ||f|| (f the fixed-point residual)
     reaches the trigger, which starts at tol.  It gives up once its
     iterations run out, or once the best bracket has not narrowed by 1%
     over ``_STALL_CHECKS`` clock certifications in a row.  After that,
-    every later loop gets one iteration, and :class:`ThetaNonConvergence`
-    carries the whole graph's bracket, assembled from every piece's
-    best: the sum over a union's parts, rounded outward, and the max
-    over a join's."""
+    every later loop gets one iteration, except one: the loop on the
+    whole of the innermost union around the failure, on what is left of
+    max_iter, which may still certify it.  If that fails as well,
+    :class:`ThetaNonConvergence` carries the whole graph's bracket,
+    assembled from every piece's best: the sum over a union's parts,
+    rounded outward and cut to the whole union's bracket where its loop
+    ran, and the max over a join's."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
@@ -323,51 +331,72 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
         if cert is not None:
             return cert
 
-    spent, failed = 0, False
+    spent, hopeless = 0, False
 
-    def run(program, piece_tol):
-        """``program``'s loop on what is left of max_iter; its
+    def run(program, piece_tol, quick):
+        """``program``'s loop on what is left of max_iter, or on one
+        iteration if ``quick`` or once that is spent; its
         ThetaNonConvergence is returned, not raised."""
-        nonlocal spent, failed
-        failed = failed or spent >= max_iter
+        nonlocal spent
+        budget = 1 if quick or spent >= max_iter else max_iter - spent
         try:
-            res = _loop(program, piece_tol, 1 if failed else max_iter - spent)
+            res = _loop(program, piece_tol, budget)
         except ThetaNonConvergence as exc:
-            spent, failed = spent + exc.iterations, True
+            spent += exc.iterations
             return exc
         spent += res.iterations
         return res
 
-    def solve(node, node_tol):
+    def solve(node, node_tol, quick):
+        """``node``'s result, or its ThetaNonConvergence, with the
+        iterations of its own loops; ``quick``: a loop before it failed."""
+        nonlocal hopeless
         if isinstance(node, int):
-            return run(_Program(_induced(graph, node)), node_tol)
+            return run(_Program(_induced(graph, node)), node_tol, quick)
         kind, mask, parts = node
-        part_tol = node_tol / len(parts) if kind == "union" else node_tol
-        results = [solve(part, part_tol) for part in parts]
-        if not failed:
-            sub = _induced(graph, mask)
-            places = [_places(mask, part if isinstance(part, int) else part[1])
-                      for part in parts]
-            if kind == "join":
-                return _join_result(sub, places, results)
+        sub = _induced(graph, mask)
+        places = [_places(mask, part if isinstance(part, int) else part[1])
+                  for part in parts]
+        total = float(sum(sub.weights))
+        results, failed = [], False
+        for part, place in zip(parts, places):
+            share = (sum(sub.weights[p] for p in place) / total
+                     if kind == "union" else 1.0)
+            results.append(solve(part, node_tol * share, quick or failed))
+            failed = failed or isinstance(results[-1], ThetaNonConvergence)
+        if kind == "join" and not failed:
+            return _join_result(sub, places, results)
+        res = None
+        if kind == "union":
             program = _Program(sub)
-            res = (program.certify_start(_union_start(sub, places, results), node_tol)
-                   or run(program, node_tol))
             if not failed:
-                return replace(res, iterations=res.iterations
-                               + sum(r.iterations for r in results))
+                res = program.certify_start(_union_start(sub, places, results),
+                                            node_tol)
+            if res is None and not (failed and (quick or hopeless)):
+                # the loop on the whole union, should its parts' certificate
+                # come out wider than tol or a part fail
+                res = run(program, node_tol, quick)
+                hopeless = hopeless or isinstance(res, ThetaNonConvergence)
+        iterations = (sum(r.iterations for r in results)
+                      + (0 if res is None else res.iterations))
+        if isinstance(res, ThetaResult):
+            return replace(res, iterations=iterations)
         lowers = [r.primal_bound if isinstance(r, ThetaNonConvergence) else r.value
                   for r in results]
         uppers = [r.dual_bound for r in results]
-        if kind == "union":
-            # fsum is correctly rounded, so one step outward holds the sums
-            return ThetaNonConvergence(math.nextafter(math.fsum(lowers), -math.inf),
-                                       math.nextafter(math.fsum(uppers), math.inf), spent)
-        return ThetaNonConvergence(max(lowers), max(uppers), spent)
+        if kind == "join":
+            return ThetaNonConvergence(max(lowers), max(uppers), iterations)
+        # fsum is correctly rounded, so one step outward holds the sums;
+        # the whole union's bracket holds theta too
+        lower = math.nextafter(math.fsum(lowers), -math.inf)
+        upper = math.nextafter(math.fsum(uppers), math.inf)
+        if res is not None:
+            lower, upper = max(lower, res.primal_bound), min(upper, res.dual_bound)
+        return ThetaNonConvergence(lower, upper, iterations)
 
-    res = solve(_decompose(graph)[1], tol)
+    res = solve(_decompose(graph)[1], tol, False)
     if isinstance(res, ThetaNonConvergence):
-        raise ThetaNonConvergence(res.primal_bound, res.dual_bound, spent)
+        raise res
     return res
 
 

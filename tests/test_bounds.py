@@ -387,13 +387,21 @@ def c5_plus_vertex(weight, joined):
     return WeightedGraph(6, (1,) * 5 + (weight,), cycle5().edges + cross)
 
 
+def c5_and_vertex_at(tol):
+    """C5 and a vertex of weight 2 solved apart, as the parts of
+    ``c5_plus_vertex(2, joined=False)`` at ``tol``: at tol times their
+    shares 5 / 7 and 2 / 7 of the weight."""
+    return cycle5(), tol * (5 / 7), WeightedGraph(1, (2,), ()), tol * (2 / 7)
+
+
 def test_disconnected_graph_is_solved_by_parts():
     # C5 plus an isolated vertex: theta = sqrt(5) + 2.  Each part is
-    # solved at tol / 2, and the result is the certificate assembled
-    # from theirs, certified on the whole graph with no iteration of its own
+    # solved at its weight's share of tol, and the result is the
+    # certificate assembled from theirs, certified on the whole graph
+    # with no iteration of its own
     g = c5_plus_vertex(2, joined=False)
-    parts = [solve_theta(part, tol=5e-7)
-             for part in (cycle5(), WeightedGraph(1, (2,), ()))]
+    c5, c5_tol, vertex, vertex_tol = c5_and_vertex_at(1e-6)
+    parts = [solve_theta(c5, tol=c5_tol), solve_theta(vertex, tol=vertex_tol)]
     res = solve_theta(g, tol=1e-6)
     assert res.iterations == sum(part.iterations for part in parts)
     assert res.value <= np.sqrt(5.0) + 2.0 <= res.dual_bound
@@ -412,8 +420,9 @@ def test_a_union_certificate_wider_than_tol_falls_back_to_the_loop(monkeypatch):
     # should the assembled pair come out wider than tol, the loop runs on
     # the whole union from I / n, after the parts' iterations
     g = c5_plus_vertex(2, joined=False)
-    parts = sum(solve_theta(part, tol=5e-7).iterations
-                for part in (cycle5(), WeightedGraph(1, (2,), ())))
+    c5, c5_tol, vertex, vertex_tol = c5_and_vertex_at(1e-6)
+    parts = (solve_theta(c5, tol=c5_tol).iterations
+             + solve_theta(vertex, tol=vertex_tol).iterations)
     monkeypatch.setattr(bounds, "_union_start",
                         lambda graph, places, results: (np.eye(6), np.zeros((6, 6))))
     whole = bounds._loop(bounds._Program(g), 1e-6, 1_000)
@@ -439,30 +448,67 @@ def test_split_theta_nonconvergence_reports_the_whole_bracket():
 
 
 def test_split_theta_nonconvergence_sums_a_union():
-    # C5 apart from a vertex of weight 2: theta = sqrt(5) + 2, and the
-    # error carries the sum of the parts' brackets, each solved at
-    # tol / 2, rounded one step outward
+    # C5 apart from a vertex of weight 2: theta = sqrt(5) + 2.  C5 stalls
+    # short of its share of tol, the vertex gets one iteration, and the
+    # loop then runs on the whole union, on what is left of max_iter.  The
+    # error carries the part of the parts' summed bracket, rounded one
+    # step outward, that the whole union's bracket also holds
     g = c5_plus_vertex(2, joined=False)
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, tol=1e-15)
     exc = err.value
-    c5 = _bracket(lambda: solve_theta(cycle5(), tol=5e-16))
-    vertex = _bracket(lambda: solve_theta(WeightedGraph(1, (2,), ()), tol=5e-16,
-                                          max_iter=1))
-    assert exc.iterations == c5[2] + 1
-    assert exc.primal_bound == math.nextafter(math.fsum([c5[0], vertex[0]]), -math.inf)
-    assert exc.dual_bound == math.nextafter(math.fsum([c5[1], vertex[1]]), math.inf)
+    c5_graph, c5_tol, vertex_graph, vertex_tol = c5_and_vertex_at(1e-15)
+    c5 = _bracket(lambda: solve_theta(c5_graph, tol=c5_tol))
+    vertex = _bracket(lambda: solve_theta(vertex_graph, tol=vertex_tol, max_iter=1))
+    whole = _bracket(lambda: bounds._loop(bounds._Program(g), 1e-15,
+                                          bounds._MAX_ITER - c5[2] - vertex[2]))
+    assert exc.iterations == c5[2] + vertex[2] + whole[2]
+    lower = math.nextafter(math.fsum([c5[0], vertex[0]]), -math.inf)
+    upper = math.nextafter(math.fsum([c5[1], vertex[1]]), math.inf)
+    assert (exc.primal_bound, exc.dual_bound) == (max(lower, whole[0]),
+                                                  min(upper, whole[1]))
     assert exc.primal_bound <= np.sqrt(5.0) + 2.0 <= exc.dual_bound
 
 
+def test_a_failed_union_part_keeps_the_whole_union_bracket():
+    # ks18|ks21, relabelled so that ks18 comes first, at a tol below
+    # ks18's rounding floor: ks18 stalls, ks21 gets one iteration, and the
+    # loop on the whole union narrows the bracket to the one it reaches
+    # alone, not the sum of the stalled and one-iteration parts
+    g = relabelled_union(("ks18", "ks21"), seed=2)
+    assert [part.bit_count() for part in bounds._decompose(g)[1][2]] == [18, 21]
+    with pytest.raises(ThetaNonConvergence) as err:
+        solve_theta(g, tol=1e-12)
+    exc = err.value
+    assert exc.primal_bound <= 8.0 <= exc.dual_bound
+    assert exc.dual_bound - exc.primal_bound < 1e-11
+
+
+@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_threshold_graph_certifies(n, tol):
+    # vertex v is apart from vertices 0..v-1 for even v and joined to them
+    # for odd v: the split alternates n / 2 unions with joins down to
+    # single vertices.  Each part takes its weight's share of its union's
+    # tol, so a vertex still gets tol / n, well above its rounding floor
+    edges = tuple((u, v) for v in range(n) if v % 2 for u in range(v))
+    res = solve_theta(WeightedGraph(n, (1,) * n, edges), tol=tol)
+    assert res.value <= n / 2 <= res.dual_bound
+    assert res.gap <= tol
+    assert res.iterations == n
+
+
 def test_max_iter_caps_the_pieces_together():
-    # the union's parts share the cap: C5 needs more than it leaves
+    # the union's parts share the cap: C5 needs more than it leaves.  Each
+    # loop left once the cap is spent, here the vertex and the whole
+    # union, still gets one iteration
     g = c5_plus_vertex(2, joined=False)
-    c5 = solve_theta(cycle5(), tol=5e-7).iterations
+    c5_graph, c5_tol, _, _ = c5_and_vertex_at(1e-6)
+    c5 = solve_theta(c5_graph, tol=c5_tol).iterations
     assert solve_theta(g, max_iter=c5 + 1).iterations == c5 + 1
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, max_iter=c5 - 1)
-    assert err.value.iterations == c5
+    assert err.value.iterations == c5 + 1
 
 
 def test_theta_stalled_bracket_stops_early():
@@ -529,9 +575,11 @@ def test_bounds_report_on_a_disjoint_union_adds_the_parts():
         (i + 13, j + 13) for i, j in ks18.graph.edges)
     rep = bounds_report(union)
     assert rep.alpha == 15
-    # each part is solved at tol / 2, and the union's bracket, certified
-    # on the whole graph, holds the sum of theirs
-    parts = [solve_theta(sic.graph, tol=5e-7) for sic in (yo13, ks18)]
+    # each part is solved at its weight's share of tol, 35 / 53 and
+    # 18 / 53, and the union's bracket, certified on the whole graph,
+    # holds the sum of theirs
+    parts = [solve_theta(sic.graph, tol=1e-6 * (sum(sic.weights) / 53))
+             for sic in (yo13, ks18)]
     upper = rep.theta_graph + rep.theta_graph_gap
     assert rep.theta_graph <= sum(part.value for part in parts)
     assert sum(part.dual_bound for part in parts) <= upper
