@@ -73,6 +73,18 @@ union, which is certified on the whole union like a start; a join's
 bracket is [max of the parts' lower bounds, max of their upper bounds],
 no wider than the widest part's.  ``theta_graph_iterations`` is summed
 over the pieces.
+
+The quantum ceiling of a set, the top eigenvalue of its Bell operator,
+is bracketed by :func:`bounds_report` from theta_graph's certificate
+first.  The maximally entangled state attains sum(w) / d exactly, so
+that, rounded down, is a lower end.  Q_i = P_i (x) conj(P_i) are
+projectors with Q_i Q_j = 0 on every edge, so sum_i w_i <Q_i> is at
+most theta(G, w) (Cabello, Severini & Winter, PRL 112, 040401 (2014)),
+and the edge terms of the functional are PSD and enter with a minus
+sign: theta_graph's certified upper end is an upper end.  Only where
+the two ends are further apart than tol is the Bell operator built, and
+:func:`state_ceiling` brackets its top eigenvalue from one
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -606,23 +618,26 @@ def _join_result(graph: WeightedGraph, places: list, parts: list) -> ThetaResult
 
 @dataclass(frozen=True)
 class CeilingResult:
-    value: float            # attained expectation (lower bound)
-    gap: float
-    dual_bound: float
-    state: np.ndarray       # pure density matrix attaining `value`
-    iterations: int
+    value: float            # certified lower bound, attained by `vector`
+    gap: float              # dual_bound - value
+    dual_bound: float       # certified upper bound
+    vector: np.ndarray      # unit vector, (m,), of expectation at least `value`
+    iterations: int         # always 1: one eigendecomposition
 
 
 def state_ceiling(op: np.ndarray) -> CeilingResult:
-    """Largest expectation of a Hermitian operator over density matrices.
+    """Largest expectation of a Hermitian (m, m) operator over density
+    matrices, with a certified bracket.
 
     The optimum of max <op, rho> subject to Tr rho = 1, rho >= 0 is the
-    top eigenvalue of op, attained by the projector onto its eigenvector
-    v, so one Hermitian eigendecomposition replaces an iterative solver.
-    ``value`` is the Rayleigh quotient of v, attained by ``state``.
-    ``dual_bound`` is the top eigenvalue lifted by the residual
-    ||op v - value v||, which absorbs the rounding that can put the
-    Rayleigh quotient a few ulps above the computed eigenvalue.
+    top eigenvalue of op, attained by its eigenvector v, so one
+    Hermitian eigendecomposition replaces an iterative solver.  Both
+    ends allow for rounding as ``_Program.certify`` does, at the scale
+    s = (m + 2) eps ||op||_F.  ``value`` is v's Rayleigh quotient, the
+    expectation of the state ``vector``, less 2 s for its two m-term
+    products and v's norm; ``dual_bound`` is the computed top
+    eigenvalue, off by up to (m + 1) eps ||op||_F, plus s.  The bracket
+    is that of the operator as its floats hold it.
     """
     op = np.asarray(op)
     m = op.shape[0]
@@ -630,11 +645,10 @@ def state_ceiling(op: np.ndarray) -> CeilingResult:
         raise ValueError("operator must be a Hermitian square matrix")
     lam, vecs = np.linalg.eigh(op)
     v = vecs[:, -1]
-    image = op @ v
-    value = float(np.vdot(v, image).real)
-    residual = float(np.linalg.norm(image - value * v))
-    upper = max(float(lam[-1]), value) + residual
-    return CeilingResult(value, upper - value, upper, np.outer(v, v.conj()), 1)
+    scale = (m + 2) * _EPS * float(np.linalg.norm(op))
+    lower = float(np.vdot(v, op @ v).real / np.vdot(v, v).real) - 2.0 * scale
+    upper = float(lam[-1]) + scale
+    return CeilingResult(lower, upper - lower, upper, v, 1)
 
 
 @dataclass(frozen=True)
@@ -643,10 +657,11 @@ class BoundsReport:
 
     ``theta`` is the largest value of the functional over quantum states
     for the set's own conjugated-projector measurements (the ceiling the
-    experiment is compared against).  ``theta_graph`` is the weighted
-    Lovász number of the orthogonality graph, an upper bound valid for
-    every realization; the two coincide for the unit-weight sets and
-    differ when the weights are non-uniform.
+    experiment is compared against), certified to lie in theta ..
+    theta + theta_gap.  ``theta_graph`` is the weighted Lovász number of
+    the orthogonality graph, an upper bound valid for every realization;
+    the two coincide for the unit-weight sets and differ when the
+    weights are non-uniform.
     """
 
     set_name: str
@@ -697,24 +712,58 @@ def _closed_form_start(sic: SicSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return x0, h
 
 
+def _round_down(num: int, den: int) -> float:
+    """num / den (den > 0) rounded down to a float.  Integer division
+    rounds to nearest; as_integer_ratio compares its result exactly."""
+    q = num / den
+    top, bottom = q.as_integer_ratio()
+    return math.nextafter(q, -math.inf) if top * den > num * bottom else q
+
+
+def _ceiling_bracket(sic: SicSet) -> tuple[float, float]:
+    """The set's quantum ceiling bracketed from its Bell operator:
+    :func:`state_ceiling`'s bracket, widened by the operator's own
+    rounding.  Each float entry of P^T C P* (P the rows of rounded
+    projectors, C the signed weights; see ``bell_operator``) is off from
+    the exact one by at most (2 n + 12) eps times that entry of
+    |P|^T |C| |P|, whose norm is at most sum |C_ij|, since each row of P
+    has unit norm."""
+    ceiling = state_ceiling(bell_operator(sic))
+    spread = (2 * sic.n + 12) * _EPS * float(np.abs(sic.coefficients).sum())
+    return ceiling.value - spread, ceiling.dual_bound + spread
+
+
 def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
-    """Bundle the classical bound, the quantum ceiling, and the ideal value."""
+    """Bundle the classical bound, the quantum ceiling, and the ideal value.
+
+    ``theta_graph``'s bracket is :func:`solve_theta`'s certificate.  The
+    quantum ceiling's is first [sum(w) / d rounded down, which the
+    maximally entangled state attains, theta_graph's certified upper
+    end]; within tol, as on ks18 and ks21 (about 3e-13), that is
+    ``theta`` .. ``theta + theta_gap`` and no Bell operator is built.
+    Otherwise it is cut to :func:`_ceiling_bracket`'s: the top
+    eigenvector's Rayleigh quotient less its slack, and the computed top
+    eigenvalue plus its allowance."""
     graph = sic.graph
     alpha, witness = max_weight_independent_set(graph)
-    ceiling = state_ceiling(bell_operator(sic))
     theta_graph = solve_theta(graph, tol, start=_closed_form_start(sic))
+    total = sum(sic.weights)
     # the maximally entangled state clicks 1/d on each diagonal, 0 on edges
-    beta = sum(sic.weights) / sic.dimension
+    lower, upper = _round_down(total, sic.dimension), theta_graph.dual_bound
+    if upper - lower > tol:
+        eig_lower, eig_upper = _ceiling_bracket(sic)
+        lower, upper = max(lower, eig_lower), min(upper, eig_upper)
+    beta = total / sic.dimension
     return BoundsReport(
         set_name=sic.name,
         alpha=alpha,
         alpha_witness=witness,
-        theta=ceiling.value,
-        theta_gap=ceiling.gap,
+        theta=lower,
+        theta_gap=upper - lower,
         theta_graph=theta_graph.value,
         theta_graph_gap=theta_graph.gap,
         beta_ideal=beta,
-        margin_quantum=ceiling.value - alpha,
+        margin_quantum=lower - alpha,
         margin_ideal=beta - alpha,
         theta_graph_iterations=theta_graph.iterations,
     )

@@ -397,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="compute alpha, theta, beta_ideal")
     p_bounds.add_argument("name", help="catalog name or set JSON path")
     p_bounds.add_argument("--tol", type=float, default=1e-6,
-                          help="certified gap for the theta_graph solver")
+                          help="certified gap for the theta_graph solver, and the "
+                               "widest theta bracket taken in closed form before "
+                               "the Bell operator is built")
     p_bounds.add_argument("--out", default=None, help="output directory")
     p_bounds.add_argument("--format", choices=("json", "csv"), default="json")
     p_bounds.set_defaults(func=cmd_bounds)

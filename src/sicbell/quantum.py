@@ -139,12 +139,14 @@ def bell_operator(sic: SicSet) -> np.ndarray:
     a Hermitian d^2 x d^2 matrix.  beta(rho) = Tr[rho B], so the largest
     eigenvalue of B is the ceiling of the functional over all states for
     this measurement family.  The signed weights are laid out as an
-    n x n matrix C, and B = sum_ij C_ij Pi_i x Pi_j* is one contraction.
+    n x n matrix C and the projectors as the rows of an (n, d^2) matrix
+    P, so B = sum_ij C_ij Pi_i x Pi_j* is the product P^T C P*, indexed
+    by ((a, c), (b, e)) and realigned to ((a, b), (c, e)).
     """
     ii, jj = np.asarray(sic.settings, dtype=int).reshape(-1, 2).T
     coeffs = np.zeros((sic.n, sic.n))
     coeffs[ii, jj] = sic.coefficients
-    alice = sic.projectors
     d = sic.dimension
-    op = np.einsum("ij,iac,jbe->abce", coeffs, alice, alice.conj(), optimize=True)
-    return op.reshape(d * d, d * d)
+    rows = sic.projectors.reshape(sic.n, d * d)
+    op = rows.T @ coeffs @ rows.conj()
+    return op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)

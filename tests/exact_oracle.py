@@ -16,6 +16,12 @@ a floating-point eigensolver; ``colorable_by_enumeration`` tries every
 ``local_bound`` is the classical bound of the Bell functional as its
 best deterministic local strategy, enumerated over every 0/1 assignment
 of one arm, not an independent set of the graph.
+``bell_operator_exact`` builds the Bell operator over Q(w) from the
+rays, their exact norms and the ``loop_edges`` graph, one Kronecker
+block per ray, not the package's float product of projector rows;
+``is_hermitian_psd`` is ``is_psd`` for a Hermitian matrix over Q(w),
+LDL* elimination on ``ExactScalar`` entries with ``Fraction``
+coordinates, and ``is_above_spectrum`` applies it to t I - op.
 ``validate_state`` checks that a matrix is a density matrix on a d x d
 joint system: its shape, Hermiticity, unit trace and no negative
 eigenvalue.
@@ -200,6 +206,75 @@ def is_psd(matrix) -> bool:
                 for j in range(k + 1, i + 1):
                     row[j] -= ratio * a[j][k]
     return True
+
+
+def _times(x: ExactScalar, q: Fraction) -> ExactScalar:
+    return ExactScalar(x.a * q, x.b * q)
+
+
+def bell_operator_exact(vectors, weights) -> list:
+    """The Bell operator sum_(i, j) C_ij P_i x conj(P_j) over Q(w), as
+    d^2 x d^2 nested lists of ``ExactScalar`` with ``Fraction``
+    coordinates, rows (a, b) and columns (c, e) at a d + b and c d + e.
+    P_i = |v_i><v_i| / <v_i|v_i>; C_ii = w_i, and C_ij = C_ji =
+    -max(w_i, w_j) / 2 on each pair of :func:`loop_edges`.  Each ray's
+    block is P_i x S_i, with S_i = sum_j C_ij conj(P_j)."""
+    n, d = len(vectors), len(vectors[0])
+    zero = ExactScalar(Fraction(0), Fraction(0))
+    projectors = [[[_times(v[r] * v[c].conjugate(), Fraction(1, norm_sq(v)))
+                    for c in range(d)] for r in range(d)] for v in vectors]
+    coeffs = [{i: Fraction(w)} for i, w in enumerate(weights)]
+    for i, j in loop_edges(vectors):
+        coeffs[i][j] = coeffs[j][i] = Fraction(-max(weights[i], weights[j]), 2)
+    op = [[zero] * (d * d) for _ in range(d * d)]
+    for i in range(n):
+        partner = [[zero] * d for _ in range(d)]
+        for j, c in coeffs[i].items():
+            for b in range(d):
+                for e in range(d):
+                    partner[b][e] += _times(projectors[j][b][e].conjugate(), c)
+        for a in range(d):
+            for c in range(d):
+                p = projectors[i][a][c]
+                for b in range(d):
+                    row = op[a * d + b]
+                    for e in range(d):
+                        row[c * d + e] += p * partner[b][e]
+    return op
+
+
+def is_hermitian_psd(matrix) -> bool:
+    """:func:`is_psd` for a Hermitian matrix over Q(w), its entries
+    ``ExactScalar`` with rational coordinates.  LDL* elimination on the
+    lower triangle: the Schur step takes a_i conj(a_j) / pivot from entry
+    (i, j), and a Hermitian matrix's pivots are real (b = 0), so each
+    step divides by a rational."""
+    n = len(matrix)
+    a = [[matrix[i][j] for j in range(i + 1)] for i in range(n)]
+    for k in range(n):
+        assert a[k][k].b == 0, "a Hermitian matrix has a real diagonal"
+        pivot = a[k][k].a
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(not a[i][k].is_zero() for i in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            if not a[i][k].is_zero():
+                ratio = _times(a[i][k], 1 / Fraction(pivot))
+                row = a[i]
+                for j in range(k + 1, i + 1):
+                    row[j] += -(ratio * a[j][k].conjugate())
+    return True
+
+
+def is_above_spectrum(t, op) -> bool:
+    """Whether t (a float or a rational) is at least the top eigenvalue
+    of the Hermitian matrix ``op`` over Q(w): t I - op is PSD, exactly."""
+    t = Fraction(t)
+    return is_hermitian_psd([[ExactScalar(t * (r == c) - x.a, -x.b)
+                              for c, x in enumerate(row)] for r, row in enumerate(op)])
 
 
 def validate_state(rho, d: int) -> None:

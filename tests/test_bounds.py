@@ -14,7 +14,9 @@ from sicbell.bounds import (
     ThetaNonConvergence,
     ThetaResult,
     _Program,
+    _ceiling_bracket,
     _closed_form_start,
+    _round_down,
     _union_start,
     bounds_report,
     max_weight_independent_set,
@@ -25,7 +27,7 @@ from sicbell.catalog import SicSet, WeightedGraph, get_set, orthogonality_graph
 from sicbell.exact import ZERO, ExactScalar
 from sicbell.quantum import bell_operator
 
-from exact_oracle import is_psd
+from exact_oracle import bell_operator_exact, is_above_spectrum, is_psd
 
 
 def trace_form_theta(g, tol=2e-5, iters=60000):
@@ -346,9 +348,9 @@ def test_state_ceiling_matches_spectral_oracle():
         top = float(np.linalg.eigvalsh(h)[-1])
         assert abs(res.value - top) <= 1e-6
         assert res.gap <= 1e-6
-        st = res.state
-        assert abs(np.trace(st).real - 1.0) < 1e-10
-        assert float(np.linalg.eigvalsh(st)[0]) >= -1e-8
+        v = res.vector
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-10
+        assert abs(np.vdot(v, h @ v).real - res.value) <= 1e-6
 
 
 def test_state_ceiling_catalog_operators():
@@ -585,6 +587,60 @@ def test_bounds_report_on_a_disjoint_union_adds_the_parts():
     assert sum(part.dual_bound for part in parts) <= upper
     assert rep.theta_graph_gap <= 1e-6
     assert rep.theta_graph_iterations == sum(part.iterations for part in parts)
+
+
+def test_bell_operator_is_built_only_past_the_closed_bracket(monkeypatch):
+    # ks18 and ks21 close [sum(w) / d, theta_graph's upper end] within tol;
+    # yo13's theta_graph (11.978) lies above its ceiling 35/3
+    class Built(Exception):
+        pass
+
+    def refuse(sic):
+        raise Built(sic.name)
+
+    monkeypatch.setattr(bounds, "bell_operator", refuse)
+    for name in ("ks18", "ks21"):
+        rep = bounds_report(get_set(name))
+        assert rep.theta == rep.beta_ideal
+    with pytest.raises(Built):
+        bounds_report(get_set("yo13"))
+
+
+def test_round_down_is_the_float_just_below():
+    for num in range(1, 60):
+        for den in range(1, 40):
+            q = _round_down(num, den)
+            assert Fraction(q) <= Fraction(num, den) < Fraction(math.nextafter(q, math.inf))
+
+
+# an orthonormal basis with phases, weight 3 on each ray: its ceiling is
+# 3, and the float Rayleigh quotient of its top eigenvector 3.0000000000000027
+_PHASED_BASIS = SicSet(name="phased", dimension=3, vectors=(
+    (ZERO, ExactScalar(1, 0), ZERO), (ExactScalar(-1, 1), ZERO, ZERO),
+    (ZERO, ZERO, ExactScalar(-1, -1))), weights=(3, 3, 3))
+
+
+@pytest.mark.parametrize("sic, ceiling", [
+    (get_set("yo13"), Fraction(35, 3)), (get_set("ks18"), Fraction(9, 2)),
+    (get_set("ks21"), Fraction(7, 2)), (_PHASED_BASIS, Fraction(3))],
+    ids=["yo13", "ks18", "ks21", "phased"])
+def test_ceiling_brackets_hold_the_exact_ceiling(sic, ceiling):
+    # the exact operator over Q(w): the maximally entangled state attains
+    # the ceiling and ceiling I - op is PSD, so its top eigenvalue is the
+    # ceiling; every bracket's upper end t has t I - op PSD too
+    op = bell_operator_exact(sic.vectors, sic.weights)
+    d = sic.dimension
+    diagonal = [a * d + a for a in range(d)]
+    attained = sum((op[r][c] for r in diagonal for c in diagonal), ZERO)
+    assert attained == ExactScalar(ceiling * d, 0)
+    assert is_above_spectrum(ceiling, op)
+    ceiling_res = state_ceiling(bell_operator(sic))
+    brackets = [(ceiling_res.value, ceiling_res.dual_bound), _ceiling_bracket(sic)]
+    for lower, upper in brackets:
+        assert Fraction(lower) <= ceiling
+        assert is_above_spectrum(upper, op)
+    rep = bounds_report(sic)
+    assert Fraction(rep.theta) <= ceiling <= Fraction(rep.theta) + Fraction(rep.theta_gap)
 
 
 # ------------------------------------------------- closed-form certificate

@@ -14,7 +14,9 @@ the Bell functional, the best deterministic strategy found by
 enumeration, on random ray sets, on rays realizing random weighted
 graphs, and on the catalog.  The closed-form ideal prediction
 is checked against the noise model run at IDEAL and against the
-Cabello-Severini-Winter bound (at most theta_graph's upper end), the noise-model
+Cabello-Severini-Winter bound (at most theta_graph's upper end), the
+quantum ceiling's bracket against that bound and, exactly over Q(w),
+against the Bell operator built from the rays, the noise-model
 inversion by a round trip through the forward model, the CLI's row-table
 JSON writer against ``json.dumps`` on random count records and random
 float tables, a run's size
@@ -77,8 +79,10 @@ from sicbell.quantum import (
 )
 
 from exact_oracle import (
+    bell_operator_exact,
     branch_and_bound_mwis,
     colorable_by_enumeration,
+    is_above_spectrum,
     is_coloring,
     is_psd,
     local_bound,
@@ -161,8 +165,8 @@ def test_state_ceiling_is_top_eigenvalue(sic):
     assert abs(res.value - np.linalg.eigvalsh(op)[-1]) <= 1e-9
     assert 0.0 <= res.gap <= 1e-6
     assert res.value <= res.dual_bound
-    assert abs(np.trace(res.state).real - 1.0) <= 1e-12
-    assert abs(np.trace(res.state @ op).real - res.value) <= 1e-9
+    assert abs(np.linalg.norm(res.vector) - 1.0) <= 1e-12
+    assert abs(np.vdot(res.vector, op @ res.vector).real - res.value) <= 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -300,6 +304,33 @@ def test_ideal_value_is_below_theta_graph(sic):
     # its weighted Lovasz number, so the certified upper end holds beta_ideal
     report = bounds_report(sic)
     assert report.beta_ideal <= report.theta_graph + report.theta_graph_gap
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets())
+@example(get_set("ks18"))
+@example(get_set("ks21"))
+def test_theta_bracket_sits_under_theta_graph(sic):
+    # the ceiling's bracket keeps the maximally entangled state's exact
+    # value, rounded down at worst, and closes no higher than theta_graph
+    report = bounds_report(sic)
+    total = Fraction(sum(sic.weights), sic.dimension)
+    lower = Fraction(report.theta)
+    upper = lower + Fraction(report.theta_gap)
+    assert total - Fraction(math.ulp(report.beta_ideal)) < lower <= upper
+    assert total <= upper
+    assert upper <= Fraction(report.theta_graph) + Fraction(report.theta_graph_gap)
+    assert report.theta_gap <= 1e-6
+
+
+@settings(max_examples=10, deadline=None)
+@given(ray_sets())
+def test_theta_upper_end_holds_the_exact_operator(sic):
+    # upper I - B is PSD over Q(w) for the exact Bell operator B, whether
+    # the upper end is theta_graph's or the eigendecomposition's
+    report = bounds_report(sic)
+    upper = Fraction(report.theta) + Fraction(report.theta_gap)
+    assert is_above_spectrum(upper, bell_operator_exact(sic.vectors, sic.weights))
 
 
 @PROPERTY_SETTINGS
