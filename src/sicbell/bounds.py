@@ -72,7 +72,11 @@ deep the split, and their certificates are assembled into one for the
 union, which is certified on the whole union like a start; a join's
 bracket is [max of the parts' lower bounds, max of their upper bounds],
 no wider than the widest part's.  ``theta_graph_iterations`` is summed
-over the pieces.
+over the pieces.  Every loop returns its best certificate, certified or
+not, so the whole graph always has one, and :func:`solve_theta` raises
+only if that one is wider than tol.  No certificate is narrower than
+its rounding allowances (:func:`_rounding_floor`), so a tol below that
+floor is refused before any loop runs.
 
 The quantum ceiling of a set, the top eigenvalue of its Bell operator,
 is bracketed by :func:`bounds_report` from theta_graph's certificate
@@ -108,11 +112,12 @@ _MAX_ITER = 200_000          # solve_theta's default iteration cap
 
 
 class ThetaNonConvergence(RuntimeError):
-    """Raised when the SDP loop exhausts its iteration cap, or when its
-    best bracket stops narrowing (a tolerance below its rounding floor).
+    """Raised by :func:`solve_theta` when the whole graph's best
+    certificate is wider than tol: a loop ran out of iterations, or its
+    best bracket stopped narrowing short of tol.
 
-    Carries the best certified bracket of the whole graph, and the
-    iterations of every loop run, so callers can still report them.
+    Carries the bracket of that one certificate, and the iterations of
+    every loop run, so callers can still report them.
     """
 
     def __init__(self, primal_bound: float, dual_bound: float, iterations: int):
@@ -292,6 +297,10 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
                 start: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ThetaResult:
     """Weighted theta number with a certified bracket of width <= tol.
 
+    A tol below the graph's rounding floor (:func:`_rounding_floor`),
+    which no certificate can beat, raises ValueError before any start
+    is certified or any loop runs.
+
     ``start``, a pair ``(x0, h)`` of (n, n) arrays, is certified first,
     on the whole graph, as an iterate would be: ``x0`` with its edge
     entries set to zero gives the lower bound and the edge entries of
@@ -304,8 +313,7 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     least its share of the whole graph's, however deep it lies, and the
     parts' certificates are assembled into one for the union
     (:func:`_union_start`), which is certified on the union as a start
-    is; should it come out wider than tol, the loop runs on the union
-    whole.  A join's parts are solved at tol, and its bracket is [max of
+    is.  A join's parts are solved at tol, and its bracket is [max of
     their lower bounds, max of their upper bounds] (:func:`_join_result`).
     ``max_iter`` caps the iterations of all loops together, each loop
     getting what is left; a loop left once the cap is spent still gets
@@ -314,16 +322,12 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
 
     The loop certifies at its first iteration, every ``_CHECK_EVERY``
     iterations, and whenever rho ||f|| (f the fixed-point residual)
-    reaches the trigger, which starts at tol.  It gives up once its
-    iterations run out, or once the best bracket has not narrowed by 1%
-    over ``_STALL_CHECKS`` clock certifications in a row.  After that,
-    every later loop gets one iteration, except one: the loop on the
-    whole of the innermost union around the failure, on what is left of
-    max_iter, which may still certify it.  If that fails as well,
-    :class:`ThetaNonConvergence` carries the whole graph's bracket,
-    assembled from every piece's best: the sum over a union's parts,
-    rounded outward and cut to the whole union's bracket where its loop
-    ran, and the max over a join's."""
+    reaches the trigger, which starts at tol.  It stops at a bracket
+    within tol, once its iterations run out, or once the best bracket
+    has not narrowed by 1% over ``_STALL_CHECKS`` clock certifications
+    in a row, and returns its best certificate in each case, so every
+    piece, and the whole graph, has one.  Should the whole graph's be
+    wider than tol, :class:`ThetaNonConvergence` carries its bracket."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
@@ -338,78 +342,61 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
                              "the first with a positive trace")
     if n == 0:
         return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0, np.zeros((0, 0)))
+    tree = _decompose(graph)[1]
+    floor = _rounding_floor(graph, tree)
+    if tol < floor:
+        raise ValueError(f"tol {tol!r} is below this graph's rounding floor "
+                         f"{floor:.3g}: no certified bracket is narrower")
     if start is not None:
-        cert = _Program(graph).certify_start(start, tol)
-        if cert is not None:
+        cert = _Program(graph).certify_start(start)
+        if cert.gap <= tol:
             return cert
 
-    spent, hopeless = 0, False
+    left = max_iter
 
-    def run(program, piece_tol, quick):
-        """``program``'s loop on what is left of max_iter, or on one
-        iteration if ``quick`` or once that is spent; its
-        ThetaNonConvergence is returned, not raised."""
-        nonlocal spent
-        budget = 1 if quick or spent >= max_iter else max_iter - spent
-        try:
-            res = _loop(program, piece_tol, budget)
-        except ThetaNonConvergence as exc:
-            spent += exc.iterations
-            return exc
-        spent += res.iterations
-        return res
-
-    def solve(node, node_tol, quick):
-        """``node``'s result, or its ThetaNonConvergence, with the
-        iterations of its own loops; ``quick``: a loop before it failed."""
-        nonlocal hopeless
+    def solve(node, node_tol):
+        """``node``'s best certificate, with the iterations of its loops."""
+        nonlocal left
         if isinstance(node, int):
-            return run(_Program(_induced(graph, node)), node_tol, quick)
+            res = _loop(_Program(_induced(graph, node)), node_tol, max(left, 1))
+            left -= res.iterations
+            return res
         kind, mask, parts = node
         sub = _induced(graph, mask)
         places = [_places(mask, part if isinstance(part, int) else part[1])
                   for part in parts]
-        total = float(sum(sub.weights))
-        results, failed = [], False
-        for part, place in zip(parts, places):
-            share = (sum(sub.weights[p] for p in place) / total
-                     if kind == "union" else 1.0)
-            results.append(solve(part, node_tol * share, quick or failed))
-            failed = failed or isinstance(results[-1], ThetaNonConvergence)
-        if kind == "join" and not failed:
-            return _join_result(sub, places, results)
-        res = None
-        if kind == "union":
-            program = _Program(sub)
-            if not failed:
-                res = program.certify_start(_union_start(sub, places, results),
-                                            node_tol)
-            if res is None and not (failed and (quick or hopeless)):
-                # the loop on the whole union, should its parts' certificate
-                # come out wider than tol or a part fail
-                res = run(program, node_tol, quick)
-                hopeless = hopeless or isinstance(res, ThetaNonConvergence)
-        iterations = (sum(r.iterations for r in results)
-                      + (0 if res is None else res.iterations))
-        if isinstance(res, ThetaResult):
-            return replace(res, iterations=iterations)
-        lowers = [r.primal_bound if isinstance(r, ThetaNonConvergence) else r.value
-                  for r in results]
-        uppers = [r.dual_bound for r in results]
         if kind == "join":
-            return ThetaNonConvergence(max(lowers), max(uppers), iterations)
-        # fsum is correctly rounded, so one step outward holds the sums;
-        # the whole union's bracket holds theta too
-        lower = math.nextafter(math.fsum(lowers), -math.inf)
-        upper = math.nextafter(math.fsum(uppers), math.inf)
-        if res is not None:
-            lower, upper = max(lower, res.primal_bound), min(upper, res.dual_bound)
-        return ThetaNonConvergence(lower, upper, iterations)
+            return _join_result(sub, places, [solve(part, node_tol) for part in parts])
+        total = float(sum(sub.weights))
+        results = [solve(part, node_tol * (sum(sub.weights[p] for p in place) / total))
+                   for part, place in zip(parts, places)]
+        return replace(_Program(sub).certify_start(_union_start(sub, places, results)),
+                       iterations=sum(r.iterations for r in results))
 
-    res = solve(_decompose(graph)[1], tol, False)
-    if isinstance(res, ThetaNonConvergence):
-        raise res
+    res = solve(tree, tol)
+    if res.gap > tol:
+        raise ThetaNonConvergence(res.value, res.dual_bound, res.iterations)
     return res
+
+
+def _rounding_floor(graph: WeightedGraph, node) -> float:
+    """The narrowest bracket :func:`solve_theta` can certify on ``node``
+    of ``graph``'s split (:func:`_decompose`): 2 (n + 1) eps sum(w) on a
+    leaf or union of n vertices, the least of its parts' on a join.
+
+    Every lower end is at most theta.  ``_Program.certify``'s upper
+    allowance, (n + 2) eps (||M|| + 2 rho), exceeds eigvalsh's own error,
+    (n + 1) eps ||M||, by 2 (n + 2) eps rho (rho = sum(w)); W's rounding
+    and the final sum take less than 2 eps rho of that, so every upper
+    end lies at least 2 (n + 1) eps rho above theta.  A join's upper end
+    is at least that of the part whose theta it takes, and its lower end
+    at most that theta.  Rounding is monotone, so the float gap is at
+    least the float floor."""
+    if not isinstance(node, int) and node[0] == "join":
+        return min(_rounding_floor(graph, part) for part in node[2])
+    mask = node if isinstance(node, int) else node[1]
+    weight = float(sum(w for v, w in enumerate(graph.weights) if mask >> v & 1))
+    return 2 * (mask.bit_count() + 1) * _EPS * weight
 
 
 class _Program:
@@ -448,20 +435,21 @@ class _Program:
                  + (n + 2) * _EPS * (float(np.linalg.norm(m)) + 2.0 * rho))
         return ThetaResult(lower, upper - lower, upper, x, iterations, h)
 
-    def certify_start(self, start, tol: float) -> Optional[ThetaResult]:
-        """The certified start ``(x0, h)``, if its bracket is within tol.
-        x0 is first projected onto symmetric matrices with zero edge
-        entries, which leaves a feasible x0 as it is."""
+    def certify_start(self, start) -> ThetaResult:
+        """The certified start ``(x0, h)``.  x0 is first projected onto
+        symmetric matrices with zero edge entries, which leaves a
+        feasible x0 as it is."""
         x0, h = start
         y = (x0 + x0.T) / 2.0
         y[self.rows, self.cols] = 0.0
         y[self.cols, self.rows] = 0.0
-        cert = self.certify(y, h / self.rho, 0)
-        return cert if cert.gap <= tol else None
+        return self.certify(y, h / self.rho, 0)
+
 
 def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
     """The Anderson-accelerated loop on ``program`` from I / n (see
-    :func:`solve_theta`)."""
+    :func:`solve_theta`): its first certificate within tol, or else its
+    best clock certificate once it stalls or its iterations run out."""
     n, rho, rows, cols = program.n, program.rho, program.rows, program.cols
     diag = np.diag_indices(n)
     certify, big_w = program.certify, program.big_w
@@ -517,7 +505,7 @@ def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
             else:
                 stalled += 1
             if stalled >= _STALL_CHECKS:
-                raise ThetaNonConvergence(best.value, best.dual_bound, it)
+                return replace(best, iterations=it)
 
         if extrapolated and res > res_last:
             # safeguard: the extrapolation did worse than the point it
@@ -543,7 +531,7 @@ def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
                 step = ((d_s[:, :stored] + df) @ gamma).reshape(n, n)
                 s, extrapolated = g - (step + step.T) / 2.0, True
 
-    raise ThetaNonConvergence(best.value, best.dual_bound, max_iter)
+    return replace(best, iterations=max_iter)
 
 
 def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:

@@ -366,21 +366,16 @@ def test_state_ceiling_rejects_non_hermitian():
 
 
 def test_theta_nonconvergence_reports_bracket():
+    # C5's rounding floor is about 1.3e-14 and its bracket stops near
+    # 4.5e-14: at 2e-14 the cap runs out first, and the error carries the
+    # loop's best certificate
     with pytest.raises(ThetaNonConvergence) as err:
-        solve_theta(cycle5(), tol=1e-15, max_iter=30)
+        solve_theta(cycle5(), tol=2e-14, max_iter=30)
     exc = err.value
-    assert exc.iterations == 30
-    assert exc.primal_bound <= np.sqrt(5.0) + 1e-9
-    assert exc.dual_bound >= np.sqrt(5.0) - 1e-9
-
-
-def _bracket(call):
-    """``(lower, upper, iterations)`` of a solve_theta call, certified or not."""
-    try:
-        res = call()
-    except ThetaNonConvergence as exc:
-        return exc.primal_bound, exc.dual_bound, exc.iterations
-    return res.value, res.dual_bound, res.iterations
+    best = bounds._loop(_Program(cycle5()), 2e-14, 30)
+    assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
+        best.value, best.dual_bound, 30)
+    assert exc.primal_bound <= np.sqrt(5.0) <= exc.dual_bound
 
 
 def c5_plus_vertex(weight, joined):
@@ -396,6 +391,11 @@ def c5_and_vertex_at(tol):
     return cycle5(), tol * (5 / 7), WeightedGraph(1, (2,), ()), tol * (2 / 7)
 
 
+def _assembled(graph, places, parts):
+    """The union certificate :func:`solve_theta` builds from its parts'."""
+    return _Program(graph).certify_start(_union_start(graph, places, parts))
+
+
 def test_disconnected_graph_is_solved_by_parts():
     # C5 plus an isolated vertex: theta = sqrt(5) + 2.  Each part is
     # solved at its weight's share of tol, and the result is the
@@ -408,8 +408,7 @@ def test_disconnected_graph_is_solved_by_parts():
     assert res.iterations == sum(part.iterations for part in parts)
     assert res.value <= np.sqrt(5.0) + 2.0 <= res.dual_bound
     assert res.gap <= 1e-6
-    start = _union_start(g, [[0, 1, 2, 3, 4], [5]], parts)
-    cert = _Program(g).certify_start(start, 1e-6)
+    cert = _assembled(g, [[0, 1, 2, 3, 4], [5]], parts)
     assert _fields(res) == _fields(dataclasses.replace(cert, iterations=res.iterations))
     # the assembled dual is each part's, scaled to the union's upper bound
     total = parts[0].dual_bound + parts[1].dual_bound
@@ -418,65 +417,71 @@ def test_disconnected_graph_is_solved_by_parts():
     assert (res.h[5] == 0.0).all()
 
 
-def test_a_union_certificate_wider_than_tol_falls_back_to_the_loop(monkeypatch):
-    # should the assembled pair come out wider than tol, the loop runs on
-    # the whole union from I / n, after the parts' iterations
+def test_a_union_certificate_wider_than_tol_raises(monkeypatch):
+    # should the assembled pair come out wider than tol, no loop runs on
+    # the whole union: the error carries the pair's bracket and the
+    # parts' iterations
     g = c5_plus_vertex(2, joined=False)
     c5, c5_tol, vertex, vertex_tol = c5_and_vertex_at(1e-6)
     parts = (solve_theta(c5, tol=c5_tol).iterations
              + solve_theta(vertex, tol=vertex_tol).iterations)
-    monkeypatch.setattr(bounds, "_union_start",
-                        lambda graph, places, results: (np.eye(6), np.zeros((6, 6))))
-    whole = bounds._loop(bounds._Program(g), 1e-6, 1_000)
-    expected = dataclasses.replace(whole, iterations=parts + whole.iterations)
-    assert _fields(solve_theta(g)) == _fields(expected)
+    start = (np.eye(6), np.zeros((6, 6)))
+    monkeypatch.setattr(bounds, "_union_start", lambda graph, places, results: start)
+    cert = _Program(g).certify_start(start)
+    assert cert.gap > 1e-6
+    with pytest.raises(ThetaNonConvergence) as err:
+        solve_theta(g)
+    exc = err.value
+    assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
+        cert.value, cert.dual_bound, parts)
 
 
 def test_split_theta_nonconvergence_reports_the_whole_bracket():
-    # C5 joined to one more vertex: theta = max(sqrt(5), 1).  C5 stalls
-    # short of tol, and the error brackets the max of the parts' brackets
+    # C5 joined to one more vertex: theta = max(sqrt(5), 1).  At 3e-14,
+    # between C5's rounding floor and the 4.5e-14 its bracket stops at,
+    # C5 stalls and returns its best certificate, the vertex certifies in
+    # one iteration, and the error is the join of the two
     g = c5_plus_vertex(1, joined=True)
     with pytest.raises(ThetaNonConvergence) as err:
-        solve_theta(g, tol=1e-15)
+        solve_theta(g, tol=3e-14)
     exc = err.value
     assert exc.primal_bound <= np.sqrt(5.0) <= exc.dual_bound
     assert exc.dual_bound - exc.primal_bound < 1e-12
-    # the vertex after the stalled C5 gets one iteration, not a stall of its own
-    c5 = _bracket(lambda: solve_theta(cycle5(), tol=1e-15))
-    vertex = _bracket(lambda: solve_theta(WeightedGraph(1, (1,), ()), tol=1e-15,
-                                          max_iter=1))
+    c5 = bounds._loop(_Program(cycle5()), 3e-14, bounds._MAX_ITER)
+    vertex = bounds._loop(_Program(WeightedGraph(1, (1,), ())), 3e-14,
+                          bounds._MAX_ITER - c5.iterations)
+    assert c5.gap > 3e-14 and vertex.iterations == 1
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
-        max(c5[0], vertex[0]), max(c5[1], vertex[1]), c5[2] + 1)
+        max(c5.value, vertex.value), max(c5.dual_bound, vertex.dual_bound),
+        c5.iterations + 1)
 
 
 def test_split_theta_nonconvergence_sums_a_union():
-    # C5 apart from a vertex of weight 2: theta = sqrt(5) + 2.  C5 stalls
-    # short of its share of tol, the vertex gets one iteration, and the
-    # loop then runs on the whole union, on what is left of max_iter.  The
-    # error carries the part of the parts' summed bracket, rounded one
-    # step outward, that the whole union's bracket also holds
+    # C5 apart from a vertex of weight 2: theta = sqrt(5) + 2.  At 4e-14,
+    # above the union's rounding floor of 2.2e-14, C5 stalls short of its
+    # share of tol and the vertex certifies in one iteration; the error
+    # carries the certificate assembled from the parts' best, certified
+    # on the whole union, and no loop runs on the union itself
     g = c5_plus_vertex(2, joined=False)
     with pytest.raises(ThetaNonConvergence) as err:
-        solve_theta(g, tol=1e-15)
+        solve_theta(g, tol=4e-14)
     exc = err.value
-    c5_graph, c5_tol, vertex_graph, vertex_tol = c5_and_vertex_at(1e-15)
-    c5 = _bracket(lambda: solve_theta(c5_graph, tol=c5_tol))
-    vertex = _bracket(lambda: solve_theta(vertex_graph, tol=vertex_tol, max_iter=1))
-    whole = _bracket(lambda: bounds._loop(bounds._Program(g), 1e-15,
-                                          bounds._MAX_ITER - c5[2] - vertex[2]))
-    assert exc.iterations == c5[2] + vertex[2] + whole[2]
-    lower = math.nextafter(math.fsum([c5[0], vertex[0]]), -math.inf)
-    upper = math.nextafter(math.fsum([c5[1], vertex[1]]), math.inf)
-    assert (exc.primal_bound, exc.dual_bound) == (max(lower, whole[0]),
-                                                  min(upper, whole[1]))
+    c5_graph, c5_tol, vertex_graph, vertex_tol = c5_and_vertex_at(4e-14)
+    c5 = bounds._loop(_Program(c5_graph), c5_tol, bounds._MAX_ITER)
+    vertex = bounds._loop(_Program(vertex_graph), vertex_tol,
+                          bounds._MAX_ITER - c5.iterations)
+    cert = _assembled(g, [[0, 1, 2, 3, 4], [5]], [c5, vertex])
+    assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
+        cert.value, cert.dual_bound, c5.iterations + vertex.iterations)
+    assert vertex.iterations == 1
     assert exc.primal_bound <= np.sqrt(5.0) + 2.0 <= exc.dual_bound
 
 
 def test_a_failed_union_part_keeps_the_whole_union_bracket():
-    # ks18|ks21, relabelled so that ks18 comes first, at a tol below
-    # ks18's rounding floor: ks18 stalls, ks21 gets one iteration, and the
-    # loop on the whole union narrows the bracket to the one it reaches
-    # alone, not the sum of the stalled and one-iteration parts
+    # ks18|ks21, relabelled so that ks18 comes first, at a tol below what
+    # ks18 reaches: ks18 stalls, ks21 runs on what is left of max_iter, and
+    # the certificate assembled from their best is narrow, not the sum of
+    # a stalled part and a one-iteration one
     g = relabelled_union(("ks18", "ks21"), seed=2)
     assert [part.bit_count() for part in bounds._decompose(g)[1][2]] == [18, 21]
     with pytest.raises(ThetaNonConvergence) as err:
@@ -501,25 +506,58 @@ def test_threshold_graph_certifies(n, tol):
 
 
 def test_max_iter_caps_the_pieces_together():
-    # the union's parts share the cap: C5 needs more than it leaves.  Each
-    # loop left once the cap is spent, here the vertex and the whole
-    # union, still gets one iteration
+    # the union's parts share the cap: C5 needs more than it leaves, and
+    # the vertex, left once the cap is spent, still gets one iteration.
+    # The error is the certificate assembled from the parts' best
     g = c5_plus_vertex(2, joined=False)
-    c5_graph, c5_tol, _, _ = c5_and_vertex_at(1e-6)
+    c5_graph, c5_tol, vertex_graph, vertex_tol = c5_and_vertex_at(1e-6)
     c5 = solve_theta(c5_graph, tol=c5_tol).iterations
     assert solve_theta(g, max_iter=c5 + 1).iterations == c5 + 1
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, max_iter=c5 - 1)
-    assert err.value.iterations == c5 + 1
+    parts = [bounds._loop(_Program(c5_graph), c5_tol, c5 - 1),
+             bounds._loop(_Program(vertex_graph), vertex_tol, 1)]
+    cert = _assembled(g, [[0, 1, 2, 3, 4], [5]], parts)
+    assert (err.value.primal_bound, err.value.dual_bound, err.value.iterations) == (
+        cert.value, cert.dual_bound, c5)
 
 
 def test_theta_stalled_bracket_stops_early():
-    # ks18 certifies to about 4.7e-13 and no further
+    # ks18's bracket stops narrowing near 4.7e-13, above its rounding
+    # floor of 1.5e-13: at 3e-13 the stall rule ends the loop
     with pytest.raises(ThetaNonConvergence) as err:
-        solve_theta(get_set("ks18").graph, tol=1e-13)
+        solve_theta(get_set("ks18").graph, tol=3e-13)
     exc = err.value
     assert exc.iterations < 5_000
     assert exc.primal_bound <= 4.5 <= exc.dual_bound
+
+
+def test_a_tol_below_the_rounding_floor_runs_nothing(monkeypatch):
+    # ks18's floor is 2 * 19 * eps * 18, about 1.5e-13: a tol below it is
+    # refused before the start is certified or any loop runs
+    def never(*args):
+        raise AssertionError("no certificate may be computed")
+
+    monkeypatch.setattr(bounds, "_loop", never)
+    monkeypatch.setattr(_Program, "certify", never)
+    sic = get_set("ks18")
+    floor = bounds._rounding_floor(sic.graph, bounds._decompose(sic.graph)[1])
+    assert floor == 2 * 19 * bounds._EPS * 18.0
+    for tol in (1e-13, 5e-324, math.nextafter(floor, 0.0)):
+        with pytest.raises(ValueError, match="rounding floor 1.52e-13"):
+            solve_theta(sic.graph, tol=tol, start=_closed_form_start(sic))
+
+
+def test_a_join_certifies_below_the_whole_graph_floor():
+    # C5 joined to a vertex of weight 3: theta = 3, the vertex's, so the
+    # join's bracket is as narrow as the vertex's, below the floor of a
+    # certificate on the whole graph.  The join's floor is therefore the
+    # least of its parts', here the vertex's
+    g = c5_plus_vertex(3, joined=True)
+    assert bounds._rounding_floor(g, bounds._decompose(g)[1]) == 2 * 2 * bounds._EPS * 3.0
+    res = solve_theta(g, tol=2e-14)
+    assert res.gap < 2 * 7 * bounds._EPS * 8.0
+    assert res.value <= 3.0 <= res.dual_bound
 
 
 # ---------------------------------------------------------------- report

@@ -203,12 +203,24 @@ class TestBounds:
     def test_stalled_bracket_exits_two_quickly(self, tmp_path, capsys):
         # ks18's certified bracket stops narrowing near 4.7e-13
         start = time.perf_counter()
-        assert main(["bounds", "ks18", "--tol", "1e-13",
+        assert main(["bounds", "ks18", "--tol", "3e-13",
                      "--out", str(tmp_path)]) == 2
         assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err
         assert err.startswith("error: solver did not converge")
         assert int(err.split(" after ")[1].split()[0]) < 5_000
+
+    def test_tol_below_the_rounding_floor_exits_one(self, tmp_path, capsys):
+        # no certificate on ks18 is narrower than its rounding floor,
+        # about 1.5e-13, so a tol below it is bad input, refused at once
+        start = time.perf_counter()
+        assert main(["bounds", "ks18", "--tol", "1e-13",
+                     "--out", str(tmp_path)]) == 1
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol 1e-13 is below")
+        assert "rounding floor 1.52e-13" in err and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
     def test_large_entry_gives_catalog_bounds(self, tmp_path):
         # ray 1 scaled by 10**30 is the same ray, with a squared norm

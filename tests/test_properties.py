@@ -8,8 +8,8 @@ The exact orthogonality graph is checked against the pairwise
 the weight-sum branch and bound, on random graphs and on nested unions
 and joins of them, the split theta_graph bracket against the
 whole-graph loop, both sides of its certificate exactly over Fraction,
-and KS colorability against enumeration of every 0/1
-assignment.  The independence number is checked as the local bound of
+its width against the rounding floor, and KS colorability against
+enumeration of every 0/1 assignment.  The independence number is checked as the local bound of
 the Bell functional, the best deterministic strategy found by
 enumeration, on random ray sets, on rays realizing random weighted
 graphs, and on the catalog.  The closed-form ideal prediction
@@ -43,8 +43,10 @@ from hypothesis import strategies as st
 from sicbell.bounds import (
     ThetaNonConvergence,
     _Program,
+    _closed_form_start,
     _decompose,
     _loop,
+    _rounding_floor,
     bounds_report,
     ks_colorable,
     max_weight_independent_set,
@@ -487,10 +489,8 @@ def test_split_mwis_matches_branch_and_bound_oracle(graph):
 def test_split_theta_bracket_meets_the_whole_graph_bracket(graph, tol):
     # the split solve and the loop on the whole graph are both
     # certified, so both brackets hold theta and they overlap
-    try:
-        whole = _loop(_Program(graph), tol, 5_000)
-    except ThetaNonConvergence:
-        assume(False)
+    whole = _loop(_Program(graph), tol, 5_000)
+    assume(whole.gap <= tol)
     split = solve_theta(graph, tol=tol)
     assert split.value <= whole.dual_bound
     assert whole.value <= split.dual_bound
@@ -502,6 +502,30 @@ def test_split_theta_bracket_meets_the_whole_graph_bracket(graph, tol):
             assert split.matrix[i, j] == 0.0
         else:
             assert split.h[i, j] == split.h[j, i] == 0.0
+
+
+def _catalog_with_start(name):
+    sic = get_set(name)
+    return sic.graph, _closed_form_start(sic)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(composed_graphs().map(lambda graph: (graph, None)),
+                 st.sampled_from(["yo13", "ks18", "ks21"]).map(_catalog_with_start)),
+       st.sampled_from([None, 1e-6]))
+def test_no_bracket_is_narrower_than_the_rounding_floor(problem, tol):
+    # the best certificate a short run reaches, certified or not, at the
+    # floor itself and at a loose tol, where ks18 and ks21 take their
+    # closed-form start: its gap is at least the floor
+    graph, start = problem
+    floor = _rounding_floor(graph, _decompose(graph)[1])
+    try:
+        res = solve_theta(graph, tol=floor if tol is None else tol, max_iter=300,
+                          start=start)
+        gap = res.gap
+    except ThetaNonConvergence as exc:
+        gap = exc.dual_bound - exc.primal_bound
+    assert gap >= floor
 
 
 def test_catalog_and_dense_random_graphs_are_one_piece():
