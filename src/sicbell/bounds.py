@@ -45,7 +45,9 @@ Two quantities are computed for a weighted graph (G, w):
   times its norm, so the trigger starts at tol; an off-clock bracket
   still wider than tol scales the trigger down by tol / width.  The
   clock checks alone keep the best bracket and run the stall rule, so
-  the off-clock checks only ever end the loop sooner.
+  the off-clock checks only ever end the loop sooner.  A residual of
+  exactly 0 is a fixed point, where the state can never move again, so
+  the loop stops there with the better of that certificate and its best.
 
   A set can certify its own theta number, and then the loop does not
   run.  For a unit-weight set whose contexts are d-element bases
@@ -69,12 +71,21 @@ the union of its pieces' optima, a join's is the best piece's.  The
 theta loop, too, runs only on those pieces.  A union's parts are solved
 at their weight's share of its tol, so the shares add up to tol however
 deep the split, and their certificates are assembled into one for the
-union, which is certified on the whole union like a start; a join's
+union, which is certified on the whole union like a start.  A join's
 bracket is [max of the parts' lower bounds, max of their upper bounds],
-no wider than the widest part's.  ``theta_graph_iterations`` is summed
-over the pieces.  Every loop returns its best certificate, certified or
-not, so the whole graph always has one, and :func:`solve_theta` raises
-only if that one is wider than tol.  No certificate is narrower than
+so only the part with the highest upper end needs a bracket within
+tol: each leaf part first runs a one-iteration probe, the parts that
+split further are solved at tol, and the leaf parts follow by
+descending probe lower end.  Each keeps its probe if that is within
+tol or its upper end is at or below the cap, the highest upper end
+solved so far, and otherwise runs a loop that stops at the first
+certificate within tol or at or below the cap.  A part at or below
+the cap cannot raise the join's upper end, so the join's bracket is
+still within tol.  ``theta_graph_iterations`` is summed over the
+pieces, probes included.  Every loop returns its best certificate,
+certified or not, so the whole graph always has one, and
+:func:`solve_theta` raises only if that one is wider than tol.  No
+certificate is narrower than
 its rounding allowances (:func:`_rounding_floor`), so a tol below that
 floor is refused before any loop runs.
 
@@ -313,21 +324,31 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     least its share of the whole graph's, however deep it lies, and the
     parts' certificates are assembled into one for the union
     (:func:`_union_start`), which is certified on the union as a start
-    is.  A join's parts are solved at tol, and its bracket is [max of
-    their lower bounds, max of their upper bounds] (:func:`_join_result`).
-    ``max_iter`` caps the iterations of all loops together, each loop
-    getting what is left; a loop left once the cap is spent still gets
-    one iteration, so the total can pass max_iter by the number of
-    those loops.
+    is.  A join's bracket is [max of its parts' lower bounds, max of
+    their upper bounds] (:func:`_join_result`).  Each leaf part of a
+    join first runs a one-iteration probe; the parts that split further
+    are then solved at tol, and the leaf parts follow by descending
+    probe lower end.  A leaf part keeps its probe if that is within tol
+    or its upper end is at or below the cap, the highest upper end
+    solved so far; otherwise its loop runs until a certificate is within
+    tol or at or below the cap.  The part with the highest upper end is
+    thus within tol, and so is the join.  ``max_iter`` caps the
+    iterations of all loops together, probes included, each loop getting
+    what is left; a loop left once the cap is spent still gets one
+    iteration, so the total can pass max_iter by the number of those
+    loops.
 
     The loop certifies at its first iteration, every ``_CHECK_EVERY``
     iterations, and whenever rho ||f|| (f the fixed-point residual)
-    reaches the trigger, which starts at tol.  It stops at a bracket
-    within tol, once its iterations run out, or once the best bracket
-    has not narrowed by 1% over ``_STALL_CHECKS`` clock certifications
-    in a row, and returns its best certificate in each case, so every
-    piece, and the whole graph, has one.  Should the whole graph's be
-    wider than tol, :class:`ThetaNonConvergence` carries its bracket."""
+    reaches the trigger, which starts at tol, or, in a capped loop, the
+    trigger aimed at the cap.  It stops at a bracket within tol or an
+    upper end at or below the cap, once its iterations run out, at a
+    fixed point (f exactly 0), or once the best bracket has not narrowed
+    by 1% over ``_STALL_CHECKS`` clock certifications in a row, and
+    returns its best certificate in each case, so every piece, and the
+    whole graph, has one.  Should the whole graph's be wider than tol,
+    :class:`ThetaNonConvergence` carries its bracket.
+    ``iterations`` counts every loop run, probes included."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
@@ -354,24 +375,46 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
 
     left = max_iter
 
+    def run(program, node_tol, budget, cap=-math.inf):
+        nonlocal left
+        res = _loop(program, node_tol, budget, cap)
+        left -= res.iterations
+        return res
+
     def solve(node, node_tol):
         """``node``'s best certificate, with the iterations of its loops."""
-        nonlocal left
         if isinstance(node, int):
-            res = _loop(_Program(_induced(graph, node)), node_tol, max(left, 1))
-            left -= res.iterations
-            return res
+            return run(_Program(_induced(graph, node)), node_tol, max(left, 1))
         kind, mask, parts = node
         sub = _induced(graph, mask)
         places = [_places(mask, part if isinstance(part, int) else part[1])
                   for part in parts]
         if kind == "join":
-            return _join_result(sub, places, [solve(part, node_tol) for part in parts])
+            return _join_result(sub, places, solve_join(parts, node_tol))
         total = float(sum(sub.weights))
         results = [solve(part, node_tol * (sum(sub.weights[p] for p in place) / total))
                    for part, place in zip(parts, places)]
         return replace(_Program(sub).certify_start(_union_start(sub, places, results)),
                        iterations=sum(r.iterations for r in results))
+
+    def solve_join(parts, node_tol):
+        """The parts' certificates, each within tol or with its upper end
+        at or below the highest upper end solved before it; a leaf
+        part's iterations include its probe's."""
+        leaves = {k: _Program(_induced(graph, part))
+                  for k, part in enumerate(parts) if isinstance(part, int)}
+        probes = {k: run(program, node_tol, 1) for k, program in leaves.items()}
+        results = {k: solve(part, node_tol)
+                   for k, part in enumerate(parts) if k not in leaves}
+        cap = max((res.dual_bound for res in results.values()), default=-math.inf)
+        for k in sorted(probes, key=lambda k: -probes[k].value):
+            res = probes[k]
+            if res.gap > node_tol and res.dual_bound > cap:
+                res = run(leaves[k], node_tol, max(left, 1), cap)
+                res = replace(res, iterations=res.iterations + 1)
+            results[k] = res
+            cap = max(cap, res.dual_bound)
+        return [results[k] for k in range(len(parts))]
 
     res = solve(tree, tol)
     if res.gap > tol:
@@ -446,13 +489,24 @@ class _Program:
         return self.certify(y, h / self.rho, 0)
 
 
-def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
+def _loop(program: _Program, tol: float, max_iter: int,
+          cap: float = -math.inf) -> ThetaResult:
     """The Anderson-accelerated loop on ``program`` from I / n (see
-    :func:`solve_theta`): its first certificate within tol, or else its
-    best clock certificate once it stalls or its iterations run out."""
-    n, rho, rows, cols = program.n, program.rho, program.rows, program.cols
-    diag = np.diag_indices(n)
+    :func:`solve_theta`): its first certificate within tol or with its
+    upper end at or below ``cap``; or else its best clock certificate
+    once it stalls or its iterations run out, and at a fixed point the
+    better of that and the fixed point's own.
+
+    Besides the trigger aimed at tol, a second one is aimed at the width
+    cap - lower that would bring the latest certificate's upper end down
+    to the cap; the first is kept as it runs without a cap, so a capped
+    loop certifies every iterate the uncapped one does, on the same
+    iterates, and returns no later."""
+    n, rho = program.n, program.rho
     certify, big_w = program.certify, program.big_w
+    # both triangles' edge entries, as indices into the flattened matrix
+    edges = np.concatenate([program.rows * n + program.cols,
+                            program.cols * n + program.rows])
     relax = 1.6
     c_rho = big_w / rho
     # Anderson history: differences of accepted states and of their
@@ -466,37 +520,45 @@ def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
     extrapolated = False
     best: Optional[ThetaResult] = None
     stall_width, stalled = math.inf, 0
-    trigger = tol
+    trigger, cap_trigger = tol, -math.inf
 
     for it in range(1, max_iter + 1):
         lam, q = np.linalg.eigh(s)
         # every iterate is kept exactly symmetric (eigvalsh in certify
         # reads one triangle, the bounds use both); q diag q^T rounds
         # its two triangles differently
-        z = (q * np.clip(lam, 0.0, None)) @ q.T
+        z = (q * np.maximum(lam, 0.0)) @ q.T
         z = (z + z.T) / 2.0
         u = s - z
         v = z - u + c_rho
         # the nearest point with zero edge entries and unit trace: the
         # two constraint groups touch disjoint entries
         y = v.copy()
-        y[rows, cols] = 0.0
-        y[cols, rows] = 0.0
-        y[diag] += (1.0 - np.trace(y)) / n
+        y_flat = y.reshape(-1)
+        y_flat[edges] = 0.0
+        y_flat[::n + 1] += (1.0 - y.trace()) / n
         g = relax * y + (1.0 - relax) * z + u
         f = g - s
-        res = float(np.linalg.norm(f))
+        f_flat = f.reshape(-1)
+        res = math.sqrt(f_flat @ f_flat)
 
-        # off the clock a certificate can only end the loop, and one
-        # still too wide lowers the trigger by its excess over tol
+        # off the clock a certificate can only end the loop.  One still
+        # too wide lowers the tol trigger, if that fired, by its excess
+        # over tol, and aims the cap trigger at the width cap - lower
         on_clock = it % _CHECK_EVERY == 0 or it == 1
         triggered = rho * res <= trigger
-        if on_clock or triggered:
+        if on_clock or triggered or rho * res <= cap_trigger:
             cert = certify(y, v, it)
-            if cert.gap <= tol:
+            if cert.gap <= tol or cert.dual_bound <= cap:
                 return cert
+            if res == 0.0:
+                # a fixed point: the state can never move again
+                if best is None or cert.gap < best.gap:
+                    return cert
+                return replace(best, iterations=it)
             if triggered:
                 trigger = tol * rho * res / cert.gap
+            cap_trigger = (cap - cert.value) * rho * res / cert.gap
         if on_clock:
             if best is None or cert.gap < best.gap:
                 best = cert
@@ -515,19 +577,19 @@ def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
             continue
         if s_last is not None:
             d_s[:, head] = (s - s_last).ravel()
-            d_f[:, head] = (f - f_last).ravel()
+            d_f[:, head] = f_flat - f_last
             head = (head + 1) % _ANDERSON_MEMORY
             stored = min(stored + 1, _ANDERSON_MEMORY)
-        s_last, f_last, g_last, res_last = s, f, g, res
+        s_last, f_last, g_last, res_last = s, f_flat, g, res
         s, extrapolated = g, False
         if stored:
             # type-II Anderson: gamma minimizes ||f - dF gamma||
             df = d_f[:, :stored]
             gram = df.T @ df
-            reg = 1e-10 * float(np.trace(gram))
+            reg = 1e-10 * gram.trace()
             if reg > 0.0:
-                gram[np.diag_indices(stored)] += reg
-                gamma = np.linalg.solve(gram, df.T @ f.ravel())
+                gram.reshape(-1)[::stored + 1] += reg
+                gamma = np.linalg.solve(gram, df.T @ f_flat)
                 step = ((d_s[:, :stored] + df) @ gamma).reshape(n, n)
                 s, extrapolated = g - (step + step.T) / 2.0, True
 

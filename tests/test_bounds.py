@@ -439,8 +439,11 @@ def test_a_union_certificate_wider_than_tol_raises(monkeypatch):
 def test_split_theta_nonconvergence_reports_the_whole_bracket():
     # C5 joined to one more vertex: theta = max(sqrt(5), 1).  At 3e-14,
     # between C5's rounding floor and the 4.5e-14 its bracket stops at,
-    # C5 stalls and returns its best certificate, the vertex certifies in
-    # one iteration, and the error is the join of the two
+    # the vertex's one-iteration probe is within tol and kept; C5's is
+    # not, and its loop, capped at the vertex's upper end, which it
+    # cannot reach, stalls as the uncapped loop does and returns its best
+    # certificate.  The error is the join of the two, and the iterations
+    # count both probes
     g = c5_plus_vertex(1, joined=True)
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, tol=3e-14)
@@ -453,7 +456,7 @@ def test_split_theta_nonconvergence_reports_the_whole_bracket():
     assert c5.gap > 3e-14 and vertex.iterations == 1
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
         max(c5.value, vertex.value), max(c5.dual_bound, vertex.dual_bound),
-        c5.iterations + 1)
+        c5.iterations + 2)
 
 
 def test_split_theta_nonconvergence_sums_a_union():
@@ -558,6 +561,37 @@ def test_a_join_certifies_below_the_whole_graph_floor():
     res = solve_theta(g, tol=2e-14)
     assert res.gap < 2 * 7 * bounds._EPS * 8.0
     assert res.value <= 3.0 <= res.dual_bound
+    # C5, whose theta sqrt(5) is below 3, needs no bracket within tol:
+    # after the two probes its loop stops at the first upper end under
+    # the vertex's, long before it would stall short of 2e-14
+    assert res.iterations == 4
+
+
+def test_a_fixed_point_stops_the_loop():
+    # a single vertex reaches its loop's fixed point at once: the
+    # residual is exactly 0, so no later iterate differs.  At weight 2 its
+    # first certificate, 9.3e-15 wide, is above a tol of 7.1e-15 (its
+    # rounding floor is 1.8e-15), and the loop returns it at iteration 1
+    # instead of waiting out the stall rule
+    vertex = WeightedGraph(1, (2,), ())
+    res = bounds._loop(_Program(vertex), 7.1e-15, bounds._MAX_ITER)
+    assert res.iterations == 1 and res.gap > 7.1e-15
+    assert res.value <= 2.0 <= res.dual_bound
+    with pytest.raises(ThetaNonConvergence) as err:
+        solve_theta(vertex, tol=7.1e-15)
+    assert err.value.iterations == 1
+
+
+def test_a_fixed_point_part_costs_one_iteration():
+    # C5 apart from a vertex of weight 2 at 2.5e-14: C5 stalls short of
+    # its share of tol, and the vertex, whose first certificate is above
+    # its 7.1e-15 share, stops at its fixed point after one iteration
+    g = c5_plus_vertex(2, joined=False)
+    c5_graph, c5_tol, _, _ = c5_and_vertex_at(2.5e-14)
+    c5 = bounds._loop(_Program(c5_graph), c5_tol, bounds._MAX_ITER)
+    with pytest.raises(ThetaNonConvergence) as err:
+        solve_theta(g, tol=2.5e-14)
+    assert err.value.iterations == c5.iterations + 1 == 2_701
 
 
 # ---------------------------------------------------------------- report
@@ -578,8 +612,11 @@ def test_bounds_report_catalog():
 
 def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
     # every cross pair of yo13 (+) ks18 is orthogonal: the graph is a join,
-    # so alpha and theta_graph are yo13's, and the iterations of the
-    # parts' ADMM runs add up (the renumbered parts carry no contexts)
+    # so alpha and theta_graph are yo13's.  Each part first runs a
+    # one-iteration probe (the renumbered parts carry no contexts); yo13,
+    # whose probe has the higher lower end, then runs its loop as it does
+    # alone, and ks18 keeps its probe, whose upper end is already below
+    # yo13's: the iterations are yo13's and the two probes
     yo13, ks18 = get_set("yo13"), get_set("ks18")
     pad = (ZERO,)
     total = SicSet(name="yo13+ks18", dimension=7,
@@ -591,8 +628,7 @@ def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
     assert (rep.alpha, rep.alpha_witness) == (11, parts[0].alpha_witness)
     assert (rep.theta_graph, rep.theta_graph_gap) == (
         parts[0].theta_graph, parts[0].theta_graph_gap)
-    assert rep.theta_graph_iterations == sum(
-        solve_theta(sic.graph).iterations for sic in (yo13, ks18))
+    assert rep.theta_graph_iterations == solve_theta(yo13.graph).iterations + 2
 
 
 def test_bounds_report_on_a_disjoint_union_adds_the_parts():

@@ -8,7 +8,8 @@ The exact orthogonality graph is checked against the pairwise
 the weight-sum branch and bound, on random graphs and on nested unions
 and joins of them, the split theta_graph bracket against the
 whole-graph loop, both sides of its certificate exactly over Fraction,
-its width against the rounding floor, and KS colorability against
+its width against the rounding floor, a join's iterations against its
+parts' solved alone, and KS colorability against
 enumeration of every 0/1 assignment.  The independence number is checked as the local bound of
 the Bell functional, the best deterministic strategy found by
 enumeration, on random ray sets, on rays realizing random weighted
@@ -45,6 +46,7 @@ from sicbell.bounds import (
     _Program,
     _closed_form_start,
     _decompose,
+    _induced,
     _loop,
     _rounding_floor,
     bounds_report,
@@ -629,6 +631,12 @@ def test_theta_certificate_holds_exactly(graph, tol):
     tree = _decompose(graph)[1]
     event(f"n = {graph.n // 10 * 10}+, " + ("leaf" if isinstance(tree, int) else tree[0]))
     _assert_lower_side_exact(graph, res)
+    _assert_upper_side_exact(graph, res)
+
+
+def _assert_upper_side_exact(graph, res):
+    """res.h is edge-supported and dual_bound I - (W - h) is PSD over
+    Fraction, so lambda_max(W - h) <= dual_bound."""
     n, edges = graph.n, set(graph.edges)
     h = [[Fraction(v) for v in row] for row in res.h.tolist()]
     assert all(h[i][j] == h[j][i] == 0 for i in range(n) for j in range(i, n)
@@ -637,6 +645,70 @@ def test_theta_certificate_holds_exactly(graph, tol):
     upper = Fraction(res.dual_bound)
     assert is_psd([[upper * (i == j) - root[i] * root[j] + h[i][j] for j in range(n)]
                    for i in range(n)])
+
+
+@pytest.mark.parametrize("c5_weight, vertex_weight", [(1, 4), (4, 9)])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_a_join_part_under_the_cap_keeps_the_join_certified(c5_weight, vertex_weight,
+                                                            tol):
+    # C5 joined to a heavier vertex: theta is the vertex's weight.  The
+    # vertex's probe is within tol and sets the cap.  C5 keeps its probe
+    # if its upper end is already under the cap (weights 1 and 4), or
+    # else its capped loop stops at the first upper end under it (4 and
+    # 9), before its bracket is within tol.  Either way the join's
+    # bracket is the vertex's, and with square weights both sides of its
+    # certificate hold exactly
+    c5 = WeightedGraph(5, (c5_weight,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    graph = WeightedGraph(6, c5.weights + (vertex_weight,),
+                          c5.edges + tuple((v, 5) for v in range(5)))
+    vertex = _loop(_Program(WeightedGraph(1, (vertex_weight,), ())), tol, 1)
+    probe = _loop(_Program(c5), tol, 1)
+    assert vertex.gap <= tol < probe.gap
+    part, iterations = probe, 2
+    if probe.dual_bound > vertex.dual_bound:
+        part = _loop(_Program(c5), tol, 1_000, cap=vertex.dual_bound)
+        assert tol < part.gap and part.dual_bound <= vertex.dual_bound
+        iterations += part.iterations
+    res = solve_theta(graph, tol=tol)
+    assert (res.value, res.dual_bound, res.iterations) == (
+        vertex.value, vertex.dual_bound, iterations)
+    assert res.value <= vertex_weight <= res.dual_bound
+    assert (res.h[:5, :5] == part.h).all()
+    _assert_lower_side_exact(graph, res)
+    _assert_upper_side_exact(graph, res)
+
+
+def _joins(node):
+    """The join nodes of a split tree (:func:`_decompose`)."""
+    if isinstance(node, int):
+        return []
+    kind, _, parts = node
+    return [node] * (kind == "join") + [j for part in parts for j in _joins(part)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(composed_graphs(max_parts=3, weight=st.sampled_from([1, 4, 9]), max_piece=5),
+       st.sampled_from([1e-2, 1e-4, 1e-6]))
+def test_a_join_costs_at_most_a_probe_per_leaf_part(graph, tol):
+    # each join of the split, solved alone at tol: its parts solved alone
+    # at tol certify, so it does too, with both sides of its certificate
+    # exact.  A capped loop runs the uncapped one's iterates and stops no
+    # later, so the join's iterations are at most its parts' own plus one
+    # probe per leaf part
+    joins = _joins(_decompose(graph)[1])
+    assume(joins)
+    for _, mask, parts in joins:
+        try:
+            alone = [solve_theta(_induced(graph, part if isinstance(part, int) else part[1]),
+                                 tol=tol).iterations for part in parts]
+        except ThetaNonConvergence:
+            assume(False)
+        sub = _induced(graph, mask)
+        res = solve_theta(sub, tol=tol)
+        assert res.gap <= tol
+        _assert_lower_side_exact(sub, res)
+        _assert_upper_side_exact(sub, res)
+        assert res.iterations <= sum(alone) + sum(isinstance(part, int) for part in parts)
 
 
 # zero counts, counts near 2**62, and names JSON must escape
