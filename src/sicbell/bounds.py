@@ -78,10 +78,10 @@ tol: each leaf part first runs a one-iteration probe, the parts that
 split further are solved at tol, and the leaf parts follow by
 descending probe lower end.  Each keeps its probe if that is within
 tol or its upper end is at or below the cap, the highest upper end
-solved so far, and otherwise runs a loop that stops at the first
-certificate within tol or at or below the cap.  A part at or below
-the cap cannot raise the join's upper end, so the join's bracket is
-still within tol.  ``theta_graph_iterations`` is summed over the
+solved so far, and otherwise its loop goes on from the probe's state
+and stops at the first certificate within tol or at or below the cap.
+A part at or below the cap cannot raise the join's upper end, so the
+join's bracket is still within tol.  ``theta_graph_iterations`` is summed over the
 pieces, probes included.  Every loop returns its best certificate,
 certified or not, so the whole graph always has one, and
 :func:`solve_theta` raises only if that one is wider than tol.  No
@@ -96,17 +96,30 @@ that, rounded down, is a lower end.  Q_i = P_i (x) conj(P_i) are
 projectors with Q_i Q_j = 0 on every edge, so sum_i w_i <Q_i> is at
 most theta(G, w) (Cabello, Severini & Winter, PRL 112, 040401 (2014)),
 and the edge terms of the functional are PSD and enter with a minus
-sign: theta_graph's certified upper end is an upper end.  Only where
-the two ends are further apart than tol is the Bell operator built, and
+sign: theta_graph's certified upper end is an upper end.  Where the
+two ends are further apart than tol, the set splits over its coordinate
+blocks, the connected components of the coordinates when a ray links
+the coordinates it is nonzero at (:func:`_coordinate_blocks`).  Each
+P_i (x) conj(P_j) acts inside the product of its rays' blocks, so the
+Bell operator is block diagonal.  On a block's own square it is the
+Bell operator of that block's rays; on a cross block only edge terms
+act, as every cross pair is orthogonal, and they are negative
+semidefinite, so a cross block never sets the top.  The ceiling is
+the largest of the blocks' own: the lower end rises to the largest
+sum(w_b) / d_b, rounded down, and only if the ends are still further
+apart than tol is each block's Bell operator built, and
 :func:`state_ceiling` brackets its top eigenvalue from one
-eigendecomposition.
+eigendecomposition.  A direct sum such as yo13 (+) ks18 thus never
+builds its whole (d^2, d^2) operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
+from operator import or_
 from typing import Optional
 
 import numpy as np
@@ -330,13 +343,13 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     are then solved at tol, and the leaf parts follow by descending
     probe lower end.  A leaf part keeps its probe if that is within tol
     or its upper end is at or below the cap, the highest upper end
-    solved so far; otherwise its loop runs until a certificate is within
-    tol or at or below the cap.  The part with the highest upper end is
-    thus within tol, and so is the join.  ``max_iter`` caps the
-    iterations of all loops together, probes included, each loop getting
-    what is left; a loop left once the cap is spent still gets one
-    iteration, so the total can pass max_iter by the number of those
-    loops.
+    solved so far; otherwise its loop goes on from the probe, which it
+    counts, until a certificate is within tol or at or below the cap.
+    The part with the highest upper end is thus within tol, and so is
+    the join.  ``max_iter`` caps the iterations of all loops together,
+    probes included, each loop getting what is left; a loop left once
+    the cap is spent still gets one iteration, so the total can pass
+    max_iter by the number of those loops.
 
     The loop certifies at its first iteration, every ``_CHECK_EVERY``
     iterations, and whenever rho ||f|| (f the fixed-point residual)
@@ -375,16 +388,16 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
 
     left = max_iter
 
-    def run(program, node_tol, budget, cap=-math.inf):
+    def spend(res, before=0):
+        """``res``, its iterations past ``before`` taken from what is left."""
         nonlocal left
-        res = _loop(program, node_tol, budget, cap)
-        left -= res.iterations
+        left -= res.iterations - before
         return res
 
     def solve(node, node_tol):
         """``node``'s best certificate, with the iterations of its loops."""
         if isinstance(node, int):
-            return run(_Program(_induced(graph, node)), node_tol, max(left, 1))
+            return spend(_loop(_Program(_induced(graph, node)), node_tol, max(left, 1)))
         kind, mask, parts = node
         sub = _induced(graph, mask)
         places = [_places(mask, part if isinstance(part, int) else part[1])
@@ -400,18 +413,17 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     def solve_join(parts, node_tol):
         """The parts' certificates, each within tol or with its upper end
         at or below the highest upper end solved before it; a leaf
-        part's iterations include its probe's."""
-        leaves = {k: _Program(_induced(graph, part))
-                  for k, part in enumerate(parts) if isinstance(part, int)}
-        probes = {k: run(program, node_tol, 1) for k, program in leaves.items()}
+        part's loop goes on from its probe, whose iteration it counts."""
+        loops = {k: _steps(_Program(_induced(graph, part)), node_tol, 1)
+                 for k, part in enumerate(parts) if isinstance(part, int)}
+        probes = {k: spend(next(loop)) for k, loop in loops.items()}
         results = {k: solve(part, node_tol)
-                   for k, part in enumerate(parts) if k not in leaves}
+                   for k, part in enumerate(parts) if k not in loops}
         cap = max((res.dual_bound for res in results.values()), default=-math.inf)
         for k in sorted(probes, key=lambda k: -probes[k].value):
             res = probes[k]
             if res.gap > node_tol and res.dual_bound > cap:
-                res = run(leaves[k], node_tol, max(left, 1), cap)
-                res = replace(res, iterations=res.iterations + 1)
+                res = spend(loops[k].send((max(left, 1), cap)), res.iterations)
             results[k] = res
             cap = max(cap, res.dual_bound)
         return [results[k] for k in range(len(parts))]
@@ -491,11 +503,22 @@ class _Program:
 
 def _loop(program: _Program, tol: float, max_iter: int,
           cap: float = -math.inf) -> ThetaResult:
+    """The result of :func:`_steps`' first run."""
+    return next(_steps(program, tol, max_iter, cap))
+
+
+def _steps(program: _Program, tol: float, max_iter: int,
+           cap: float = -math.inf):
     """The Anderson-accelerated loop on ``program`` from I / n (see
-    :func:`solve_theta`): its first certificate within tol or with its
-    upper end at or below ``cap``; or else its best clock certificate
-    once it stalls or its iterations run out, and at a fixed point the
-    better of that and the fixed point's own.
+    :func:`solve_theta`), as a generator.  ``next`` yields its first
+    certificate within tol or with its upper end at or below ``cap``; or
+    else its best clock certificate once it stalls or its iterations
+    run out, and at a fixed point the better of that and the fixed
+    point's own.  After iterations ran out, ``send((more, cap))`` goes
+    on from the same state for up to ``more`` more, aimed at the new
+    cap: the same iterates and certificates as a loop started afresh
+    with that cap, iterations counted from the start.  Any other result
+    is final, and every later send yields it again.
 
     Besides the trigger aimed at tol, a second one is aimed at the width
     cap - lower that would bring the latest certificate's upper end down
@@ -521,8 +544,15 @@ def _loop(program: _Program, tol: float, max_iter: int,
     best: Optional[ThetaResult] = None
     stall_width, stalled = math.inf, 0
     trigger, cap_trigger = tol, -math.inf
+    it = 0
 
-    for it in range(1, max_iter + 1):
+    while True:
+        if it == max_iter:
+            more, cap = yield replace(best, iterations=it)
+            max_iter += more
+            # re-aimed at the new cap from the latest certificate
+            cap_trigger = (cap - cert.value) * rho * cert_res / cert.gap
+        it += 1
         lam, q = np.linalg.eigh(s)
         # every iterate is kept exactly symmetric (eigvalsh in certify
         # reads one triangle, the bounds use both); q diag q^T rounds
@@ -548,14 +578,14 @@ def _loop(program: _Program, tol: float, max_iter: int,
         on_clock = it % _CHECK_EVERY == 0 or it == 1
         triggered = rho * res <= trigger
         if on_clock or triggered or rho * res <= cap_trigger:
-            cert = certify(y, v, it)
+            cert, cert_res = certify(y, v, it), res
             if cert.gap <= tol or cert.dual_bound <= cap:
-                return cert
+                break
             if res == 0.0:
                 # a fixed point: the state can never move again
-                if best is None or cert.gap < best.gap:
-                    return cert
-                return replace(best, iterations=it)
+                if best is not None and best.gap <= cert.gap:
+                    cert = replace(best, iterations=it)
+                break
             if triggered:
                 trigger = tol * rho * res / cert.gap
             cap_trigger = (cap - cert.value) * rho * res / cert.gap
@@ -567,7 +597,8 @@ def _loop(program: _Program, tol: float, max_iter: int,
             else:
                 stalled += 1
             if stalled >= _STALL_CHECKS:
-                return replace(best, iterations=it)
+                cert = replace(best, iterations=it)
+                break
 
         if extrapolated and res > res_last:
             # safeguard: the extrapolation did worse than the point it
@@ -593,7 +624,8 @@ def _loop(program: _Program, tol: float, max_iter: int,
                 step = ((d_s[:, :stored] + df) @ gamma).reshape(n, n)
                 s, extrapolated = g - (step + step.T) / 2.0, True
 
-    return replace(best, iterations=max_iter)
+    while True:
+        yield cert
 
 
 def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:
@@ -770,6 +802,35 @@ def _round_down(num: int, den: int) -> float:
     return math.nextafter(q, -math.inf) if top * den > num * bottom else q
 
 
+def _coordinate_blocks(sic: SicSet) -> list:
+    """The set split over its coordinate blocks, the connected components
+    of the coordinates when a ray links every two it is nonzero at: one
+    set per block that holds rays, of those rays restricted to the
+    block's coordinates, in order.  The set itself if it is one block
+    over all of its coordinates, as when a ray is nonzero at all of
+    them, or if it has a zero ray.  Read exactly from the coordinates,
+    as a + b w = 0 only if a = b = 0."""
+    a, b = sic.coordinates
+    nonzero = (a != 0) | (b != 0)
+    masks = (nonzero @ [1 << c for c in range(sic.dimension)]).tolist()
+    full = (1 << sic.dimension) - 1
+    if not all(masks) or full in masks:
+        return [sic]
+    # two coordinates are linked when one ray's mask holds both
+    adj = [reduce(or_, compress(masks, column), 0) for column in nonzero.T.tolist()]
+    blocks = _components(reduce(or_, masks, 0), adj)
+    if blocks == [full]:
+        return [sic]
+    parts = []
+    for block in blocks:
+        rays = [i for i, mask in enumerate(masks) if mask & block]
+        coords = [c for c in range(sic.dimension) if block >> c & 1]
+        parts.append(SicSet(sic.name, len(coords), tuple(
+            tuple(sic.vectors[i][c] for c in coords) for i in rays),
+            tuple(sic.weights[i] for i in rays)))
+    return parts
+
+
 def _ceiling_bracket(sic: SicSet) -> tuple[float, float]:
     """The set's quantum ceiling bracketed from its Bell operator:
     :func:`state_ceiling`'s bracket, widened by the operator's own
@@ -791,9 +852,21 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     maximally entangled state attains, theta_graph's certified upper
     end]; within tol, as on ks18 and ks21 (about 3e-13), that is
     ``theta`` .. ``theta + theta_gap`` and no Bell operator is built.
-    Otherwise it is cut to :func:`_ceiling_bracket`'s: the top
+
+    Otherwise the set is split over its coordinate blocks
+    (:func:`_coordinate_blocks`).  Every Pi_i (x) conj(Pi_j) acts inside
+    the product of its rays' blocks, so the Bell operator is block
+    diagonal: on a block's own square it is that block's Bell operator,
+    and on a cross block only edge terms act, since every cross pair is
+    orthogonal, and they are negative semidefinite.  The ceiling is
+    therefore the largest of the blocks' own, and the lower end is
+    raised to the largest sum(w_b) / d_b, rounded down, which the
+    maximally entangled state on that block attains.  If the bracket is
+    still wider than tol, each block's :func:`_ceiling_bracket` (the top
     eigenvector's Rayleigh quotient less its slack, and the computed top
-    eigenvalue plus its allowance."""
+    eigenvalue plus its allowance) raises the lower end to the largest
+    of theirs and cuts the upper end to the largest of theirs: no
+    operator larger than a block's is built."""
     graph = sic.graph
     alpha, witness = max_weight_independent_set(graph)
     theta_graph = solve_theta(graph, tol, start=_closed_form_start(sic))
@@ -801,8 +874,11 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     # the maximally entangled state clicks 1/d on each diagonal, 0 on edges
     lower, upper = _round_down(total, sic.dimension), theta_graph.dual_bound
     if upper - lower > tol:
-        eig_lower, eig_upper = _ceiling_bracket(sic)
-        lower, upper = max(lower, eig_lower), min(upper, eig_upper)
+        blocks = _coordinate_blocks(sic)
+        lower = max(_round_down(sum(block.weights), block.dimension) for block in blocks)
+        if upper - lower > tol:
+            eig_lower, eig_upper = zip(*map(_ceiling_bracket, blocks))
+            lower, upper = max(lower, *eig_lower), min(upper, max(eig_upper))
     beta = total / sic.dimension
     return BoundsReport(
         set_name=sic.name,

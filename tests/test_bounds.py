@@ -16,6 +16,7 @@ from sicbell.bounds import (
     _Program,
     _ceiling_bracket,
     _closed_form_start,
+    _coordinate_blocks,
     _round_down,
     _union_start,
     bounds_report,
@@ -125,6 +126,27 @@ def relabelled_union(names, seed):
 
 def cycle5():
     return WeightedGraph(5, (1,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+
+
+def direct_sum(*parts, dimension=None):
+    """The parts' rays zero-padded into consecutive coordinate blocks, in
+    order, in ``dimension`` (the parts' total by default; a larger one
+    leaves coordinates that no ray uses)."""
+    d = dimension or sum(part.dimension for part in parts)
+    vectors, offset = [], 0
+    for part in parts:
+        after = d - offset - part.dimension
+        vectors += [(ZERO,) * offset + v + (ZERO,) * after for v in part.vectors]
+        offset += part.dimension
+    return SicSet(name="+".join(part.name for part in parts), dimension=d,
+                  vectors=tuple(vectors),
+                  weights=sum((part.weights for part in parts), ()))
+
+
+def basis_ray(weight):
+    """One ray of ``weight`` in dimension 1."""
+    return SicSet(name=f"e{weight}", dimension=1, vectors=((ExactScalar(1, 0),),),
+                  weights=(weight,))
 
 
 # ---------------------------------------------------------------- alpha
@@ -441,9 +463,9 @@ def test_split_theta_nonconvergence_reports_the_whole_bracket():
     # between C5's rounding floor and the 4.5e-14 its bracket stops at,
     # the vertex's one-iteration probe is within tol and kept; C5's is
     # not, and its loop, capped at the vertex's upper end, which it
-    # cannot reach, stalls as the uncapped loop does and returns its best
-    # certificate.  The error is the join of the two, and the iterations
-    # count both probes
+    # cannot reach, goes on from the probe, stalls as the uncapped loop
+    # does and returns its best certificate.  The error is the join of
+    # the two, and the iterations are C5's and the vertex's probe
     g = c5_plus_vertex(1, joined=True)
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, tol=3e-14)
@@ -456,7 +478,7 @@ def test_split_theta_nonconvergence_reports_the_whole_bracket():
     assert c5.gap > 3e-14 and vertex.iterations == 1
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
         max(c5.value, vertex.value), max(c5.dual_bound, vertex.dual_bound),
-        c5.iterations + 2)
+        c5.iterations + 1)
 
 
 def test_split_theta_nonconvergence_sums_a_union():
@@ -562,9 +584,10 @@ def test_a_join_certifies_below_the_whole_graph_floor():
     assert res.gap < 2 * 7 * bounds._EPS * 8.0
     assert res.value <= 3.0 <= res.dual_bound
     # C5, whose theta sqrt(5) is below 3, needs no bracket within tol:
-    # after the two probes its loop stops at the first upper end under
-    # the vertex's, long before it would stall short of 2e-14
-    assert res.iterations == 4
+    # its loop goes on from its probe and stops at its second iteration,
+    # the first upper end under the vertex's, long before it would stall
+    # short of 2e-14; the vertex keeps its probe
+    assert res.iterations == 3
 
 
 def test_a_fixed_point_stops_the_loop():
@@ -614,21 +637,16 @@ def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
     # every cross pair of yo13 (+) ks18 is orthogonal: the graph is a join,
     # so alpha and theta_graph are yo13's.  Each part first runs a
     # one-iteration probe (the renumbered parts carry no contexts); yo13,
-    # whose probe has the higher lower end, then runs its loop as it does
-    # alone, and ks18 keeps its probe, whose upper end is already below
-    # yo13's: the iterations are yo13's and the two probes
+    # whose probe has the higher lower end, then goes on from its probe
+    # as its loop does alone, and ks18 keeps its probe, whose upper end
+    # is already below yo13's: the iterations are yo13's and ks18's probe
     yo13, ks18 = get_set("yo13"), get_set("ks18")
-    pad = (ZERO,)
-    total = SicSet(name="yo13+ks18", dimension=7,
-                   vectors=tuple(v + pad * 4 for v in yo13.vectors)
-                   + tuple(pad * 3 + v for v in ks18.vectors),
-                   weights=yo13.weights + ks18.weights)
-    rep = bounds_report(total)
+    rep = bounds_report(direct_sum(yo13, ks18))
     parts = [bounds_report(sic) for sic in (yo13, ks18)]
     assert (rep.alpha, rep.alpha_witness) == (11, parts[0].alpha_witness)
     assert (rep.theta_graph, rep.theta_graph_gap) == (
         parts[0].theta_graph, parts[0].theta_graph_gap)
-    assert rep.theta_graph_iterations == solve_theta(yo13.graph).iterations + 2
+    assert rep.theta_graph_iterations == solve_theta(yo13.graph).iterations + 1
 
 
 def test_bounds_report_on_a_disjoint_union_adds_the_parts():
@@ -678,6 +696,74 @@ def test_bell_operator_is_built_only_past_the_closed_bracket(monkeypatch):
         assert rep.theta == rep.beta_ideal
     with pytest.raises(Built):
         bounds_report(get_set("yo13"))
+
+
+def test_the_ceiling_splits_over_coordinate_blocks(monkeypatch):
+    # yo13 (+) ks18 brackets its ceiling from a 9 x 9 and a 16 x 16
+    # operator, not its 49 x 49 one, and the bracket is yo13's bit for
+    # bit.  On ks18 (+) ks21 the blocks' maximally entangled states give
+    # the lower end 4.5, within tol of theta_graph's upper end, so no
+    # operator is built
+    yo13, ks18, ks21 = (get_set(name) for name in ("yo13", "ks18", "ks21"))
+    alone = bounds_report(yo13)
+    built = []
+
+    def spy(sic):
+        built.append(sic.dimension)
+        return bell_operator(sic)
+
+    monkeypatch.setattr(bounds, "bell_operator", spy)
+    rep = bounds_report(direct_sum(yo13, ks18))
+    assert (rep.theta, rep.theta_gap) == (alone.theta, alone.theta_gap)
+    assert sorted(built) == [3, 4]
+    built.clear()
+    rep = bounds_report(direct_sum(ks18, ks21))
+    assert built == []
+    assert rep.theta == 4.5
+    assert 0.0 < rep.theta_gap <= 1e-6
+
+
+@pytest.mark.parametrize("sic, ceiling, block", [
+    (direct_sum(get_set("yo13"), basis_ray(1)), Fraction(35, 3), range(3)),
+    (direct_sum(basis_ray(1), basis_ray(2)), Fraction(2), [1]),
+    (direct_sum(get_set("yo13"), dimension=4), Fraction(35, 3), range(3))],
+    ids=["yo13+e", "e1+e2", "yo13+unused"])
+def test_block_brackets_hold_the_exact_ceiling(sic, ceiling, block):
+    # the exact operator over Q(w): the maximally entangled state on the
+    # heaviest block attains the ceiling and ceiling I - op is PSD, so
+    # its top eigenvalue is the ceiling.  The reported lower end is at
+    # most that, and t I - op is PSD at the reported upper end t
+    op = bell_operator_exact(sic.vectors, sic.weights)
+    d = sic.dimension
+    diagonal = [a * d + a for a in block]
+    attained = sum((op[r][c] for r in diagonal for c in diagonal), ZERO)
+    assert attained == ExactScalar(ceiling * len(block), 0)
+    assert is_above_spectrum(ceiling, op)
+    rep = bounds_report(sic)
+    assert Fraction(rep.theta) <= ceiling
+    assert is_above_spectrum(Fraction(rep.theta) + Fraction(rep.theta_gap), op)
+    if sic.n == 2:
+        # e1 (weight 1) and e2 (weight 2): the ceiling 2 is alpha, exactly
+        assert (rep.theta, rep.margin_quantum) == (2.0, 0.0)
+
+
+def test_coordinate_blocks():
+    # the blocks that hold rays, in order of their lowest coordinate; a
+    # set that is one block over all its coordinates, or has a zero ray,
+    # is itself
+    yo13 = get_set("yo13")
+    for name in ("yo13", "ks18", "ks21"):
+        sic = get_set(name)
+        assert _coordinate_blocks(sic) == [sic]
+    blocks = _coordinate_blocks(direct_sum(basis_ray(2), yo13, basis_ray(1)))
+    assert [(b.dimension, b.vectors, b.weights) for b in blocks] == [
+        (1, basis_ray(2).vectors, (2,)), (3, yo13.vectors, yo13.weights),
+        (1, basis_ray(1).vectors, (1,))]
+    unused = _coordinate_blocks(direct_sum(yo13, dimension=5))
+    assert [(b.dimension, b.vectors) for b in unused] == [(3, yo13.vectors)]
+    zero = direct_sum(yo13, SicSet(name="zero", dimension=1, vectors=((ZERO,),),
+                                   weights=(1,)))
+    assert _coordinate_blocks(zero) == [zero]
 
 
 def test_round_down_is_the_float_just_below():
