@@ -1,116 +1,29 @@
 """Classical and quantum bounds for vertex-weighted orthogonality graphs.
 
-Two quantities are computed for a weighted graph (G, w):
+:func:`bounds_report` brackets three numbers for a set, each from the
+cheapest certificate that closes it:
 
-* the weighted independence number, found exactly by a depth-first
-  branch and bound over bitmask vertex sets that meets independent sets
-  in lexicographic order and prunes on a clique-cover bound, and
-* the weighted theta number, the value of the semidefinite program
+* alpha, the weighted independence number, exactly, by the branch and
+  bound of :func:`max_weight_independent_set`;
+* theta_graph, the weighted theta number
 
       maximize   <W, X>,   W_ij = sqrt(w_i w_j),
       subject to X >= 0,  Tr X = 1,
                  X_ij = 0                 for every edge (i, j),
 
   Knuth's n x n form of the weighted Lovasz number ("The Sandwich
-  Theorem", Electron. J. Combin. 1 (1994) A1).  It equals the plain
-  theta number at unit weights and the weighted independence number on
-  perfect graphs.  It is solved in-house by an operator-splitting loop
-  (alternating projection onto the affine constraints and the
-  semidefinite cone with a scaled dual update), started at I / n with
-  the penalty rho = sum(w) = lambda_max(W), the scale of the objective,
-  as in the ADMM runs on theta of Wen, Goldfarb & Yin (Math. Prog.
-  Comp. 2 (2010)).  The loop is a fixed-point iteration on one
-  symmetric matrix, accelerated by type-II Anderson extrapolation over
-  its last few steps (Walker & Ni 2011; Zhang, O'Donoghue & Boyd 2020);
-  an extrapolated point whose residual exceeds that of the point it
-  came from is replaced by that point's plain step, and the history
-  starts over.
+  Theorem", Electron. J. Combin. 1 (1994) A1), from the set's own
+  certificate where it has one (:func:`_closed_form_start`), or else
+  from the solver, :func:`solve_theta`;
+* the quantum ceiling, the top eigenvalue of the set's Bell operator,
+  from the maximally entangled states of its coordinate blocks and
+  theta_graph's upper end, or else from each block's operator
+  (:func:`state_ceiling`).
 
-  Every reported value carries a certificate, and the result carries
-  both halves of it.  The dual is min over edge-supported H of
-  lambda_max(W - H), so the edge part of any iterate's multiplier gives
-  an upper bound with one eigenvalue (``ThetaResult.h``); the projected
-  iterate, which is exactly zero on edges, shifted to PSD by its
-  smallest eigenvalue and scaled to unit trace, gives a lower bound
-  (``ThetaResult.matrix``).  Each eigenvalue and sum the bounds rest on
-  is allowed its rounding error, so the true optimum lies in value ..
-  value + gap to the last ulp, however far the iteration got or which
-  path it took.
-
-  The loop certifies on a clock (its first iteration, then every
-  ``_CHECK_EVERY``) and off it, whenever rho times the norm of the
-  fixed-point residual falls to a trigger.  The residual bounds the
-  distance to optimality (Boyd et al., Found. Trends Mach. Learn. 3
-  (2011) section 3.3), and in the tail the bracket width tracks rho
-  times its norm, so the trigger starts at tol; an off-clock bracket
-  still wider than tol scales the trigger down by tol / width.  The
-  clock checks alone keep the best bracket and run the stall rule, so
-  the off-clock checks only ever end the loop sooner.  A residual of
-  exactly 0 is a fixed point, where the state can never move again, so
-  the loop stops there with the better of that certificate and its best.
-
-  A set can certify its own theta number, and then the loop does not
-  run.  For a unit-weight set whose contexts are d-element bases
-  covering every ray r times, such as ks18 and ks21, n / d is both the
-  value of the Cabello-Severini-Winter matrix |<v_i|v_j>|^2 / n and the
-  top eigenvalue of J - H for H = (n / (d r)) sum_c (J_c - I_c) (PRL 112,
-  040401 (2014)).  :func:`bounds_report` hands that pair to
-  :func:`solve_theta`, which certifies it as it would an iterate before
-  the first iteration.  The bracket is then only its rounding
-  allowances wide, about 5e-13, and ``theta_graph_iterations`` is 0.
-  Any other set, and a start bracket wider than tol, goes to the split
-  below and the loop from I / n.
-
-Both quantities split over the graph's structure (Lovasz, IEEE Trans.
-Inf. Theory 25 (1979); Knuth 1994): they add up over the connected
-components, and on a join, whose complement is disconnected, they are
-the max over the complement's components.  :func:`_decompose` splits
-the graph that way, recursively, and the independent-set search runs
-only on the pieces that split no further: a union's independent set is
-the union of its pieces' optima, a join's is the best piece's.  The
-theta loop, too, runs only on those pieces.  A union's parts are solved
-at their weight's share of its tol, so the shares add up to tol however
-deep the split, and their certificates are assembled into one for the
-union, which is certified on the whole union like a start.  A join's
-bracket is [max of the parts' lower bounds, max of their upper bounds],
-so only the part with the highest upper end needs a bracket within
-tol: each leaf part first runs a one-iteration probe, the parts that
-split further are solved at tol, and the leaf parts follow by
-descending probe lower end.  Each keeps its probe if that is within
-tol or its upper end is at or below the cap, the highest upper end
-solved so far, and otherwise its loop goes on from the probe's state
-and stops at the first certificate within tol or at or below the cap.
-A part at or below the cap cannot raise the join's upper end, so the
-join's bracket is still within tol.  ``theta_graph_iterations`` is summed over the
-pieces, probes included.  Every loop returns its best certificate,
-certified or not, so the whole graph always has one, and
-:func:`solve_theta` raises only if that one is wider than tol.  No
-certificate is narrower than
-its rounding allowances (:func:`_rounding_floor`), so a tol below that
-floor is refused before any loop runs.
-
-The quantum ceiling of a set, the top eigenvalue of its Bell operator,
-is bracketed by :func:`bounds_report` from theta_graph's certificate
-first.  The maximally entangled state attains sum(w) / d exactly, so
-that, rounded down, is a lower end.  Q_i = P_i (x) conj(P_i) are
-projectors with Q_i Q_j = 0 on every edge, so sum_i w_i <Q_i> is at
-most theta(G, w) (Cabello, Severini & Winter, PRL 112, 040401 (2014)),
-and the edge terms of the functional are PSD and enter with a minus
-sign: theta_graph's certified upper end is an upper end.  Where the
-two ends are further apart than tol, the set splits over its coordinate
-blocks, the connected components of the coordinates when a ray links
-the coordinates it is nonzero at (:func:`_coordinate_blocks`).  Each
-P_i (x) conj(P_j) acts inside the product of its rays' blocks, so the
-Bell operator is block diagonal.  On a block's own square it is the
-Bell operator of that block's rays; on a cross block only edge terms
-act, as every cross pair is orthogonal, and they are negative
-semidefinite, so a cross block never sets the top.  The ceiling is
-the largest of the blocks' own: the lower end rises to the largest
-sum(w_b) / d_b, rounded down, and only if the ends are still further
-apart than tol is each block's Bell operator built, and
-:func:`state_ceiling` brackets its top eigenvalue from one
-eigendecomposition.  A direct sum such as yo13 (+) ks18 thus never
-builds its whole (d^2, d^2) operator.
+Each bracket holds its value to the last ulp (``_Program``,
+:func:`state_ceiling`).  Both graph numbers split over the graph's
+unions and joins (:func:`_decompose`), so the search and the theta loop
+(:func:`_steps`) run only on the pieces that split no further.
 """
 
 from __future__ import annotations
@@ -125,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import SicSet, WeightedGraph
-from .quantum import bell_operator
+from .quantum import block_operator
 
 _MAX_VERTICES = 64
 _EPS = float(np.finfo(float).eps)
@@ -317,31 +230,24 @@ class ThetaResult:
 
 
 def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
-                max_iter: int = _MAX_ITER,
-                start: Optional[tuple[np.ndarray, np.ndarray]] = None) -> ThetaResult:
+                max_iter: int = _MAX_ITER) -> ThetaResult:
     """Weighted theta number with a certified bracket of width <= tol.
 
     A tol below the graph's rounding floor (:func:`_rounding_floor`),
-    which no certificate can beat, raises ValueError before any start
-    is certified or any loop runs.
+    which no certificate can beat, raises ValueError before any loop
+    runs.
 
-    ``start``, a pair ``(x0, h)`` of (n, n) arrays, is certified first,
-    on the whole graph, as an iterate would be: ``x0`` with its edge
-    entries set to zero gives the lower bound and the edge entries of
-    ``h`` the upper one.  If that bracket is within tol it is returned
-    with ``iterations = 0``; otherwise the pair is dropped.
-
-    The graph is then split (:func:`_decompose`) and the loop runs only
-    on the pieces that split no further.  Each part of a union is solved
-    at tol times its share of the union's weight, so a piece's tol is at
-    least its share of the whole graph's, however deep it lies, and the
-    parts' certificates are assembled into one for the union
-    (:func:`_union_start`), which is certified on the union as a start
-    is.  A join's bracket is [max of its parts' lower bounds, max of
-    their upper bounds] (:func:`_join_result`).  Each leaf part of a
-    join first runs a one-iteration probe; the parts that split further
-    are then solved at tol, and the leaf parts follow by descending
-    probe lower end.  A leaf part keeps its probe if that is within tol
+    The graph is split (:func:`_decompose`) and the loop (:func:`_steps`)
+    runs only on the pieces that split no further.  Each part of a union
+    is solved at tol times its share of the union's weight, so a piece's
+    tol is at least its share of the whole graph's, however deep it lies,
+    and the parts' certificates are assembled into one pair for the union
+    (:func:`_union_start`), which ``_Program.certify_start`` certifies on
+    the whole union.  A join's bracket is [max of its parts' lower
+    bounds, max of their upper bounds] (:func:`_join_result`).  Each
+    leaf part of a join first runs a one-iteration probe; the parts that
+    split further are then solved at tol, and the leaf parts follow by
+    descending probe lower end.  A leaf part keeps its probe if that is within tol
     or its upper end is at or below the cap, the highest upper end
     solved so far; otherwise its loop goes on from the probe, which it
     counts, until a certificate is within tol or at or below the cap.
@@ -351,29 +257,14 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     the cap is spent still gets one iteration, so the total can pass
     max_iter by the number of those loops.
 
-    The loop certifies at its first iteration, every ``_CHECK_EVERY``
-    iterations, and whenever rho ||f|| (f the fixed-point residual)
-    reaches the trigger, which starts at tol, or, in a capped loop, the
-    trigger aimed at the cap.  It stops at a bracket within tol or an
-    upper end at or below the cap, once its iterations run out, at a
-    fixed point (f exactly 0), or once the best bracket has not narrowed
-    by 1% over ``_STALL_CHECKS`` clock certifications in a row, and
-    returns its best certificate in each case, so every piece, and the
+    Every loop returns its best certificate, so every piece, and the
     whole graph, has one.  Should the whole graph's be wider than tol,
-    :class:`ThetaNonConvergence` carries its bracket.
-    ``iterations`` counts every loop run, probes included."""
+    :class:`ThetaNonConvergence` carries its bracket.  ``iterations``
+    counts every loop run, probes included."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
-    if start is not None:
-        start = tuple(np.asarray(a, dtype=float) for a in start)
-        x0, h = start
-        if not (x0.shape == h.shape == (n, n) and np.isfinite([x0, h]).all()
-                and np.trace(x0) > 0.0):
-            raise ValueError(f"start must be two finite ({n}, {n}) arrays, "
-                             "the first with a positive trace")
+    _check_tol(tol)
     if n == 0:
         return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0, np.zeros((0, 0)))
     tree = _decompose(graph)[1]
@@ -381,10 +272,6 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     if tol < floor:
         raise ValueError(f"tol {tol!r} is below this graph's rounding floor "
                          f"{floor:.3g}: no certified bracket is narrower")
-    if start is not None:
-        cert = _Program(graph).certify_start(start)
-        if cert.gap <= tol:
-            return cert
 
     left = max_iter
 
@@ -397,7 +284,8 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     def solve(node, node_tol):
         """``node``'s best certificate, with the iterations of its loops."""
         if isinstance(node, int):
-            return spend(_loop(_Program(_induced(graph, node)), node_tol, max(left, 1)))
+            return spend(next(_steps(_Program(_induced(graph, node)), node_tol,
+                                     max(left, 1))))
         kind, mask, parts = node
         sub = _induced(graph, mask)
         places = [_places(mask, part if isinstance(part, int) else part[1])
@@ -434,6 +322,12 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     return res
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tol that is not a positive finite number."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
 def _rounding_floor(graph: WeightedGraph, node) -> float:
     """The narrowest bracket :func:`solve_theta` can certify on ``node``
     of ``graph``'s split (:func:`_decompose`): 2 (n + 1) eps sum(w) on a
@@ -455,7 +349,15 @@ def _rounding_floor(graph: WeightedGraph, node) -> float:
 
 
 class _Program:
-    """The theta program of one graph, and its certificate."""
+    """The theta program of one graph, and its certificate.
+
+    The dual is min over edge-supported H of lambda_max(W - H), so the
+    edge part of any multiplier gives an upper end with one eigenvalue
+    (``ThetaResult.h``); a symmetric matrix zero on edges, shifted to PSD
+    by its smallest eigenvalue and scaled to unit trace, gives a lower
+    end (``ThetaResult.matrix``).  Each eigenvalue and sum the ends rest
+    on is allowed its rounding error, so the optimum lies in value ..
+    value + gap to the last ulp, wherever the pair came from."""
 
     def __init__(self, graph: WeightedGraph):
         self.n = graph.n
@@ -491,9 +393,12 @@ class _Program:
         return ThetaResult(lower, upper - lower, upper, x, iterations, h)
 
     def certify_start(self, start) -> ThetaResult:
-        """The certified start ``(x0, h)``.  x0 is first projected onto
-        symmetric matrices with zero edge entries, which leaves a
-        feasible x0 as it is."""
+        """The certificate of a pair ``(x0, h)`` of (n, n) float arrays
+        that did not come from the loop: a set's closed form
+        (:func:`_closed_form_start`) or a union's assembly
+        (:func:`_union_start`).  x0 is first projected onto symmetric
+        matrices with zero edge entries, which leaves a feasible x0 as
+        it is; h is read on edges alone."""
         x0, h = start
         y = (x0 + x0.T) / 2.0
         y[self.rows, self.cols] = 0.0
@@ -501,30 +406,43 @@ class _Program:
         return self.certify(y, h / self.rho, 0)
 
 
-def _loop(program: _Program, tol: float, max_iter: int,
-          cap: float = -math.inf) -> ThetaResult:
-    """The result of :func:`_steps`' first run."""
-    return next(_steps(program, tol, max_iter, cap))
-
-
 def _steps(program: _Program, tol: float, max_iter: int,
            cap: float = -math.inf):
-    """The Anderson-accelerated loop on ``program`` from I / n (see
-    :func:`solve_theta`), as a generator.  ``next`` yields its first
-    certificate within tol or with its upper end at or below ``cap``; or
-    else its best clock certificate once it stalls or its iterations
-    run out, and at a fixed point the better of that and the fixed
-    point's own.  After iterations ran out, ``send((more, cap))`` goes
-    on from the same state for up to ``more`` more, aimed at the new
-    cap: the same iterates and certificates as a loop started afresh
-    with that cap, iterations counted from the start.  Any other result
-    is final, and every later send yields it again.
+    """The Anderson-accelerated loop on ``program`` from I / n, as a
+    generator.
 
-    Besides the trigger aimed at tol, a second one is aimed at the width
-    cap - lower that would bring the latest certificate's upper end down
-    to the cap; the first is kept as it runs without a cap, so a capped
-    loop certifies every iterate the uncapped one does, on the same
-    iterates, and returns no later."""
+    The loop is operator splitting (alternating projection onto the
+    affine constraints and the semidefinite cone with a scaled dual
+    update) at the penalty rho = sum(w) = lambda_max(W), the objective's
+    scale, as in the ADMM runs on theta of Wen, Goldfarb & Yin (Math.
+    Prog. Comp. 2 (2010)).  It is a fixed-point iteration on one
+    symmetric matrix, accelerated by type-II Anderson extrapolation over
+    its last ``_ANDERSON_MEMORY`` steps (Walker & Ni 2011; Zhang,
+    O'Donoghue & Boyd 2020); an extrapolated point whose residual
+    exceeds that of the point it came from is replaced by that point's
+    plain step, and the history starts over.
+
+    It certifies at its first iteration, every ``_CHECK_EVERY``
+    iterations, and whenever rho ||f|| (f the fixed-point residual)
+    reaches a trigger.  The residual bounds the distance to optimality
+    (Boyd et al., Found. Trends Mach. Learn. 3 (2011) section 3.3), and
+    in the tail the bracket width tracks rho ||f||, so one trigger starts
+    at tol; the other is aimed at the width cap - lower that would bring
+    the latest certificate's upper end down to ``cap``.  The first is
+    kept as it runs without a cap, so a capped loop certifies every
+    iterate the uncapped one does, on the same iterates, and returns no
+    later.
+
+    ``next`` yields the first certificate within tol or with its upper
+    end at or below ``cap``; or else the best clock certificate once the
+    iterations run out or the best bracket has not narrowed by 1% over
+    ``_STALL_CHECKS`` clock certifications in a row, and at a fixed point
+    (f exactly 0) the better of that and the fixed point's own.  After
+    iterations ran out, ``send((more, cap))`` goes on from the same state
+    for up to ``more`` more, aimed at the new cap: the same iterates and
+    certificates as a loop started afresh with that cap, iterations
+    counted from the start.  Any other result is final, and every later
+    send yields it again."""
     n, rho = program.n, program.rho
     certify, big_w = program.certify, program.big_w
     # both triangles' edge entries, as indices into the flattened matrix
@@ -760,21 +678,22 @@ class BoundsReport:
 
 
 def _closed_form_start(sic: SicSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The set's own theta_graph certificate as a :func:`solve_theta`
-    start ``(x0, h)``, for a unit-weight set whose contexts are d-element
-    bases covering every ray the same number of times r; None otherwise.
+    """The set's own theta_graph certificate as a pair ``(x0, h)`` for
+    ``_Program.certify_start``, for a unit-weight set whose contexts are
+    d-element bases covering every ray the same number of times r, such
+    as ks18 and ks21; None otherwise.
 
     x0 is the Cabello-Severini-Winter matrix |<v_i|v_j>|^2 / n (PRL 112,
     040401 (2014)): the Gram matrix of the v_i (x) conj(v_i) over n, so
     PSD with unit trace, zero on edges (up to the rounding that
-    solve_theta's projection removes), and of value
+    certify_start's projection removes), and of value
     ||sum_i P_i||_F^2 / n = n / d, since the r-fold cover by bases makes
     sum_i P_i = (n / d) I.  h is (n / (d r)) (B B^T - r I), B the ray by
     context incidence matrix.  B B^T has the all-ones vector as an
     eigenvector of eigenvalue d r, so J - (n / (d r)) B B^T vanishes on
     it and is negative semidefinite on its complement, and J - h has top
     eigenvalue n / d.  h is nonzero only on pairs that share a context;
-    solve_theta reads it on edges alone, so a context that is not
+    certify_start reads it on edges alone, so a context that is not
     orthogonal loosens the bracket and never falsifies it."""
     n, d, contexts = sic.n, sic.dimension, sic.contexts
     if not contexts or any(w != 1 for w in sic.weights):
@@ -803,93 +722,87 @@ def _round_down(num: int, den: int) -> float:
 
 
 def _coordinate_blocks(sic: SicSet) -> list:
-    """The set split over its coordinate blocks, the connected components
-    of the coordinates when a ray links every two it is nonzero at: one
-    set per block that holds rays, of those rays restricted to the
-    block's coordinates, in order.  The set itself if it is one block
-    over all of its coordinates, as when a ray is nonzero at all of
-    them, or if it has a zero ray.  Read exactly from the coordinates,
-    as a + b w = 0 only if a = b = 0."""
+    """The set's coordinate blocks, the connected components of the
+    coordinates when a ray links every two it is nonzero at, as
+    ``(rays, coords)`` index lists, in order: for each block that holds
+    rays, those rays and the block's coordinates.  A set that does not
+    split is one block, of all of its coordinates when a ray is nonzero
+    at every one of them.  Read exactly from the coordinates, as
+    a + b w = 0 only if a = b = 0; a zero ray is in no block."""
     a, b = sic.coordinates
-    nonzero = (a != 0) | (b != 0)
+    # an empty set's coordinates are (2, 0, 0)
+    nonzero = ((a != 0) | (b != 0)).reshape(sic.n, sic.dimension)
     masks = (nonzero @ [1 << c for c in range(sic.dimension)]).tolist()
-    full = (1 << sic.dimension) - 1
-    if not all(masks) or full in masks:
-        return [sic]
+    if (1 << sic.dimension) - 1 in masks:
+        return [(list(range(sic.n)), list(range(sic.dimension)))]
     # two coordinates are linked when one ray's mask holds both
     adj = [reduce(or_, compress(masks, column), 0) for column in nonzero.T.tolist()]
-    blocks = _components(reduce(or_, masks, 0), adj)
-    if blocks == [full]:
-        return [sic]
-    parts = []
-    for block in blocks:
-        rays = [i for i, mask in enumerate(masks) if mask & block]
-        coords = [c for c in range(sic.dimension) if block >> c & 1]
-        parts.append(SicSet(sic.name, len(coords), tuple(
-            tuple(sic.vectors[i][c] for c in coords) for i in rays),
-            tuple(sic.weights[i] for i in rays)))
-    return parts
+    return [([i for i, mask in enumerate(masks) if mask & block],
+             [c for c in range(sic.dimension) if block >> c & 1])
+            for block in _components(reduce(or_, masks, 0), adj)]
 
 
-def _ceiling_bracket(sic: SicSet) -> tuple[float, float]:
-    """The set's quantum ceiling bracketed from its Bell operator:
-    :func:`state_ceiling`'s bracket, widened by the operator's own
-    rounding.  Each float entry of P^T C P* (P the rows of rounded
-    projectors, C the signed weights; see ``bell_operator``) is off from
-    the exact one by at most (2 n + 12) eps times that entry of
-    |P|^T |C| |P|, whose norm is at most sum |C_ij|, since each row of P
-    has unit norm."""
-    ceiling = state_ceiling(bell_operator(sic))
-    spread = (2 * sic.n + 12) * _EPS * float(np.abs(sic.coefficients).sum())
+def _ceiling_bracket(sic: SicSet, rays: list, coords: list) -> tuple[float, float]:
+    """The quantum ceiling of the set's ``rays`` on its ``coords``, a
+    coordinate block, bracketed from the set's projectors and coefficient
+    matrix restricted to them (:func:`sicbell.quantum.block_operator`):
+    :func:`state_ceiling`'s bracket, widened by the operator's rounding.
+    Each float entry of P^T C P* (P the rows of rounded projectors) is off
+    from the exact one by at most (2 k + 12) eps times that entry of
+    |P|^T |C| |P| (k unit rows), whose norm is at most sum |C_ij|."""
+    coeffs = sic.coefficient_matrix[np.ix_(rays, rays)]
+    ceiling = state_ceiling(block_operator(sic.projectors[np.ix_(rays, coords, coords)],
+                                           coeffs))
+    spread = (2 * len(rays) + 12) * _EPS * float(np.abs(coeffs).sum())
     return ceiling.value - spread, ceiling.dual_bound + spread
 
 
 def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     """Bundle the classical bound, the quantum ceiling, and the ideal value.
 
-    ``theta_graph``'s bracket is :func:`solve_theta`'s certificate.  The
-    quantum ceiling's is first [sum(w) / d rounded down, which the
-    maximally entangled state attains, theta_graph's certified upper
-    end]; within tol, as on ks18 and ks21 (about 3e-13), that is
-    ``theta`` .. ``theta + theta_gap`` and no Bell operator is built.
+    A set with a zero ray, which no state can click, is refused.
+    ``theta_graph``'s bracket is the set's closed-form certificate
+    (:func:`_closed_form_start`) where it has one within tol, as ks18
+    and ks21 do (about 5e-13 wide, 0 iterations), and otherwise
+    :func:`solve_theta`'s.
 
-    Otherwise the set is split over its coordinate blocks
-    (:func:`_coordinate_blocks`).  Every Pi_i (x) conj(Pi_j) acts inside
-    the product of its rays' blocks, so the Bell operator is block
-    diagonal: on a block's own square it is that block's Bell operator,
-    and on a cross block only edge terms act, since every cross pair is
-    orthogonal, and they are negative semidefinite.  The ceiling is
-    therefore the largest of the blocks' own, and the lower end is
-    raised to the largest sum(w_b) / d_b, rounded down, which the
-    maximally entangled state on that block attains.  If the bracket is
-    still wider than tol, each block's :func:`_ceiling_bracket` (the top
-    eigenvector's Rayleigh quotient less its slack, and the computed top
-    eigenvalue plus its allowance) raises the lower end to the largest
-    of theirs and cuts the upper end to the largest of theirs: no
-    operator larger than a block's is built."""
+    The quantum ceiling's lower end is the largest sum(w_b) / d_b over
+    the set's coordinate blocks (:func:`_coordinate_blocks`), rounded
+    down, which the maximally entangled state on that block attains.
+    Its upper end is theta_graph's: Q_i = Pi_i (x) conj(Pi_i) are
+    projectors with Q_i Q_j = 0 on every edge, so sum_i w_i <Q_i> is at
+    most theta(G, w) (Cabello, Severini & Winter, PRL 112, 040401
+    (2014)), and the edge terms of the functional are PSD and enter with
+    a minus sign.  Only if the two are further apart than tol (yo13, not
+    ks18, ks21 or ks18 (+) ks21) is each block's Bell operator built.
+    Every Pi_i (x) conj(Pi_j) acts inside the product of its rays'
+    blocks, so the operator is block diagonal: on a block's own square
+    it is that block's operator, and on a cross block only edge terms
+    act, as every cross pair is orthogonal, and those are negative
+    semidefinite.  So the ceiling is the largest of the blocks' own, and
+    each :func:`_ceiling_bracket` raises the lower end to the largest of
+    theirs and cuts the upper end to the largest of theirs."""
     graph = sic.graph
+    zero = np.flatnonzero(np.diagonal(sic.orthogonal))
+    if zero.size:
+        raise ValueError(f"ray {zero[0]} is the zero vector: no state can click it")
     alpha, witness = max_weight_independent_set(graph)
-    theta_graph = solve_theta(graph, tol, start=_closed_form_start(sic))
-    total = sum(sic.weights)
-    # the maximally entangled state clicks 1/d on each diagonal, 0 on edges
-    lower, upper = _round_down(total, sic.dimension), theta_graph.dual_bound
+    _check_tol(tol)
+    start = _closed_form_start(sic)
+    theta_graph = None if start is None else _Program(graph).certify_start(start)
+    if theta_graph is None or theta_graph.gap > tol:
+        theta_graph = solve_theta(graph, tol)
+    weights, blocks = sic.weights, _coordinate_blocks(sic)
+    lower = max((_round_down(sum(weights[i] for i in rays), len(coords))
+                 for rays, coords in blocks), default=0.0)
+    upper = theta_graph.dual_bound
     if upper - lower > tol:
-        blocks = _coordinate_blocks(sic)
-        lower = max(_round_down(sum(block.weights), block.dimension) for block in blocks)
-        if upper - lower > tol:
-            eig_lower, eig_upper = zip(*map(_ceiling_bracket, blocks))
-            lower, upper = max(lower, *eig_lower), min(upper, max(eig_upper))
-    beta = total / sic.dimension
+        eig_lower, eig_upper = zip(*(_ceiling_bracket(sic, *block) for block in blocks))
+        lower, upper = max(lower, *eig_lower), min(upper, max(eig_upper))
+    beta = sum(weights) / sic.dimension
     return BoundsReport(
-        set_name=sic.name,
-        alpha=alpha,
-        alpha_witness=witness,
-        theta=lower,
-        theta_gap=upper - lower,
-        theta_graph=theta_graph.value,
-        theta_graph_gap=theta_graph.gap,
-        beta_ideal=beta,
-        margin_quantum=lower - alpha,
-        margin_ideal=beta - alpha,
-        theta_graph_iterations=theta_graph.iterations,
-    )
+        set_name=sic.name, alpha=alpha, alpha_witness=witness,
+        theta=lower, theta_gap=upper - lower,
+        theta_graph=theta_graph.value, theta_graph_gap=theta_graph.gap,
+        beta_ideal=beta, margin_quantum=lower - alpha, margin_ideal=beta - alpha,
+        theta_graph_iterations=theta_graph.iterations)

@@ -113,12 +113,25 @@ class SicSet:
             s for i, j in sorted(self.graph.edges) for s in ((i, j), (j, i))])
 
     @cached_property
+    def coefficient_matrix(self) -> np.ndarray:
+        """The signed weights as a read-only (n, n) array C: w_i on the
+        diagonal, -max(w_i, w_j)/2 on an edge (i, j), 0 elsewhere.  Read
+        off :attr:`orthogonal`; the graph checks the weights first."""
+        w = np.array(self.graph.weights, dtype=float)
+        coeffs = np.where(self.orthogonal, np.maximum.outer(w, w) / -2.0, 0.0)
+        coeffs[np.diag_indices(self.n)] = w
+        coeffs.setflags(write=False)
+        return coeffs
+
+    @cached_property
     def coefficients(self) -> np.ndarray:
-        """Signed weight of each setting, aligned with :attr:`settings`:
-        w_i on a diagonal (i, i), -max(w_i, w_j)/2 on an edge (i, j)."""
-        w = self.weights
-        coeffs = np.array([float(w[i]) if i == j else -float(max(w[i], w[j])) / 2.0
-                           for i, j in self.settings])
+        """:attr:`coefficient_matrix` at each setting, aligned with
+        :attr:`settings`, whose edges are the upper triangle of
+        :attr:`orthogonal` in row-major order, as the graph's are."""
+        rows, cols = np.nonzero(self.orthogonal)
+        upper, matrix = rows < cols, self.coefficient_matrix
+        coeffs = np.concatenate([np.diagonal(matrix),
+                                 np.repeat(matrix[rows[upper], cols[upper]], 2)])
         coeffs.setflags(write=False)
         return coeffs
 
@@ -139,7 +152,7 @@ class SicSet:
         """The rank-1 projectors onto the rays, a read-only (n, d, d)
         stack.  The other arm's family is its entrywise conjugate, formed
         only in :mod:`sicbell.quantum` (``born_probabilities`` and
-        ``bell_operator``)."""
+        ``block_operator``)."""
         vecs = self.unit_vectors
         stack = np.einsum("ia,ib->iab", vecs, vecs.conj())
         stack.setflags(write=False)

@@ -4,7 +4,7 @@ One party measures the catalog projectors directly, the other always
 measures their entrywise complex conjugates; this pairing is hard-wired
 because it is what makes the diagonal probabilities land on 1/d for the
 maximally entangled state.  The conjugate family is formed here and
-nowhere else: :func:`born_probabilities` and :func:`bell_operator` take
+nowhere else: :func:`born_probabilities` and :func:`block_operator` take
 one arm's (n, d, d) effect stack and conjugate it for the other.
 
 A state is its density matrix, a plain (d^2, d^2) array on the joint
@@ -26,7 +26,8 @@ The functional evaluated here is
 
 with the pair weight w_ij = max(w_i, w_j).  The setting order and the
 signed weights come from :mod:`sicbell.catalog` (``SicSet.settings``
-and ``SicSet.coefficients``).  ``SicSet.settings`` is the only record
+and ``SicSet.coefficients``; the operator reads them as the matrix
+``SicSet.coefficient_matrix``).  ``SicSet.settings`` is the only record
 of the order: a table's ``values[k]`` belongs to ``sic.settings[k]``.
 """
 
@@ -138,15 +139,18 @@ def bell_operator(sic: SicSet) -> np.ndarray:
     B = sum_i w_i Pi_i x Pi_i* - sum_(i,j) (w_ij/2)(Pi_i x Pi_j* + Pi_j x Pi_i*),
     a Hermitian d^2 x d^2 matrix.  beta(rho) = Tr[rho B], so the largest
     eigenvalue of B is the ceiling of the functional over all states for
-    this measurement family.  The signed weights are laid out as an
-    n x n matrix C and the projectors as the rows of an (n, d^2) matrix
-    P, so B = sum_ij C_ij Pi_i x Pi_j* is the product P^T C P*, indexed
-    by ((a, c), (b, e)) and realigned to ((a, b), (c, e)).
+    this measurement family: :func:`block_operator` of the whole set.
     """
-    ii, jj = np.asarray(sic.settings, dtype=int).reshape(-1, 2).T
-    coeffs = np.zeros((sic.n, sic.n))
-    coeffs[ii, jj] = sic.coefficients
-    d = sic.dimension
-    rows = sic.projectors.reshape(sic.n, d * d)
-    op = rows.T @ coeffs @ rows.conj()
+    return block_operator(sic.projectors, sic.coefficient_matrix)
+
+
+def block_operator(projectors: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_ij C_ij Pi_i x Pi_j* for a (k, d, d) projector stack and a
+    (k, k) coefficient matrix C, such as a set's or a coordinate block's.
+    With the projectors as the rows of a (k, d^2) matrix P it is
+    P^T C P*, indexed by ((a, c), (b, e)) and realigned to ((a, b), (c, e)).
+    """
+    k, d = len(projectors), projectors.shape[-1]
+    rows = projectors.reshape(k, d * d)
+    op = rows.T @ coefficients @ rows.conj()
     return op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)

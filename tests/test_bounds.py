@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sicbell import bounds
+from sicbell import bounds, catalog
 from sicbell.bounds import (
     BoundsReport,
     ThetaNonConvergence,
@@ -26,7 +26,7 @@ from sicbell.bounds import (
 )
 from sicbell.catalog import SicSet, WeightedGraph, get_set, orthogonality_graph
 from sicbell.exact import ZERO, ExactScalar
-from sicbell.quantum import bell_operator
+from sicbell.quantum import bell_operator, block_operator
 
 from exact_oracle import bell_operator_exact, is_above_spectrum, is_psd
 
@@ -394,7 +394,7 @@ def test_theta_nonconvergence_reports_bracket():
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(cycle5(), tol=2e-14, max_iter=30)
     exc = err.value
-    best = bounds._loop(_Program(cycle5()), 2e-14, 30)
+    best = next(bounds._steps(_Program(cycle5()), 2e-14, 30))
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
         best.value, best.dual_bound, 30)
     assert exc.primal_bound <= np.sqrt(5.0) <= exc.dual_bound
@@ -472,9 +472,9 @@ def test_split_theta_nonconvergence_reports_the_whole_bracket():
     exc = err.value
     assert exc.primal_bound <= np.sqrt(5.0) <= exc.dual_bound
     assert exc.dual_bound - exc.primal_bound < 1e-12
-    c5 = bounds._loop(_Program(cycle5()), 3e-14, bounds._MAX_ITER)
-    vertex = bounds._loop(_Program(WeightedGraph(1, (1,), ())), 3e-14,
-                          bounds._MAX_ITER - c5.iterations)
+    c5 = next(bounds._steps(_Program(cycle5()), 3e-14, bounds._MAX_ITER))
+    vertex = next(bounds._steps(_Program(WeightedGraph(1, (1,), ())), 3e-14,
+                                bounds._MAX_ITER - c5.iterations))
     assert c5.gap > 3e-14 and vertex.iterations == 1
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
         max(c5.value, vertex.value), max(c5.dual_bound, vertex.dual_bound),
@@ -492,9 +492,9 @@ def test_split_theta_nonconvergence_sums_a_union():
         solve_theta(g, tol=4e-14)
     exc = err.value
     c5_graph, c5_tol, vertex_graph, vertex_tol = c5_and_vertex_at(4e-14)
-    c5 = bounds._loop(_Program(c5_graph), c5_tol, bounds._MAX_ITER)
-    vertex = bounds._loop(_Program(vertex_graph), vertex_tol,
-                          bounds._MAX_ITER - c5.iterations)
+    c5 = next(bounds._steps(_Program(c5_graph), c5_tol, bounds._MAX_ITER))
+    vertex = next(bounds._steps(_Program(vertex_graph), vertex_tol,
+                                bounds._MAX_ITER - c5.iterations))
     cert = _assembled(g, [[0, 1, 2, 3, 4], [5]], [c5, vertex])
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
         cert.value, cert.dual_bound, c5.iterations + vertex.iterations)
@@ -540,8 +540,8 @@ def test_max_iter_caps_the_pieces_together():
     assert solve_theta(g, max_iter=c5 + 1).iterations == c5 + 1
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, max_iter=c5 - 1)
-    parts = [bounds._loop(_Program(c5_graph), c5_tol, c5 - 1),
-             bounds._loop(_Program(vertex_graph), vertex_tol, 1)]
+    parts = [next(bounds._steps(_Program(c5_graph), c5_tol, c5 - 1)),
+             next(bounds._steps(_Program(vertex_graph), vertex_tol, 1))]
     cert = _assembled(g, [[0, 1, 2, 3, 4], [5]], parts)
     assert (err.value.primal_bound, err.value.dual_bound, err.value.iterations) == (
         cert.value, cert.dual_bound, c5)
@@ -559,18 +559,25 @@ def test_theta_stalled_bracket_stops_early():
 
 def test_a_tol_below_the_rounding_floor_runs_nothing(monkeypatch):
     # ks18's floor is 2 * 19 * eps * 18, about 1.5e-13: a tol below it is
-    # refused before the start is certified or any loop runs
-    def never(*args):
-        raise AssertionError("no certificate may be computed")
-
-    monkeypatch.setattr(bounds, "_loop", never)
-    monkeypatch.setattr(_Program, "certify", never)
+    # refused before any certificate is computed or any loop runs.  Its
+    # closed form, no narrower than the floor, cannot take such a tol
+    # either, so bounds_report refuses it with the same error
     sic = get_set("ks18")
     floor = bounds._rounding_floor(sic.graph, bounds._decompose(sic.graph)[1])
     assert floor == 2 * 19 * bounds._EPS * 18.0
-    for tol in (1e-13, 5e-324, math.nextafter(floor, 0.0)):
+    tols = (1e-13, 5e-324, math.nextafter(floor, 0.0))
+    for tol in tols:
         with pytest.raises(ValueError, match="rounding floor 1.52e-13"):
-            solve_theta(sic.graph, tol=tol, start=_closed_form_start(sic))
+            bounds_report(sic, tol=tol)
+
+    def never(*args):
+        raise AssertionError("no certificate may be computed")
+
+    monkeypatch.setattr(bounds, "_steps", never)
+    monkeypatch.setattr(_Program, "certify", never)
+    for tol in tols:
+        with pytest.raises(ValueError, match="rounding floor 1.52e-13"):
+            solve_theta(sic.graph, tol=tol)
 
 
 def test_a_join_certifies_below_the_whole_graph_floor():
@@ -597,7 +604,7 @@ def test_a_fixed_point_stops_the_loop():
     # rounding floor is 1.8e-15), and the loop returns it at iteration 1
     # instead of waiting out the stall rule
     vertex = WeightedGraph(1, (2,), ())
-    res = bounds._loop(_Program(vertex), 7.1e-15, bounds._MAX_ITER)
+    res = next(bounds._steps(_Program(vertex), 7.1e-15, bounds._MAX_ITER))
     assert res.iterations == 1 and res.gap > 7.1e-15
     assert res.value <= 2.0 <= res.dual_bound
     with pytest.raises(ThetaNonConvergence) as err:
@@ -611,7 +618,7 @@ def test_a_fixed_point_part_costs_one_iteration():
     # its 7.1e-15 share, stops at its fixed point after one iteration
     g = c5_plus_vertex(2, joined=False)
     c5_graph, c5_tol, _, _ = c5_and_vertex_at(2.5e-14)
-    c5 = bounds._loop(_Program(c5_graph), c5_tol, bounds._MAX_ITER)
+    c5 = next(bounds._steps(_Program(c5_graph), c5_tol, bounds._MAX_ITER))
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, tol=2.5e-14)
     assert err.value.iterations == c5.iterations + 1 == 2_701
@@ -687,10 +694,10 @@ def test_bell_operator_is_built_only_past_the_closed_bracket(monkeypatch):
     class Built(Exception):
         pass
 
-    def refuse(sic):
-        raise Built(sic.name)
+    def refuse(projectors, coefficients):
+        raise Built(projectors.shape)
 
-    monkeypatch.setattr(bounds, "bell_operator", refuse)
+    monkeypatch.setattr(bounds, "block_operator", refuse)
     for name in ("ks18", "ks21"):
         rep = bounds_report(get_set(name))
         assert rep.theta == rep.beta_ideal
@@ -708,11 +715,11 @@ def test_the_ceiling_splits_over_coordinate_blocks(monkeypatch):
     alone = bounds_report(yo13)
     built = []
 
-    def spy(sic):
-        built.append(sic.dimension)
-        return bell_operator(sic)
+    def spy(projectors, coefficients):
+        built.append(projectors.shape[-1])
+        return block_operator(projectors, coefficients)
 
-    monkeypatch.setattr(bounds, "bell_operator", spy)
+    monkeypatch.setattr(bounds, "block_operator", spy)
     rep = bounds_report(direct_sum(yo13, ks18))
     assert (rep.theta, rep.theta_gap) == (alone.theta, alone.theta_gap)
     assert sorted(built) == [3, 4]
@@ -748,22 +755,21 @@ def test_block_brackets_hold_the_exact_ceiling(sic, ceiling, block):
 
 
 def test_coordinate_blocks():
-    # the blocks that hold rays, in order of their lowest coordinate; a
-    # set that is one block over all its coordinates, or has a zero ray,
-    # is itself
+    # the (rays, coords) of the blocks that hold rays, in order of their
+    # lowest coordinate; a set that is one block over all its coordinates
+    # is one block of every ray and coordinate.  A coordinate no ray uses,
+    # and a zero ray, are in no block
     yo13 = get_set("yo13")
     for name in ("yo13", "ks18", "ks21"):
         sic = get_set(name)
-        assert _coordinate_blocks(sic) == [sic]
+        assert _coordinate_blocks(sic) == [(list(range(sic.n)), list(range(sic.dimension)))]
     blocks = _coordinate_blocks(direct_sum(basis_ray(2), yo13, basis_ray(1)))
-    assert [(b.dimension, b.vectors, b.weights) for b in blocks] == [
-        (1, basis_ray(2).vectors, (2,)), (3, yo13.vectors, yo13.weights),
-        (1, basis_ray(1).vectors, (1,))]
+    assert blocks == [([0], [0]), (list(range(1, 14)), [1, 2, 3]), ([14], [4])]
     unused = _coordinate_blocks(direct_sum(yo13, dimension=5))
-    assert [(b.dimension, b.vectors) for b in unused] == [(3, yo13.vectors)]
+    assert unused == [(list(range(13)), [0, 1, 2])]
     zero = direct_sum(yo13, SicSet(name="zero", dimension=1, vectors=((ZERO,),),
                                    weights=(1,)))
-    assert _coordinate_blocks(zero) == [zero]
+    assert _coordinate_blocks(zero) == [(list(range(13)), [0, 1, 2])]
 
 
 def test_round_down_is_the_float_just_below():
@@ -795,7 +801,8 @@ def test_ceiling_brackets_hold_the_exact_ceiling(sic, ceiling):
     assert attained == ExactScalar(ceiling * d, 0)
     assert is_above_spectrum(ceiling, op)
     ceiling_res = state_ceiling(bell_operator(sic))
-    brackets = [(ceiling_res.value, ceiling_res.dual_bound), _ceiling_bracket(sic)]
+    brackets = [(ceiling_res.value, ceiling_res.dual_bound),
+                _ceiling_bracket(sic, range(sic.n), range(sic.dimension))]
     for lower, upper in brackets:
         assert Fraction(lower) <= ceiling
         assert is_above_spectrum(upper, op)
@@ -846,9 +853,13 @@ def test_closed_form_certificate_is_exact(name):
 def test_closed_form_start_certifies_before_the_loop(name):
     sic = get_set(name)
     target = sic.n / sic.dimension
-    res = solve_theta(sic.graph, start=_closed_form_start(sic))
+    res = _Program(sic.graph).certify_start(_closed_form_start(sic))
     assert res.iterations == 0
     assert res.gap <= 1e-12
+    # bounds_report takes it as theta_graph's bracket, and runs no loop
+    rep = bounds_report(sic)
+    assert (rep.theta_graph, rep.theta_graph_gap, rep.theta_graph_iterations) == (
+        res.value, res.gap, 0)
     assert res.value <= target <= res.dual_bound
     # the certified point is feasible and attains the value, exactly
     x = res.matrix
@@ -889,19 +900,24 @@ def test_no_regular_cover_falls_back_to_the_loop(contexts):
 
 
 @pytest.mark.parametrize("scale", [0.99, 1.01, 0.0])
-def test_a_wrong_dual_start_never_excludes_the_optimum(scale):
+def test_a_wrong_dual_start_never_excludes_the_optimum(scale, monkeypatch):
     # any edge-supported H is dual feasible: a scaled one only loosens
-    # the bracket, and then the loop runs exactly as without a start
+    # the bracket.  bounds_report then runs the loop exactly as on a set
+    # without a closed form, and takes the loose bracket as it is at a
+    # tol wide enough for it
     ks18 = get_set("ks18")
     x0, h = _closed_form_start(ks18)
     start = (x0, scale * h)
-    res = solve_theta(ks18.graph, start=start)
-    assert res.value <= 4.5 <= res.dual_bound
-    assert _fields(res) == _fields(solve_theta(ks18.graph))
-    # a tol wide enough to take the loose bracket as it is
-    loose = solve_theta(ks18.graph, tol=20.0, start=start)
-    assert loose.iterations == 0
-    assert loose.value <= 4.5 <= loose.dual_bound
+    cert = _Program(ks18.graph).certify_start(start)
+    assert cert.iterations == 0 and cert.gap > 1e-6
+    assert cert.value <= 4.5 <= cert.dual_bound
+    monkeypatch.setattr(bounds, "_closed_form_start", lambda sic: start)
+    rep, plain = bounds_report(ks18), solve_theta(ks18.graph)
+    assert (rep.theta_graph, rep.theta_graph_gap, rep.theta_graph_iterations) == (
+        plain.value, plain.gap, plain.iterations)
+    loose = bounds_report(ks18, tol=20.0)
+    assert (loose.theta_graph, loose.theta_graph_gap, loose.theta_graph_iterations) == (
+        cert.value, cert.gap, 0)
 
 
 def test_start_off_the_edges_is_projected():
@@ -910,46 +926,70 @@ def test_start_off_the_edges_is_projected():
     ks18 = get_set("ks18")
     x0, h = _closed_form_start(ks18)
     skewed = x0 + 0.01 * np.triu(np.ones_like(x0))
-    res = solve_theta(ks18.graph, tol=10.0, start=(skewed, h))
+    res = _Program(ks18.graph).certify_start((skewed, h))
     assert res.iterations == 0
     assert all(res.matrix[i, j] == 0.0 for i, j in ks18.graph.edges)
     assert res.value <= 4.5 <= res.dual_bound
 
 
-def test_a_join_gives_its_parts_no_start():
-    # a start is tried on the whole graph, and a loose one is dropped
-    # before the split: the parts of a join are renumbered, so they never
-    # get it.  C5 joined to one vertex
-    g = c5_plus_vertex(1, joined=True)
-    start = (np.eye(6) / 6, np.zeros((6, 6)))
-    assert _fields(solve_theta(g, 1e-6, start=start)) == _fields(solve_theta(g, 1e-6))
-    # a tol wide enough takes it as it is, on the whole graph
-    loose = solve_theta(g, tol=10.0, start=start)
-    assert loose.iterations == 0 and loose.matrix.shape == (6, 6)
-    assert loose.value <= np.sqrt(5.0) <= loose.dual_bound
-
-
 @pytest.mark.parametrize("kind", ["leaf", "union", "join"])
 def test_a_result_certifies_as_its_own_start(kind):
-    # (matrix, h) is the whole certificate: passed back, it certifies
-    # before the first iteration
+    # (matrix, h) is the whole certificate: passed back, it certifies on
+    # the whole graph within tol, with no iteration
     g = {"leaf": cycle5(), "union": c5_plus_vertex(2, joined=False),
          "join": c5_plus_vertex(2, joined=True)}[kind]
     res = solve_theta(g)
     assert res.iterations > 0
-    again = solve_theta(g, start=(res.matrix, res.h))
-    assert again.iterations == 0
+    again = _Program(g).certify_start((res.matrix, res.h))
+    assert again.iterations == 0 and again.gap <= 1e-6
     theta = np.sqrt(5.0) + (2.0 if kind == "union" else 0.0)
     assert again.value <= theta <= again.dual_bound
 
 
-def test_malformed_start_rejected():
-    g = cycle5()
-    good = np.eye(5) / 5
-    for start in ((np.eye(4), good), (good, np.zeros((5, 4))),
-                  (good, np.full((5, 5), np.nan)), (np.zeros((5, 5)), good)):
-        with pytest.raises(ValueError, match="^start must be two finite"):
-            solve_theta(g, start=start)
+@pytest.mark.parametrize("name", ["ks18", "ks21"])
+def test_a_closed_form_runs_no_solver(name, monkeypatch):
+    # bounds_report certifies ks18's and ks21's closed form itself: it
+    # never calls solve_theta, nor walks the rounding floor
+    def never(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(bounds, "solve_theta", never)
+    monkeypatch.setattr(bounds, "_rounding_floor", never)
+    rep = bounds_report(get_set(name))
+    assert rep.theta_graph_iterations == 0
+    assert rep.theta == rep.beta_ideal
+
+
+def test_the_ceiling_builds_the_graph_once(monkeypatch):
+    # yo13 (+) ks18's blocks are read off the set's own projectors and
+    # coefficient matrix: no block rebuilds its orthogonality graph
+    calls = []
+
+    def counted(sic):
+        calls.append(sic.n)
+        return orthogonality_graph(sic)
+
+    monkeypatch.setattr(catalog, "orthogonality_graph", counted)
+    rep = bounds_report(direct_sum(get_set("yo13"), get_set("ks18")))
+    assert calls == [31]
+    assert rep.theta == 35 / 3
+
+
+def test_an_empty_set_has_zero_bounds():
+    # no ray, so no coordinate block: every bound is 0
+    rep = bounds_report(SicSet(name="empty", dimension=2, vectors=(), weights=()))
+    assert (rep.alpha, rep.theta, rep.theta_gap, rep.theta_graph, rep.beta_ideal) == (
+        0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_a_zero_ray_is_refused():
+    # no state clicks on a zero ray, so sum(w) / d would count weight no
+    # state reaches: yo13 with a zero ray of weight 1 is refused, by name
+    yo13 = get_set("yo13")
+    sic = dataclasses.replace(yo13, vectors=yo13.vectors + ((ZERO,) * 3,),
+                              weights=yo13.weights + (1,))
+    with pytest.raises(ValueError, match="^ray 13 is the zero vector"):
+        bounds_report(sic)
 
 
 def test_bounds_report_margins():

@@ -157,6 +157,10 @@ def test_bell_layout_is_cached_and_read_only():
     assert s.coefficients.tolist() == expected
     with pytest.raises(ValueError):
         s.coefficients[0] = 0.0
+    assert s.coefficient_matrix is s.coefficient_matrix
+    assert [s.coefficient_matrix[i, j] for i, j in s.settings] == expected
+    with pytest.raises(ValueError):
+        s.coefficient_matrix[0, 0] = 0.0
 
 
 def test_verify_set_passes_builtin():

@@ -48,8 +48,8 @@ from sicbell.bounds import (
     _closed_form_start,
     _decompose,
     _induced,
-    _loop,
     _rounding_floor,
+    _steps,
     bounds_report,
     ks_colorable,
     max_weight_independent_set,
@@ -368,7 +368,7 @@ def test_a_direct_sum_ceiling_is_its_largest_part(first, second, data):
     total = padded_sum(first, second, order)
     lower, upper = _ends(bounds_report(total))
     assert upper - lower <= Fraction(1e-6)
-    whole = _ceiling_bracket(total)
+    whole = _ceiling_bracket(total, range(total.n), range(total.dimension))
     assert lower <= Fraction(whole[1]) and Fraction(whole[0]) <= upper
     parts = [_ends(bounds_report(part)) for part in (first, second)]
     assert lower <= max(up for _, up in parts)
@@ -406,6 +406,21 @@ def test_independence_number_is_below_theta_graph(sic):
 def test_alpha_is_the_local_bound(sic):
     assert (local_bound(sic.settings, sic.coefficients)
             == max_weight_independent_set(sic.graph)[0])
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets())
+def test_coefficients_match_the_setting_loop(sic):
+    # the signed-weight matrix, read off the orthogonality mask, holds
+    # each setting's coefficient at that setting and is zero elsewhere;
+    # the per-setting rule, a loop over the settings, is the reference
+    w = sic.weights
+    expected = [float(w[i]) if i == j else -float(max(w[i], w[j])) / 2.0
+                for i, j in sic.settings]
+    assert sic.coefficients.tolist() == expected
+    matrix = sic.coefficient_matrix
+    assert [matrix[i, j] for i, j in sic.settings] == expected
+    assert np.count_nonzero(matrix) == len(sic.settings)
 
 
 def realize(graph: WeightedGraph) -> SicSet:
@@ -529,7 +544,7 @@ def test_split_mwis_matches_branch_and_bound_oracle(graph):
 def test_split_theta_bracket_meets_the_whole_graph_bracket(graph, tol):
     # the split solve and the loop on the whole graph are both
     # certified, so both brackets hold theta and they overlap
-    whole = _loop(_Program(graph), tol, 5_000)
+    whole = next(_steps(_Program(graph), tol, 5_000))
     assume(whole.gap <= tol)
     split = solve_theta(graph, tol=tol)
     assert split.value <= whole.dual_bound
@@ -555,17 +570,18 @@ def _catalog_with_start(name):
        st.sampled_from([None, 1e-6]))
 def test_no_bracket_is_narrower_than_the_rounding_floor(problem, tol):
     # the best certificate a short run reaches, certified or not, at the
-    # floor itself and at a loose tol, where ks18 and ks21 take their
-    # closed-form start: its gap is at least the floor
+    # floor itself and at a loose tol, and ks18's and ks21's closed form:
+    # each gap is at least the floor
     graph, start = problem
     floor = _rounding_floor(graph, _decompose(graph)[1])
     try:
-        res = solve_theta(graph, tol=floor if tol is None else tol, max_iter=300,
-                          start=start)
+        res = solve_theta(graph, tol=floor if tol is None else tol, max_iter=300)
         gap = res.gap
     except ThetaNonConvergence as exc:
         gap = exc.dual_bound - exc.primal_bound
     assert gap >= floor
+    if start is not None:
+        assert _Program(graph).certify_start(start).gap >= floor
 
 
 def test_catalog_and_dense_random_graphs_are_one_piece():
@@ -699,13 +715,13 @@ def test_a_join_part_under_the_cap_keeps_the_join_certified(c5_weight, vertex_we
     c5 = WeightedGraph(5, (c5_weight,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
     graph = WeightedGraph(6, c5.weights + (vertex_weight,),
                           c5.edges + tuple((v, 5) for v in range(5)))
-    vertex = _loop(_Program(WeightedGraph(1, (vertex_weight,), ())), tol, 1)
-    probe = _loop(_Program(c5), tol, 1)
+    vertex = next(_steps(_Program(WeightedGraph(1, (vertex_weight,), ())), tol, 1))
+    probe = next(_steps(_Program(c5), tol, 1))
     assert vertex.gap <= tol < probe.gap
     part, iterations = probe, 2
     if probe.dual_bound > vertex.dual_bound:
         # the capped loop goes on from the probe, whose iteration it counts
-        part = _loop(_Program(c5), tol, 1_000, cap=vertex.dual_bound)
+        part = next(_steps(_Program(c5), tol, 1_000, cap=vertex.dual_bound))
         assert tol < part.gap and part.dual_bound <= vertex.dual_bound
         iterations += part.iterations - 1
     res = solve_theta(graph, tol=tol)
