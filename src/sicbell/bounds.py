@@ -12,9 +12,9 @@ cheapest certificate that closes it:
                  X_ij = 0                 for every edge (i, j),
 
   Knuth's n x n form of the weighted Lovasz number ("The Sandwich
-  Theorem", Electron. J. Combin. 1 (1994) A1), from the set's own
-  certificate where it has one (:func:`_closed_form_start`), or else
-  from the solver, :func:`solve_theta`;
+  Theorem", Electron. J. Combin. 1 (1994) A1), from the closed forms of
+  the set's coordinate blocks where each block has one
+  (:func:`_block_start`), or else from the solver, :func:`solve_theta`;
 * the quantum ceiling, the top eigenvalue of the set's Bell operator,
   from the maximally entangled states of its coordinate blocks and
   theta_graph's upper end, or else from each block's operator
@@ -137,11 +137,15 @@ def max_weight_independent_set(graph: WeightedGraph):
     Tomita & Seki (2003) and Östergård (Nordic J. Computing 8, 2001) on
     the complement graph.
     """
+    return _independent_set(graph, *_decompose(graph))
+
+
+def _independent_set(graph: WeightedGraph, adj: list, tree):
+    """The search on a split (:func:`_decompose`) its caller reads too."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
     w = list(graph.weights)
-    adj, tree = _decompose(graph)
 
     def clique_cover_bound(cand):
         total = 0
@@ -394,8 +398,8 @@ class _Program:
 
     def certify_start(self, start) -> ThetaResult:
         """The certificate of a pair ``(x0, h)`` of (n, n) float arrays
-        that did not come from the loop: a set's closed form
-        (:func:`_closed_form_start`) or a union's assembly
+        that did not come from the loop: a block's closed form
+        (:func:`_block_start`) or a union's assembly
         (:func:`_union_start`).  x0 is first projected onto symmetric
         matrices with zero edge entries, which leaves a feasible x0 as
         it is; h is read on edges alone."""
@@ -677,37 +681,45 @@ class BoundsReport:
     theta_graph_iterations: int
 
 
-def _closed_form_start(sic: SicSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The set's own theta_graph certificate as a pair ``(x0, h)`` for
-    ``_Program.certify_start``, for a unit-weight set whose contexts are
-    d-element bases covering every ray the same number of times r, such
-    as ks18 and ks21; None otherwise.
+def _block_start(sic: SicSet, adj: list, rays: list, coords: list
+                 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The closed-form theta_graph certificate of the coordinate block of
+    ``rays`` on ``coords``: a pair ``(x0, h)`` for ``_Program.certify_start``
+    on the graph the rays induce, if their weights are 1 and their bases,
+    the d-cliques of ``adj`` (d = len(coords); d pairwise orthogonal
+    nonzero rays in d dimensions are a basis), cover each ray r times, as
+    in ks18 and ks21; None otherwise.
 
     x0 is the Cabello-Severini-Winter matrix |<v_i|v_j>|^2 / n (PRL 112,
     040401 (2014)): the Gram matrix of the v_i (x) conj(v_i) over n, so
-    PSD with unit trace, zero on edges (up to the rounding that
-    certify_start's projection removes), and of value
-    ||sum_i P_i||_F^2 / n = n / d, since the r-fold cover by bases makes
+    PSD with unit trace, zero on edges up to rounding, and of value
+    ||sum_i P_i||_F^2 / n = n / d, as the r-fold cover by bases makes
     sum_i P_i = (n / d) I.  h is (n / (d r)) (B B^T - r I), B the ray by
-    context incidence matrix.  B B^T has the all-ones vector as an
-    eigenvector of eigenvalue d r, so J - (n / (d r)) B B^T vanishes on
-    it and is negative semidefinite on its complement, and J - h has top
-    eigenvalue n / d.  h is nonzero only on pairs that share a context;
-    certify_start reads it on edges alone, so a context that is not
-    orthogonal loosens the bracket and never falsifies it."""
-    n, d, contexts = sic.n, sic.dimension, sic.contexts
-    if not contexts or any(w != 1 for w in sic.weights):
+    basis incidence matrix, nonzero only on edges.  B B^T has the
+    all-ones vector as an eigenvector of eigenvalue d r, so
+    J - (n / (d r)) B B^T vanishes on it and is negative semidefinite on
+    its complement, and J - h has top eigenvalue n / d."""
+    n, d = len(rays), len(coords)
+    if any(sic.weights[i] != 1 for i in rays):
         return None
-    incidence = np.zeros((n, len(contexts)))
-    for k, ctx in enumerate(contexts):
-        if len(set(ctx)) != d or not all(0 <= v < n for v in ctx):
-            return None
-        incidence[list(ctx), k] = 1.0
+    # (clique, rays that extend it past its highest, rays still to add)
+    bases, stack = [], [(0, sum(1 << i for i in rays), d)]
+    while stack:
+        basis, cand, left = stack.pop()
+        while cand.bit_count() >= left:
+            v = cand & -cand
+            cand ^= v
+            if left == 1:
+                bases.append(basis | v)
+            else:
+                stack.append((basis | v, cand & adj[v.bit_length() - 1], left - 1))
+    incidence = ((np.array(bases, dtype=np.uint64) >> np.array(rays, dtype=np.uint64)[:, None])
+                 & np.uint64(1)).astype(float)
     cover = incidence.sum(axis=1)
     r = cover[0]
-    if (cover != r).any():
+    if not r or (cover != r).any():
         return None
-    vecs = sic.unit_vectors
+    vecs = sic.unit_vectors[np.ix_(rays, coords)]
     x0 = np.abs(vecs @ vecs.conj().T) ** 2 / n
     h = n / (d * r) * (incidence @ incidence.T - r * np.eye(n))
     return x0, h
@@ -760,11 +772,11 @@ def _ceiling_bracket(sic: SicSet, rays: list, coords: list) -> tuple[float, floa
 def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     """Bundle the classical bound, the quantum ceiling, and the ideal value.
 
-    A set with a zero ray, which no state can click, is refused.
-    ``theta_graph``'s bracket is the set's closed-form certificate
-    (:func:`_closed_form_start`) where it has one within tol, as ks18
-    and ks21 do (about 5e-13 wide, 0 iterations), and otherwise
-    :func:`solve_theta`'s.
+    A set with a zero ray, which no state can click, is refused.  If each
+    coordinate block has a closed form (:func:`_block_start`), from its own
+    bases and not the declared contexts, and the join of theirs is within
+    tol, that is ``theta_graph``'s bracket (ks18, ks21 and their direct
+    sums, at 0 iterations); else :func:`solve_theta`'s (yo13, yo13 (+) ks18).
 
     The quantum ceiling's lower end is the largest sum(w_b) / d_b over
     the set's coordinate blocks (:func:`_coordinate_blocks`), rounded
@@ -786,13 +798,21 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     zero = np.flatnonzero(np.diagonal(sic.orthogonal))
     if zero.size:
         raise ValueError(f"ray {zero[0]} is the zero vector: no state can click it")
-    alpha, witness = max_weight_independent_set(graph)
+    adj, tree = _decompose(graph)
+    alpha, witness = _independent_set(graph, adj, tree)
     _check_tol(tol)
-    start = _closed_form_start(sic)
-    theta_graph = None if start is None else _Program(graph).certify_start(start)
+    weights, blocks, parts = sic.weights, _coordinate_blocks(sic), []
+    for rays, coords in blocks:
+        start = _block_start(sic, adj, rays, coords)
+        if start is None:
+            break
+        parts.append(_Program(_induced(graph, sum(1 << i for i in rays))).certify_start(start))
+    theta_graph = None
+    if blocks and len(parts) == len(blocks):
+        theta_graph = (parts[0] if len(parts) == 1
+                       else _join_result(graph, [rays for rays, _ in blocks], parts))
     if theta_graph is None or theta_graph.gap > tol:
         theta_graph = solve_theta(graph, tol)
-    weights, blocks = sic.weights, _coordinate_blocks(sic)
     lower = max((_round_down(sum(weights[i] for i in rays), len(coords))
                  for rays, coords in blocks), default=0.0)
     upper = theta_graph.dual_bound

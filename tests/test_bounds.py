@@ -14,8 +14,9 @@ from sicbell.bounds import (
     ThetaNonConvergence,
     ThetaResult,
     _Program,
+    _adjacency,
+    _block_start,
     _ceiling_bracket,
-    _closed_form_start,
     _coordinate_blocks,
     _round_down,
     _union_start,
@@ -147,6 +148,44 @@ def basis_ray(weight):
     """One ray of ``weight`` in dimension 1."""
     return SicSet(name=f"e{weight}", dimension=1, vectors=((ExactScalar(1, 0),),),
                   weights=(weight,))
+
+
+def relabelled(sic, seed):
+    """The set with its rays shuffled, and its contexts renumbered along."""
+    perm = list(range(sic.n))
+    random.Random(seed).shuffle(perm)
+    inverse = {old: new for new, old in enumerate(perm)}
+    return dataclasses.replace(
+        sic, vectors=tuple(sic.vectors[old] for old in perm),
+        contexts=sic.contexts and tuple(tuple(inverse[v] for v in ctx)
+                                        for ctx in sic.contexts))
+
+
+def closed_form_start(sic):
+    """The closed-form pair of a set that is one coordinate block
+    (:func:`sicbell.bounds._block_start`), or None."""
+    (block,) = _coordinate_blocks(sic)
+    return _block_start(sic, _adjacency(sic.graph)[0], *block)
+
+
+def bases(graph, d):
+    """Every d-clique of the graph, as a frozenset, by plain recursion
+    over each clique's common neighbours."""
+    adj = {v: set() for v in range(graph.n)}
+    for i, j in graph.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    found = set()
+
+    def grow(clique, common):
+        if len(clique) == d:
+            found.add(frozenset(clique))
+        for v in common:
+            if v > max(clique, default=-1):
+                grow(clique + [v], common & adj[v])
+
+    grow([], set(range(graph.n)))
+    return found
 
 
 # ---------------------------------------------------------------- alpha
@@ -709,8 +748,8 @@ def test_the_ceiling_splits_over_coordinate_blocks(monkeypatch):
     # yo13 (+) ks18 brackets its ceiling from a 9 x 9 and a 16 x 16
     # operator, not its 49 x 49 one, and the bracket is yo13's bit for
     # bit.  On ks18 (+) ks21 the blocks' maximally entangled states give
-    # the lower end 4.5, within tol of theta_graph's upper end, so no
-    # operator is built
+    # the lower end 4.5, within tol of theta_graph's upper end, ks18's
+    # closed form, so no operator is built
     yo13, ks18, ks21 = (get_set(name) for name in ("yo13", "ks18", "ks21"))
     alone = bounds_report(yo13)
     built = []
@@ -727,7 +766,7 @@ def test_the_ceiling_splits_over_coordinate_blocks(monkeypatch):
     rep = bounds_report(direct_sum(ks18, ks21))
     assert built == []
     assert rep.theta == 4.5
-    assert 0.0 < rep.theta_gap <= 1e-6
+    assert 0.0 < rep.theta_gap <= 1e-12
 
 
 @pytest.mark.parametrize("sic, ceiling, block", [
@@ -821,7 +860,8 @@ def _fields(res):
 def test_closed_form_certificate_is_exact(name):
     # both halves over Fraction: X0_ij = |<v_i|v_j>|^2 / (|v_i|^2 |v_j|^2 n)
     # from the integer Gram product, |a + b w|^2 = a^2 + ab + b^2 for
-    # w = e^(i pi / 3), and H from the contexts alone
+    # w = e^(i pi / 3), and H from the bases, the d-cliques of the graph,
+    # which are the declared contexts
     sic = get_set(name)
     n, d = sic.n, sic.dimension
     re, w = (array.tolist() for array in sic.gram)
@@ -833,7 +873,9 @@ def test_closed_form_certificate_is_exact(name):
     assert is_psd(x0)
     assert sum(map(sum, x0)) == Fraction(n, d)
 
-    shared = [[sum(i in ctx and j in ctx for ctx in sic.contexts) for j in range(n)]
+    derived = bases(sic.graph, d)
+    assert derived == {frozenset(ctx) for ctx in sic.contexts}
+    shared = [[sum(i in ctx and j in ctx for ctx in derived) for j in range(n)]
               for i in range(n)]
     r = shared[0][0]
     h = [[Fraction(n, d * r) * (shared[i][j] if i != j else 0) for j in range(n)]
@@ -844,7 +886,7 @@ def test_closed_form_certificate_is_exact(name):
                    for i in range(n)])
 
     # the pair bounds_report passes on is these matrices in floating point
-    x0_float, h_float = _closed_form_start(sic)
+    x0_float, h_float = closed_form_start(sic)
     assert [[Fraction(v) for v in row] for row in h_float.tolist()] == h
     assert np.abs(x0_float - np.array(x0, dtype=float)).max() <= 1e-15
 
@@ -853,7 +895,7 @@ def test_closed_form_certificate_is_exact(name):
 def test_closed_form_start_certifies_before_the_loop(name):
     sic = get_set(name)
     target = sic.n / sic.dimension
-    res = _Program(sic.graph).certify_start(_closed_form_start(sic))
+    res = _Program(sic.graph).certify_start(closed_form_start(sic))
     assert res.iterations == 0
     assert res.gap <= 1e-12
     # bounds_report takes it as theta_graph's bracket, and runs no loop
@@ -875,25 +917,29 @@ def test_closed_form_start_certifies_before_the_loop(name):
 def test_closed_form_start_survives_relabelling(name, seed):
     # vectors and contexts permuted together: the same certificate
     sic = get_set(name)
-    perm = list(range(sic.n))
-    random.Random(seed).shuffle(perm)
-    inverse = {old: new for new, old in enumerate(perm)}
-    moved = dataclasses.replace(
-        sic, vectors=tuple(sic.vectors[old] for old in perm),
-        contexts=tuple(tuple(inverse[v] for v in ctx) for ctx in sic.contexts))
-    rep = bounds_report(moved)
+    rep = bounds_report(relabelled(sic, seed))
     assert rep.theta_graph_iterations == 0
     assert rep.theta_graph <= sic.n / sic.dimension <= rep.theta_graph + rep.theta_graph_gap
 
 
-@pytest.mark.parametrize("contexts", ["one_removed", "none"])
-def test_no_regular_cover_falls_back_to_the_loop(contexts):
-    ks18 = get_set("ks18")
-    sic = dataclasses.replace(
-        ks18, contexts=ks18.contexts[1:] if contexts == "one_removed" else None)
-    assert _closed_form_start(sic) is None
+@pytest.mark.parametrize("case", ["one_removed", "none"])
+def test_no_regular_cover_falls_back_to_the_loop(case):
+    # no declared contexts, and bases that cover the rays unevenly: ks18
+    # less ray 0, whose seven bases without it cover the rays of ray 0's
+    # two bases once and the rest twice, and yo13 at unit weights, whose
+    # four bases cover its rays 0, 1 or 2 times
+    if case == "one_removed":
+        ks18 = get_set("ks18")
+        sic = dataclasses.replace(ks18, vectors=ks18.vectors[1:],
+                                  weights=ks18.weights[1:], contexts=None)
+        assert len(bases(sic.graph, 4)) == 7
+    else:
+        yo13 = get_set("yo13")
+        sic = dataclasses.replace(yo13, weights=(1,) * yo13.n)
+        assert len(bases(sic.graph, 3)) == 4
+    assert closed_form_start(sic) is None
     rep = bounds_report(sic)
-    plain = solve_theta(ks18.graph)
+    plain = solve_theta(sic.graph)
     assert plain.iterations > 0
     assert (rep.theta_graph, rep.theta_graph_gap, rep.theta_graph_iterations) == (
         plain.value, plain.gap, plain.iterations)
@@ -906,12 +952,12 @@ def test_a_wrong_dual_start_never_excludes_the_optimum(scale, monkeypatch):
     # without a closed form, and takes the loose bracket as it is at a
     # tol wide enough for it
     ks18 = get_set("ks18")
-    x0, h = _closed_form_start(ks18)
+    x0, h = closed_form_start(ks18)
     start = (x0, scale * h)
     cert = _Program(ks18.graph).certify_start(start)
     assert cert.iterations == 0 and cert.gap > 1e-6
     assert cert.value <= 4.5 <= cert.dual_bound
-    monkeypatch.setattr(bounds, "_closed_form_start", lambda sic: start)
+    monkeypatch.setattr(bounds, "_block_start", lambda sic, adj, rays, coords: start)
     rep, plain = bounds_report(ks18), solve_theta(ks18.graph)
     assert (rep.theta_graph, rep.theta_graph_gap, rep.theta_graph_iterations) == (
         plain.value, plain.gap, plain.iterations)
@@ -924,7 +970,7 @@ def test_start_off_the_edges_is_projected():
     # a primal start that is not zero on edges, or not symmetric, is
     # projected before it is certified, so its lower bound still holds
     ks18 = get_set("ks18")
-    x0, h = _closed_form_start(ks18)
+    x0, h = closed_form_start(ks18)
     skewed = x0 + 0.01 * np.triu(np.ones_like(x0))
     res = _Program(ks18.graph).certify_start((skewed, h))
     assert res.iterations == 0
@@ -958,6 +1004,39 @@ def test_a_closed_form_runs_no_solver(name, monkeypatch):
     rep = bounds_report(get_set(name))
     assert rep.theta_graph_iterations == 0
     assert rep.theta == rep.beta_ideal
+
+
+@pytest.mark.parametrize("sic", [
+    direct_sum(get_set("ks18"), get_set("ks21")),
+    relabelled(direct_sum(get_set("ks18"), get_set("ks21")), 5),
+    direct_sum(get_set("ks18"), get_set("ks21"), get_set("ks18")),
+    direct_sum(get_set("ks18"), dimension=6)],
+    ids=["ks18+ks21", "relabelled", "ks18+ks21+ks18", "ks18+unused"])
+def test_closed_form_blocks_run_no_solver(sic, monkeypatch):
+    # no contexts are declared: each coordinate block's bases are its
+    # d-cliques, every block closes, and the join takes the bracket of a
+    # ks18 block, the heaviest, with no solver and no loop
+    def never(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(bounds, "solve_theta", never)
+    monkeypatch.setattr(bounds, "_steps", never)
+    rep = bounds_report(sic)
+    assert sic.contexts is None
+    assert rep.theta_graph_iterations == 0
+    assert rep.theta == 4.5
+    assert Fraction(rep.theta_graph) <= Fraction(9, 2) <= (
+        Fraction(rep.theta_graph) + Fraction(rep.theta_graph_gap))
+    assert 0.0 < rep.theta_graph_gap <= 1e-12
+
+
+def test_declared_contexts_are_not_read():
+    # ks18 with its contexts dropped finds them again as its bases: the
+    # same report, bit for bit, at 0 iterations
+    ks18 = get_set("ks18")
+    rep = bounds_report(dataclasses.replace(ks18, contexts=None))
+    assert rep == bounds_report(ks18)
+    assert rep.theta_graph_iterations == 0
 
 
 def test_the_ceiling_builds_the_graph_once(monkeypatch):

@@ -9,7 +9,8 @@ the weight-sum branch and bound, on random graphs and on nested unions
 and joins of them, the split theta_graph bracket against the
 whole-graph loop, both sides of its certificate exactly over Fraction,
 its width against the rounding floor, a join's iterations against its
-parts' solved alone, and KS colorability against
+parts' solved alone, the closed form of a direct sum of ks-type blocks
+against its heaviest block alone, and KS colorability against
 enumeration of every 0/1 assignment.  The independence number is checked as the local bound of
 the Bell functional, the best deterministic strategy found by
 enumeration, on random ray sets, on rays realizing random weighted
@@ -41,11 +42,14 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from sicbell import bounds
 from sicbell.bounds import (
     ThetaNonConvergence,
     _Program,
+    _adjacency,
+    _block_start,
     _ceiling_bracket,
-    _closed_form_start,
+    _coordinate_blocks,
     _decompose,
     _induced,
     _rounding_floor,
@@ -338,16 +342,26 @@ def test_theta_upper_end_holds_the_exact_operator(sic):
     assert is_above_spectrum(upper, bell_operator_exact(sic.vectors, sic.weights))
 
 
-def padded_sum(first: SicSet, second: SicSet, order) -> SicSet:
-    """first (+) second: each ray zero-padded into its own coordinate
-    block, ray k of the concatenation placed at position k of ``order``'s
-    inverse, i.e. the rays taken in ``order``."""
-    da, db = first.dimension, second.dimension
-    rays = ([v + (ZERO,) * db for v in first.vectors]
-            + [(ZERO,) * da + v for v in second.vectors])
-    weights = first.weights + second.weights
-    return SicSet(name="sum", dimension=da + db, vectors=tuple(rays[k] for k in order),
+def padded_sum(parts, order) -> SicSet:
+    """The direct sum of ``parts``: each ray zero-padded into its part's
+    coordinate block, in order, ray k of the concatenation placed at
+    position k of ``order``'s inverse, i.e. the rays taken in ``order``."""
+    d = sum(part.dimension for part in parts)
+    rays, weights, offset = [], (), 0
+    for part in parts:
+        after = d - offset - part.dimension
+        rays += [(ZERO,) * offset + v + (ZERO,) * after for v in part.vectors]
+        weights += part.weights
+        offset += part.dimension
+    return SicSet(name="sum", dimension=d, vectors=tuple(rays[k] for k in order),
                   weights=tuple(weights[k] for k in order))
+
+
+def block_set(sic: SicSet, rays, coords) -> SicSet:
+    """The set's ``rays`` on its ``coords``, a coordinate block, alone."""
+    return SicSet(name="block", dimension=len(coords),
+                  vectors=tuple(tuple(sic.vectors[i][c] for c in coords) for i in rays),
+                  weights=tuple(sic.weights[i] for i in rays))
 
 
 def _ends(report):
@@ -365,7 +379,7 @@ def test_a_direct_sum_ceiling_is_its_largest_part(first, second, data):
     # of the whole operator and [max of the parts' lower ends, max of
     # their upper ends]
     order = data.draw(st.permutations(range(first.n + second.n)))
-    total = padded_sum(first, second, order)
+    total = padded_sum([first, second], order)
     lower, upper = _ends(bounds_report(total))
     assert upper - lower <= Fraction(1e-6)
     whole = _ceiling_bracket(total, range(total.n), range(total.dimension))
@@ -561,7 +575,8 @@ def test_split_theta_bracket_meets_the_whole_graph_bracket(graph, tol):
 
 def _catalog_with_start(name):
     sic = get_set(name)
-    return sic.graph, _closed_form_start(sic)
+    (block,) = _coordinate_blocks(sic)
+    return sic.graph, _block_start(sic, _adjacency(sic.graph)[0], *block)
 
 
 @settings(max_examples=30, deadline=None)
@@ -731,6 +746,61 @@ def test_a_join_part_under_the_cap_keeps_the_join_certified(c5_weight, vertex_we
     assert (res.h[:5, :5] == part.h).all()
     _assert_lower_side_exact(graph, res)
     _assert_upper_side_exact(graph, res)
+
+
+_BASIS_RAY = SicSet(name="e", dimension=1, vectors=((ExactScalar(1, 0),),), weights=(1,))
+
+
+@st.composite
+def closed_form_sums(draw):
+    """A direct sum of ks18, ks21 (each at most once) and up to three
+    unit-weight basis rays, at least one part, the parts in random order
+    and the rays shuffled."""
+    names = draw(st.sets(st.sampled_from(["ks18", "ks21"])))
+    rays = draw(st.integers(0 if names else 1, 3))
+    parts = draw(st.permutations([get_set(name) for name in sorted(names)]
+                                 + [_BASIS_RAY] * rays))
+    return padded_sum(parts, draw(st.permutations(range(sum(p.n for p in parts)))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(closed_form_sums())
+def test_closed_form_blocks_join_to_the_heaviest(sic):
+    # every block closes on its own bases, so no loop runs, the bracket
+    # holds max n_b / d_b exactly, and the report is that of the heaviest
+    # block alone, its rays in the same order, bit for bit
+    blocks = _coordinate_blocks(sic)
+    rep = bounds_report(sic)
+    assert rep.theta_graph_iterations == 0
+    lower, top = Fraction(rep.theta_graph), max(Fraction(len(r), len(c)) for r, c in blocks)
+    assert lower <= top <= lower + Fraction(rep.theta_graph_gap)
+    heaviest = max((block_set(sic, *block) for block in blocks),
+                   key=lambda part: Fraction(part.n, part.dimension))
+    alone = bounds_report(heaviest)
+    assert (rep.theta_graph, rep.theta_graph_gap, rep.theta, rep.theta_gap) == (
+        alone.theta_graph, alone.theta_graph_gap, alone.theta, alone.theta_gap)
+
+
+def test_joined_closed_form_certificate_holds_exactly(monkeypatch):
+    # ks18 (+) ks21: the join of its blocks' closed forms is the
+    # certificate bounds_report takes.  Its matrix is PSD, zero on edges,
+    # of trace 1 up to rounding and of value at least the lower end, and
+    # dual_bound I - (W - h) is PSD, all over Fraction
+    joined = []
+    join = bounds._join_result
+
+    def spy(*args):
+        joined.append(join(*args))
+        return joined[-1]
+
+    monkeypatch.setattr(bounds, "_join_result", spy)
+    sic = padded_sum([get_set("ks18"), get_set("ks21")], range(39))
+    rep = bounds_report(sic)
+    (res,) = joined
+    assert (res.value, res.gap, res.iterations) == (rep.theta_graph, rep.theta_graph_gap, 0)
+    assert abs(sum(map(Fraction, np.diagonal(res.matrix).tolist())) - 1) <= 1e-14
+    _assert_lower_side_exact(sic.graph, res)
+    _assert_upper_side_exact(sic.graph, res)
 
 
 def _joins(node):
