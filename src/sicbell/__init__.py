@@ -3,10 +3,14 @@
 The package turns a set of rays whose orthogonality structure forbids a
 classical 0/1 assignment into a bipartite inequality: diagonal joint
 probabilities enter with positive weights, orthogonal pairs with
-negative ones.  It computes the classical bound exactly, the quantum
-ceiling as the top eigenvalue of the Bell operator, and the Lovasz bound
-with an in-house ADMM SDP solver; it predicts quantum values from one
-Born-rule contraction and simulates noisy photon-counting runs.
+negative ones.  It computes the classical bound exactly, and the Lovasz
+bound theta_graph in closed form when every coordinate block of the set
+has one (ks18, ks21 and their direct sums), with an in-house ADMM SDP
+solver otherwise.  The quantum ceiling, the top eigenvalue of the Bell
+operator, is bracketed by the blocks' maximally entangled states and
+theta_graph; a block's operator is built only when that bracket is
+wider than tol.  It predicts quantum values from one Born-rule
+contraction and simulates noisy photon-counting runs.
 
 The top level re-exports the few names a typical script needs; every
 other name is imported from its submodule (``sicbell.catalog``,

@@ -46,6 +46,7 @@ _ANDERSON_MEMORY = 10        # past steps the theta_graph extrapolation combines
 _STALL_CHECKS = 100          # certifications without a 1% narrower bracket
 _CHECK_EVERY = 25            # iterations between clock certifications
 _MAX_ITER = 200_000          # solve_theta's default iteration cap
+_BASES_BUDGET = 100_000      # steps of a block's bases search before it gives up
 
 
 class ThetaNonConvergence(RuntimeError):
@@ -688,7 +689,9 @@ def _block_start(sic: SicSet, adj: list, rays: list, coords: list
     on the graph the rays induce, if their weights are 1 and their bases,
     the d-cliques of ``adj`` (d = len(coords); d pairwise orthogonal
     nonzero rays in d dimensions are a basis), cover each ray r times, as
-    in ks18 and ks21; None otherwise.
+    in ks18 and ks21; None otherwise.  The search pops at most
+    ``_BASES_BUDGET`` partial bases (ks18 and ks21 take 57 and 76); past
+    that the block has no closed form, and the solver runs.
 
     x0 is the Cabello-Severini-Winter matrix |<v_i|v_j>|^2 / n (PRL 112,
     040401 (2014)): the Gram matrix of the v_i (x) conj(v_i) over n, so
@@ -704,7 +707,9 @@ def _block_start(sic: SicSet, adj: list, rays: list, coords: list
         return None
     # (clique, rays that extend it past its highest, rays still to add)
     bases, stack = [], [(0, sum(1 << i for i in rays), d)]
-    while stack:
+    for _ in range(_BASES_BUDGET):
+        if not stack:
+            break
         basis, cand, left = stack.pop()
         while cand.bit_count() >= left:
             v = cand & -cand
@@ -713,6 +718,8 @@ def _block_start(sic: SicSet, adj: list, rays: list, coords: list
                 bases.append(basis | v)
             else:
                 stack.append((basis | v, cand & adj[v.bit_length() - 1], left - 1))
+    if stack:
+        return None
     incidence = ((np.array(bases, dtype=np.uint64) >> np.array(rays, dtype=np.uint64)[:, None])
                  & np.uint64(1)).astype(float)
     cover = incidence.sum(axis=1)

@@ -1030,6 +1030,47 @@ def test_closed_form_blocks_run_no_solver(sic, monkeypatch):
     assert 0.0 < rep.theta_graph_gap <= 1e-12
 
 
+def _ray(d, entries):
+    """The ray of dimension d with ``entries`` ({coordinate: (a, b)}, a + b w)."""
+    return tuple(ExactScalar(*entries[c]) if c in entries else ZERO for c in range(d))
+
+
+def _pairs_and_ones():
+    """e_0..e_29, e_2k +- e_2k+1 and the all-ones ray in d = 30: one block
+    of 61 rays, whose bases the all-ones ray does not tile."""
+    d = 30
+    rays = [_ray(d, {c: (1, 0)}) for c in range(d)]
+    rays += [_ray(d, {c: (1, 0), c + 1: (s, 0)}) for c in range(0, d, 2) for s in (1, -1)]
+    rays.append(_ray(d, dict.fromkeys(range(d), (1, 0))))
+    return SicSet(name="pairs", dimension=d, vectors=tuple(rays), weights=(1,) * len(rays))
+
+
+def _pairs_and_hadamard():
+    """In d = 16, each coordinate pair's bases {e, e'}, {e +- e'} and
+    {e +- w e'}, glued by the rows of the Sylvester Hadamard matrix: 64
+    rays, a tight frame whose bases do not cover them evenly."""
+    d = 16
+    rays = [ray for c in range(0, d, 2) for ray in (
+        _ray(d, {c: (1, 0)}), _ray(d, {c + 1: (1, 0)}),
+        *(_ray(d, {c: (1, 0), c + 1: b}) for b in ((1, 0), (-1, 0), (0, 1), (0, -1))))]
+    rays += [_ray(d, {c: ((-1) ** bin(row & c).count("1"), 0) for c in range(d)})
+             for row in range(d)]
+    return SicSet(name="hadamard", dimension=d, vectors=tuple(rays), weights=(1,) * len(rays))
+
+
+@pytest.mark.parametrize("sic", [_pairs_and_ones(), _pairs_and_hadamard()],
+                         ids=["pairs+ones", "pairs+hadamard"])
+def test_the_bases_search_gives_up_past_its_budget(sic):
+    # unit weights on one coordinate block whose d-cliques number in the
+    # millions: the search stops after _BASES_BUDGET pops, and the block
+    # has no closed form
+    (block,) = _coordinate_blocks(sic)
+    adj = _adjacency(sic.graph)[0]
+    start = time.perf_counter()
+    assert _block_start(sic, adj, *block) is None
+    assert time.perf_counter() - start < 1.0
+
+
 def test_declared_contexts_are_not_read():
     # ks18 with its contexts dropped finds them again as its bases: the
     # same report, bit for bit, at 0 iterations

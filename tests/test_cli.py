@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from sicbell.cli import (MAX_BOOTSTRAP_REPLICATES, OUTDIR_ENV, CliError, RunConf
 import sicbell
 from sicbell import cli as cli_module
 from sicbell import montecarlo
+from sicbell.noise import default_modes, spiral_spectrum
 
 
 def write_config(path: Path, **fields) -> str:
@@ -30,6 +32,19 @@ def write_config(path: Path, **fields) -> str:
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def read_strict_json(path: Path):
+    """The artifact at ``path``, which must be strict JSON (no NaN or
+    infinity) laid out exactly as ``json.dumps(doc, indent=2,
+    sort_keys=True)`` lays it out, plus a newline."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text, parse_constant=refuse)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return doc
 
 
 def _zero_in_context(doc):
@@ -193,12 +208,65 @@ class TestBounds:
         lower = doc["theta_graph"]
         assert float(low) <= lower <= lower + doc["theta_graph_gap"] <= float(high)
 
+    @pytest.mark.parametrize("name, ideal, exact", [
+        ("yo13", 35 / 3, Fraction(35, 3)), ("ks18", 18 / 4, Fraction(9, 2)),
+        ("ks21", 21 / 6, Fraction(7, 2))])
+    def test_artifact_brackets_hold_the_exact_values(self, tmp_path, name, ideal,
+                                                     exact):
+        # read off the JSON floats without rounding: the quantum ceiling's
+        # bracket holds 35/3, 9/2 or 7/2, and so does theta_graph's on
+        # ks18 and ks21, which certify it in closed form with no iteration
+        assert main(["bounds", name, "--out", str(tmp_path)]) == 0
+        doc = read_strict_json(tmp_path / f"{name}_bounds.json")
+        assert doc["beta_ideal"] == ideal
+        assert doc["theta_graph_gap"] <= 1e-6
+        keys = ["theta"]
+        if name != "yo13":
+            assert doc["theta_graph_iterations"] == 0
+            assert doc["theta_graph_gap"] <= 1e-12
+            keys.append("theta_graph")
+        for key in keys:
+            lower = Fraction(doc[key])
+            assert lower <= exact <= lower + Fraction(doc[key + "_gap"])
+
+    def test_direct_sum_file_takes_yo13s_brackets(self, tmp_path):
+        # yo13 (+) ks18 as a custom set file, every ray zero-padded into its
+        # own block: alpha is yo13's 11, beta_ideal (35 + 18) / 7, and the
+        # theta_graph and ceiling brackets are yo13's bit for bit, at most
+        # one iteration (ks18's probe) dearer
+        a, b = (to_json_dict(get_set(name)) for name in ("yo13", "ks18"))
+        da, db = a["dimension"], b["dimension"]
+        path = tmp_path / "yo13_ks18.json"
+        path.write_text(json.dumps({
+            "name": "yo13_ks18", "dimension": da + db,
+            "vectors": ([v + [[0, 0]] * db for v in a["vectors"]]
+                        + [[[0, 0]] * da + v for v in b["vectors"]]),
+            "weights": a["weights"] + b["weights"]}))
+        assert main(["bounds", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["bounds", "yo13", "--out", str(tmp_path)]) == 0
+        total = read_strict_json(tmp_path / "yo13_ks18_bounds.json")
+        yo13 = read_strict_json(tmp_path / "yo13_bounds.json")
+        assert total["alpha"] == 11
+        assert total["beta_ideal"] == (35 + 18) / 7
+        assert total["theta_graph_gap"] <= 1e-6
+        for key in ("theta_graph", "theta_graph_gap", "theta", "theta_gap"):
+            assert total[key] == yo13[key]
+        assert total["theta_graph_iterations"] <= yo13["theta_graph_iterations"] + 1
+        lower = Fraction(total["theta"])
+        assert lower <= Fraction(35, 3) <= lower + Fraction(total["theta_gap"])
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tolerance_rejected(self, tmp_path, capsys, tol):
         assert main(["bounds", "ks18", "--tol", tol, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: tol must be a positive finite number")
         assert err.count("\n") == 1
+
+    def test_huge_tolerance_is_valid(self, tmp_path, capsys):
+        # any positive finite tol is valid: ks18's closed form is within it
+        assert main(["bounds", "ks18", "--tol", "1e300", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_strict_json(tmp_path / "ks18_bounds.json")["alpha"] == 4
 
     def test_stalled_bracket_exits_two_quickly(self, tmp_path, capsys):
         # ks18's certified bracket stops narrowing near 4.7e-13
@@ -210,15 +278,16 @@ class TestBounds:
         assert err.startswith("error: solver did not converge")
         assert int(err.split(" after ")[1].split()[0]) < 5_000
 
-    def test_tol_below_the_rounding_floor_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tol", ["1e-13", "5e-324"])
+    def test_tol_below_the_rounding_floor_exits_one(self, tmp_path, capsys, tol):
         # no certificate on ks18 is narrower than its rounding floor,
         # about 1.5e-13, so a tol below it is bad input, refused at once
         start = time.perf_counter()
-        assert main(["bounds", "ks18", "--tol", "1e-13",
+        assert main(["bounds", "ks18", "--tol", tol,
                      "--out", str(tmp_path)]) == 1
         assert time.perf_counter() - start < 2.0
         err = capsys.readouterr().err
-        assert err.startswith("error: tol 1e-13 is below")
+        assert err.startswith(f"error: tol {tol} is below")
         assert "rounding floor 1.52e-13" in err and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
@@ -324,8 +393,9 @@ class TestPredict:
         cfg = write_config(tmp_path / "c.json", set=name, **noise)
         assert main(["predict", "--config", cfg, "--format", "json",
                      "--out", str(tmp_path)]) == 0
-        text = (tmp_path / f"{name}_prediction.json").read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        doc = read_strict_json(tmp_path / f"{name}_prediction.json")
+        # the n diagonal settings, then both orientations of each edge
+        assert len(doc["settings"]) == {"yo13": 61, "ks18": 144, "ks21": 231}[name]
 
 
 class TestSimulate:
@@ -358,9 +428,7 @@ class TestSimulate:
     def test_counts_file_is_json_dumps_of_the_record(self, tmp_path, name):
         assert main(["simulate", "--set", name, "--seed", "5",
                      "--out", str(tmp_path)]) == 0
-        text = (tmp_path / f"{name}_counts.json").read_text(encoding="utf-8")
-        doc = json.loads(text)
-        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = read_strict_json(tmp_path / f"{name}_counts.json")
         sic, cfg = get_set(name), RunConfig(set_name=name)
         record, _, _ = montecarlo.run_experiment(
             sic, cfg.noise_config(sic.dimension), cfg.exposure, 5)
@@ -402,14 +470,28 @@ class TestSimulate:
         assert hits >= 11
 
     def test_csv_report_is_the_json_report(self, tmp_path):
+        # the format changes the report's file alone: the counts and the
+        # figure are the same bytes
         for fmt in ("json", "csv"):
             assert main(["simulate", "--set", "ks21", "--seed", "3", "--format", fmt,
                          "--out", str(tmp_path / fmt)]) == 0
-        doc = json.loads((tmp_path / "json" / "ks21_report.json").read_text())
+        for name in ("ks21_counts.json", "ks21_figure.csv"):
+            assert ((tmp_path / "json" / name).read_bytes()
+                    == (tmp_path / "csv" / name).read_bytes())
+        doc = read_strict_json(tmp_path / "json" / "ks21_report.json")
         with open(tmp_path / "csv" / "ks21_report.csv", newline="") as handle:
             header, *rows = list(csv.reader(handle))
         assert header == sorted(doc)
         assert rows == [[str(doc[key]) for key in header]]
+
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_is_refused(self, tmp_path, capsys, seed):
+        assert main(["simulate", "--set", "yo13", "--seed", seed,
+                     "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must fit in 64 bits\n"
+        assert not any(tmp_path.iterdir())
 
     def test_report_carries_significance(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="ks21", seed=3,
@@ -436,12 +518,23 @@ class TestFit:
         v = float(out.split("visibility = ")[1].split()[0])
         assert v == pytest.approx(0.994063, abs=1e-5)
 
-    def test_fit_with_sigma_target(self, capsys):
+    def test_fit_with_sigma_target(self, tmp_path, capsys):
         assert main(["fit", "--set", "yo13", "--target-beta", "11.573",
                      "--sigma-target", "0.012"]) == 0
         out = capsys.readouterr().out
-        pairs = int(out.split("sigma 0.012: ")[1].split()[0])
+        visibility = float(out.split("visibility = ")[1].split()[0])
+        pairs = int(out.split("sigma 0.012: ")[1])
         assert 150_000 < pairs < 300_000
+        # the pairs go into a config as its exposure, as they stand: the
+        # run they size reports that exposure and meets the error bar
+        # asked for, to 5%
+        cfg = write_config(tmp_path / "fit.json", set="yo13",
+                           visibility=visibility, exposure=pairs)
+        assert main(["simulate", "--config", cfg, "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        report = read_strict_json(tmp_path / "yo13_report.json")
+        assert report["exposure"] == pairs
+        assert abs(report["sigma"] - 0.012) <= 0.05 * 0.012
 
     @pytest.mark.parametrize("sigma", ["inf", "1e-170", "1e-300"])
     def test_bad_sigma_target_rejected(self, capsys, sigma):
@@ -465,9 +558,12 @@ class TestFit:
         assert captured.err == ("error: white noise cannot move beta for set "
                                 "one\n")
 
-    def test_out_of_range_target(self, capsys):
-        assert main(["fit", "--set", "yo13", "--target-beta", "99"]) == 1
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("target", ["99", "nan", "inf"])
+    def test_out_of_range_target(self, capsys, target):
+        assert main(["fit", "--set", "yo13", "--target-beta", target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: target {float(target)} outside the reachable range")
+        assert err.count("\n") == 1
 
 
 class TestConfigHandling:
@@ -577,6 +673,7 @@ class TestConfigHandling:
          "bad config value for exposure: int too large"),
         ({"spectrum": [0.6, 0.64, 0.48], "spectrum_width": 4},
          "config gives both spectrum and spectrum_width"),
+        ({"spectrum": [1.0]}, "spectrum has 1 modes but the set needs 3"),
     ], ids=["visibility", "pair_rate", "integration_time", "counter_range",
             "exposure", "nan_exposure",
             "zero_exposure", "negative_exposure", "replicates", "width",
@@ -584,7 +681,7 @@ class TestConfigHandling:
             "nan_amplitude", "fractional_seed", "bool_seed",
             "fractional_replicates", "pair_format", "bool_amplitude",
             "string_number", "bool_visibility", "huge_int",
-            "spectrum_and_width"])
+            "spectrum_and_width", "one_mode"])
     @pytest.mark.filterwarnings("error")
     def test_bad_visibility_range(self, tmp_path, capsys, fields, message):
         cfg = write_config(tmp_path / "c.json", **{"set": "yo13", **fields})
@@ -631,6 +728,32 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         beta = float(out.split("expected beta = ")[1].split()[0])
         assert beta < 35.0 / 3.0
+
+    @pytest.mark.parametrize("name", ["yo13", "ks21"])
+    def test_spectrum_width_is_its_amplitudes(self, tmp_path, capsys, name):
+        # a spectrum is its amplitudes in basis order: spiral_spectrum's
+        # amplitudes over the default mode ladder predict the same bytes
+        # as the spectrum_width they come from
+        amplitudes = list(spiral_spectrum(4.0, default_modes(get_set(name).dimension)))
+        for tag, spectrum in (("width", {"spectrum_width": 4}),
+                              ("amplitudes", {"spectrum": amplitudes})):
+            cfg = write_config(tmp_path / f"{tag}.json", set=name,
+                               visibility=0.97, **spectrum)
+            assert main(["predict", "--config", cfg,
+                         "--out", str(tmp_path / tag)]) == 0
+        capsys.readouterr()
+        figure = f"{name}_prediction.csv"
+        assert ((tmp_path / "width" / figure).read_bytes()
+                == (tmp_path / "amplitudes" / figure).read_bytes())
+
+    @pytest.mark.parametrize("fields", [
+        {"crosstalk": 0.999999}, {"spectrum": [1.0, 0.0, 0.0]}],
+        ids=["crosstalk", "zero_amplitude"])
+    def test_extreme_valid_config_runs(self, tmp_path, capsys, fields):
+        cfg = write_config(tmp_path / "c.json", set="yo13", **fields)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_strict_json(tmp_path / "yo13_report.json")["set"] == "yo13"
 
     def test_run_config_defaults(self):
         cfg = load_run_config(None, "yo13", None)
@@ -772,7 +895,8 @@ class TestRepeatedCalls:
         # flags of the one before it
         runs = [["bounds", "ks18"],
                 ["simulate", "--set", "ks21", "--seed", "3"],
-                ["simulate", "--set", "ks21"]]
+                ["simulate", "--set", "ks21"],
+                ["predict", "--set", "ks21"]]
         for k, argv in enumerate(runs):
             assert main(argv + ["--out", str(tmp_path / f"same{k}")]) == 0
         capsys.readouterr()
