@@ -41,7 +41,6 @@ from .noise import (NoiseConfig, default_modes, expected_bell_value,
                     schmidt_amplitudes, spiral_spectrum)
 
 OUTDIR_ENV = "SICBELL_OUTDIR"
-MAX_BOOTSTRAP_REPLICATES = 10**6
 
 
 def _number(value, kind=float):
@@ -55,8 +54,8 @@ def _number(value, kind=float):
 
 
 # the numeric config keys and their converters, in RunConfig field order;
-# a key left out of the config keeps the RunConfig default, and a null
-# spectrum_width means no width
+# a key left out keeps the RunConfig default, a null spectrum_width means
+# no width, and the obsolete bootstrap_replicates is checked, then dropped
 _CONFIG_FIELDS = {
     "visibility": _number, "crosstalk": _number,
     "spectrum_width": lambda value: None if value is None else _number(value),
@@ -83,9 +82,8 @@ class RunConfig:
     crosstalk, flat spectrum, and an ``exposure`` of a million pairs per
     setting, the N that the counts are drawn around.  ``spectrum`` lists
     the amplitudes c_k in basis order, ``spectrum_width`` weights the mode
-    ladder instead.  A config that gives both spectra, or a replicate
-    count below 0 or above ``MAX_BOOTSTRAP_REPLICATES``, is refused
-    however it is built.
+    ladder instead.  A config that gives both spectra is refused however
+    it is built.
     """
 
     set_name: str
@@ -95,18 +93,11 @@ class RunConfig:
     spectrum: Optional[tuple[float, ...]] = None
     exposure: float = 1_000_000.0
     seed: int = 0
-    bootstrap_replicates: int = 10_000
 
     def __post_init__(self):
         if self.spectrum is not None and self.spectrum_width is not None:
             raise CliError("config gives both spectrum and spectrum_width: "
                            "give one, or null for the other")
-        if self.bootstrap_replicates < 0:
-            raise CliError(f"bootstrap_replicates {self.bootstrap_replicates} "
-                           "is negative")
-        if self.bootstrap_replicates > MAX_BOOTSTRAP_REPLICATES:
-            raise CliError(f"bootstrap_replicates {self.bootstrap_replicates} "
-                           f"exceeds the cap of {MAX_BOOTSTRAP_REPLICATES}")
 
     def noise_config(self, dimension: int) -> NoiseConfig:
         spectrum = self.spectrum
@@ -155,7 +146,12 @@ def load_run_config(path: Optional[str], set_name: Optional[str],
                 fields[key] = convert(doc[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise CliError(f"bad config value for {key}: {exc}") from exc
-    return RunConfig(set_name=name, spectrum=spectrum, **fields)
+    replicates = fields.pop("bootstrap_replicates", 0)
+    cfg = RunConfig(set_name=name, spectrum=spectrum, **fields)
+    if not 0 <= replicates <= 10**6:
+        raise CliError(f"bootstrap_replicates {replicates} " + (
+            "is negative" if replicates < 0 else "exceeds the cap of 1000000"))
+    return cfg
 
 
 def _read_set(name: str) -> SicSet:
@@ -342,14 +338,11 @@ def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config, args.set, args.seed)
     sic = resolve_set(cfg.set_name)
     record, table, report = run_experiment(
-        sic, cfg.noise_config(sic.dimension), cfg.exposure, cfg.seed,
-        bootstrap_replicates=cfg.bootstrap_replicates)
+        sic, cfg.noise_config(sic.dimension), cfg.exposure, cfg.seed)
     print(f"{sic.name}: beta_hat = {report.beta_hat:.4f} +- {report.sigma:.4f} "
           f"(alpha = {report.alpha:g}, {report.sigmas_of_violation:.2f} sigma, "
           f"p = {report.p_value:.3g})")
-    if report.bootstrap_p_value is not None:
-        print(f"  bootstrap p = {report.bootstrap_p_value:.3g} "
-              f"({cfg.bootstrap_replicates} replicates)")
+    print(f"  Poisson p = {report.poisson_p_value:.3g}")
     report_doc = {**_doc(report), "seed": record.seed, "exposure": record.exposure}
     outdir = _outdir(args.out)
     figure = outdir / f"{sic.name}_figure.csv"

@@ -8,7 +8,7 @@ exposure, is the calibrated number of pairs per setting and P the table
 that ``predict`` writes.  A run is parameterised by N alone, and it
 draws its counts from one PRNG stream keyed by its seed, so the whole
 pipeline is a pure function of the set, the noise configuration, the
-exposure and the seed.
+exposure and the seed; the Poisson p-value is a closed form, no draw.
 
 ``SicSet.settings`` is the one record of the setting order: ``counts[k]``
 of a record and ``values[k]`` of a table belong to ``sic.settings[k]``,
@@ -33,8 +33,9 @@ from .quantum import ProbabilityTable
 
 _MAX_SEED = 2**64
 _MAX_MEAN = 2.0**63 - 10 * math.sqrt(2.0**63)  # numpy's largest Poisson mean
-_BOOTSTRAP_STREAM = 0x626F6F74
 _COUNTS_STREAM = 0x636F756E
+# (j, (j - 1)/j!): y e^y - e^y + 1 = sum_j (j - 1) y^j / j!, to j = 20
+_EXCESS_SERIES = [(j, (j - 1) / math.factorial(j)) for j in range(2, 21)]
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class ViolationReport:
     alpha: float
     sigmas_of_violation: float
     p_value: float
-    bootstrap_p_value: Optional[float] = None
+    poisson_p_value: Optional[float] = None
 
 
 def simulate_counts(table: ProbabilityTable, exposure: float,
@@ -107,19 +108,60 @@ def estimate_probabilities(rec: CountRecord) -> ProbabilityTable:
     return ProbabilityTable(values, sigmas)
 
 
+def _poisson_lower_tail(coeffs, counts, bound: float) -> float:
+    """P(sum_k l_k N_k <= bound), N_k ~ Poisson(T_k) independent, where l_k
+    is a distinct coefficient and T_k the sum of its counts.  This is
+    Lugannani-Rice's saddle point with Daniels' lattice correction: with
+    K(t) = sum_k T_k (e^{l_k t} - 1), delta the gcd of the levels and x
+    the largest multiple of delta <= bound, K'(t) = x + delta/2 and
+    u = 2 sinh(t delta/2)/delta sqrt(K''(t)).  A bound outside the
+    support gives exactly 0 or 1."""
+    levels, group = np.unique(coeffs, return_inverse=True)
+    groups = [(l, n) for l, n in zip(levels.tolist(),
+                                     np.bincount(group, weights=counts).tolist()) if l and n]
+    if bound >= 0 and all(l < 0 for l, _ in groups):
+        return 1.0
+    if bound < 0 and all(l > 0 for l, _ in groups):
+        return 0.0
+    # a float is n/d exactly, d a power of 2 dividing 2**1074: an exact gcd
+    ratios = [l.as_integer_ratio() for l, _ in groups]
+    delta = math.gcd(*[n * 2**1074 // d for n, d in ratios]) / 2**1074
+    s = delta * math.floor(bound / delta) + delta / 2
+    # K' increases: Newton's step, or bisection where it leaves the bracket;
+    # a step at most doubles |t| + 1, so a flat K' cannot throw t past exp's range
+    t, lo, hi = 0.0, -math.inf, math.inf
+    for _ in range(100):
+        slope = sum(n * l * math.exp(l * t) for l, n in groups) - s
+        curve = sum(n * l * l * math.exp(l * t) for l, n in groups)
+        lo, hi = (lo, t) if slope > 0 else (t, hi)
+        if abs(slope) <= 1e-10 * math.sqrt(curve):  # w within 1e-10
+            break
+        new = t - slope / curve if lo < t - slope / curve < hi else (lo + hi) / 2
+        t = min(max(new, t - 1 - abs(t)), t + 1 + abs(t))
+    # w^2/2 = t K'(t) - K(t) = sum_k T_k g(l_k t), g(y) = y e^y - e^y + 1 >= 0;
+    # for |y| < 1, where that form cancels, g is taken from its series
+    g = [sum(c * (l * t)**j for j, c in _EXCESS_SERIES) if abs(l * t) < 1
+         else l * t * math.exp(l * t) - math.expm1(l * t) for l, _ in groups]
+    w = math.copysign(math.sqrt(2 * sum(n * x for (_, n), x in zip(groups, g))), t)
+    if not w:  # x + delta/2 at the mean: the formula's limit
+        return 0.5 + sum(n * l**3 for l, n in groups) / curve**1.5 / math.sqrt(72 * math.pi)
+    u = 2 * math.sinh(t * delta / 2) / delta * math.sqrt(curve)
+    return (0.5 * math.erfc(-w / math.sqrt(2))
+            + math.exp(-w * w / 2) / math.sqrt(2 * math.pi) * (1 / w - 1 / u))
+
+
 def estimate_beta(table: ProbabilityTable, sic: SicSet,
-                  record: Optional[CountRecord] = None, *,
-                  bootstrap_replicates: int = 0) -> ViolationReport:
+                  record: Optional[CountRecord] = None) -> ViolationReport:
     """Evaluate the inequality on an estimated table.
 
     The error bar propagates the per-setting sigmas through the signed
     weights, and alpha is the exact independence bound of the set's
-    graph.  With ``record`` and ``bootstrap_replicates`` given, a
-    parametric bootstrap p-value (counts resampled from Poisson(C)) is
-    reported next to the Gaussian one.  beta* is linear in the counts
-    with a handful of distinct coefficients, and a sum of independent
-    Poissons is Poisson, so each replicate draws one Poisson per
-    coefficient, with mean the group's total count, not one per setting.
+    graph.  With ``record`` given, the p-value P(beta* <= alpha) of
+    counts redrawn from Poisson(C) is reported next to the Gaussian one.
+    beta* is linear in the counts with a handful of distinct coefficients
+    l_k, and a sum of independent Poissons is Poisson, so that is the
+    tail of sum_k l_k N_k, N_k ~ Poisson(group k's total count), which
+    :func:`_poisson_lower_tail` evaluates with no draw.
     A table (values or sigmas) or record whose length is not
     ``len(sic.settings)`` raises ValueError.
     """
@@ -148,21 +190,8 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet,
         z = math.inf if beta_hat > alpha else (-math.inf if beta_hat < alpha else 0.0)
         p_value = 0.0 if beta_hat > alpha else 1.0
 
-    boot = None
-    if bootstrap_replicates > 0:
-        if record is None:
-            raise ValueError("bootstrap needs the count record")
-        levels, group = np.unique(coeffs, return_inverse=True)
-        totals = np.bincount(group, weights=record.counts)
-        # numpy's Poisson takes means up to _MAX_MEAN, which bounds one
-        # setting but not a group total: draw that in parts
-        parts = 1 + int(totals.max() // 2.0**62)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([record.seed, _BOOTSTRAP_STREAM]))
-        draws = rng.poisson(lam=totals / parts,
-                            size=(bootstrap_replicates, parts, levels.size))
-        betas = draws.sum(axis=1, dtype=float) @ levels / record.exposure
-        boot = float(np.mean(betas <= alpha))
+    tail = None if record is None else _poisson_lower_tail(
+        coeffs, record.counts, alpha * record.exposure)
 
     return ViolationReport(
         set_name=sic.name,
@@ -171,7 +200,7 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet,
         alpha=alpha,
         sigmas_of_violation=z,
         p_value=p_value,
-        bootstrap_p_value=boot,
+        poisson_p_value=tail,
     )
 
 
@@ -220,14 +249,12 @@ def exposure_for_sigma(sic: SicSet, cfg: NoiseConfig,
     return pairs
 
 
-def run_experiment(sic: SicSet, cfg: NoiseConfig, exposure: float, seed: int,
-                   *, bootstrap_replicates: int = 0
+def run_experiment(sic: SicSet, cfg: NoiseConfig, exposure: float, seed: int
                    ) -> tuple[CountRecord, ProbabilityTable, ViolationReport]:
     """The full pipeline: noise model, counts at ``exposure`` pairs per
     setting, estimates, significance."""
     _, expected = expected_bell_value(sic, cfg)
     record = simulate_counts(expected, exposure, seed)
     table = estimate_probabilities(record)
-    report = estimate_beta(table, sic, record,
-                           bootstrap_replicates=bootstrap_replicates)
+    report = estimate_beta(table, sic, record)
     return record, table, report

@@ -22,6 +22,10 @@ block per ray, not the package's float product of projector rows;
 ``is_hermitian_psd`` is ``is_psd`` for a Hermitian matrix over Q(w),
 LDL* elimination on ``ExactScalar`` entries with ``Fraction``
 coordinates, and ``is_above_spectrum`` applies it to t I - op.
+``poisson_lower_tail`` is P(sum_k l_k N_k <= bound) for independent
+Poisson N_k, summed exactly over every group but one, times the last
+group's Poisson CDF, in integer arithmetic on the levels, not a
+saddle point.
 ``validate_state`` checks that a matrix is a density matrix on a d x d
 joint system: its shape, Hermiticity, unit trace and no negative
 eigenvalue.
@@ -29,7 +33,7 @@ eigenvalue.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -275,6 +279,35 @@ def is_above_spectrum(t, op) -> bool:
     t = Fraction(t)
     return is_hermitian_psd([[ExactScalar(t * (r == c) - x.a, -x.b)
                               for c, x in enumerate(row)] for r, row in enumerate(op)])
+
+
+def _poisson_pmf(total: int) -> list:
+    """Poisson(total) probabilities of 0, 1, ..., past 20 sigma above the
+    mean, beyond which the tail is far below any float the tests read."""
+    top = total + 20 * math.isqrt(total) + 20
+    return [math.exp(k * math.log(total) - total - math.lgamma(k + 1))
+            for k in range(top + 1)]
+
+
+def poisson_lower_tail(levels, totals, bound) -> float:
+    """P(sum_k l_k N_k <= bound) for independent N_k ~ Poisson(totals[k]),
+    with rational ``levels``, the last of them positive, and a rational
+    ``bound``.  The levels are scaled to integers, so every comparison is
+    exact."""
+    levels = [Fraction(level) for level in levels]
+    scale = math.lcm(*[level.denominator for level in levels])
+    *others, last = [int(level * scale) for level in levels]
+    assert last > 0, "the last level must be positive"
+    top = math.floor(Fraction(bound) * scale)
+    *outer, inner = [_poisson_pmf(total) for total in totals]
+    cdf = list(accumulate(inner))
+    terms = []
+    for ks in product(*[range(len(pmf)) for pmf in outer]):
+        room = (top - sum(a * k for a, k in zip(others, ks))) // last
+        if room >= 0:
+            weight = math.prod(pmf[k] for pmf, k in zip(outer, ks))
+            terms.append(weight * cdf[min(room, len(cdf) - 1)])
+    return math.fsum(terms)
 
 
 def validate_state(rho, d: int) -> None:

@@ -252,8 +252,7 @@ def test_acceptance_7_statistical_soundness(capsys, tmp_path):
 
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
-        "set": "ks18", "seed": 31, "exposure": 5e4,
-        "bootstrap_replicates": 1000}))
+        "set": "ks18", "seed": 31, "exposure": 5e4}))
     first = tmp_path / "first"
     second = tmp_path / "second"
     code1 = main(["simulate", "--config", str(config), "--out", str(first)])

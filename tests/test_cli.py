@@ -16,7 +16,7 @@ import pytest
 
 from sicbell.bounds import ThetaNonConvergence, bounds_report
 from sicbell.catalog import get_set, save_set, to_json_dict
-from sicbell.cli import (MAX_BOOTSTRAP_REPLICATES, OUTDIR_ENV, CliError, RunConfig,
+from sicbell.cli import (OUTDIR_ENV, CliError, RunConfig,
                          load_run_config, main, resolve_set)
 import sicbell
 from sicbell import cli as cli_module
@@ -402,8 +402,7 @@ class TestSimulate:
     def test_figure_row_counts(self, tmp_path):
         for name, rows in (("yo13", 61), ("ks18", 144), ("ks21", 231)):
             cfg = write_config(tmp_path / f"{name}.json", set=name,
-                               exposure=1000.0,
-                               bootstrap_replicates=0)
+                               exposure=1000.0)
             assert main(["simulate", "--config", cfg,
                          "--out", str(tmp_path)]) == 0
             table = read_rows(tmp_path / f"{name}_figure.csv")
@@ -415,8 +414,7 @@ class TestSimulate:
 
     def test_fixed_seed_outputs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="ks18", seed=7,
-                           exposure=5e4,
-                           bootstrap_replicates=500)
+                           exposure=5e4)
         first = tmp_path / "first"
         second = tmp_path / "second"
         assert main(["simulate", "--config", cfg, "--out", str(first)]) == 0
@@ -439,8 +437,7 @@ class TestSimulate:
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="yo13", seed=1,
-                           exposure=1e4,
-                           bootstrap_replicates=0)
+                           exposure=1e4)
         a = tmp_path / "a"
         b = tmp_path / "b"
         assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
@@ -461,7 +458,7 @@ class TestSimulate:
         for seed in range(12):
             write_config(cfg_path, set="yo13", visibility=0.994063,
                          exposure=224144.0,
-                         seed=seed, bootstrap_replicates=0)
+                         seed=seed)
             assert main(["simulate", "--config", str(cfg_path),
                          "--out", str(tmp_path)]) == 0
             doc = json.loads((tmp_path / "yo13_report.json").read_text())
@@ -495,18 +492,16 @@ class TestSimulate:
 
     def test_report_carries_significance(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", set="ks21", seed=3,
-                           exposure=1e6,
-                           bootstrap_replicates=1000)
+                           exposure=1e6)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "ks21_report.json").read_text())
         assert doc["alpha"] == 3.0
         assert doc["sigmas_of_violation"] > 5.0
-        assert doc["bootstrap_p_value"] == 0.0
+        assert doc["poisson_p_value"] == 0.0
 
     def test_low_counts_still_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", set="ks21",
-                           exposure=1000.0,
-                           bootstrap_replicates=0)
+                           exposure=1000.0)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
 
@@ -693,13 +688,19 @@ class TestConfigHandling:
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_integral_floats_are_integers(self, tmp_path):
-        as_floats = write_config(tmp_path / "f.json", set="yo13", seed=7.0,
-                                 bootstrap_replicates=1e3)
-        as_ints = write_config(tmp_path / "i.json", set="yo13", seed=7,
-                               bootstrap_replicates=1000)
+        as_floats = write_config(tmp_path / "f.json", set="yo13", seed=7.0)
+        as_ints = write_config(tmp_path / "i.json", set="yo13", seed=7)
         cfg = load_run_config(as_floats, None, None)
         assert cfg == load_run_config(as_ints, None, None)
-        assert type(cfg.seed) is int and type(cfg.bootstrap_replicates) is int
+        assert type(cfg.seed) is int
+
+    @pytest.mark.parametrize("replicates", [0, 1e3, 10_000, 10**6])
+    def test_obsolete_replicates_key_is_dropped(self, tmp_path, replicates):
+        # the p-value draws no replicates: a count the key always took
+        # loads, and changes nothing
+        cfg = write_config(tmp_path / "c.json", set="yo13",
+                           bootstrap_replicates=replicates)
+        assert load_run_config(cfg, None, None) == RunConfig(set_name="yo13")
 
     def test_non_finite_artifact_value_is_refused(self, tmp_path):
         target = tmp_path / "report.json"
@@ -767,10 +768,7 @@ class TestConfigHandling:
         ({"spectrum": (3 ** -0.5,) * 3, "spectrum_width": 4.0},
          "config gives both spectrum and spectrum_width: give one, or null "
          "for the other"),
-        ({"bootstrap_replicates": -5}, "bootstrap_replicates -5 is negative"),
-        ({"bootstrap_replicates": MAX_BOOTSTRAP_REPLICATES + 1},
-         "bootstrap_replicates 1000001 exceeds the cap of 1000000"),
-    ], ids=["spectrum_and_width", "replicates", "replicates_cap"])
+    ], ids=["spectrum_and_width"])
     def test_run_config_built_directly_is_checked(self, fields, message):
         # a library caller that skips load_run_config meets the same refusals
         with pytest.raises(CliError, match=f"^{re.escape(message)}$"):

@@ -2,16 +2,17 @@
 
 import json
 import math
-import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sicbell import cli
 from sicbell.catalog import catalog_names, get_set, orthogonality_graph
+from exact_oracle import poisson_lower_tail
 from sicbell.montecarlo import (
-    _BOOTSTRAP_STREAM,
     _COUNTS_STREAM,
+    _poisson_lower_tail,
     CountRecord,
     ViolationReport,
     estimate_beta,
@@ -114,7 +115,6 @@ class TestSimulateCounts:
             np.random.SeedSequence([2024, _COUNTS_STREAM]))
         means = 3e4 * expected_bell_value(sic, cfg)[1].values
         assert record.counts == tuple(rng.poisson(means).tolist())
-        assert _COUNTS_STREAM != _BOOTSTRAP_STREAM
 
     def test_overflow_guard(self):
         sic = get_set("yo13")
@@ -150,7 +150,7 @@ class TestEstimateProbabilities:
         with pytest.raises(ValueError, match=message):
             estimate_beta(partial, sic)
         with pytest.raises(ValueError, match=message):
-            estimate_beta(table, sic, rec, bootstrap_replicates=10)
+            estimate_beta(table, sic, rec)
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="^counts must be nonnegative$"):
@@ -239,64 +239,118 @@ class TestEstimateBeta:
                                                  "the 61 settings of set yo13$"):
                 estimate_beta(table, sic)
 
-    def test_bootstrap_needs_record(self):
+    def test_poisson_p_value_needs_record(self):
         sic = get_set("yo13")
         table = expected_bell_value(sic, IDEAL)[1]
-        with pytest.raises(ValueError):
-            estimate_beta(table, sic, bootstrap_replicates=100)
+        assert estimate_beta(table, sic).poisson_p_value is None
 
-    def test_bootstrap_agrees_with_gaussian(self):
-        # Operate near 2.5 sigma so 1e4 replicates resolve the tail, and
-        # require agreement within a factor of 10 on every usable seed.
+    def test_poisson_tail_agrees_with_gaussian(self):
+        # Operate near 2.5 sigma and require agreement within a factor
+        # of 10 on every usable seed.
         sic = get_set("yo13")
         v = fit_visibility(11.15, sic)
         cfg = NoiseConfig(visibility=v)
         n_pairs = exposure_for_sigma(sic, cfg, 0.06)
         checked = 0
         for seed in range(6):
-            rec, table, report = run_experiment(
-                sic, cfg, n_pairs, seed, bootstrap_replicates=10_000)
+            rec, table, report = run_experiment(sic, cfg, n_pairs, seed)
             if not 2.0 <= report.sigmas_of_violation <= 3.4:
                 continue
             checked += 1
-            assert report.bootstrap_p_value is not None
-            gauss = report.p_value
-            boot = max(report.bootstrap_p_value, 1e-4)
-            assert boot / gauss < 10.0
-            assert gauss / boot < 10.0
+            gauss, tail = report.p_value, report.poisson_p_value
+            assert tail / gauss < 10.0
+            assert gauss / tail < 10.0
         assert checked >= 2
 
-    def test_bootstrap_memory_is_per_coefficient(self):
-        # 50k replicates on ks21: one Poisson per coefficient group is
-        # 50k x 2 variates, where one per setting would be 50k x 231
-        # (about 185 MB with its scaled copy).
-        sic = get_set("ks21")
-        tracemalloc.start()
-        try:
-            _, _, report = run_experiment(sic, IDEAL, 1e4, 5,
-                                          bootstrap_replicates=50_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.bootstrap_p_value is not None
-        assert peak < 20 * 2**20
-
-    def test_bootstrap_splits_group_totals_beyond_poisson_range(self):
+    def test_poisson_tail_takes_group_totals_beyond_poisson_range(self):
         # At 1e19 pairs per setting the nine weight-3 diagonals of yo13
         # total about 2.7e19 counts, past numpy's largest Poisson mean.
         sic = get_set("yo13")
-        _, _, report = run_experiment(sic, NoiseConfig(visibility=0.9), 1e19,
-                                      1, bootstrap_replicates=200)
+        _, _, report = run_experiment(sic, NoiseConfig(visibility=0.9), 1e19, 1)
         assert report.beta_hat < report.alpha
-        assert report.bootstrap_p_value == 1.0
+        assert report.poisson_p_value == 1.0
 
-    def test_bootstrap_is_deterministic(self):
+    def test_run_is_deterministic(self):
         sic = get_set("ks18")
-        _, _, first = run_experiment(sic, IDEAL, 1e4, 99,
-                                     bootstrap_replicates=2000)
-        _, _, second = run_experiment(sic, IDEAL, 1e4, 99,
-                                      bootstrap_replicates=2000)
-        assert first == second
+        record, _, report = run_experiment(sic, IDEAL, 1e4, 99)
+        again, _, second = run_experiment(sic, IDEAL, 1e4, 99)
+        assert (again, second) == (record, report)
+
+    @pytest.mark.parametrize("levels, totals", [
+        ((-0.5, 1), (10, 20)), ((-0.5, 1), (20, 10)), ((-0.5, 1), (100, 200)),
+        ((-1.5, 2, 3), (10, 12, 15)), ((-1.5, 2, 3), (40, 10, 10)),
+        ((-1.5, 2, 3), (60, 20, 30))])
+    def test_poisson_tail_matches_exact_oracle(self, levels, totals):
+        # the saddle point against the exact tail, from 4 sigma below the
+        # mean to 4 above, on lattice points and between them
+        mean = sum(l * n for l, n in zip(levels, totals))
+        sd = math.sqrt(sum(l * l * n for l, n in zip(levels, totals)))
+        for z in np.linspace(-4.0, 4.0, 33):
+            bound = float(mean + z * sd)
+            exact = poisson_lower_tail(levels, totals, Fraction(bound))
+            tail = _poisson_lower_tail(levels, totals, bound)
+            if exact >= 1e-12:
+                assert tail == pytest.approx(exact, rel=2e-3), z
+
+    def test_poisson_tail_at_the_edges(self):
+        # a bound outside the support is exact, an empty group adds
+        # nothing, and at the mean the formula takes its limit
+        assert _poisson_lower_tail((1.0, 2.0), (5, 7), -0.5) == 0.0
+        assert _poisson_lower_tail((-1.0, -2.0), (5, 7), 0.0) == 1.0
+        assert _poisson_lower_tail((-0.5, 1.0), (0, 0), 0.0) == 1.0
+        assert (_poisson_lower_tail((-0.5, 1.0, 3.0), (30, 40, 0), 5.0)
+                == _poisson_lower_tail((-0.5, 1.0), (30, 40), 5.0))
+        # x + delta/2 = 26 + 1/4 is the mean of -N1/2 + N2 + 2 N3, and the
+        # limit there is the formula's value beside it
+        levels = (-0.5, 1.0, 2.0)
+        at_mean = _poisson_lower_tail(levels, (8, 10, 10.125), 26.0)
+        beside = _poisson_lower_tail(levels, (8, 10, 10.125 + 1e-6), 26.0)
+        assert at_mean != beside
+        assert at_mean == pytest.approx(beside, abs=1e-6)
+
+    def test_all_counts_zero(self, tmp_path, capsys):
+        # an exposure of 1e-3 pairs per setting on yo13 clicks nowhere:
+        # beta* is 0 <= alpha for certain
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"set": "yo13", "exposure": 1e-3}))
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+        counts = json.loads((tmp_path / "yo13_counts.json").read_text())["counts"]
+        assert {row["count"] for row in counts} == {0}
+        doc = json.loads((tmp_path / "yo13_report.json").read_text())
+        assert doc["poisson_p_value"] == 1.0
+        assert "  Poisson p = 1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_a_run_draws_only_its_counts(self, monkeypatch, tmp_path, capsys, name):
+        # one Generator per run, and one Poisson variate per setting from it
+        made = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng, self.variates, self.methods = rng, 0, []
+
+            def __getattr__(self, method):
+                self.methods.append(method)
+                return getattr(self.rng, method)
+
+            def poisson(self, *args, **kwargs):
+                out = self.rng.poisson(*args, **kwargs)
+                self.variates += np.size(out)
+                return out
+
+        default_rng = np.random.default_rng
+
+        def spy_rng(*args):
+            made.append(Spy(default_rng(*args)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", spy_rng)
+        assert cli.main(["simulate", "--set", name, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(made) == 1
+        assert made[0].variates == len(get_set(name).settings)
+        assert made[0].methods == []
 
 
 class TestStatisticalBehavior:

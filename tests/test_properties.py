@@ -397,12 +397,12 @@ def test_estimate_beta_checks_the_size_alone(sic, seed):
     assert len(record.counts) == len(table.values) == size
     short = CountRecord(record.counts[:-1], record.exposure, record.seed)
     long = ProbabilityTable(np.append(table.values, 0.0), np.append(table.sigmas, 0.0))
-    # a table one value short or one long, and a bootstrap record one count short
+    # a table one value short or one long, and a record one count short
     for wrong, rec, length in ((estimate_probabilities(short), None, size - 1),
                                (long, None, size + 1),
                                (table, short, size - 1)):
         with pytest.raises(ValueError) as refused:
-            estimate_beta(wrong, sic, rec, bootstrap_replicates=10)
+            estimate_beta(wrong, sic, rec)
         assert str(refused.value) == (f"{length} entries given for the {size} "
                                       f"settings of set {sic.name}")
 
@@ -939,7 +939,7 @@ def _exits_cleanly(argv, out):
 @example("set", 5)
 @example("set", True)
 def test_fuzzed_config_exits_cleanly(key, value):
-    config = {"set": "yo13", "bootstrap_replicates": 100, key: value}
+    config = {"set": "yo13", key: value}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as handle:
@@ -1028,12 +1028,8 @@ def test_fuzzed_set_exits_cleanly(doc):
         path = os.path.join(tmp, "set.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w", encoding="utf-8") as handle:
-            json.dump({"bootstrap_replicates": 0}, handle)
         out = os.path.join(tmp, "out")
         _exits_cleanly(["catalog", path], out)
         _exits_cleanly(["bounds", path, "--out", out], out)
         for command in ("predict", "simulate"):
-            _exits_cleanly([command, "--set", path, "--config", config,
-                            "--out", out], out)
+            _exits_cleanly([command, "--set", path, "--out", out], out)
