@@ -12,9 +12,9 @@ cheapest certificate that closes it:
                  X_ij = 0                 for every edge (i, j),
 
   Knuth's n x n form of the weighted Lovasz number ("The Sandwich
-  Theorem", Electron. J. Combin. 1 (1994) A1), from the closed forms of
-  the set's coordinate blocks where each block has one
-  (:func:`_block_start`), or else from the solver, :func:`solve_theta`;
+  Theorem", Electron. J. Combin. 1 (1994) A1), from the closed form of
+  each coordinate block that has one (:func:`_block_start`), and from
+  the solver, :func:`solve_theta`, on the others;
 * the quantum ceiling, the top eigenvalue of the set's Bell operator,
   from the maximally entangled states of its coordinate blocks and
   theta_graph's upper end, or else from each block's operator
@@ -23,7 +23,7 @@ cheapest certificate that closes it:
 Each bracket holds its value to the last ulp (``_Program``,
 :func:`state_ceiling`).  Both graph numbers split over the graph's
 unions and joins (:func:`_decompose`), so the search and the theta loop
-(:func:`_steps`) run only on the pieces that split no further.
+(:func:`_loop`) run only on the pieces that split no further.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ _BASES_BUDGET = 100_000      # steps of a block's bases search before it gives u
 
 
 class ThetaNonConvergence(RuntimeError):
-    """Raised by :func:`solve_theta` when the whole graph's best
-    certificate is wider than tol: a loop ran out of iterations, or its
-    best bracket stopped narrowing short of tol.
+    """Raised by :func:`solve_theta` when the graph's certificate, built
+    from each loop's best, is wider than tol: a loop ran out of
+    iterations, or its best bracket stopped narrowing short of tol.
 
-    Carries the bracket of that one certificate, and the iterations of
-    every loop run, so callers can still report them.
+    Carries that certificate's bracket, and the iterations of every loop
+    run, so callers can still report them.
     """
 
     def __init__(self, primal_bound: float, dual_bound: float, iterations: int):
@@ -242,30 +242,21 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     which no certificate can beat, raises ValueError before any loop
     runs.
 
-    The graph is split (:func:`_decompose`) and the loop (:func:`_steps`)
-    runs only on the pieces that split no further.  Each part of a union
-    is solved at tol times its share of the union's weight, so a piece's
-    tol is at least its share of the whole graph's, however deep it lies,
-    and the parts' certificates are assembled into one pair for the union
+    The graph is split (:func:`_decompose`) and the loop (:func:`_loop`)
+    runs only on the pieces that split no further, each for at most
+    ``max_iter`` iterations.  Each part of a union is solved at tol
+    times its share of the union's weight, so a piece's tol is at least
+    its share of the whole graph's, however deep it lies, and the parts'
+    certificates are assembled into one pair for the union
     (:func:`_union_start`), which ``_Program.certify_start`` certifies on
-    the whole union.  A join's bracket is [max of its parts' lower
-    bounds, max of their upper bounds] (:func:`_join_result`).  Each
-    leaf part of a join first runs a one-iteration probe; the parts that
-    split further are then solved at tol, and the leaf parts follow by
-    descending probe lower end.  A leaf part keeps its probe if that is within tol
-    or its upper end is at or below the cap, the highest upper end
-    solved so far; otherwise its loop goes on from the probe, which it
-    counts, until a certificate is within tol or at or below the cap.
-    The part with the highest upper end is thus within tol, and so is
-    the join.  ``max_iter`` caps the iterations of all loops together,
-    probes included, each loop getting what is left; a loop left once
-    the cap is spent still gets one iteration, so the total can pass
-    max_iter by the number of those loops.
+    the whole union.  Each part of a join is solved at tol, and the
+    join's bracket is [max of the parts' lower bounds, max of their upper
+    bounds] (:func:`_join_result`).
 
     Every loop returns its best certificate, so every piece, and the
     whole graph, has one.  Should the whole graph's be wider than tol,
     :class:`ThetaNonConvergence` carries its bracket.  ``iterations``
-    counts every loop run, probes included."""
+    counts every loop run."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
@@ -278,48 +269,21 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
         raise ValueError(f"tol {tol!r} is below this graph's rounding floor "
                          f"{floor:.3g}: no certified bracket is narrower")
 
-    left = max_iter
-
-    def spend(res, before=0):
-        """``res``, its iterations past ``before`` taken from what is left."""
-        nonlocal left
-        left -= res.iterations - before
-        return res
-
     def solve(node, node_tol):
         """``node``'s best certificate, with the iterations of its loops."""
         if isinstance(node, int):
-            return spend(next(_steps(_Program(_induced(graph, node)), node_tol,
-                                     max(left, 1))))
+            return _loop(_Program(_induced(graph, node)), node_tol, max_iter)
         kind, mask, parts = node
         sub = _induced(graph, mask)
         places = [_places(mask, part if isinstance(part, int) else part[1])
                   for part in parts]
         if kind == "join":
-            return _join_result(sub, places, solve_join(parts, node_tol))
+            return _join_result(sub, places, [solve(part, node_tol) for part in parts])
         total = float(sum(sub.weights))
         results = [solve(part, node_tol * (sum(sub.weights[p] for p in place) / total))
                    for part, place in zip(parts, places)]
         return replace(_Program(sub).certify_start(_union_start(sub, places, results)),
                        iterations=sum(r.iterations for r in results))
-
-    def solve_join(parts, node_tol):
-        """The parts' certificates, each within tol or with its upper end
-        at or below the highest upper end solved before it; a leaf
-        part's loop goes on from its probe, whose iteration it counts."""
-        loops = {k: _steps(_Program(_induced(graph, part)), node_tol, 1)
-                 for k, part in enumerate(parts) if isinstance(part, int)}
-        probes = {k: spend(next(loop)) for k, loop in loops.items()}
-        results = {k: solve(part, node_tol)
-                   for k, part in enumerate(parts) if k not in loops}
-        cap = max((res.dual_bound for res in results.values()), default=-math.inf)
-        for k in sorted(probes, key=lambda k: -probes[k].value):
-            res = probes[k]
-            if res.gap > node_tol and res.dual_bound > cap:
-                res = spend(loops[k].send((max(left, 1), cap)), res.iterations)
-            results[k] = res
-            cap = max(cap, res.dual_bound)
-        return [results[k] for k in range(len(parts))]
 
     res = solve(tree, tol)
     if res.gap > tol:
@@ -411,10 +375,8 @@ class _Program:
         return self.certify(y, h / self.rho, 0)
 
 
-def _steps(program: _Program, tol: float, max_iter: int,
-           cap: float = -math.inf):
-    """The Anderson-accelerated loop on ``program`` from I / n, as a
-    generator.
+def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
+    """The Anderson-accelerated loop on ``program`` from I / n.
 
     The loop is operator splitting (alternating projection onto the
     affine constraints and the semidefinite cone with a scaled dual
@@ -429,25 +391,17 @@ def _steps(program: _Program, tol: float, max_iter: int,
 
     It certifies at its first iteration, every ``_CHECK_EVERY``
     iterations, and whenever rho ||f|| (f the fixed-point residual)
-    reaches a trigger.  The residual bounds the distance to optimality
-    (Boyd et al., Found. Trends Mach. Learn. 3 (2011) section 3.3), and
-    in the tail the bracket width tracks rho ||f||, so one trigger starts
-    at tol; the other is aimed at the width cap - lower that would bring
-    the latest certificate's upper end down to ``cap``.  The first is
-    kept as it runs without a cap, so a capped loop certifies every
-    iterate the uncapped one does, on the same iterates, and returns no
-    later.
+    reaches a trigger that starts at tol.  The residual bounds the
+    distance to optimality (Boyd et al., Found. Trends Mach. Learn. 3
+    (2011) section 3.3), and in the tail the bracket width tracks
+    rho ||f||, so a triggered certificate still too wide lowers the
+    trigger by its excess over tol.
 
-    ``next`` yields the first certificate within tol or with its upper
-    end at or below ``cap``; or else the best clock certificate once the
-    iterations run out or the best bracket has not narrowed by 1% over
-    ``_STALL_CHECKS`` clock certifications in a row, and at a fixed point
-    (f exactly 0) the better of that and the fixed point's own.  After
-    iterations ran out, ``send((more, cap))`` goes on from the same state
-    for up to ``more`` more, aimed at the new cap: the same iterates and
-    certificates as a loop started afresh with that cap, iterations
-    counted from the start.  Any other result is final, and every later
-    send yields it again."""
+    It returns the first certificate within tol; or else the best clock
+    certificate once ``max_iter`` iterations (at least one) have run or
+    the best bracket has not narrowed by 1% over ``_STALL_CHECKS`` clock
+    certifications in a row, and at a fixed point (f exactly 0) the
+    better of that and the fixed point's own."""
     n, rho = program.n, program.rho
     certify, big_w = program.certify, program.big_w
     # both triangles' edge entries, as indices into the flattened matrix
@@ -466,16 +420,9 @@ def _steps(program: _Program, tol: float, max_iter: int,
     extrapolated = False
     best: Optional[ThetaResult] = None
     stall_width, stalled = math.inf, 0
-    trigger, cap_trigger = tol, -math.inf
-    it = 0
+    trigger = tol
 
-    while True:
-        if it == max_iter:
-            more, cap = yield replace(best, iterations=it)
-            max_iter += more
-            # re-aimed at the new cap from the latest certificate
-            cap_trigger = (cap - cert.value) * rho * cert_res / cert.gap
-        it += 1
+    for it in range(1, max(max_iter, 1) + 1):
         lam, q = np.linalg.eigh(s)
         # every iterate is kept exactly symmetric (eigvalsh in certify
         # reads one triangle, the bounds use both); q diag q^T rounds
@@ -495,23 +442,20 @@ def _steps(program: _Program, tol: float, max_iter: int,
         f_flat = f.reshape(-1)
         res = math.sqrt(f_flat @ f_flat)
 
-        # off the clock a certificate can only end the loop.  One still
-        # too wide lowers the tol trigger, if that fired, by its excess
-        # over tol, and aims the cap trigger at the width cap - lower
+        # off the clock a certificate can only end the loop
         on_clock = it % _CHECK_EVERY == 0 or it == 1
         triggered = rho * res <= trigger
-        if on_clock or triggered or rho * res <= cap_trigger:
-            cert, cert_res = certify(y, v, it), res
-            if cert.gap <= tol or cert.dual_bound <= cap:
-                break
+        if on_clock or triggered:
+            cert = certify(y, v, it)
+            if cert.gap <= tol:
+                return cert
             if res == 0.0:
                 # a fixed point: the state can never move again
                 if best is not None and best.gap <= cert.gap:
-                    cert = replace(best, iterations=it)
-                break
+                    return replace(best, iterations=it)
+                return cert
             if triggered:
                 trigger = tol * rho * res / cert.gap
-            cap_trigger = (cap - cert.value) * rho * res / cert.gap
         if on_clock:
             if best is None or cert.gap < best.gap:
                 best = cert
@@ -520,8 +464,7 @@ def _steps(program: _Program, tol: float, max_iter: int,
             else:
                 stalled += 1
             if stalled >= _STALL_CHECKS:
-                cert = replace(best, iterations=it)
-                break
+                return replace(best, iterations=it)
 
         if extrapolated and res > res_last:
             # safeguard: the extrapolation did worse than the point it
@@ -546,9 +489,7 @@ def _steps(program: _Program, tol: float, max_iter: int,
                 gamma = np.linalg.solve(gram, df.T @ f_flat)
                 step = ((d_s[:, :stored] + df) @ gamma).reshape(n, n)
                 s, extrapolated = g - (step + step.T) / 2.0, True
-
-    while True:
-        yield cert
+    return replace(best, iterations=it)
 
 
 def _induced(graph: WeightedGraph, mask: int) -> WeightedGraph:
@@ -779,11 +720,16 @@ def _ceiling_bracket(sic: SicSet, rays: list, coords: list) -> tuple[float, floa
 def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     """Bundle the classical bound, the quantum ceiling, and the ideal value.
 
-    A set with a zero ray, which no state can click, is refused.  If each
-    coordinate block has a closed form (:func:`_block_start`), from its own
-    bases and not the declared contexts, and the join of theirs is within
-    tol, that is ``theta_graph``'s bracket (ks18, ks21 and their direct
-    sums, at 0 iterations); else :func:`solve_theta`'s (yo13, yo13 (+) ks18).
+    A set with a zero ray, which no state can click, is refused.  A
+    coordinate block whose closed form (:func:`_block_start`), from its
+    own bases and not the declared contexts, certifies within tol is a
+    part on its own (ks18, ks21, and ks18 in yo13 (+) ks18, at 0
+    iterations); the rays of the other blocks make one more part, solved
+    by :func:`solve_theta` (yo13).  Every cross pair of two blocks is
+    orthogonal, so ``theta_graph``'s bracket is the join of the parts'
+    (:func:`_join_result`); should the solve fail, its
+    :class:`ThetaNonConvergence` carries its best bracket joined with
+    the closed-form parts'.
 
     The quantum ceiling's lower end is the largest sum(w_b) / d_b over
     the set's coordinate blocks (:func:`_coordinate_blocks`), rounded
@@ -808,18 +754,28 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     adj, tree = _decompose(graph)
     alpha, witness = _independent_set(graph, adj, tree)
     _check_tol(tol)
-    weights, blocks, parts = sic.weights, _coordinate_blocks(sic), []
+    weights, blocks = sic.weights, _coordinate_blocks(sic)
+    places, parts, rest = [], [], []
     for rays, coords in blocks:
         start = _block_start(sic, adj, rays, coords)
-        if start is None:
-            break
-        parts.append(_Program(_induced(graph, sum(1 << i for i in rays))).certify_start(start))
-    theta_graph = None
-    if blocks and len(parts) == len(blocks):
-        theta_graph = (parts[0] if len(parts) == 1
-                       else _join_result(graph, [rays for rays, _ in blocks], parts))
-    if theta_graph is None or theta_graph.gap > tol:
-        theta_graph = solve_theta(graph, tol)
+        if start is not None:
+            part = _Program(_induced(graph, sum(1 << i for i in rays))).certify_start(start)
+            if part.gap <= tol:
+                places.append(rays)
+                parts.append(part)
+                continue
+        rest += rays
+    if rest or not parts:
+        # an empty set has no part either, and solve_theta gives it zeros
+        places.append(sorted(rest))
+        try:
+            parts.append(solve_theta(_induced(graph, sum(1 << i for i in rest)), tol))
+        except ThetaNonConvergence as exc:
+            raise ThetaNonConvergence(
+                max([exc.primal_bound] + [part.value for part in parts]),
+                max([exc.dual_bound] + [part.dual_bound for part in parts]),
+                exc.iterations) from None
+    theta_graph = parts[0] if len(parts) == 1 else _join_result(graph, places, parts)
     lower = max((_round_down(sum(weights[i] for i in rays), len(coords))
                  for rays, coords in blocks), default=0.0)
     upper = theta_graph.dual_bound

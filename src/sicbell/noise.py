@@ -67,7 +67,6 @@ def default_modes(d: int) -> tuple[int, ...]:
     table = {
         3: (-3, 0, 3),
         4: (-4, -1, 1, 4),
-        6: (-3, -2, -1, 1, 2, 3),
     }
     if d in table:
         return table[d]

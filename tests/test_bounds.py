@@ -428,12 +428,12 @@ def test_state_ceiling_rejects_non_hermitian():
 
 def test_theta_nonconvergence_reports_bracket():
     # C5's rounding floor is about 1.3e-14 and its bracket stops near
-    # 4.5e-14: at 2e-14 the cap runs out first, and the error carries the
+    # 4.5e-14: at 2e-14 max_iter runs out first, and the error carries the
     # loop's best certificate
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(cycle5(), tol=2e-14, max_iter=30)
     exc = err.value
-    best = next(bounds._steps(_Program(cycle5()), 2e-14, 30))
+    best = bounds._loop(_Program(cycle5()), 2e-14, 30)
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
         best.value, best.dual_bound, 30)
     assert exc.primal_bound <= np.sqrt(5.0) <= exc.dual_bound
@@ -500,24 +500,21 @@ def test_a_union_certificate_wider_than_tol_raises(monkeypatch):
 def test_split_theta_nonconvergence_reports_the_whole_bracket():
     # C5 joined to one more vertex: theta = max(sqrt(5), 1).  At 3e-14,
     # between C5's rounding floor and the 4.5e-14 its bracket stops at,
-    # the vertex's one-iteration probe is within tol and kept; C5's is
-    # not, and its loop, capped at the vertex's upper end, which it
-    # cannot reach, goes on from the probe, stalls as the uncapped loop
-    # does and returns its best certificate.  The error is the join of
-    # the two, and the iterations are C5's and the vertex's probe
+    # both parts are solved at tol: the vertex certifies in one
+    # iteration, and C5 stalls and returns its best certificate.  The
+    # error is the join of the two, and the iterations are their own
     g = c5_plus_vertex(1, joined=True)
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, tol=3e-14)
     exc = err.value
     assert exc.primal_bound <= np.sqrt(5.0) <= exc.dual_bound
     assert exc.dual_bound - exc.primal_bound < 1e-12
-    c5 = next(bounds._steps(_Program(cycle5()), 3e-14, bounds._MAX_ITER))
-    vertex = next(bounds._steps(_Program(WeightedGraph(1, (1,), ())), 3e-14,
-                                bounds._MAX_ITER - c5.iterations))
+    c5 = bounds._loop(_Program(cycle5()), 3e-14, bounds._MAX_ITER)
+    vertex = bounds._loop(_Program(WeightedGraph(1, (1,), ())), 3e-14, bounds._MAX_ITER)
     assert c5.gap > 3e-14 and vertex.iterations == 1
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
         max(c5.value, vertex.value), max(c5.dual_bound, vertex.dual_bound),
-        c5.iterations + 1)
+        c5.iterations + vertex.iterations)
 
 
 def test_split_theta_nonconvergence_sums_a_union():
@@ -531,9 +528,8 @@ def test_split_theta_nonconvergence_sums_a_union():
         solve_theta(g, tol=4e-14)
     exc = err.value
     c5_graph, c5_tol, vertex_graph, vertex_tol = c5_and_vertex_at(4e-14)
-    c5 = next(bounds._steps(_Program(c5_graph), c5_tol, bounds._MAX_ITER))
-    vertex = next(bounds._steps(_Program(vertex_graph), vertex_tol,
-                                bounds._MAX_ITER - c5.iterations))
+    c5 = bounds._loop(_Program(c5_graph), c5_tol, bounds._MAX_ITER)
+    vertex = bounds._loop(_Program(vertex_graph), vertex_tol, bounds._MAX_ITER)
     cert = _assembled(g, [[0, 1, 2, 3, 4], [5]], [c5, vertex])
     assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (
         cert.value, cert.dual_bound, c5.iterations + vertex.iterations)
@@ -543,7 +539,7 @@ def test_split_theta_nonconvergence_sums_a_union():
 
 def test_a_failed_union_part_keeps_the_whole_union_bracket():
     # ks18|ks21, relabelled so that ks18 comes first, at a tol below what
-    # ks18 reaches: ks18 stalls, ks21 runs on what is left of max_iter, and
+    # ks18 reaches: ks18 stalls, ks21 runs at its own share of tol, and
     # the certificate assembled from their best is narrow, not the sum of
     # a stalled part and a one-iteration one
     g = relabelled_union(("ks18", "ks21"), seed=2)
@@ -569,18 +565,20 @@ def test_threshold_graph_certifies(n, tol):
     assert res.iterations == n
 
 
-def test_max_iter_caps_the_pieces_together():
-    # the union's parts share the cap: C5 needs more than it leaves, and
-    # the vertex, left once the cap is spent, still gets one iteration.
-    # The error is the certificate assembled from the parts' best
+def test_max_iter_caps_each_loop():
+    # max_iter caps each part's loop on its own: at C5's own count the
+    # union certifies with C5's iterations and the vertex's one, and one
+    # below it C5 runs out.  The error is the certificate assembled from
+    # the parts' best
     g = c5_plus_vertex(2, joined=False)
     c5_graph, c5_tol, vertex_graph, vertex_tol = c5_and_vertex_at(1e-6)
     c5 = solve_theta(c5_graph, tol=c5_tol).iterations
-    assert solve_theta(g, max_iter=c5 + 1).iterations == c5 + 1
+    assert solve_theta(g, max_iter=c5).iterations == c5 + 1
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, max_iter=c5 - 1)
-    parts = [next(bounds._steps(_Program(c5_graph), c5_tol, c5 - 1)),
-             next(bounds._steps(_Program(vertex_graph), vertex_tol, 1))]
+    parts = [bounds._loop(_Program(c5_graph), c5_tol, c5 - 1),
+             bounds._loop(_Program(vertex_graph), vertex_tol, c5 - 1)]
+    assert [part.iterations for part in parts] == [c5 - 1, 1]
     cert = _assembled(g, [[0, 1, 2, 3, 4], [5]], parts)
     assert (err.value.primal_bound, err.value.dual_bound, err.value.iterations) == (
         cert.value, cert.dual_bound, c5)
@@ -612,7 +610,7 @@ def test_a_tol_below_the_rounding_floor_runs_nothing(monkeypatch):
     def never(*args):
         raise AssertionError("no certificate may be computed")
 
-    monkeypatch.setattr(bounds, "_steps", never)
+    monkeypatch.setattr(bounds, "_loop", never)
     monkeypatch.setattr(_Program, "certify", never)
     for tol in tols:
         with pytest.raises(ValueError, match="rounding floor 1.52e-13"):
@@ -629,11 +627,11 @@ def test_a_join_certifies_below_the_whole_graph_floor():
     res = solve_theta(g, tol=2e-14)
     assert res.gap < 2 * 7 * bounds._EPS * 8.0
     assert res.value <= 3.0 <= res.dual_bound
-    # C5, whose theta sqrt(5) is below 3, needs no bracket within tol:
-    # its loop goes on from its probe and stops at its second iteration,
-    # the first upper end under the vertex's, long before it would stall
-    # short of 2e-14; the vertex keeps its probe
-    assert res.iterations == 3
+    # C5, whose theta sqrt(5) is below 3, is solved at tol all the same:
+    # its loop stalls short of 2e-14, and the vertex's takes one iteration
+    c5 = bounds._loop(_Program(cycle5()), 2e-14, bounds._MAX_ITER)
+    assert c5.gap > 2e-14
+    assert res.iterations == c5.iterations + 1 == 2_701
 
 
 def test_a_fixed_point_stops_the_loop():
@@ -643,7 +641,7 @@ def test_a_fixed_point_stops_the_loop():
     # rounding floor is 1.8e-15), and the loop returns it at iteration 1
     # instead of waiting out the stall rule
     vertex = WeightedGraph(1, (2,), ())
-    res = next(bounds._steps(_Program(vertex), 7.1e-15, bounds._MAX_ITER))
+    res = bounds._loop(_Program(vertex), 7.1e-15, bounds._MAX_ITER)
     assert res.iterations == 1 and res.gap > 7.1e-15
     assert res.value <= 2.0 <= res.dual_bound
     with pytest.raises(ThetaNonConvergence) as err:
@@ -657,7 +655,7 @@ def test_a_fixed_point_part_costs_one_iteration():
     # its 7.1e-15 share, stops at its fixed point after one iteration
     g = c5_plus_vertex(2, joined=False)
     c5_graph, c5_tol, _, _ = c5_and_vertex_at(2.5e-14)
-    c5 = next(bounds._steps(_Program(c5_graph), c5_tol, bounds._MAX_ITER))
+    c5 = bounds._loop(_Program(c5_graph), c5_tol, bounds._MAX_ITER)
     with pytest.raises(ThetaNonConvergence) as err:
         solve_theta(g, tol=2.5e-14)
     assert err.value.iterations == c5.iterations + 1 == 2_701
@@ -681,18 +679,31 @@ def test_bounds_report_catalog():
 
 def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
     # every cross pair of yo13 (+) ks18 is orthogonal: the graph is a join,
-    # so alpha and theta_graph are yo13's.  Each part first runs a
-    # one-iteration probe (the renumbered parts carry no contexts); yo13,
-    # whose probe has the higher lower end, then goes on from its probe
-    # as its loop does alone, and ks18 keeps its probe, whose upper end
-    # is already below yo13's: the iterations are yo13's and ks18's probe
+    # so alpha and theta_graph are yo13's.  ks18's coordinate block
+    # closes in closed form, and yo13's runs its loop as it does alone:
+    # the iterations are yo13's
     yo13, ks18 = get_set("yo13"), get_set("ks18")
     rep = bounds_report(direct_sum(yo13, ks18))
     parts = [bounds_report(sic) for sic in (yo13, ks18)]
     assert (rep.alpha, rep.alpha_witness) == (11, parts[0].alpha_witness)
     assert (rep.theta_graph, rep.theta_graph_gap) == (
         parts[0].theta_graph, parts[0].theta_graph_gap)
-    assert rep.theta_graph_iterations == solve_theta(yo13.graph).iterations + 1
+    assert rep.theta_graph_iterations == solve_theta(yo13.graph).iterations
+
+
+def test_a_failed_solve_reports_the_joined_bracket(monkeypatch):
+    # yo13's block of yo13 (+) ks18 fails with a bracket below ks18's
+    # 4.5: the error carries the join with ks18's closed form, which
+    # holds theta_graph, not the failed part's bracket alone
+    def fail(graph, tol):
+        raise ThetaNonConvergence(1.0, 2.0, 7)
+
+    ks18 = bounds_report(get_set("ks18"))
+    monkeypatch.setattr(bounds, "solve_theta", fail)
+    with pytest.raises(ThetaNonConvergence) as err:
+        bounds_report(direct_sum(get_set("yo13"), get_set("ks18")))
+    assert (err.value.primal_bound, err.value.dual_bound, err.value.iterations) == (
+        ks18.theta_graph, ks18.theta_graph + ks18.theta_graph_gap, 7)
 
 
 def test_bounds_report_on_a_disjoint_union_adds_the_parts():
@@ -1020,7 +1031,7 @@ def test_closed_form_blocks_run_no_solver(sic, monkeypatch):
         raise AssertionError("the solver ran")
 
     monkeypatch.setattr(bounds, "solve_theta", never)
-    monkeypatch.setattr(bounds, "_steps", never)
+    monkeypatch.setattr(bounds, "_loop", never)
     rep = bounds_report(sic)
     assert sic.contexts is None
     assert rep.theta_graph_iterations == 0

@@ -166,6 +166,20 @@ class TestCatalog:
         assert captured.out == expected
         assert captured.err == "ks18: INVALID\n"
 
+    @pytest.mark.parametrize("context", [[0, 4, 8, 18], [0, 4, 8]],
+                             ids=["index_n", "size_d_minus_1"])
+    def test_context_shape_needs_both_range_and_size(self, tmp_path, capsys,
+                                                      context):
+        # ks18 with its first context given one index equal to n, or only
+        # d - 1 in-range indices: either half alone fails the check
+        doc = to_json_dict(get_set("ks18"))
+        doc["contexts"][0] = context
+        path = tmp_path / "context.json"
+        path.write_text(json.dumps(doc))
+        assert main(["catalog", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "  [FAIL] context_shape: 9 contexts of size 4\n" in out
+
 
 class TestBounds:
     def test_ks18_bounds(self, tmp_path, capsys):
@@ -232,8 +246,8 @@ class TestBounds:
     def test_direct_sum_file_takes_yo13s_brackets(self, tmp_path):
         # yo13 (+) ks18 as a custom set file, every ray zero-padded into its
         # own block: alpha is yo13's 11, beta_ideal (35 + 18) / 7, and the
-        # theta_graph and ceiling brackets are yo13's bit for bit, at most
-        # one iteration (ks18's probe) dearer
+        # theta_graph and ceiling brackets are yo13's bit for bit, at
+        # yo13's iterations: ks18's block closes in closed form
         a, b = (to_json_dict(get_set(name)) for name in ("yo13", "ks18"))
         da, db = a["dimension"], b["dimension"]
         path = tmp_path / "yo13_ks18.json"
@@ -251,7 +265,7 @@ class TestBounds:
         assert total["theta_graph_gap"] <= 1e-6
         for key in ("theta_graph", "theta_graph_gap", "theta", "theta_gap"):
             assert total[key] == yo13[key]
-        assert total["theta_graph_iterations"] <= yo13["theta_graph_iterations"] + 1
+        assert total["theta_graph_iterations"] == yo13["theta_graph_iterations"]
         lower = Fraction(total["theta"])
         assert lower <= Fraction(35, 3) <= lower + Fraction(total["theta_gap"])
 

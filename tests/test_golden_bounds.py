@@ -1,0 +1,62 @@
+"""The ``bounds`` artifacts against their stored text (``golden_bounds.py``).
+
+On the numpy version and machine that wrote them they must match byte
+for byte.  Elsewhere a LAPACK build may round differently, so ints and
+strings must still match exactly and floats within ``REL_TOL`` relative,
+or ``ABS_TOL`` absolute: the closed-form gaps, about 1e-13 wide, are
+made of rounding alone."""
+
+import json
+import math
+
+import pytest
+
+from golden_bounds import GOLDEN, artifacts, platform_key
+
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
+STORED = json.loads(GOLDEN.read_text())
+
+
+def _close(new, old) -> bool:
+    """Floats within tolerance, lists entry by entry, the rest equal."""
+    if isinstance(old, float):
+        return isinstance(new, float) and math.isclose(new, old, rel_tol=REL_TOL,
+                                                       abs_tol=ABS_TOL)
+    if isinstance(old, list):
+        return (isinstance(new, list) and len(new) == len(old)
+                and all(map(_close, new, old)))
+    return type(new) is type(old) and new == old
+
+
+@pytest.fixture(scope="module")
+def texts():
+    return artifacts()
+
+
+def test_the_stored_sets_are_the_artifacts(texts):
+    assert sorted(texts) == sorted(STORED["artifacts"]) == [
+        "ks18+ks21_bounds.json", "ks18_bounds.json", "ks21_bounds.json",
+        "yo13+ks18_bounds.json", "yo13_bounds.json"]
+
+
+@pytest.mark.parametrize("name", sorted(STORED["artifacts"]))
+def test_bounds_artifact_is_golden(texts, name):
+    new, old = texts[name], STORED["artifacts"][name]
+    if platform_key() == {key: STORED[key] for key in ("numpy", "machine")}:
+        assert new == old
+    else:
+        new_doc, old_doc = json.loads(new), json.loads(old)
+        assert sorted(new_doc) == sorted(old_doc)
+        for key, value in old_doc.items():
+            assert _close(new_doc[key], value), (key, new_doc[key], value)
+
+
+def test_off_the_platform_floats_take_the_tolerance():
+    doc = json.loads(STORED["artifacts"]["yo13+ks18_bounds.json"])
+    theta, iterations = doc["theta_graph"], doc["theta_graph_iterations"]
+    assert _close(theta * (1 + REL_TOL / 2), theta)
+    assert not _close(theta * (1 + 2 * REL_TOL), theta)
+    assert not _close(iterations + 1, iterations)
+    assert not _close(float(iterations), iterations)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,31 @@ class TestEstimateBeta:
                                                  "the 61 settings of set yo13$"):
                 estimate_beta(table, sic)
 
+    def test_a_table_without_sigmas_gives_the_exact_verdict(self):
+        # no error bar: ks18 with four diagonal values of 1 lands on
+        # alpha = 4 exactly, so z = 0 and p = 1; an all-zero table lies
+        # below alpha, so z = -inf and p = 1
+        sic = get_set("ks18")
+        values = np.zeros(len(sic.settings))
+        values[[k for k, (i, j) in enumerate(sic.settings) if i == j][:4]] = 1.0
+        report = estimate_beta(ProbabilityTable(values), sic)
+        assert report.beta_hat == report.alpha == 4.0
+        assert (report.sigmas_of_violation, report.p_value) == (0.0, 1.0)
+        report = estimate_beta(ProbabilityTable(np.zeros(len(sic.settings))), sic)
+        assert (report.sigmas_of_violation, report.p_value) == (-math.inf, 1.0)
+
+    @pytest.mark.parametrize("target", [11.5, 10.5])
+    def test_p_value_is_the_normal_tail(self, target):
+        # at a moderate z, above alpha and below it, p = Phi(-z)
+        sic = get_set("yo13")
+        table = expected_bell_value(sic, NoiseConfig(visibility=fit_visibility(target, sic)))[1]
+        s = 0.3 / math.sqrt(total_squared_coefficient(sic))
+        report = estimate_beta(ProbabilityTable(table.values, np.full(table.values.size, s)),
+                               sic)
+        z = report.sigmas_of_violation
+        assert 1.0 < abs(z) < 3.0
+        assert report.p_value == pytest.approx(statistics.NormalDist().cdf(-z), rel=1e-12)
+
     def test_poisson_p_value_needs_record(self):
         sic = get_set("yo13")
         table = expected_bell_value(sic, IDEAL)[1]
@@ -307,6 +333,15 @@ class TestEstimateBeta:
         beside = _poisson_lower_tail(levels, (8, 10, 10.125 + 1e-6), 26.0)
         assert at_mean != beside
         assert at_mean == pytest.approx(beside, abs=1e-6)
+
+    @pytest.mark.parametrize("levels, totals, bound, tail", [
+        ((1.0, -0.5), (1, 1), 1e6, 1.0), ((1.0, -0.5), (3, 5), 5e4, 1.0),
+        ((1.0, -0.5), (3, 5), -5e4, 0.0)])
+    def test_poisson_tail_far_from_the_mean(self, levels, totals, bound, tail):
+        # a bound thousands of sigma out leaves K' flat at t = 0, where a
+        # plain Newton step throws t past exp's range; the step limit keeps
+        # it in range and the tail saturates
+        assert _poisson_lower_tail(levels, totals, bound) == tail
 
     def test_all_counts_zero(self, tmp_path, capsys):
         # an exposure of 1e-3 pairs per setting on yo13 clicks nowhere:

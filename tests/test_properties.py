@@ -52,8 +52,8 @@ from sicbell.bounds import (
     _coordinate_blocks,
     _decompose,
     _induced,
+    _loop,
     _rounding_floor,
-    _steps,
     bounds_report,
     ks_colorable,
     max_weight_independent_set,
@@ -558,7 +558,7 @@ def test_split_mwis_matches_branch_and_bound_oracle(graph):
 def test_split_theta_bracket_meets_the_whole_graph_bracket(graph, tol):
     # the split solve and the loop on the whole graph are both
     # certified, so both brackets hold theta and they overlap
-    whole = next(_steps(_Program(graph), tol, 5_000))
+    whole = _loop(_Program(graph), tol, 5_000)
     assume(whole.gap <= tol)
     split = solve_theta(graph, tol=tol)
     assert split.value <= whole.dual_bound
@@ -720,28 +720,21 @@ def _assert_upper_side_exact(graph, res):
 @pytest.mark.parametrize("tol", [1e-6, 1e-9])
 def test_a_join_part_under_the_cap_keeps_the_join_certified(c5_weight, vertex_weight,
                                                             tol):
-    # C5 joined to a heavier vertex: theta is the vertex's weight.  The
-    # vertex's probe is within tol and sets the cap.  C5 keeps its probe
-    # if its upper end is already under the cap (weights 1 and 4), or
-    # else its capped loop stops at the first upper end under it (4 and
-    # 9), before its bracket is within tol.  Either way the join's
-    # bracket is the vertex's, and with square weights both sides of its
-    # certificate hold exactly
+    # C5 joined to a heavier vertex: theta is the vertex's weight.  Both
+    # parts are solved at tol, and C5's upper end lies under the vertex's
+    # lower end, so the join's bracket is the vertex's, C5's certificate
+    # fills its block of h, and the iterations are the parts' own.  With
+    # square weights both sides of the join's certificate hold exactly
     c5 = WeightedGraph(5, (c5_weight,) * 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
     graph = WeightedGraph(6, c5.weights + (vertex_weight,),
                           c5.edges + tuple((v, 5) for v in range(5)))
-    vertex = next(_steps(_Program(WeightedGraph(1, (vertex_weight,), ())), tol, 1))
-    probe = next(_steps(_Program(c5), tol, 1))
-    assert vertex.gap <= tol < probe.gap
-    part, iterations = probe, 2
-    if probe.dual_bound > vertex.dual_bound:
-        # the capped loop goes on from the probe, whose iteration it counts
-        part = next(_steps(_Program(c5), tol, 1_000, cap=vertex.dual_bound))
-        assert tol < part.gap and part.dual_bound <= vertex.dual_bound
-        iterations += part.iterations - 1
+    vertex = _loop(_Program(WeightedGraph(1, (vertex_weight,), ())), tol, bounds._MAX_ITER)
+    part = _loop(_Program(c5), tol, bounds._MAX_ITER)
+    assert vertex.gap <= tol and part.gap <= tol
+    assert part.dual_bound < vertex.value
     res = solve_theta(graph, tol=tol)
     assert (res.value, res.dual_bound, res.iterations) == (
-        vertex.value, vertex.dual_bound, iterations)
+        vertex.value, vertex.dual_bound, vertex.iterations + part.iterations)
     assert res.value <= vertex_weight <= res.dual_bound
     assert (res.h[:5, :5] == part.h).all()
     _assert_lower_side_exact(graph, res)
@@ -814,18 +807,17 @@ def _joins(node):
 @settings(max_examples=60, deadline=None)
 @given(composed_graphs(max_parts=3, weight=st.sampled_from([1, 4, 9]), max_piece=5),
        st.sampled_from([1e-2, 1e-4, 1e-6]))
-def test_a_join_costs_at_most_a_probe_per_leaf_part(graph, tol):
+def test_a_join_costs_its_parts_own(graph, tol):
     # each join of the split, solved alone at tol: its parts solved alone
     # at tol certify, so it does too, with both sides of its certificate
-    # exact.  A capped loop runs the uncapped one's iterates and stops no
-    # later, and a leaf part's loop goes on from its probe, so the join's
-    # iterations are at most its parts' own: not even a probe is added
+    # exact.  Its bracket is [max lower, max upper] of theirs, and its
+    # iterations are the sum of theirs
     joins = _joins(_decompose(graph)[1])
     assume(joins)
     for _, mask, parts in joins:
         try:
             alone = [solve_theta(_induced(graph, part if isinstance(part, int) else part[1]),
-                                 tol=tol).iterations for part in parts]
+                                 tol=tol) for part in parts]
         except ThetaNonConvergence:
             assume(False)
         sub = _induced(graph, mask)
@@ -833,7 +825,9 @@ def test_a_join_costs_at_most_a_probe_per_leaf_part(graph, tol):
         assert res.gap <= tol
         _assert_lower_side_exact(sub, res)
         _assert_upper_side_exact(sub, res)
-        assert res.iterations <= sum(alone)
+        assert (res.value, res.dual_bound, res.iterations) == (
+            max(part.value for part in alone), max(part.dual_bound for part in alone),
+            sum(part.iterations for part in alone))
 
 
 # zero counts, counts near 2**62, and names JSON must escape
