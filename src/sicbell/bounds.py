@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import combinations, compress
+from itertools import compress
 from operator import or_
 from typing import Optional
 
@@ -190,38 +190,6 @@ def _independent_set(graph: WeightedGraph, adj: list, tree):
         return min(results, key=lambda r: (-r[0], r[1]))
 
     return solve(tree)
-
-
-def ks_colorable(graph: WeightedGraph, contexts
-                 ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Whether the contexts admit a {0,1} vertex assignment with exactly
-    one 1 per context and no two adjacent 1s: ``(True, ones)`` or
-    ``(False, None)``.
-
-    One :func:`max_weight_independent_set` call decides it, on the graph
-    induced by the context members with each context made a clique and
-    each vertex weighted by the number of contexts that contain it.  An
-    independent set there meets each context at most once, so its weight
-    reaches the number of contexts exactly when it meets each one once;
-    the witness is that optimum's vertex tuple.  It inherits the search's
-    cap: more than 64 context members raise ValueError.
-    """
-    contexts = [set(c) for c in contexts]
-    members = sorted(set().union(*contexts))
-    bad = [v for v in members if not 0 <= v < graph.n]
-    if bad:
-        raise ValueError(f"context vertex {bad[0]} out of range for n={graph.n}")
-    index = {v: k for k, v in enumerate(members)}
-    edges = {(index[i], index[j]) for i, j in graph.edges
-             if i in index and j in index}
-    for ctx in contexts:
-        edges.update(combinations(sorted(index[v] for v in ctx), 2))
-    weights = tuple(sum(v in ctx for ctx in contexts) for v in members)
-    value, witness = max_weight_independent_set(
-        WeightedGraph(len(members), weights, tuple(sorted(edges))))
-    if value < len(contexts):
-        return False, None
-    return True, tuple(members[k] for k in witness)
 
 
 @dataclass(frozen=True)
@@ -720,7 +688,8 @@ def _ceiling_bracket(sic: SicSet, rays: list, coords: list) -> tuple[float, floa
 def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     """Bundle the classical bound, the quantum ceiling, and the ideal value.
 
-    A set with a zero ray, which no state can click, is refused.  A
+    A set with a zero ray, which no state can click, is refused, and so
+    is a tol that is not positive and finite, before any search.  A
     coordinate block whose closed form (:func:`_block_start`), from its
     own bases and not the declared contexts, certifies within tol is a
     part on its own (ks18, ks21, and ks18 in yo13 (+) ks18, at 0
@@ -751,9 +720,9 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     zero = np.flatnonzero(np.diagonal(sic.orthogonal))
     if zero.size:
         raise ValueError(f"ray {zero[0]} is the zero vector: no state can click it")
+    _check_tol(tol)
     adj, tree = _decompose(graph)
     alpha, witness = _independent_set(graph, adj, tree)
-    _check_tol(tol)
     weights, blocks = sic.weights, _coordinate_blocks(sic)
     places, parts, rest = [], [], []
     for rays, coords in blocks:

@@ -291,21 +291,6 @@ def verify_set(sic: SicSet) -> ValidationReport:
 # JSON set-definition format
 # ---------------------------------------------------------------------------
 
-def to_json_dict(sic: SicSet) -> dict:
-    """Serialize to the documented schema: entries as [a, b] pairs meaning a + b*w."""
-    doc = {
-        "name": sic.name,
-        "dimension": sic.dimension,
-        "vectors": [[[s.a, s.b] for s in v] for v in sic.vectors],
-        "weights": list(sic.weights),
-    }
-    if sic.contexts is not None:
-        doc["contexts"] = [list(c) for c in sic.contexts]
-    if sic.expected_edges is not None:
-        doc["expected_edges"] = sic.expected_edges
-    return doc
-
-
 def _json_int(value, field: str) -> int:
     """A JSON integer, taken as it is: a bool, a string or a float, even
     a whole one, is refused rather than truncated."""
@@ -358,8 +343,3 @@ def load_set(path) -> SicSet:
     with open(path, encoding="utf-8") as fh:
         return from_json_dict(json.load(fh))
 
-
-def save_set(sic: SicSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(sic), fh, indent=1)
-        fh.write("\n")

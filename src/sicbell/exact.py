@@ -34,14 +34,8 @@ class ExactScalar:
         a, b, c, d = self.a, self.b, other.a, other.b
         return ExactScalar(a * c - b * d, a * d + b * c + b * d)
 
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.a, -self.b)
-
     def conjugate(self) -> "ExactScalar":
         return ExactScalar(self.a + self.b, -self.b)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
 
 ZERO = ExactScalar(0, 0)

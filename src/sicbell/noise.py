@@ -8,8 +8,6 @@ tunable parameter:
 * finite source bandwidth: the amplitudes c_k of sum_k c_k |k>|k>, a
   tuple in the set's basis order (``schmidt_amplitudes``), peak at the
   center of the mode ladder rather than flat (``spiral_spectrum``),
-* entanglement concentration: a filter on one arm flattens the spectrum
-  at the cost of throughput (``procrustean_filter``),
 * white noise: the state is mixed with the maximally mixed background,
   weight ``1 - visibility``,
 * analyzer crosstalk: each projective effect leaks uniformly into its
@@ -112,24 +110,6 @@ def schmidt_state(amplitudes: Sequence[float]) -> np.ndarray:
     """
     psi = np.diag(np.array(schmidt_amplitudes(amplitudes), dtype=complex)).ravel()
     return np.outer(psi, psi.conj())
-
-
-def procrustean_filter(amplitudes: Sequence[float]
-                       ) -> tuple[tuple[float, ...], float]:
-    """Flatten a spectrum by attenuating every mode down to the weakest.
-
-    One arm passes through a mode-dependent attenuator with amplitude
-    transmission t_l = min_k c_k / c_l, which equalizes all coefficients.
-    Returns the concentrated (flat) amplitudes and the success
-    probability d * min_k |c_k|^2, the fraction of pairs surviving the
-    filter.  Fails if any coefficient is zero, since a missing mode can
-    not be repopulated by attenuation.
-    """
-    amps = schmidt_amplitudes(amplitudes)
-    if any(a == 0.0 for a in amps):
-        raise ValueError("cannot concentrate a spectrum with a zero amplitude")
-    d, c_min = len(amps), min(amps)
-    return (1.0 / math.sqrt(d),) * d, d * c_min * c_min
 
 
 @dataclass(frozen=True)

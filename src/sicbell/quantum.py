@@ -49,16 +49,6 @@ def _check_state(rho: np.ndarray, d: int) -> None:
                          f"expected ({d * d}, {d * d}) for dimension {d}")
 
 
-def max_entangled_state(d: int) -> np.ndarray:
-    """Rank-1 projector onto (1/sqrt(d)) sum_j |j>|j>, a (d^2, d^2) array."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
-    psi = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        psi[j * d + j] = 1.0 / np.sqrt(d)
-    return np.outer(psi, psi.conj())
-
-
 def projector(v: Sequence[complex]) -> np.ndarray:
     """Rank-1 projector onto the ray of v."""
     arr = np.asarray(v, dtype=complex)

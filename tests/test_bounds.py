@@ -144,6 +144,12 @@ def direct_sum(*parts, dimension=None):
                   weights=sum((part.weights for part in parts), ()))
 
 
+def set_doc(sic):
+    """The JSON definition of a set without contexts, as ``load_set`` reads it."""
+    return {"name": sic.name, "dimension": sic.dimension, "weights": list(sic.weights),
+            "vectors": [[[x.a, x.b] for x in v] for v in sic.vectors]}
+
+
 def basis_ray(weight):
     """One ray of ``weight`` in dimension 1."""
     return SicSet(name=f"e{weight}", dimension=1, vectors=((ExactScalar(1, 0),),),
@@ -592,6 +598,16 @@ def test_theta_stalled_bracket_stops_early():
     exc = err.value
     assert exc.iterations < 5_000
     assert exc.primal_bound <= 4.5 <= exc.dual_bound
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_a_bad_tol_is_refused_before_the_search(monkeypatch, tol):
+    def never(*args):
+        raise AssertionError("no independent set may be searched for")
+
+    monkeypatch.setattr(bounds, "_independent_set", never)
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        bounds_report(get_set("yo13"), tol=tol)
 
 
 def test_a_tol_below_the_rounding_floor_runs_nothing(monkeypatch):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import sicbell.catalog
-from sicbell.bounds import ks_colorable
 from sicbell.catalog import (
     ExactScalar,
     SicSet,
@@ -18,13 +17,19 @@ from sicbell.catalog import (
     get_set,
     load_set,
     orthogonality_graph,
-    save_set,
-    to_json_dict,
     verify_set,
 )
-from sicbell.exact import inner_product
+from sicbell.exact import ZERO, inner_product
 
-from exact_oracle import projector_sum_equals
+from exact_oracle import ks_colorable, projector_sum_equals
+from test_bounds import set_doc
+
+DATA = Path(sicbell.catalog.__file__).with_name("data")
+
+
+def bundled(name: str) -> dict:
+    """A built-in set's definition, read from its bundled data file."""
+    return json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def test_catalog_names_and_lookup():
@@ -47,7 +52,7 @@ def test_yo13_shape_and_edges():
     # count by brute inspection of every pair, independently of the graph code
     manual = sum(
         1 for i, j in combinations(range(13), 2)
-        if inner_product(s.vectors[i], s.vectors[j]).is_zero()
+        if inner_product(s.vectors[i], s.vectors[j]) == ZERO
     )
     assert manual == 24 == len(g.edges)
     # the weight-2 rays are exactly the degree-3 vertices
@@ -193,23 +198,21 @@ def test_graph_validation():
         WeightedGraph(2, (1, 0), ())
 
 
-def test_json_round_trip(tmp_path):
+def test_json_round_trip():
+    # each bundled definition decodes without loss, from a dict or a file
     for name in catalog_names():
-        s = get_set(name)
-        doc = to_json_dict(s)
-        back = from_json_dict(json.loads(json.dumps(doc)))
-        assert back.vectors == s.vectors
-        assert back.weights == s.weights
-        assert back.contexts == s.contexts
-        path = tmp_path / f"{name}.json"
-        save_set(s, path)
-        again = load_set(path)
-        assert again.vectors == s.vectors
-        assert verify_set(again).ok
+        doc = bundled(name)
+        contexts = doc.get("contexts")
+        for s in (from_json_dict(doc), load_set(DATA / f"{name}.json")):
+            assert set_doc(s) == {key: doc[key] for key in set_doc(s)}
+            assert s.contexts == (None if contexts is None
+                                  else tuple(map(tuple, contexts)))
+            assert s.expected_edges == doc.get("expected_edges")
+            assert verify_set(s).ok
 
 
 def test_json_entries_are_ring_pairs():
-    doc = to_json_dict(get_set("ks21"))
+    doc = bundled("ks21")
     # sixth-root coefficients: entry [a, b] means a + b*omega
     flat = {tuple(e) for vec in doc["vectors"] for e in vec}
     assert (1, 0) in flat and (-1, 1) in flat and (0, -1) in flat
@@ -219,7 +222,7 @@ def test_json_entries_are_ring_pairs():
 def test_shared_entries_keep_the_type_check(twin):
     # [1, 0] is decoded first and shared; a later [true, 0] or [1.0, 0]
     # equals its key, and must still be refused for its type
-    doc = to_json_dict(get_set("yo13"))
+    doc = bundled("yo13")
     assert doc["vectors"][0][0] == [1, 0]
     doc["vectors"][1][1] = twin
     with pytest.raises(ValueError, match=r"^malformed set definition: vector entry "
@@ -229,7 +232,7 @@ def test_shared_entries_keep_the_type_check(twin):
 
 @pytest.mark.parametrize("name", ["yo13_ks18", "ks18_ks21", "..", "set 1.v2"])
 def test_file_safe_names_are_kept(name):
-    doc = to_json_dict(get_set("ks18"))
+    doc = bundled("ks18")
     doc["name"] = name
     assert from_json_dict(doc).name == name
 
@@ -260,11 +263,9 @@ def test_unit_vectors_unit_norm():
 
 def test_bundled_data_files_are_the_catalog():
     # the data files are the only copy of the built-in sets: one per
-    # name, each decoded without loss, and each a valid set
-    data = Path(sicbell.catalog.__file__).with_name("data")
-    assert catalog_names() == tuple(sorted(p.stem for p in data.glob("*.json")))
+    # name, and each a valid set (test_json_round_trip decodes them)
+    assert catalog_names() == tuple(sorted(p.stem for p in DATA.glob("*.json")))
     for name in catalog_names():
         sic = get_set(name)
-        assert to_json_dict(sic) == json.loads((data / f"{name}.json").read_text())
         rep = verify_set(sic)
         assert rep.ok, (name, rep.failures())

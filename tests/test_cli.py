@@ -15,13 +15,15 @@ from pathlib import Path
 import pytest
 
 from sicbell.bounds import ThetaNonConvergence, bounds_report
-from sicbell.catalog import get_set, save_set, to_json_dict
+from sicbell.catalog import get_set
 from sicbell.cli import (OUTDIR_ENV, CliError, RunConfig,
                          load_run_config, main, resolve_set)
 import sicbell
 from sicbell import cli as cli_module
 from sicbell import montecarlo
 from sicbell.noise import default_modes, spiral_spectrum
+
+from test_catalog import DATA, bundled
 
 
 def write_config(path: Path, **fields) -> str:
@@ -127,12 +129,12 @@ class TestCatalog:
 
     def test_set_from_json_file(self, tmp_path, capsys):
         path = tmp_path / "custom.json"
-        save_set(get_set("yo13"), path)
+        path.write_bytes((DATA / "yo13.json").read_bytes())
         assert main(["catalog", str(path)]) == 0
         assert "13 vectors" in capsys.readouterr().out
 
     def test_zero_weight_is_itemised(self, tmp_path, capsys):
-        doc = to_json_dict(get_set("yo13"))
+        doc = bundled("yo13")
         doc["weights"][0] = 0
         path = tmp_path / "zero_weight.json"
         path.write_text(json.dumps(doc))
@@ -142,7 +144,7 @@ class TestCatalog:
         assert "error:" not in captured.err
 
     def test_wrong_length_vector_is_itemised(self, tmp_path, capsys):
-        doc = to_json_dict(get_set("ks18"))
+        doc = bundled("ks18")
         doc["vectors"][0] = doc["vectors"][0][:3]
         path = tmp_path / "short_vector.json"
         path.write_text(json.dumps(doc))
@@ -157,7 +159,7 @@ class TestCatalog:
                                   "repeated_index", "short_vector"])
     def test_corrupted_set_output_is_pinned(self, tmp_path, capsys,
                                             corrupt, expected):
-        doc = to_json_dict(get_set("ks18"))
+        doc = bundled("ks18")
         corrupt(doc)
         path = tmp_path / "corrupted.json"
         path.write_text(json.dumps(doc))
@@ -172,7 +174,7 @@ class TestCatalog:
                                                       context):
         # ks18 with its first context given one index equal to n, or only
         # d - 1 in-range indices: either half alone fails the check
-        doc = to_json_dict(get_set("ks18"))
+        doc = bundled("ks18")
         doc["contexts"][0] = context
         path = tmp_path / "context.json"
         path.write_text(json.dumps(doc))
@@ -248,7 +250,7 @@ class TestBounds:
         # own block: alpha is yo13's 11, beta_ideal (35 + 18) / 7, and the
         # theta_graph and ceiling brackets are yo13's bit for bit, at
         # yo13's iterations: ks18's block closes in closed form
-        a, b = (to_json_dict(get_set(name)) for name in ("yo13", "ks18"))
+        a, b = (bundled(name) for name in ("yo13", "ks18"))
         da, db = a["dimension"], b["dimension"]
         path = tmp_path / "yo13_ks18.json"
         path.write_text(json.dumps({
@@ -308,7 +310,7 @@ class TestBounds:
     def test_large_entry_gives_catalog_bounds(self, tmp_path):
         # ray 1 scaled by 10**30 is the same ray, with a squared norm
         # beyond int64
-        doc = to_json_dict(get_set("yo13"))
+        doc = bundled("yo13")
         doc["vectors"][0][0] = [10**30, 0]
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -336,7 +338,7 @@ class TestBounds:
             "float_context_index", "string_edge_count"])
     def test_non_integer_set_number_is_refused(self, tmp_path, capsys,
                                                name, corrupt, message):
-        doc = to_json_dict(get_set(name))
+        doc = bundled(name)
         corrupt(doc)
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(doc))
@@ -808,7 +810,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", ["bounds", "predict", "simulate"])
     def test_invalid_custom_set_rejected(self, tmp_path, capsys, command):
-        doc = to_json_dict(get_set("yo13"))
+        doc = bundled("yo13")
         doc["vectors"][0] = [[0, 0]] * 3
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(doc))
@@ -855,7 +857,7 @@ class TestConfigHandling:
     def test_set_name_cannot_leave_the_out_directory(self, tmp_path, capsys,
                                                      command, name):
         # the name goes into artifact file names, so it must not be a path
-        doc = to_json_dict(get_set("yo13"))
+        doc = bundled("yo13")
         doc["name"] = str(tmp_path / name) if name == "outside" else name
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(doc))

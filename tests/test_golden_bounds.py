@@ -1,4 +1,5 @@
-"""The ``bounds`` artifacts against their stored text (``golden_bounds.py``).
+"""The ``bounds``, ``simulate`` and ``predict`` artifacts against their
+stored text (``golden_bounds.py``).
 
 On the numpy version and machine that wrote them they must match byte
 for byte.  Elsewhere a LAPACK build may round differently, so ints and
@@ -17,6 +18,7 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 STORED = json.loads(GOLDEN.read_text())
+BOUNDS = sorted(name for name in STORED["artifacts"] if name.endswith("_bounds.json"))
 
 
 def _close(new, old) -> bool:
@@ -27,6 +29,9 @@ def _close(new, old) -> bool:
     if isinstance(old, list):
         return (isinstance(new, list) and len(new) == len(old)
                 and all(map(_close, new, old)))
+    if isinstance(old, dict):
+        return (isinstance(new, dict) and sorted(new) == sorted(old)
+                and all(_close(new[key], value) for key, value in old.items()))
     return type(new) is type(old) and new == old
 
 
@@ -35,14 +40,7 @@ def texts():
     return artifacts()
 
 
-def test_the_stored_sets_are_the_artifacts(texts):
-    assert sorted(texts) == sorted(STORED["artifacts"]) == [
-        "ks18+ks21_bounds.json", "ks18_bounds.json", "ks21_bounds.json",
-        "yo13+ks18_bounds.json", "yo13_bounds.json"]
-
-
-@pytest.mark.parametrize("name", sorted(STORED["artifacts"]))
-def test_bounds_artifact_is_golden(texts, name):
+def assert_golden(texts, name):
     new, old = texts[name], STORED["artifacts"][name]
     if platform_key() == {key: STORED[key] for key in ("numpy", "machine")}:
         assert new == old
@@ -53,6 +51,26 @@ def test_bounds_artifact_is_golden(texts, name):
             assert _close(new_doc[key], value), (key, new_doc[key], value)
 
 
+def test_the_stored_sets_are_the_artifacts(texts):
+    assert sorted(texts) == sorted(STORED["artifacts"]) == [
+        "ks18+ks21_bounds.json", "ks18_bounds.json", "ks21_bounds.json",
+        "ks21_counts.json", "ks21_report.json", "yo13+ks18_bounds.json",
+        "yo13_bounds.json", "yo13_counts.json", "yo13_prediction.json",
+        "yo13_report.json"]
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+def test_bounds_artifact_is_golden(texts, name):
+    assert_golden(texts, name)
+
+
+@pytest.mark.parametrize("name", sorted(set(STORED["artifacts"]) - set(BOUNDS)))
+def test_run_artifact_is_golden(texts, name):
+    # simulate's counts and report at a given and at the default seed,
+    # and predict's table under every kind of noise
+    assert_golden(texts, name)
+
+
 def test_off_the_platform_floats_take_the_tolerance():
     doc = json.loads(STORED["artifacts"]["yo13+ks18_bounds.json"])
     theta, iterations = doc["theta_graph"], doc["theta_graph_iterations"]
@@ -60,3 +78,9 @@ def test_off_the_platform_floats_take_the_tolerance():
     assert not _close(theta * (1 + 2 * REL_TOL), theta)
     assert not _close(iterations + 1, iterations)
     assert not _close(float(iterations), iterations)
+    rows = json.loads(STORED["artifacts"]["yo13_prediction.json"])["settings"]
+    row = rows[0]
+    assert _close({**row, "p_hat": row["p_hat"] * (1 + REL_TOL / 2)}, row)
+    assert not _close({**row, "p_hat": row["p_hat"] * (1 + 2 * REL_TOL)}, row)
+    assert not _close({**row, "index": row["index"] + 1}, row)
+    assert not _close({**row, "extra": 0}, row)

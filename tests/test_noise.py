@@ -15,14 +15,13 @@ from sicbell.noise import (
     default_modes,
     expected_bell_value,
     measurement_effects,
-    procrustean_filter,
     schmidt_amplitudes,
     schmidt_state,
     spiral_spectrum,
 )
-from sicbell.quantum import bell_value, born_probabilities, max_entangled_state
+from sicbell.quantum import bell_value, born_probabilities
 
-from exact_oracle import validate_state
+from exact_oracle import procrustean_filter, validate_state
 
 
 def reduced_state(rho: np.ndarray, d: int) -> np.ndarray:
@@ -118,8 +117,8 @@ class TestSchmidtState:
     def test_uniform_equals_max_entangled(self):
         for d in (3, 4, 6):
             state = schmidt_state((1.0 / math.sqrt(d),) * d)
-            ideal = max_entangled_state(d)
-            assert np.allclose(state, ideal, atol=1e-15)
+            phi = np.eye(d).ravel() / math.sqrt(d)   # sum_j |j>|j> / sqrt(d)
+            assert np.allclose(state, np.outer(phi, phi), atol=1e-15)
 
     def test_product_state_limit(self):
         state = schmidt_state((1.0, 0.0, 0.0))
@@ -354,5 +353,6 @@ class TestApplyNoise:
     def test_prediction_table_matches_bell_value(self):
         sic = get_set("ks21")
         _, table = expected_bell_value(sic, NoiseConfig())
-        _, ideal_table = bell_value(sic, max_entangled_state(6), sic.projectors)
+        phi = np.eye(6).ravel() / math.sqrt(6)   # sum_j |j>|j> / sqrt(6)
+        _, ideal_table = bell_value(sic, np.outer(phi, phi), sic.projectors)
         assert np.allclose(table.values, ideal_table.values, atol=1e-12)

@@ -55,7 +55,6 @@ from sicbell.bounds import (
     _loop,
     _rounding_floor,
     bounds_report,
-    ks_colorable,
     max_weight_independent_set,
     solve_theta,
     state_ceiling,
@@ -65,7 +64,6 @@ from sicbell.catalog import (
     WeightedGraph,
     catalog_names,
     get_set,
-    to_json_dict,
     verify_set,
 )
 from sicbell.cli import _json_text, main
@@ -77,14 +75,14 @@ from sicbell.montecarlo import (
     fit_visibility,
     run_experiment,
 )
-from sicbell.noise import IDEAL, NoiseConfig, expected_bell_value, measurement_effects
+from sicbell.noise import (IDEAL, NoiseConfig, expected_bell_value, measurement_effects,
+                           schmidt_state)
 from sicbell.quantum import (
     ProbabilityTable,
     bell_operator,
     bell_value,
     born_probabilities,
     joint_probability,
-    max_entangled_state,
 )
 
 from exact_oracle import (
@@ -94,11 +92,13 @@ from exact_oracle import (
     is_above_spectrum,
     is_coloring,
     is_psd,
+    ks_colorable,
     local_bound,
     loop_edges,
     unit_vectors,
     validate_state,
 )
+from test_catalog import bundled
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -114,7 +114,7 @@ def ray_sets(draw):
     n = draw(st.integers(2, 8))
     # a zero draw becomes a basis ray, so every vector has a projector
     vector = st.lists(_scalars, min_size=d, max_size=d).map(
-        lambda v: tuple(v) if any(not s.is_zero() for s in v)
+        lambda v: tuple(v) if any(s != ZERO for s in v)
         else (ExactScalar(1, 0),) + tuple(v[1:]))
     vectors = tuple(draw(st.lists(vector, min_size=n, max_size=n)))
     weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
@@ -239,7 +239,7 @@ def test_gram_edges_match_exact_loop(sic, bound, data):
     assert scaled.graph.edges == loop_edges(vectors)
     assert all(type(k) is int for edge in scaled.graph.edges for k in edge)
     assert list(np.diag(scaled.orthogonal)) == [
-        all(x.is_zero() for x in v) for v in vectors]
+        all(x == ZERO for x in v) for v in vectors]
     top = max(max(abs(x.a), abs(x.b)) for v in vectors for x in v)
     expected = np.int64 if 4 * sic.dimension * top**2 < 2**62 else object
     event(f"gram dtype {expected.__name__}")
@@ -296,7 +296,8 @@ def test_closed_form_ideal_matches_noise_model(sic):
                          (ZERO, ExactScalar(0, 1), ZERO)),
                 weights=(1, 1, 1)))
 def test_ideal_value_is_below_the_ceiling(sic):
-    beta_ideal, _ = bell_value(sic, max_entangled_state(sic.dimension), sic.projectors)
+    flat = (1 / math.sqrt(sic.dimension),) * sic.dimension
+    beta_ideal, _ = bell_value(sic, schmidt_state(flat), sic.projectors)
     assert abs(beta_ideal - sum(sic.weights) / sic.dimension) <= 1e-12
     ceiling = state_ceiling(bell_operator(sic))
     assert Fraction(sum(sic.weights), sic.dimension) <= Fraction(ceiling.dual_bound)
@@ -970,7 +971,7 @@ def mutated_sets(draw):
     """A bundled set with one or two mutations: a value of the wrong type,
     a vector entry of 10**30, a vector dropped, duplicated or zeroed, a
     key missing or extra, or a list emptied."""
-    root = {"doc": to_json_dict(get_set(draw(st.sampled_from(catalog_names()))))}
+    root = {"doc": bundled(draw(st.sampled_from(catalog_names())))}
     for kind in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2)):
         doc = root["doc"]
         vectors = doc.get("vectors") if isinstance(doc, dict) else None

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -8,47 +9,49 @@ from sicbell.catalog import (
     get_set,
     orthogonality_graph,
 )
-from sicbell.noise import IDEAL, expected_bell_value
+from sicbell.noise import IDEAL, expected_bell_value, schmidt_state
 from sicbell.quantum import (
     ProbabilityTable,
     bell_value,
     born_probabilities,
     joint_probability,
-    max_entangled_state,
     projector,
 )
 
 from exact_oracle import validate_state
 
 
+def max_entangled(d):
+    """The maximally entangled state, the flat Schmidt spectrum's."""
+    return schmidt_state((1 / math.sqrt(d),) * d)
+
+
 def isotropic_state(d, v):
-    ideal = max_entangled_state(d)
+    ideal = max_entangled(d)
     return v * ideal + (1.0 - v) * np.eye(d * d) / d ** 2
 
 
 def test_max_entangled_basics():
-    st = max_entangled_state(3)
+    st = max_entangled(3)
     validate_state(st, 3)
     assert abs(np.trace(st) - 1.0) < 1e-14
     assert abs(np.trace(st @ st) - 1.0) < 1e-12     # purity
-    with pytest.raises(ValueError):
-        max_entangled_state(1)
 
 
 def test_max_entangled_reduced_state():
     d = 4
-    rho = max_entangled_state(d)
+    rho = max_entangled(d)
     reduced = np.trace(rho.reshape(d, d, d, d), axis1=1, axis2=3)
     assert np.allclose(reduced, np.eye(d) / d, atol=1e-12)
 
 
 def test_max_entangled_overlap_with_00():
-    st = max_entangled_state(6)
+    st = max_entangled(6)
     assert abs(st[0, 0] - 1.0 / 6.0) < 1e-14
 
 
 def test_state_validation_rejects_bad_inputs():
-    good = max_entangled_state(2)
+    good = max_entangled(2)
     validate_state(good, 2)
     with pytest.raises(ValueError, match="must be 4 x 4"):
         validate_state(good[:3, :3], 2)
@@ -95,7 +98,7 @@ def test_conjugate_projector_involution():
 def test_joint_probability_diagonal_is_inverse_dimension():
     for name in catalog_names():
         s = get_set(name)
-        st = max_entangled_state(s.dimension)
+        st = max_entangled(s.dimension)
         for v in s.unit_vectors:
             assert abs(joint_probability(st, v, v) - 1.0 / s.dimension) < 1e-12
 
@@ -103,7 +106,7 @@ def test_joint_probability_diagonal_is_inverse_dimension():
 def test_joint_probability_vanishes_on_edges():
     for name in catalog_names():
         s = get_set(name)
-        st = max_entangled_state(s.dimension)
+        st = max_entangled(s.dimension)
         vecs = s.unit_vectors
         for i, j in orthogonality_graph(s).edges:
             assert joint_probability(st, vecs[i], vecs[j]) < 1e-12
@@ -113,7 +116,7 @@ def test_joint_probability_amplitude_identity():
     # independent route: <psi| P_i x P_j* |psi> = |<v_i|v_j>|^2 / d
     for name in catalog_names():
         s = get_set(name)
-        st = max_entangled_state(s.dimension)
+        st = max_entangled(s.dimension)
         vecs = s.unit_vectors
         for i in range(0, s.n, 3):
             for j in range(0, s.n, 4):
@@ -132,7 +135,7 @@ def test_joint_probability_isotropic_closed_form():
 
 
 def test_joint_probability_dimension_mismatch():
-    st = max_entangled_state(3)
+    st = max_entangled(3)
     with pytest.raises(ValueError):
         joint_probability(st, np.ones(4), np.ones(4))
     # vectors of different lengths are refused before the state is read
@@ -144,7 +147,7 @@ def test_joint_probability_dimension_mismatch():
 def test_born_probabilities_reject_unphysical_state(scale):
     # 4 rho puts every diagonal probability at 4/3; NaN is never in range
     s = get_set("yo13")
-    rho = scale * max_entangled_state(3)
+    rho = scale * max_entangled(3)
     with pytest.raises(ArithmeticError):
         born_probabilities(rho, s.projectors, [(0, 0)])
 
@@ -164,7 +167,7 @@ def test_bell_value_ideal_catalog():
     targets = {"yo13": 35.0 / 3.0, "ks18": 4.5, "ks21": 3.5}
     for name, target in targets.items():
         s = get_set(name)
-        beta, table = bell_value(s, max_entangled_state(s.dimension), s.projectors)
+        beta, table = bell_value(s, max_entangled(s.dimension), s.projectors)
         assert abs(beta - target) < 1e-12
         assert isinstance(table, ProbabilityTable)
         assert np.all(table.values >= 0.0) and np.all(table.values <= 1.0)
@@ -172,7 +175,7 @@ def test_bell_value_ideal_catalog():
 
 def test_bell_value_table_symmetric_for_ideal():
     s = get_set("ks18")
-    _, table = bell_value(s, max_entangled_state(4), s.projectors)
+    _, table = bell_value(s, max_entangled(4), s.projectors)
     d = dict(zip(s.settings, table.values))
     for i, j in s.graph.edges:
         assert abs(d[(i, j)] - d[(j, i)]) < 1e-12
@@ -189,7 +192,7 @@ def test_bell_value_mixed_state_closed_form():
 
 def test_bell_value_affine_in_state():
     s = get_set("yo13")
-    rho1 = max_entangled_state(3)
+    rho1 = max_entangled(3)
     rho2 = isotropic_state(3, 0.0)
     b1, _ = bell_value(s, rho1, s.projectors)
     b2, _ = bell_value(s, rho2, s.projectors)
@@ -202,7 +205,7 @@ def test_bell_value_affine_in_state():
 def test_bell_value_dimension_mismatch():
     s = get_set("yo13")
     with pytest.raises(ValueError):
-        bell_value(s, max_entangled_state(4), s.projectors)
+        bell_value(s, max_entangled(4), s.projectors)
 
 
 def test_bell_value_basis_covariance():
@@ -211,12 +214,12 @@ def test_bell_value_basis_covariance():
     rng = np.random.default_rng(314)
     s = get_set("yo13")
     vecs = s.unit_vectors
-    beta0, _ = bell_value(s, max_entangled_state(3), s.projectors)
+    beta0, _ = bell_value(s, max_entangled(3), s.projectors)
 
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u, _ = np.linalg.qr(m)
     big = np.kron(u, u.conj())
-    rotated_state = big @ max_entangled_state(3) @ big.conj().T
+    rotated_state = big @ max_entangled(3) @ big.conj().T
     validate_state(rotated_state, 3)
     rot_vecs = [u @ v for v in vecs]
 
@@ -251,7 +254,7 @@ def test_wrong_shape_state_is_refused(rho):
 def test_one_born_path_bit_for_bit(name):
     s = get_set(name)
     d = s.dimension
-    _, table = bell_value(s, max_entangled_state(d), s.projectors)
+    _, table = bell_value(s, max_entangled(d), s.projectors)
     _, expected = expected_bell_value(s, IDEAL)
     assert np.array_equal(table.values, expected.values)
     rng = np.random.default_rng(17)
