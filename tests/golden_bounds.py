@@ -5,9 +5,9 @@ numpy version and machine that wrote them:
   ks18, ks21 and the direct sums yo13+ks18 and ks18+ks21 (built by
   ``test_bounds.direct_sum``);
 * the report and counts of ``sicbell simulate`` on ks21 at seed 3 and on
-  yo13 at the config's default seed;
-* yo13's ``sicbell predict`` table at visibility 0.97, crosstalk 0.01
-  and spectrum width 4.
+  yo13 at the config's default seed, and the ks21 run's figure CSV;
+* the ideal ``sicbell predict`` table of ks18 and ks21, and yo13's at
+  visibility 0.97, crosstalk 0.01 and spectrum width 4.
 
 ``test_golden_bounds.py`` holds the artifacts to it.
 
@@ -16,12 +16,14 @@ numpy version and machine that wrote them:
 
 Either way each field that differs from the stored file is printed as
 ``<artifact>: <field> <old> -> <new>``, a table field row by row as
-``<field>[<row>]``; a compare exits 1 if any does.
+``<field>[<row>]`` and a CSV's rows as ``rows[<row>]``; a compare exits 1
+if any does.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import platform
@@ -40,10 +42,13 @@ SETS = (("yo13",), ("ks18",), ("ks21",), ("yo13", "ks18"), ("ks18", "ks21"))
 NOISY = {"visibility": 0.97, "crosstalk": 0.01, "spectrum_width": 4}
 # (arguments, the artifacts of the run that are stored); "{config}" is NOISY's file
 RUNS = (
-    (["simulate", "--set", "ks21", "--seed", "3"], ("ks21_report.json", "ks21_counts.json")),
+    (["simulate", "--set", "ks21", "--seed", "3"],
+     ("ks21_report.json", "ks21_counts.json", "ks21_figure.csv")),
     (["simulate", "--set", "yo13"], ("yo13_report.json", "yo13_counts.json")),
     (["predict", "--set", "yo13", "--config", "{config}", "--format", "json"],
      ("yo13_prediction.json",)),
+    (["predict", "--set", "ks18", "--format", "json"], ("ks18_prediction.json",)),
+    (["predict", "--set", "ks21", "--format", "json"], ("ks21_prediction.json",)),
 )
 
 
@@ -54,7 +59,7 @@ def platform_key() -> dict:
 
 def artifacts() -> dict:
     """``{file name: text}`` of each set's ``bounds`` artifact and each
-    stored artifact of ``RUNS``, in JSON."""
+    stored artifact of ``RUNS``."""
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -79,10 +84,20 @@ def artifacts() -> dict:
     return texts
 
 
-def fields(text: str) -> dict:
+def document(name: str, text: str) -> dict:
+    """An artifact as JSON values: a JSON file as parsed, a CSV file as
+    ``{"rows": [...]}``, each row a dict of its cells read as JSON."""
+    if not name.endswith(".csv"):
+        return json.loads(text)
+    rows = csv.DictReader(io.StringIO(text, newline=""))
+    return {"rows": [{key: json.loads(cell) for key, cell in row.items()}
+                     for row in rows]}
+
+
+def fields(name: str, text: str) -> dict:
     """An artifact's fields, each row of a table as ``<field>[<row>]``."""
     flat = {}
-    for key, value in json.loads(text).items():
+    for key, value in document(name, text).items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
             flat.update({f"{key}[{k}]": row for k, row in enumerate(value)})
         else:
@@ -94,8 +109,8 @@ def changes(old: dict, new: dict) -> list:
     """``<artifact>: <field> <old> -> <new>`` for each differing field."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
-        before = fields(old[name]) if name in old else {}
-        after = fields(new[name]) if name in new else {}
+        before = fields(name, old[name]) if name in old else {}
+        after = fields(name, new[name]) if name in new else {}
         lines += [f"{name}: {key} {before.get(key)!r} -> {after.get(key)!r}"
                   for key in dict.fromkeys([*before, *after])
                   if before.get(key) != after.get(key)]

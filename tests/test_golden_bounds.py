@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from golden_bounds import GOLDEN, artifacts, platform_key
+from golden_bounds import GOLDEN, artifacts, document, platform_key
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -45,7 +45,7 @@ def assert_golden(texts, name):
     if platform_key() == {key: STORED[key] for key in ("numpy", "machine")}:
         assert new == old
     else:
-        new_doc, old_doc = json.loads(new), json.loads(old)
+        new_doc, old_doc = document(name, new), document(name, old)
         assert sorted(new_doc) == sorted(old_doc)
         for key, value in old_doc.items():
             assert _close(new_doc[key], value), (key, new_doc[key], value)
@@ -53,8 +53,9 @@ def assert_golden(texts, name):
 
 def test_the_stored_sets_are_the_artifacts(texts):
     assert sorted(texts) == sorted(STORED["artifacts"]) == [
-        "ks18+ks21_bounds.json", "ks18_bounds.json", "ks21_bounds.json",
-        "ks21_counts.json", "ks21_report.json", "yo13+ks18_bounds.json",
+        "ks18+ks21_bounds.json", "ks18_bounds.json", "ks18_prediction.json",
+        "ks21_bounds.json", "ks21_counts.json", "ks21_figure.csv",
+        "ks21_prediction.json", "ks21_report.json", "yo13+ks18_bounds.json",
         "yo13_bounds.json", "yo13_counts.json", "yo13_prediction.json",
         "yo13_report.json"]
 
@@ -66,8 +67,8 @@ def test_bounds_artifact_is_golden(texts, name):
 
 @pytest.mark.parametrize("name", sorted(set(STORED["artifacts"]) - set(BOUNDS)))
 def test_run_artifact_is_golden(texts, name):
-    # simulate's counts and report at a given and at the default seed,
-    # and predict's table under every kind of noise
+    # simulate's counts, report and figure at a given and at the default
+    # seed, and predict's table ideal and under every kind of noise
     assert_golden(texts, name)
 
 
@@ -84,3 +85,8 @@ def test_off_the_platform_floats_take_the_tolerance():
     assert not _close({**row, "p_hat": row["p_hat"] * (1 + 2 * REL_TOL)}, row)
     assert not _close({**row, "index": row["index"] + 1}, row)
     assert not _close({**row, "extra": 0}, row)
+    # a CSV cell is read as JSON, so an int count stays an int
+    figure = document("ks21_figure.csv", STORED["artifacts"]["ks21_figure.csv"])
+    cells = figure["rows"][0]
+    assert type(cells["count"]) is int and type(cells["p_hat"]) is float
+    assert not _close({**cells, "count": float(cells["count"])}, cells)
