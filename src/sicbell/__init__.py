@@ -9,8 +9,9 @@ has one (ks18, ks21 and their direct sums), with an in-house ADMM SDP
 solver otherwise.  The quantum ceiling, the top eigenvalue of the Bell
 operator, is bracketed by the blocks' maximally entangled states and
 theta_graph; a block's operator is built only when that bracket is
-wider than tol.  It predicts quantum values from one Born-rule
-contraction and simulates noisy photon-counting runs.
+wider than tol.  It predicts quantum values from the Born rule's closed
+form on the noisy two-photon model and simulates noisy photon-counting
+runs.
 
 The top level re-exports the few names a typical script needs; every
 other name is imported from its submodule (``sicbell.catalog``,

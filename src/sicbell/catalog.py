@@ -151,8 +151,7 @@ class SicSet:
     def projectors(self) -> np.ndarray:
         """The rank-1 projectors onto the rays, a read-only (n, d, d)
         stack.  The other arm's family is its entrywise conjugate, formed
-        only in :mod:`sicbell.quantum` (``born_probabilities`` and
-        ``block_operator``)."""
+        only in :func:`sicbell.quantum.block_operator`."""
         vecs = self.unit_vectors
         stack = np.einsum("ia,ib->iab", vecs, vecs.conj())
         stack.setflags(write=False)

@@ -13,15 +13,15 @@ tunable parameter:
 * analyzer crosstalk: each projective effect leaks uniformly into its
   orthogonal complement with weight ``epsilon``.
 
-``apply_noise`` composes all of these into the state, a plain (d^2, d^2)
-density matrix, and the first arm's measurement effects (built on
-``SicSet.projectors``); the second arm's conjugate effects are formed
-only in :func:`sicbell.quantum.born_probabilities`.
+On this family the Born rule has a closed form, so no state or effect
+matrix is ever built: ``apply_noise`` resolves a configuration into a
+:class:`PredictionInputs` record (the set's unit vectors, the amplitudes
+and three scalars), whose ``probabilities`` method is the formula.
 ``expected_bell_value`` is :func:`sicbell.quantum.bell_value` on that
-pair, the one Born-rule path: ``predict`` writes its table and
-``simulate`` draws counts from it.  At ``IDEAL`` it is the general path
-to the ideal prediction and the tests' reference for its closed form,
-``SicSet.ideal_probabilities`` and beta = sum(w) / d.
+record, the one probability path: ``predict`` writes its table and
+``simulate`` draws counts from it.  At ``IDEAL`` it reproduces the
+closed-form ideal prediction, ``SicSet.ideal_probabilities`` and
+beta = sum(w) / d.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import SicSet
-from .quantum import ProbabilityTable, bell_value, born_probabilities
+from .quantum import ProbabilityTable, bell_value
 
 _NORM_TOL = 1e-12
 
@@ -100,18 +100,6 @@ def spiral_spectrum(width: float, modes: Sequence[int]) -> tuple[float, ...]:
     return schmidt_amplitudes(amps)
 
 
-def schmidt_state(amplitudes: Sequence[float]) -> np.ndarray:
-    """The pure two-photon state with the given Schmidt coefficients, as
-    its (d^2, d^2) density matrix.
-
-    Coefficient k pairs basis index k on both arms, so the state vector
-    is sum_k c_k |k>|k> and the flat spectrum reproduces the maximally
-    entangled state.
-    """
-    psi = np.diag(np.array(schmidt_amplitudes(amplitudes), dtype=complex)).ravel()
-    return np.outer(psi, psi.conj())
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     """Imperfection parameters for one simulated run.
@@ -143,64 +131,67 @@ IDEAL = NoiseConfig()
 
 @dataclass(frozen=True)
 class PredictionInputs:
-    """State and measurement effects ready for probability evaluation.
+    """A noise model resolved for one set: a plain record, not a state.
 
-    ``state`` is the (d^2, d^2) density matrix.  ``effects[i]`` is the
-    POVM element for selecting ray i on arm A, stacked as an (n, d, d)
-    array; arm B selects ray j with its entrywise conjugate, which
-    :func:`sicbell.quantum.born_probabilities` forms.  The joint click
-    probability for setting (i, j) is Tr[rho (A_i x A_j*)]; a whole
-    table comes from :func:`sicbell.quantum.bell_value`.
+    ``vectors`` holds the rays u_i as unit rows (``SicSet.unit_vectors``),
+    ``amplitudes`` the Schmidt coefficients c_k of |psi> = sum_k c_k |kk>,
+    and ``visibility`` the weight v of |psi><psi| against the white noise
+    I / d^2.  Arm A selects ray i with the effect E_i = a Pi_i + b I, where
+    b = eps / (d - 1) and a = 1 - eps - b for crosstalk eps; arm B selects
+    ray j with E_j*.  The Born rule Tr[rho (E_i x E_j*)] is then
+
+        P_ij = v (a^2 |M_ij|^2 + a b (m_i + m_j) + b^2) + (1 - v) / d^2,
+        M_ij = sum_k conj(u_ik) c_k u_jk,    m_i = sum_k c_k^2 |u_ik|^2,
+
+    the noise term being 1 / d^2 because every effect has trace a + b d = 1.
     """
 
-    state: np.ndarray
-    effects: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray
+    visibility: float
+    a: float
+    b: float
+
+    def probabilities(self, ii: Sequence[int], jj: Sequence[int]) -> np.ndarray:
+        """P_ij for each pair (ii[k], jj[k]), clamped to [0, 1] against
+        roundoff.  An index outside the set, a negative one too, raises
+        ``ValueError``."""
+        ii, jj = np.asarray(ii, dtype=int), np.asarray(jj, dtype=int)
+        n, d = self.vectors.shape
+        outside = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"setting ({ii[k]}, {jj[k]}) out of range")
+        u, c, a, b, v = self.vectors, self.amplitudes, self.a, self.b, self.visibility
+        overlap = (u.conj() * c) @ u.T
+        marginal = (u.real ** 2 + u.imag ** 2) @ (c * c)
+        pure = (a * a * np.abs(overlap[ii, jj]) ** 2
+                + a * b * (marginal[ii] + marginal[jj]) + b * b)
+        return np.clip(v * pure + (1.0 - v) / (d * d), 0.0, 1.0)
 
     def probability(self, i: int, j: int) -> float:
-        return float(born_probabilities(self.state, self.effects, [(i, j)])[0])
-
-
-def measurement_effects(sic: SicSet, crosstalk: float) -> np.ndarray:
-    """Arm A's analyzer POVM elements at the given crosstalk level.
-
-    Each ideal projector P keeps weight 1 - epsilon and leaks the rest
-    uniformly into its complement: E = (1-eps) P + eps (I - P)/(d-1).
-    The result is an (n, d, d) stack; arm B's entrywise conjugate family
-    is formed by :func:`sicbell.quantum.born_probabilities`.
-    """
-    d = sic.dimension
-    if not 0.0 <= crosstalk < 1.0:
-        raise ValueError(f"crosstalk {crosstalk} outside [0, 1)")
-    if crosstalk > 0.0 and d < 2:
-        raise ValueError("crosstalk needs dimension at least 2")
-    effects = sic.projectors
-    if crosstalk > 0.0:
-        eye = np.eye(d, dtype=complex)
-        effects = ((1.0 - crosstalk) * effects
-                   + crosstalk * (eye - effects) / (d - 1))
-    return effects
+        return float(self.probabilities((i,), (j,))[0])
 
 
 def apply_noise(sic: SicSet, cfg: NoiseConfig) -> PredictionInputs:
-    """Build the noisy state and effects for a set under a configuration.
-
-    The source state is the (possibly non-flat) Schmidt state mixed with
-    white noise at weight 1 - visibility; the analyzers carry the
-    crosstalk leakage.  :func:`expected_bell_value` turns the pair into
-    the exact prediction table, which the count simulator draws from.
+    """Resolve a configuration for a set: the flat spectrum unless one is
+    given, and the crosstalk as the effects' weights a and b.
+    :func:`expected_bell_value` turns the record into the exact
+    prediction table, which the count simulator draws from.
     """
     d = sic.dimension
     spec = cfg.spectrum if cfg.spectrum is not None else (1.0 / math.sqrt(d),) * d
     if len(spec) != d:
         raise ValueError(f"spectrum has {len(spec)} modes but the set needs {d}")
-    pure = schmidt_state(spec)
-    v = cfg.visibility
-    rho = v * pure + (1.0 - v) * np.eye(d * d, dtype=complex) / (d * d)
-    return PredictionInputs(rho, measurement_effects(sic, cfg.crosstalk))
+    eps = cfg.crosstalk
+    if eps > 0.0 and d < 2:
+        raise ValueError("crosstalk needs dimension at least 2")
+    b = eps / (d - 1) if eps > 0.0 else 0.0
+    return PredictionInputs(sic.unit_vectors, np.array(spec), cfg.visibility,
+                            1.0 - eps - b, b)
 
 
 def expected_bell_value(sic: SicSet, cfg: NoiseConfig
                         ) -> tuple[float, ProbabilityTable]:
     """The functional value a noiseless estimator would converge to."""
-    inputs = apply_noise(sic, cfg)
-    return bell_value(sic, inputs.state, inputs.effects)
+    return bell_value(sic, apply_noise(sic, cfg))

@@ -3,22 +3,18 @@
 One party measures the catalog projectors directly, the other always
 measures their entrywise complex conjugates; this pairing is hard-wired
 because it is what makes the diagonal probabilities land on 1/d for the
-maximally entangled state.  The conjugate family is formed here and
-nowhere else: :func:`born_probabilities` and :func:`block_operator` take
-one arm's (n, d, d) effect stack and conjugate it for the other.
+maximally entangled state.  The conjugate family is formed only in
+:func:`block_operator`, from one arm's (n, d, d) projector stack.
 
-A state is its density matrix, a plain (d^2, d^2) array on the joint
-space; d comes from the effects or the set, and a matrix of any other
-shape raises ``ValueError``.  Every probability is the Born-rule trace
-Tr[rho (A_i x A_j*)], and a whole table of them comes from one tensor
-contraction (:func:`born_probabilities`).  :func:`bell_value` is the one
-path from a state and arm A's effect stack to beta and its table: the
-set's projectors (``SicSet.projectors``) for ideal analysers, the noisy
-stack for ``noise.expected_bell_value``.  The single-pair
-:func:`joint_probability` builds the Kronecker product explicitly; it is
-kept as the reference the contraction is tested against.  The ideal
-prediction is ``SicSet.ideal_probabilities``; ``noise.expected_bell_value``
-at the noiseless config is its general path and the tests' reference.
+:func:`bell_value` is the one path to beta and its table: it reads every
+probability of a set's settings from the closed-form noise model that
+:func:`sicbell.noise.apply_noise` resolves, so no state is built.  For
+any other state, a plain (d^2, d^2) density matrix rho on the joint
+space, beta is Tr[rho B] with B = :func:`bell_operator`.  The
+single-pair :func:`joint_probability` builds the Kronecker product
+Tr[rho (Pi_i x Pi_j*)] explicitly.  The ideal prediction is
+``SicSet.ideal_probabilities``, which ``noise.expected_bell_value``
+reproduces at the noiseless config.
 
 The functional evaluated here is
 
@@ -41,14 +37,6 @@ import numpy as np
 from .catalog import SicSet
 
 
-def _check_state(rho: np.ndarray, d: int) -> None:
-    """Refuse a density matrix that is not (d^2, d^2)."""
-    shape = np.shape(rho)
-    if shape != (d * d, d * d):
-        raise ValueError(f"state matrix has shape {shape}, "
-                         f"expected ({d * d}, {d * d}) for dimension {d}")
-
-
 def projector(v: Sequence[complex]) -> np.ndarray:
     """Rank-1 projector onto the ray of v."""
     arr = np.asarray(v, dtype=complex)
@@ -61,46 +49,21 @@ def projector(v: Sequence[complex]) -> np.ndarray:
 
 def joint_probability(rho: np.ndarray, vi: Sequence[complex],
                       vj: Sequence[complex]) -> float:
-    """Tr[rho (Pi_i x Pi_j*)], clamped to [0, 1] against roundoff."""
+    """Tr[rho (Pi_i x Pi_j*)] for a (d^2, d^2) state, clamped to [0, 1]
+    against roundoff; a state of any other shape raises ``ValueError``."""
     vi = np.asarray(vi, dtype=complex)
     vj = np.asarray(vj, dtype=complex)
     if len(vj) != len(vi):
         raise ValueError("the two vectors differ in dimension")
-    _check_state(rho, len(vi))
+    d, shape = len(vi), np.shape(rho)
+    if shape != (d * d, d * d):
+        raise ValueError(f"state matrix has shape {shape}, "
+                         f"expected ({d * d}, {d * d}) for dimension {d}")
     op = np.kron(projector(vi), projector(np.conj(vj)))
     p = float(np.trace(rho @ op).real)
-    if p < -1e-9 or p > 1.0 + 1e-9:
+    if not -1e-9 <= p <= 1.0 + 1e-9:  # a NaN fails both comparisons
         raise ArithmeticError(f"probability {p} outside [0,1] beyond roundoff")
     return min(max(p, 0.0), 1.0)
-
-
-def born_probabilities(rho: np.ndarray, effects: np.ndarray,
-                       settings: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Tr[rho (A_i x A_j*)] for every setting (i, j), clamped to [0, 1].
-
-    ``rho`` is the (d^2, d^2) joint density matrix and ``effects`` is
-    the (n, d, d) stack of the first arm's effects A_i; the second arm
-    measures their entrywise conjugates, formed here.  Indexing rho as
-    rho[a, b, c, e] (first-arm row, second-arm row, first-arm column,
-    second-arm column), the trace is sum rho[a, b, c, e] A_i[c, a]
-    A_j*[e, b] for every (i, j) at once.  A state of any other shape,
-    or an index outside the stack, negative ones too, raises ValueError.
-    """
-    n, d = len(effects), effects.shape[-1]
-    _check_state(rho, d)
-    ii, jj = np.asarray(settings, dtype=int).reshape(-1, 2).T
-    outside = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ValueError(f"setting ({ii[k]}, {jj[k]}) out of range")
-    table = np.einsum("abce,ica,jeb->ij", rho.reshape(d, d, d, d), effects,
-                      effects.conj(), optimize=True)
-    p = table.real[ii, jj]
-    bad = p[~((p >= -1e-9) & (p <= 1.0 + 1e-9))]
-    if bad.size:
-        raise ArithmeticError(
-            f"probability {bad[0]} outside [0,1] beyond roundoff")
-    return np.clip(p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -116,10 +79,12 @@ class ProbabilityTable:
     sigmas: Optional[np.ndarray] = None
 
 
-def bell_value(sic: SicSet, rho: np.ndarray, effects: np.ndarray
-               ) -> tuple[float, ProbabilityTable]:
-    """Beta and its table for a (d^2, d^2) state and arm A's (n, d, d) effects."""
-    values = born_probabilities(rho, effects, sic.settings)
+def bell_value(sic: SicSet, inputs) -> tuple[float, ProbabilityTable]:
+    """Beta and its table for a set under its resolved noise model, a
+    :class:`sicbell.noise.PredictionInputs`."""
+    if not np.array_equal(inputs.vectors, sic.unit_vectors):
+        raise ValueError("the inputs were resolved for another set")
+    values = inputs.probabilities(*zip(*sic.settings))
     return float(sic.coefficients @ values), ProbabilityTable(values)
 
 

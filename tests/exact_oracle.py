@@ -28,7 +28,12 @@ group's Poisson CDF, in integer arithmetic on the levels, not a
 saddle point.
 ``validate_state`` checks that a matrix is a density matrix on a d x d
 joint system: its shape, Hermiticity, unit trace and no negative
-eigenvalue.
+eigenvalue.  ``model_state`` builds the noise model's (d^2, d^2) state
+v |psi><psi| + (1 - v) I / d^2 with |psi> = sum_k c_k |kk>, and
+``kron_table`` is the Born rule Tr[rho (E_i x E_j*)] at every setting,
+one explicit Kronecker product per setting with the crosstalk effects
+E_i = (1 - eps) Pi_i + eps (I - Pi_i) / (d - 1), not the package's
+closed form.
 
 Two references of the acceptance suite are checks on the package rather
 than independent of it.  ``ks_colorable`` decides Kochen-Specker
@@ -379,3 +384,24 @@ def validate_state(rho, d: int) -> None:
         raise ValueError("state trace is not 1")
     if float(np.linalg.eigvalsh(rho)[0]) < -1e-10:
         raise ValueError("state has a negative eigenvalue")
+
+
+# the package's closed-form table agrees with kron_table this closely
+KRON_TOL = 1e-14
+
+
+def model_state(amplitudes, visibility: float = 1.0) -> np.ndarray:
+    """v |psi><psi| + (1 - v) I / d^2 for |psi> = sum_k c_k |kk>."""
+    psi = np.diag(np.asarray(amplitudes, dtype=complex)).ravel()
+    d2 = len(psi)
+    return visibility * np.outer(psi, psi.conj()) + (1.0 - visibility) * np.eye(d2) / d2
+
+
+def kron_table(sic, rho, crosstalk: float = 0.0) -> np.ndarray:
+    """Tr[rho (E_i x E_j*)] at each of ``sic.settings``, in that order."""
+    d = sic.dimension
+    pis = [np.outer(u, u.conj()) for u in unit_vectors(sic.vectors)]
+    effects = [(1.0 - crosstalk) * pi + crosstalk * (np.eye(d) - pi) / max(d - 1, 1)
+               for pi in pis]
+    return np.array([np.trace(rho @ np.kron(effects[i], effects[j].conj())).real
+                     for i, j in sic.settings])

@@ -32,12 +32,11 @@ from sicbell.noise import (
     NoiseConfig,
     default_modes,
     expected_bell_value,
-    schmidt_state,
     spiral_spectrum,
 )
-from sicbell.quantum import bell_value, projector
+from sicbell.quantum import bell_operator, projector
 
-from exact_oracle import ks_colorable, procrustean_filter
+from exact_oracle import ks_colorable, model_state, procrustean_filter
 
 _BOUNDS_CACHE = {}
 
@@ -88,7 +87,7 @@ def test_acceptance_2_ideal_values(capsys):
     values = {}
     for name in targets:
         sic = get_set(name)
-        beta, _ = bell_value(sic, max_entangled(sic.dimension), sic.projectors)
+        beta, _ = expected_bell_value(sic, NoiseConfig())
         values[name] = beta
     elapsed = time.perf_counter() - start
     ok = elapsed < 1.0
@@ -180,7 +179,7 @@ def test_acceptance_5_oracle_equivalence(capsys):
         alpha, _ = max_weight_independent_set(graph)
         brute = exhaustive_alpha(graph)
         rep = cached_bounds(name)
-        beta, _ = bell_value(sic, max_entangled(sic.dimension), sic.projectors)
+        beta = np.trace(max_entangled(sic.dimension) @ bell_operator(sic)).real
         ok &= alpha == brute
         ok &= rep.theta >= alpha
         ok &= rep.theta >= beta - 1e-5
@@ -208,14 +207,14 @@ def test_acceptance_6_structural_invariants(capsys):
 
     out, success = procrustean_filter(
         (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)))
-    state = schmidt_state(out)
+    state = model_state(out)
     ent_err = float(np.abs(state - max_entangled(3)).max())
     ok &= ent_err <= 1e-12
     ok &= abs(success - 3 * 0.2) <= 1e-12
     wide = spiral_spectrum(1.3, default_modes(6))
     out6, success6 = procrustean_filter(wide)
     ok &= abs(success6 - 6 * min(np.square(wide))) <= 1e-12
-    ok &= np.abs(schmidt_state(out6)
+    ok &= np.abs(model_state(out6)
                  - max_entangled(6)).max() <= 1e-12
 
     report(capsys, 6, "structural invariants", ok,

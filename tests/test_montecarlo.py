@@ -24,7 +24,7 @@ from sicbell.montecarlo import (
     simulate_counts,
 )
 from sicbell.noise import NoiseConfig, apply_noise, expected_bell_value
-from sicbell.quantum import ProbabilityTable, born_probabilities
+from sicbell.quantum import ProbabilityTable
 
 
 IDEAL = NoiseConfig()
@@ -36,8 +36,7 @@ def ideal_table(name):
 
 
 def one_setting_table(setting, inputs):
-    values = born_probabilities(inputs.state, inputs.effects, [setting])
-    return ProbabilityTable(values)
+    return ProbabilityTable(np.array([inputs.probability(*setting)]))
 
 
 class TestSimulateCounts:

@@ -2,26 +2,24 @@
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
-from sicbell.catalog import catalog_names, get_set, orthogonality_graph
+from sicbell.catalog import SicSet, catalog_names, get_set, orthogonality_graph
+from sicbell.exact import ExactScalar
 from sicbell.noise import (
     IDEAL,
     NoiseConfig,
-    PredictionInputs,
     apply_noise,
     default_modes,
     expected_bell_value,
-    measurement_effects,
     schmidt_amplitudes,
-    schmidt_state,
     spiral_spectrum,
 )
-from sicbell.quantum import bell_value, born_probabilities
 
-from exact_oracle import procrustean_filter, validate_state
+from exact_oracle import kron_table, model_state, procrustean_filter, validate_state
 
 
 def reduced_state(rho: np.ndarray, d: int) -> np.ndarray:
@@ -44,8 +42,7 @@ class TestSpectra:
             sic = get_set(name)
             d = sic.dimension
             flat = schmidt_amplitudes([1.0 / math.sqrt(d)] * d)
-            assert np.array_equal(apply_noise(sic, IDEAL).state,
-                                  schmidt_state(flat))
+            assert np.array_equal(apply_noise(sic, IDEAL).amplitudes, flat)
 
     def test_spiral_flat_limit(self):
         spec = spiral_spectrum(math.inf, (-3, 0, 3))
@@ -114,16 +111,17 @@ class TestSpectra:
 
 
 class TestSchmidtState:
+    # the reference state that the closed-form table is checked against
     def test_uniform_equals_max_entangled(self):
         for d in (3, 4, 6):
-            state = schmidt_state((1.0 / math.sqrt(d),) * d)
+            state = model_state((1.0 / math.sqrt(d),) * d)
             phi = np.eye(d).ravel() / math.sqrt(d)   # sum_j |j>|j> / sqrt(d)
             assert np.allclose(state, np.outer(phi, phi), atol=1e-15)
 
     def test_product_state_limit(self):
-        state = schmidt_state((1.0, 0.0, 0.0))
+        state = model_state((1.0, 0.0, 0.0))
         yo13 = get_set("yo13")
-        beta, _ = bell_value(yo13, state, yo13.projectors)
+        beta, _ = expected_bell_value(yo13, NoiseConfig(spectrum=(1.0, 0.0, 0.0)))
         assert beta <= 35.0 / 3.0 + 1e-9
         red = reduced_state(state, 3)
         assert abs(np.trace(red @ red).real - 1.0) < 1e-12
@@ -134,7 +132,7 @@ class TestSchmidtState:
             d = rng.choice((3, 4, 6))
             raw = np.array([rng.random() + 0.05 for _ in range(d)])
             amps = raw / math.sqrt(float(raw @ raw))
-            state = schmidt_state(amps)
+            state = model_state(amps)
             validate_state(state, d)
             eigs = np.sort(np.linalg.eigvalsh(reduced_state(state, d)))
             assert np.allclose(eigs, np.sort(np.square(amps)),
@@ -177,7 +175,7 @@ class TestProcrustean:
         spec = spiral_spectrum(1.2, default_modes(6))
         out, _ = procrustean_filter(spec)
         weights = np.sort(np.linalg.eigvalsh(
-            reduced_state(schmidt_state(out), 6)))
+            reduced_state(model_state(out), 6)))
         entropy = -sum(w * math.log(w) for w in weights if w > 0)
         assert entropy == pytest.approx(math.log(6), abs=1e-10)
 
@@ -290,20 +288,25 @@ class TestApplyNoise:
                 assert beta == pytest.approx(closed, abs=1e-12)
 
     def test_effects_are_valid_povm_elements(self):
+        # a context's effects sum to I on either arm, so over any two
+        # contexts the joint clicks sum to 1, at every crosstalk
         sic = get_set("ks18")
+        spec = spiral_spectrum(1.5, default_modes(4))
         for eps in (0.0, 0.1, 0.5, 0.9):
-            effects = measurement_effects(sic, eps)
-            # the second arm measures the entrywise conjugates
-            for fam in (effects, effects.conj()):
-                for e in fam:
-                    assert np.allclose(e, e.conj().T, atol=1e-12)
-                    eigs = np.linalg.eigvalsh(e)
-                    assert eigs.min() >= -1e-12
-                    assert eigs.max() <= 1.0 + 1e-12
+            inputs = apply_noise(sic, NoiseConfig(0.8, eps, spec))
+            for first, second in product(sic.contexts, repeat=2):
+                p = inputs.probabilities(*zip(*product(first, second)))
+                assert p.min() >= 0.0 and p.max() <= 1.0
+                assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_crosstalk_range_rejected(self):
-        with pytest.raises(ValueError):
-            measurement_effects(get_set("yo13"), 1.0)
+        with pytest.raises(ValueError, match=r"^crosstalk 1.0 outside \[0, 1\)$"):
+            NoiseConfig(crosstalk=1.0)
+        # a one-dimensional set has no complement to leak into
+        line = SicSet("line", 1, ((ExactScalar(1, 0),),), (1,))
+        assert expected_bell_value(line, NoiseConfig(visibility=0.5))[0] == 1.0
+        with pytest.raises(ValueError, match="^crosstalk needs dimension at least 2$"):
+            apply_noise(line, NoiseConfig(crosstalk=0.1))
 
     def test_threshold_visibility_by_bisection(self):
         yo13 = get_set("yo13")
@@ -346,7 +349,7 @@ class TestApplyNoise:
         inputs = apply_noise(get_set("yo13"), NoiseConfig())
         message = rf"setting \({setting[0]}, {setting[1]}\) out of range"
         with pytest.raises(ValueError, match=message):
-            born_probabilities(inputs.state, inputs.effects, [(0, 0), setting])
+            inputs.probabilities((0, setting[0]), (0, setting[1]))
         with pytest.raises(ValueError, match=message):
             inputs.probability(*setting)
 
@@ -354,5 +357,5 @@ class TestApplyNoise:
         sic = get_set("ks21")
         _, table = expected_bell_value(sic, NoiseConfig())
         phi = np.eye(6).ravel() / math.sqrt(6)   # sum_j |j>|j> / sqrt(6)
-        _, ideal_table = bell_value(sic, np.outer(phi, phi), sic.projectors)
-        assert np.allclose(table.values, ideal_table.values, atol=1e-12)
+        ideal_table = kron_table(sic, np.outer(phi, phi))
+        assert np.allclose(table.values, ideal_table, atol=1e-12)

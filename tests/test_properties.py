@@ -1,8 +1,9 @@
 """Property tests over random Z[w] ray sets and random mixed states.
 
-Each property compares the one-contraction quantum layer against an
-independent route: the single-pair Kronecker oracle, the trace of the
-Bell operator, a dense eigensolver, and pairwise float inner products.
+Each property compares the quantum layer against an independent route:
+the closed-form noisy table against the Kronecker trace of the explicit
+state and effects, the Bell operator against the single-pair Kronecker
+oracle, a dense eigensolver, and pairwise float inner products.
 The exact orthogonality graph is checked against the pairwise
 ``inner_product`` loop, and the maximum-weight independent set against
 the weight-sum branch and bound, on random graphs and on nested unions
@@ -75,17 +76,16 @@ from sicbell.montecarlo import (
     fit_visibility,
     run_experiment,
 )
-from sicbell.noise import (IDEAL, NoiseConfig, expected_bell_value, measurement_effects,
-                           schmidt_state)
+from sicbell.noise import IDEAL, NoiseConfig, apply_noise, expected_bell_value
 from sicbell.quantum import (
     ProbabilityTable,
     bell_operator,
     bell_value,
-    born_probabilities,
     joint_probability,
 )
 
 from exact_oracle import (
+    KRON_TOL,
     bell_operator_exact,
     branch_and_bound_mwis,
     colorable_by_enumeration,
@@ -93,8 +93,10 @@ from exact_oracle import (
     is_coloring,
     is_psd,
     ks_colorable,
+    kron_table,
     local_bound,
     loop_edges,
+    model_state,
     unit_vectors,
     validate_state,
 )
@@ -134,35 +136,45 @@ _seeds = st.integers(0, 2**32 - 1)
 _ranks = st.integers(1, 36)
 
 
+@st.composite
+def spectra(draw, d):
+    """Schmidt amplitudes c_k >= 0 with sum c_k^2 = 1, zeros included."""
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)
+               .filter(lambda r: max(r) >= 0.1))
+    norm = math.sqrt(sum(r * r for r in raw))
+    return [r / norm for r in raw]
+
+
 @PROPERTY_SETTINGS
 @given(ray_sets(), _seeds, _ranks)
 def test_contraction_matches_pairwise_oracle(sic, seed, rank):
+    # the Bell operator, one contraction of the projector rows, against
+    # the functional summed over single-pair Kronecker products
     state = mixed_state(sic.dimension, seed, min(rank, sic.dimension ** 2))
-    pairs = [(i, j) for i in range(sic.n) for j in range(sic.n)]
-    table = born_probabilities(state, sic.projectors, pairs)
     vecs = sic.unit_vectors
-    oracle = [joint_probability(state, vecs[i], vecs[j]) for i, j in pairs]
-    assert np.allclose(table, oracle, rtol=0.0, atol=1e-12)
-
-
-@PROPERTY_SETTINGS
-@given(ray_sets(), _seeds, st.floats(0.0, 0.9))
-def test_noisy_contraction_matches_kron_trace(sic, seed, crosstalk):
-    state = mixed_state(sic.dimension, seed, 2)
-    effects = measurement_effects(sic, crosstalk)
-    pairs = [(i, j) for i in range(sic.n) for j in range(sic.n)]
-    table = born_probabilities(state, effects, pairs)
-    oracle = [np.trace(state @ np.kron(effects[i], effects[j].conj())).real
-              for i, j in pairs]
-    assert np.allclose(table, oracle, rtol=0.0, atol=1e-12)
-
-
-@PROPERTY_SETTINGS
-@given(ray_sets(), _seeds, _ranks)
-def test_bell_operator_trace_is_bell_value(sic, seed, rank):
-    state = mixed_state(sic.dimension, seed, min(rank, sic.dimension ** 2))
-    beta, _ = bell_value(sic, state, sic.projectors)
+    pairs = [joint_probability(state, vecs[i], vecs[j]) for i, j in sic.settings]
     traced = np.trace(state @ bell_operator(sic)).real
+    assert abs(traced - sic.coefficients @ pairs) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets(), st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_max=True),
+       st.data())
+def test_noisy_table_matches_kron_trace(sic, visibility, crosstalk, data):
+    # every entry of the closed form is the Born rule of the explicit
+    # state and effects
+    amps = data.draw(spectra(sic.dimension))
+    _, table = expected_bell_value(sic, NoiseConfig(visibility, crosstalk, amps))
+    oracle = kron_table(sic, model_state(amps, visibility), crosstalk)
+    assert np.allclose(table.values, oracle, rtol=0.0, atol=KRON_TOL)
+
+
+@PROPERTY_SETTINGS
+@given(ray_sets(), st.floats(0.0, 1.0), st.data())
+def test_bell_operator_trace_is_bell_value(sic, visibility, data):
+    amps = data.draw(spectra(sic.dimension))
+    beta, _ = bell_value(sic, apply_noise(sic, NoiseConfig(visibility, 0.0, amps)))
+    traced = np.trace(model_state(amps, visibility) @ bell_operator(sic)).real
     assert abs(traced - beta) <= 1e-10
 
 
@@ -264,10 +276,7 @@ def test_amplitude_k_belongs_to_basis_index_k(sic, visibility, crosstalk, data):
     # to the same new index, and every probability stays put
     d = sic.dimension
     perm = data.draw(st.permutations(range(d)))
-    raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)
-                    .filter(lambda r: max(r) >= 0.1))
-    norm = math.sqrt(sum(r * r for r in raw))
-    amps = [r / norm for r in raw]
+    amps = data.draw(spectra(d))
     moved = SicSet(name=sic.name, dimension=d, weights=sic.weights,
                    vectors=tuple(tuple(v[k] for k in perm) for v in sic.vectors))
     beta, table = expected_bell_value(
@@ -283,21 +292,21 @@ def test_amplitude_k_belongs_to_basis_index_k(sic, visibility, crosstalk, data):
 @given(ray_sets())
 def test_closed_form_ideal_matches_noise_model(sic):
     beta, table = expected_bell_value(sic, IDEAL)
-    assert np.allclose(table.values, sic.ideal_probabilities, rtol=0.0, atol=1e-12)
+    assert np.allclose(table.values, sic.ideal_probabilities, rtol=0.0, atol=KRON_TOL)
     assert abs(beta - sum(sic.weights) / sic.dimension) <= 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(ray_sets())
-# the contraction rounds this set's beta to 1.0000000000000002, above its
-# exact optimum 1: the exact value sum(w) / d is what the ceiling bounds
+# a table may round this set's beta above its exact optimum 1, as a
+# Born-rule contraction did (1.0000000000000002): the exact value
+# sum(w) / d is what the ceiling bounds
 @example(SicSet(name="random", dimension=3,
                 vectors=((ExactScalar(1, 0), ZERO, ZERO), (ZERO, ZERO, ExactScalar(0, 1)),
                          (ZERO, ExactScalar(0, 1), ZERO)),
                 weights=(1, 1, 1)))
 def test_ideal_value_is_below_the_ceiling(sic):
-    flat = (1 / math.sqrt(sic.dimension),) * sic.dimension
-    beta_ideal, _ = bell_value(sic, schmidt_state(flat), sic.projectors)
+    beta_ideal, _ = expected_bell_value(sic, IDEAL)
     assert abs(beta_ideal - sum(sic.weights) / sic.dimension) <= 1e-12
     ceiling = state_ceiling(bell_operator(sic))
     assert Fraction(sum(sic.weights), sic.dimension) <= Fraction(ceiling.dual_bound)

@@ -5,30 +5,31 @@ import numpy as np
 import pytest
 
 from sicbell.catalog import (
+    SicSet,
     catalog_names,
     get_set,
     orthogonality_graph,
 )
-from sicbell.noise import IDEAL, expected_bell_value, schmidt_state
+from sicbell.noise import (IDEAL, NoiseConfig, apply_noise, default_modes,
+                           expected_bell_value, spiral_spectrum)
 from sicbell.quantum import (
     ProbabilityTable,
+    bell_operator,
     bell_value,
-    born_probabilities,
     joint_probability,
     projector,
 )
 
-from exact_oracle import validate_state
+from exact_oracle import KRON_TOL, kron_table, model_state, validate_state
 
 
 def max_entangled(d):
     """The maximally entangled state, the flat Schmidt spectrum's."""
-    return schmidt_state((1 / math.sqrt(d),) * d)
+    return model_state((1 / math.sqrt(d),) * d)
 
 
 def isotropic_state(d, v):
-    ideal = max_entangled(d)
-    return v * ideal + (1.0 - v) * np.eye(d * d) / d ** 2
+    return model_state((1 / math.sqrt(d),) * d, v)
 
 
 def test_max_entangled_basics():
@@ -85,7 +86,7 @@ def test_conjugate_projector_real_vector_fixed():
 
 def test_conjugate_projector_involution():
     # the oracle's |v*><v*| is the entrywise conjugate of the set's
-    # projector, the family born_probabilities forms for the second arm
+    # projector, the family block_operator forms for the second arm
     s = get_set("ks21")
     for vec, proj in zip(s.unit_vectors[:8], s.projectors):
         p = projector(np.conj(vec))
@@ -144,12 +145,12 @@ def test_joint_probability_dimension_mismatch():
 
 
 @pytest.mark.parametrize("scale", [4.0, np.nan])
-def test_born_probabilities_reject_unphysical_state(scale):
+def test_joint_probability_rejects_unphysical_state(scale):
     # 4 rho puts every diagonal probability at 4/3; NaN is never in range
-    s = get_set("yo13")
+    v = get_set("yo13").unit_vectors[0]
     rho = scale * max_entangled(3)
     with pytest.raises(ArithmeticError):
-        born_probabilities(rho, s.projectors, [(0, 0)])
+        joint_probability(rho, v, v)
 
 
 def test_bell_settings_and_coefficients():
@@ -167,7 +168,7 @@ def test_bell_value_ideal_catalog():
     targets = {"yo13": 35.0 / 3.0, "ks18": 4.5, "ks21": 3.5}
     for name, target in targets.items():
         s = get_set(name)
-        beta, table = bell_value(s, max_entangled(s.dimension), s.projectors)
+        beta, table = bell_value(s, apply_noise(s, IDEAL))
         assert abs(beta - target) < 1e-12
         assert isinstance(table, ProbabilityTable)
         assert np.all(table.values >= 0.0) and np.all(table.values <= 1.0)
@@ -175,7 +176,7 @@ def test_bell_value_ideal_catalog():
 
 def test_bell_value_table_symmetric_for_ideal():
     s = get_set("ks18")
-    _, table = bell_value(s, max_entangled(4), s.projectors)
+    _, table = bell_value(s, apply_noise(s, IDEAL))
     d = dict(zip(s.settings, table.values))
     for i, j in s.graph.edges:
         assert abs(d[(i, j)] - d[(j, i)]) < 1e-12
@@ -186,26 +187,36 @@ def test_bell_value_mixed_state_closed_form():
     expected = {"yo13": -37.0 / 9.0, "ks18": -45.0 / 16.0, "ks21": -84.0 / 36.0}
     for name, target in expected.items():
         s = get_set(name)
-        beta, _ = bell_value(s, isotropic_state(s.dimension, 0.0), s.projectors)
+        beta, _ = bell_value(s, apply_noise(s, NoiseConfig(visibility=0.0)))
         assert abs(beta - target) < 1e-12
 
 
 def test_bell_value_affine_in_state():
+    # beta of any state is Tr[rho B]: affine in rho, and at the noise
+    # model's mixtures it is bell_value's closed form
     s = get_set("yo13")
+    op = bell_operator(s)
     rho1 = max_entangled(3)
     rho2 = isotropic_state(3, 0.0)
-    b1, _ = bell_value(s, rho1, s.projectors)
-    b2, _ = bell_value(s, rho2, s.projectors)
+    b1, b2 = (np.trace(rho @ op).real for rho in (rho1, rho2))
     for lam in (0.25, 0.5, 0.9):
         mix = lam * rho1 + (1.0 - lam) * rho2
-        bmix, _ = bell_value(s, mix, s.projectors)
+        bmix = np.trace(mix @ op).real
         assert abs(bmix - (lam * b1 + (1.0 - lam) * b2)) < 1e-12
+        beta, _ = bell_value(s, apply_noise(s, NoiseConfig(visibility=lam)))
+        assert abs(beta - bmix) < 1e-12
 
 
 def test_bell_value_dimension_mismatch():
+    # inputs resolved for ks18, or for yo13 with its rays in another
+    # order (same shape), are not yo13's
     s = get_set("yo13")
-    with pytest.raises(ValueError):
-        bell_value(s, max_entangled(4), s.projectors)
+    moved = SicSet(s.name, s.dimension, s.vectors[::-1], s.weights[::-1])
+    for other in (get_set("ks18"), moved):
+        with pytest.raises(ValueError, match="^the inputs were resolved for another set$"):
+            bell_value(s, apply_noise(other, IDEAL))
+    with pytest.raises(ValueError, match="^spectrum has 4 modes but the set needs 3$"):
+        bell_value(s, apply_noise(s, NoiseConfig(spectrum=(0.5,) * 4)))
 
 
 def test_bell_value_basis_covariance():
@@ -214,7 +225,7 @@ def test_bell_value_basis_covariance():
     rng = np.random.default_rng(314)
     s = get_set("yo13")
     vecs = s.unit_vectors
-    beta0, _ = bell_value(s, max_entangled(3), s.projectors)
+    beta0, _ = bell_value(s, apply_noise(s, IDEAL))
 
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u, _ = np.linalg.qr(m)
@@ -238,13 +249,9 @@ _WRONG_SHAPES = [np.eye(16) / 16, np.eye(8) / 8, np.eye(9)[:, :8] / 9,
 
 @pytest.mark.parametrize("rho", _WRONG_SHAPES, ids=lambda m: str(m.shape))
 def test_wrong_shape_state_is_refused(rho):
-    # yo13 is d = 3, so only a (9, 9) state fits its effects
+    # yo13 is d = 3, so only a (9, 9) state fits its rays
     s = get_set("yo13")
     message = rf"state matrix has shape {re.escape(str(rho.shape))}"
-    with pytest.raises(ValueError, match=message):
-        born_probabilities(rho, s.projectors, [(0, 0)])
-    with pytest.raises(ValueError, match=message):
-        bell_value(s, rho, s.projectors)
     v = s.unit_vectors[0]
     with pytest.raises(ValueError, match=message):
         joint_probability(rho, v, v)
@@ -252,15 +259,16 @@ def test_wrong_shape_state_is_refused(rho):
 
 @pytest.mark.parametrize("name", ["yo13", "ks18", "ks21"])
 def test_one_born_path_bit_for_bit(name):
+    # predict's table and PredictionInputs.probability are one formula,
+    # bit for bit, and that formula is the Born rule of the noisy state
     s = get_set(name)
-    d = s.dimension
-    _, table = bell_value(s, max_entangled(d), s.projectors)
-    _, expected = expected_bell_value(s, IDEAL)
-    assert np.array_equal(table.values, expected.values)
-    rng = np.random.default_rng(17)
-    g = rng.normal(size=(d * d, 3)) + 1j * rng.normal(size=(d * d, 3))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    validate_state(rho, d)
-    direct = born_probabilities(rho, s.projectors, s.settings)
-    assert np.array_equal(direct, bell_value(s, rho, s.projectors)[1].values)
+    cfg = NoiseConfig(0.9, 0.05, spiral_spectrum(2.0, default_modes(s.dimension)))
+    inputs = apply_noise(s, cfg)
+    _, table = expected_bell_value(s, cfg)
+    assert np.array_equal(table.values,
+                          [inputs.probability(i, j) for i, j in s.settings])
+    oracle = kron_table(s, model_state(cfg.spectrum, cfg.visibility), cfg.crosstalk)
+    assert np.allclose(table.values, oracle, rtol=0.0, atol=KRON_TOL)
+    _, ideal = expected_bell_value(s, IDEAL)
+    assert np.allclose(ideal.values, kron_table(s, max_entangled(s.dimension)),
+                       rtol=0.0, atol=KRON_TOL)

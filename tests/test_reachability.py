@@ -26,6 +26,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sicbell
@@ -45,7 +46,7 @@ ALLOWLIST = {
     "exact.ExactScalar.__add__": "called only by exact.inner_product",
     "exact.ExactScalar.__mul__": "called only by exact.inner_product",
     "exact.ExactScalar.conjugate": "called only by exact.inner_product",
-    "quantum.joint_probability": "a tracer target; born_probabilities gives every table",
+    "quantum.joint_probability": "a tracer target; bell_value gives every table in closed form",
     "quantum.projector": "called only by quantum.joint_probability",
     "quantum.bell_operator": "a tracer target; bounds builds each block's operator",
     "noise.PredictionInputs.probability": "a tracer target; bell_value gives every table",
@@ -182,10 +183,11 @@ def test_the_allowlist_is_what_the_tracer_pins(functions):
     targets = load_targets()
     yo13 = get_set("yo13")
     inputs = noise.apply_noise(yo13, noise.IDEAL)
+    phi = np.eye(3).ravel() / np.sqrt(3)   # the maximally entangled state
     samples = {
         "exact.inner_product": lambda: exact.inner_product(*yo13.vectors[:2]),
         "quantum.joint_probability":
-            lambda: quantum.joint_probability(inputs.state, *yo13.unit_vectors[:2]),
+            lambda: quantum.joint_probability(np.outer(phi, phi), *yo13.unit_vectors[:2]),
         "quantum.bell_operator": lambda: quantum.bell_operator(yo13),
         "noise.PredictionInputs.probability": lambda: inputs.probability(0, 1),
     }
