@@ -4,10 +4,16 @@ numpy version and machine that wrote them:
 * the ``*_bounds.json`` text that ``sicbell bounds`` writes for yo13,
   ks18, ks21 and the direct sums yo13+ks18 and ks18+ks21 (built by
   ``test_bounds.direct_sum``);
+* yo13's ``bounds`` artifact in its CSV form too;
 * the report and counts of ``sicbell simulate`` on ks21 at seed 3 and on
   yo13 at the config's default seed, and the ks21 run's figure CSV;
-* the ideal ``sicbell predict`` table of ks18 and ks21, and yo13's at
-  visibility 0.97, crosstalk 0.01 and spectrum width 4.
+* the report, in both forms, and counts of ``sicbell simulate`` on ks18
+  at seed 3 with visibility 0.97, crosstalk 0.01 and 2000 pairs per
+  setting, a run whose violation (about 3.7 sigma) does not saturate its
+  p-values;
+* the ideal ``sicbell predict`` table of ks18 and ks21 (ks21's in both
+  forms), and yo13's at visibility 0.97, crosstalk 0.01 and spectrum
+  width 4.
 
 ``test_golden_bounds.py`` holds the artifacts to it.
 
@@ -39,16 +45,26 @@ from test_bounds import direct_sum, set_doc
 
 GOLDEN = Path(__file__).with_name("golden_bounds.json")
 SETS = (("yo13",), ("ks18",), ("ks21",), ("yo13", "ks18"), ("ks18", "ks21"))
-NOISY = {"visibility": 0.97, "crosstalk": 0.01, "spectrum_width": 4}
-# (arguments, the artifacts of the run that are stored); "{config}" is NOISY's file
+# the config files the runs name, as "{<key>}"
+CONFIGS = {
+    "noisy": {"visibility": 0.97, "crosstalk": 0.01, "spectrum_width": 4},
+    "short": {"visibility": 0.97, "crosstalk": 0.01, "exposure": 2000},
+}
+# (arguments, the artifacts of the run that are stored)
 RUNS = (
+    (["bounds", "yo13", "--format", "csv"], ("yo13_bounds.csv",)),
     (["simulate", "--set", "ks21", "--seed", "3"],
      ("ks21_report.json", "ks21_counts.json", "ks21_figure.csv")),
     (["simulate", "--set", "yo13"], ("yo13_report.json", "yo13_counts.json")),
-    (["predict", "--set", "yo13", "--config", "{config}", "--format", "json"],
+    (["simulate", "--set", "ks18", "--seed", "3", "--config", "{short}"],
+     ("ks18_report.json", "ks18_counts.json")),
+    (["simulate", "--set", "ks18", "--seed", "3", "--config", "{short}",
+      "--format", "csv"], ("ks18_report.csv",)),
+    (["predict", "--set", "yo13", "--config", "{noisy}", "--format", "json"],
      ("yo13_prediction.json",)),
     (["predict", "--set", "ks18", "--format", "json"], ("ks18_prediction.json",)),
     (["predict", "--set", "ks21", "--format", "json"], ("ks21_prediction.json",)),
+    (["predict", "--set", "ks21"], ("ks21_prediction.csv",)),
 )
 
 
@@ -63,8 +79,9 @@ def artifacts() -> dict:
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        config = out / "noisy.json"
-        config.write_text(json.dumps(NOISY))
+        configs = {key: out / f"{key}.json" for key in CONFIGS}
+        for key, path in configs.items():
+            path.write_text(json.dumps(CONFIGS[key]))
         runs = []
         for names in SETS:
             if len(names) == 1:
@@ -75,7 +92,7 @@ def artifacts() -> dict:
                 Path(arg).write_text(json.dumps(set_doc(sic)))
             runs.append((["bounds", arg], (f"{'+'.join(names)}_bounds.json",)))
         for argv, names in runs + list(RUNS):
-            argv = [a.format(config=config) for a in argv] + ["--out", str(out)]
+            argv = [a.format(**configs) for a in argv] + ["--out", str(out)]
             with contextlib.redirect_stdout(io.StringIO()):
                 if main(argv) != 0:
                     raise RuntimeError(f"{' '.join(argv)} failed")
@@ -86,12 +103,20 @@ def artifacts() -> dict:
 
 def document(name: str, text: str) -> dict:
     """An artifact as JSON values: a JSON file as parsed, a CSV file as
-    ``{"rows": [...]}``, each row a dict of its cells read as JSON."""
+    ``{"rows": [...]}``, each row a dict of its cells read as JSON, or
+    kept as text where a cell is no JSON value, such as a set name."""
     if not name.endswith(".csv"):
         return json.loads(text)
     rows = csv.DictReader(io.StringIO(text, newline=""))
-    return {"rows": [{key: json.loads(cell) for key, cell in row.items()}
+    return {"rows": [{key: _cell(cell) for key, cell in row.items()}
                      for row in rows]}
+
+
+def _cell(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def fields(name: str, text: str) -> dict:

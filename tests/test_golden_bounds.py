@@ -18,7 +18,7 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 STORED = json.loads(GOLDEN.read_text())
-BOUNDS = sorted(name for name in STORED["artifacts"] if name.endswith("_bounds.json"))
+BOUNDS = sorted(name for name in STORED["artifacts"] if "_bounds." in name)
 
 
 def _close(new, old) -> bool:
@@ -53,11 +53,20 @@ def assert_golden(texts, name):
 
 def test_the_stored_sets_are_the_artifacts(texts):
     assert sorted(texts) == sorted(STORED["artifacts"]) == [
-        "ks18+ks21_bounds.json", "ks18_bounds.json", "ks18_prediction.json",
+        "ks18+ks21_bounds.json", "ks18_bounds.json", "ks18_counts.json",
+        "ks18_prediction.json", "ks18_report.csv", "ks18_report.json",
         "ks21_bounds.json", "ks21_counts.json", "ks21_figure.csv",
-        "ks21_prediction.json", "ks21_report.json", "yo13+ks18_bounds.json",
-        "yo13_bounds.json", "yo13_counts.json", "yo13_prediction.json",
-        "yo13_report.json"]
+        "ks21_prediction.csv", "ks21_prediction.json", "ks21_report.json",
+        "yo13+ks18_bounds.json", "yo13_bounds.csv", "yo13_bounds.json",
+        "yo13_counts.json", "yo13_prediction.json", "yo13_report.json"]
+
+
+def test_one_stored_report_is_not_saturated():
+    # ks18's short run violates by about 3.7 sigma, so its stored bytes
+    # pin the Poisson tail, where the default-exposure reports read 0.0
+    doc = json.loads(STORED["artifacts"]["ks18_report.json"])
+    assert 3.0 < doc["sigmas_of_violation"] < 4.0
+    assert 1e-5 < doc["poisson_p_value"] < 1e-3
 
 
 @pytest.mark.parametrize("name", BOUNDS)
@@ -90,3 +99,6 @@ def test_off_the_platform_floats_take_the_tolerance():
     cells = figure["rows"][0]
     assert type(cells["count"]) is int and type(cells["p_hat"]) is float
     assert not _close({**cells, "count": float(cells["count"])}, cells)
+    # and a cell that is no JSON value stays text
+    row, = document("yo13_bounds.csv", STORED["artifacts"]["yo13_bounds.csv"])["rows"]
+    assert row["set"] == "yo13" and row["alpha"] == 11
