@@ -190,14 +190,13 @@ def _outdir(arg: Optional[str]) -> Path:
 
 def _doc(result) -> dict:
     """A result dataclass as artifact fields: ``set_name`` becomes ``set``,
-    a None field is left out, and a non-finite float is refused by name."""
+    and a non-finite float is refused by name."""
     doc = {}
     for name, value in vars(result).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"report field {name} is {value}, "
                              "which no artifact can hold")
-        if value is not None:
-            doc["set" if name == "set_name" else name] = value
+        doc["set" if name == "set_name" else name] = value
     return doc
 
 
@@ -340,8 +339,7 @@ def cmd_simulate(args) -> int:
     record, table, report = run_experiment(
         sic, cfg.noise_config(sic.dimension), cfg.exposure, cfg.seed)
     print(f"{sic.name}: beta_hat = {report.beta_hat:.4f} +- {report.sigma:.4f} "
-          f"(alpha = {report.alpha:g}, {report.sigmas_of_violation:.2f} sigma, "
-          f"p = {report.p_value:.3g})")
+          f"(alpha = {report.alpha:g}, {report.sigmas_of_violation:.2f} sigma)")
     print(f"  Poisson p = {report.poisson_p_value:.3g}")
     report_doc = {**_doc(report), "seed": record.seed, "exposure": record.exposure}
     outdir = _outdir(args.out)

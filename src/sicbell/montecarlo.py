@@ -8,7 +8,8 @@ exposure, is the calibrated number of pairs per setting and P the table
 that ``predict`` writes.  A run is parameterised by N alone, and it
 draws its counts from one PRNG stream keyed by its seed, so the whole
 pipeline is a pure function of the set, the noise configuration, the
-exposure and the seed; the Poisson p-value is a closed form, no draw.
+exposure and the seed.  Its verdict is the violation in standard
+deviations and the exact-model Poisson p-value, a closed form, no draw.
 
 ``SicSet.settings`` is the one record of the setting order: ``counts[k]``
 of a record and ``values[k]`` of a table belong to ``sic.settings[k]``,
@@ -58,14 +59,15 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Estimated inequality value and its statistical significance."""
+    """Estimated inequality value and its statistical significance:
+    ``sigmas_of_violation`` = (beta_hat - alpha) / sigma, and, for a run
+    with counts, ``poisson_p_value`` = P(beta* <= alpha)."""
 
     set_name: str
     beta_hat: float
     sigma: float
     alpha: float
     sigmas_of_violation: float
-    p_value: float
     poisson_p_value: Optional[float] = None
 
 
@@ -127,17 +129,16 @@ def _poisson_lower_tail(coeffs, counts, bound: float) -> float:
     ratios = [l.as_integer_ratio() for l, _ in groups]
     delta = math.gcd(*[n * 2**1074 // d for n, d in ratios]) / 2**1074
     s = delta * math.floor(bound / delta) + delta / 2
-    # K' increases: Newton's step, or bisection where it leaves the bracket;
-    # a step at most doubles |t| + 1, so a flat K' cannot throw t past exp's range
-    t, lo, hi = 0.0, -math.inf, math.inf
+    # K' increases, concave then convex (K'''' > 0): Newton's steps close on
+    # the root from one side after one overshoot at most; a step at most
+    # doubles |t| + 1, so a flat K' cannot throw t past exp's range
+    t = 0.0
     for _ in range(100):
         slope = sum(n * l * math.exp(l * t) for l, n in groups) - s
         curve = sum(n * l * l * math.exp(l * t) for l, n in groups)
-        lo, hi = (lo, t) if slope > 0 else (t, hi)
         if abs(slope) <= 1e-10 * math.sqrt(curve):  # w within 1e-10
             break
-        new = t - slope / curve if lo < t - slope / curve < hi else (lo + hi) / 2
-        t = min(max(new, t - 1 - abs(t)), t + 1 + abs(t))
+        t = min(max(t - slope / curve, t - 1 - abs(t)), t + 1 + abs(t))
     # w^2/2 = t K'(t) - K(t) = sum_k T_k g(l_k t), g(y) = y e^y - e^y + 1 >= 0;
     # for |y| < 1, where that form cancels, g is taken from its series
     g = [sum(c * (l * t)**j for j, c in _EXCESS_SERIES) if abs(l * t) < 1
@@ -152,18 +153,20 @@ def _poisson_lower_tail(coeffs, counts, bound: float) -> float:
 
 def estimate_beta(table: ProbabilityTable, sic: SicSet,
                   record: Optional[CountRecord] = None) -> ViolationReport:
-    """Evaluate the inequality on an estimated table.
+    """Evaluate the inequality on an estimated table with error bars.
 
-    The error bar propagates the per-setting sigmas through the signed
-    weights, and alpha is the exact independence bound of the set's
-    graph.  With ``record`` given, the p-value P(beta* <= alpha) of
-    counts redrawn from Poisson(C) is reported next to the Gaussian one.
-    beta* is linear in the counts with a handful of distinct coefficients
-    l_k, and a sum of independent Poissons is Poisson, so that is the
-    tail of sum_k l_k N_k, N_k ~ Poisson(group k's total count), which
+    The error bar sigma propagates the per-setting sigmas through the
+    signed weights, alpha is the exact independence bound of the set's
+    graph, and the violation is (beta_hat - alpha) / sigma standard
+    deviations.  With ``record`` given, the p-value P(beta* <= alpha) of
+    counts redrawn from Poisson(C) is reported too.  beta* is linear in
+    the counts with a handful of distinct coefficients l_k, and a sum of
+    independent Poissons is Poisson, so that is the tail of
+    sum_k l_k N_k, N_k ~ Poisson(group k's total count), which
     :func:`_poisson_lower_tail` evaluates with no draw.
     A table (values or sigmas) or record whose length is not
-    ``len(sic.settings)`` raises ValueError.
+    ``len(sic.settings)``, or a table without sigmas, raises ValueError;
+    a sigma that overflows, or underflows to 0, raises ArithmeticError.
     """
     size = len(sic.settings)
     for entries in ([table.values]
@@ -172,34 +175,25 @@ def estimate_beta(table: ProbabilityTable, sic: SicSet,
         if len(entries) != size:
             raise ValueError(f"{len(entries)} entries given for the {size} "
                              f"settings of set {sic.name}")
+    if table.sigmas is None:
+        raise ValueError(f"the table for set {sic.name} has no error bars")
     coeffs = sic.coefficients
     beta_hat = float(coeffs @ table.values)
     alpha = float(max_weight_independent_set(sic.graph)[0])
-    if table.sigmas is None:
-        sigma = 0.0
-    else:
-        with np.errstate(over="ignore"):
-            sigma = float(math.sqrt(coeffs**2 @ table.sigmas**2))
-        if not math.isfinite(sigma):
-            raise ArithmeticError("exposure too small: the error bar of beta_hat overflows")
-
-    if sigma > 0.0:
-        z = (beta_hat - alpha) / sigma
-        p_value = 0.5 * math.erfc(z / math.sqrt(2.0))
-    else:
-        z = math.inf if beta_hat > alpha else (-math.inf if beta_hat < alpha else 0.0)
-        p_value = 0.0 if beta_hat > alpha else 1.0
-
+    with np.errstate(over="ignore"):
+        sigma = float(math.sqrt(coeffs**2 @ table.sigmas**2))
+    if not math.isfinite(sigma):
+        raise ArithmeticError("exposure too small: the error bar of beta_hat overflows")
+    if not sigma:
+        raise ArithmeticError("exposure too large: the error bar of beta_hat underflows to 0")
     tail = None if record is None else _poisson_lower_tail(
         coeffs, record.counts, alpha * record.exposure)
-
     return ViolationReport(
         set_name=sic.name,
         beta_hat=beta_hat,
         sigma=sigma,
         alpha=alpha,
-        sigmas_of_violation=z,
-        p_value=p_value,
+        sigmas_of_violation=(beta_hat - alpha) / sigma,
         poisson_p_value=tail,
     )
 
@@ -239,8 +233,6 @@ def exposure_for_sigma(sic: SicSet, cfg: NoiseConfig,
                          f"not {sigma_target}")
     _, table = expected_bell_value(sic, cfg)
     weight = float(sic.coefficients**2 @ table.values)
-    if weight <= 0:
-        raise ValueError("all settings have zero probability")
     square = sigma_target**2
     pairs = weight / square if square > 0 else math.inf
     if not math.isfinite(pairs):

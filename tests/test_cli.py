@@ -514,6 +514,7 @@ class TestSimulate:
         assert doc["alpha"] == 3.0
         assert doc["sigmas_of_violation"] > 5.0
         assert doc["poisson_p_value"] == 0.0
+        assert "p_value" not in doc
 
     def test_low_counts_still_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", set="ks21",

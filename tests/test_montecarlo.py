@@ -13,6 +13,7 @@ from sicbell.catalog import catalog_names, get_set, orthogonality_graph
 from exact_oracle import poisson_lower_tail
 from sicbell.montecarlo import (
     _COUNTS_STREAM,
+    _MAX_MEAN,
     _poisson_lower_tail,
     CountRecord,
     ViolationReport,
@@ -37,6 +38,11 @@ def ideal_table(name):
 
 def one_setting_table(setting, inputs):
     return ProbabilityTable(np.array([inputs.probability(*setting)]))
+
+
+def with_sigmas(table, s):
+    """``table``'s values with one plugged error bar ``s`` per setting."""
+    return ProbabilityTable(table.values, np.full(table.values.size, s))
 
 
 class TestSimulateCounts:
@@ -116,6 +122,17 @@ class TestSimulateCounts:
         means = 3e4 * expected_bell_value(sic, cfg)[1].values
         assert record.counts == tuple(rng.poisson(means).tolist())
 
+    def test_the_largest_poisson_mean_is_drawn(self):
+        # _MAX_MEAN is numpy's largest Poisson mean, and a run may draw it
+        rng = np.random.default_rng(0)
+        assert rng.poisson(_MAX_MEAN) > 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(math.nextafter(_MAX_MEAN, math.inf))
+        table = ProbabilityTable(np.array([1.0]))
+        assert simulate_counts(table, _MAX_MEAN, 0).counts[0] > 0
+        with pytest.raises(OverflowError, match="exceeds the counter range"):
+            simulate_counts(table, math.nextafter(_MAX_MEAN, math.inf), 0)
+
     def test_overflow_guard(self):
         sic = get_set("yo13")
         table = one_setting_table((0, 0), apply_noise(sic, IDEAL))
@@ -172,20 +189,15 @@ class TestEstimateBeta:
     def test_exact_table_reproduces_value(self):
         for name in catalog_names():
             sic = get_set(name)
-            table = expected_bell_value(sic, IDEAL)[1]
-            report = estimate_beta(table, sic)
+            report = estimate_beta(with_sigmas(ideal_table(name), 1e-3), sic)
             assert report.beta_hat == pytest.approx(
                 sum(sic.weights) / sic.dimension, abs=1e-12)
-            assert report.sigma == 0.0
-            assert report.sigmas_of_violation == math.inf
-            assert report.p_value == 0.0
 
     def test_alpha_defaults_to_independence_bound(self):
         expected = {"yo13": 11.0, "ks18": 4.0, "ks21": 3.0}
         for name, alpha in expected.items():
             sic = get_set(name)
-            table = expected_bell_value(sic, IDEAL)[1]
-            assert estimate_beta(table, sic).alpha == alpha
+            assert estimate_beta(with_sigmas(ideal_table(name), 1e-3), sic).alpha == alpha
 
     def test_plugged_sigmas_propagate(self):
         # With one common per-setting error s, the propagated error is
@@ -196,10 +208,8 @@ class TestEstimateBeta:
                    for i, j in graph.edges)
         total = total_squared_coefficient(sic)
         assert total == pytest.approx(97.0 + 24 * 9 / 2.0)
-        base = expected_bell_value(sic, IDEAL)[1]
         s = 1e-3
-        table = ProbabilityTable(base.values, np.full(base.values.size, s))
-        report = estimate_beta(table, sic)
+        report = estimate_beta(with_sigmas(ideal_table("yo13"), s), sic)
         assert report.sigma == pytest.approx(s * math.sqrt(total), abs=1e-15)
 
     def test_reported_significance_ratios(self):
@@ -215,13 +225,11 @@ class TestEstimateBeta:
             v = fit_visibility(target, sic)
             table = expected_bell_value(sic, NoiseConfig(visibility=v))[1]
             s = sig / math.sqrt(total_squared_coefficient(sic))
-            table = ProbabilityTable(table.values, np.full(table.values.size, s))
-            report = estimate_beta(table, sic)
+            report = estimate_beta(with_sigmas(table, s), sic)
             assert report.beta_hat == pytest.approx(target, abs=1e-9)
             assert report.sigma == pytest.approx(sig, abs=1e-12)
             assert report.sigmas_of_violation == pytest.approx(ratio, abs=1e-3)
             assert round(report.sigmas_of_violation) == rounded
-            assert 0.0 <= report.p_value < 1e-10
 
     def test_wrong_set_rejected(self):
         table = expected_bell_value(get_set("ks18"), IDEAL)[1]
@@ -239,35 +247,41 @@ class TestEstimateBeta:
                                                  "the 61 settings of set yo13$"):
                 estimate_beta(table, sic)
 
-    def test_a_table_without_sigmas_gives_the_exact_verdict(self):
-        # no error bar: ks18 with four diagonal values of 1 lands on
-        # alpha = 4 exactly, so z = 0 and p = 1; an all-zero table lies
-        # below alpha, so z = -inf and p = 1
-        sic = get_set("ks18")
-        values = np.zeros(len(sic.settings))
-        values[[k for k, (i, j) in enumerate(sic.settings) if i == j][:4]] = 1.0
-        report = estimate_beta(ProbabilityTable(values), sic)
-        assert report.beta_hat == report.alpha == 4.0
-        assert (report.sigmas_of_violation, report.p_value) == (0.0, 1.0)
-        report = estimate_beta(ProbabilityTable(np.zeros(len(sic.settings))), sic)
-        assert (report.sigmas_of_violation, report.p_value) == (-math.inf, 1.0)
+    def test_a_table_without_sigmas_is_refused(self):
+        # the exact table has no error bars, so no significance (the size
+        # checks come first: test_wrong_set_rejected passes it too)
+        with pytest.raises(ValueError, match="^the table for set ks18 has no error bars$"):
+            estimate_beta(ideal_table("ks18"), get_set("ks18"))
+
+    def test_an_error_bar_of_zero_is_refused(self):
+        # all-zero counts give sigma = 1/N per setting, whose square
+        # underflows to 0 at N = 1e162; a plugged 0 is refused alike
+        sic = get_set("yo13")
+        message = "^exposure too large: the error bar of beta_hat underflows to 0$"
+        for exposure in (1e162, 1e300):
+            record = CountRecord((0,) * len(sic.settings), exposure, 0)
+            with pytest.raises(ArithmeticError, match=message):
+                estimate_beta(estimate_probabilities(record), sic, record)
+        with pytest.raises(ArithmeticError, match=message):
+            estimate_beta(with_sigmas(ideal_table("yo13"), 0.0), sic)
+        # at N = 1e150 the error bar is about 1e-149: positive, and z finite
+        record = CountRecord((0,) * len(sic.settings), 1e150, 0)
+        report = estimate_beta(estimate_probabilities(record), sic, record)
+        assert report.sigma > 0 and report.sigmas_of_violation < -1e100
 
     @pytest.mark.parametrize("target", [11.5, 10.5])
-    def test_p_value_is_the_normal_tail(self, target):
-        # at a moderate z, above alpha and below it, p = Phi(-z)
+    def test_z_is_the_signed_distance_in_sigmas(self, target):
+        # at a moderate z, above alpha and below it, z = (beta_hat - alpha)/sigma
         sic = get_set("yo13")
         table = expected_bell_value(sic, NoiseConfig(visibility=fit_visibility(target, sic)))[1]
         s = 0.3 / math.sqrt(total_squared_coefficient(sic))
-        report = estimate_beta(ProbabilityTable(table.values, np.full(table.values.size, s)),
-                               sic)
-        z = report.sigmas_of_violation
-        assert 1.0 < abs(z) < 3.0
-        assert report.p_value == pytest.approx(statistics.NormalDist().cdf(-z), rel=1e-12)
+        report = estimate_beta(with_sigmas(table, s), sic)
+        assert report.sigma == pytest.approx(0.3, rel=1e-12)
+        assert report.sigmas_of_violation == pytest.approx((target - 11.0) / 0.3, rel=1e-9)
 
     def test_poisson_p_value_needs_record(self):
         sic = get_set("yo13")
-        table = expected_bell_value(sic, IDEAL)[1]
-        assert estimate_beta(table, sic).poisson_p_value is None
+        assert estimate_beta(with_sigmas(ideal_table("yo13"), 1e-3), sic).poisson_p_value is None
 
     def test_poisson_tail_agrees_with_gaussian(self):
         # Operate near 2.5 sigma and require agreement within a factor
@@ -282,7 +296,8 @@ class TestEstimateBeta:
             if not 2.0 <= report.sigmas_of_violation <= 3.4:
                 continue
             checked += 1
-            gauss, tail = report.p_value, report.poisson_p_value
+            gauss = statistics.NormalDist().cdf(-report.sigmas_of_violation)
+            tail = report.poisson_p_value
             assert tail / gauss < 10.0
             assert gauss / tail < 10.0
         assert checked >= 2
@@ -304,7 +319,7 @@ class TestEstimateBeta:
     @pytest.mark.parametrize("levels, totals", [
         ((-0.5, 1), (10, 20)), ((-0.5, 1), (20, 10)), ((-0.5, 1), (100, 200)),
         ((-1.5, 2, 3), (10, 12, 15)), ((-1.5, 2, 3), (40, 10, 10)),
-        ((-1.5, 2, 3), (60, 20, 30))])
+        ((-1.5, 2, 3), (60, 20, 30)), ((-0.5, 0.5), (10, 20))])
     def test_poisson_tail_matches_exact_oracle(self, levels, totals):
         # the saddle point against the exact tail, from 4 sigma below the
         # mean to 4 above, on lattice points and between them
@@ -333,13 +348,44 @@ class TestEstimateBeta:
         assert at_mean != beside
         assert at_mean == pytest.approx(beside, abs=1e-6)
 
+    @pytest.mark.parametrize("levels, totals, delta, bound", [
+        ((-1.0, -3.0), (1.762027271390825e18, 104471918757.0), 1, -1.7620275909186583e18),
+        ((-0.5, 3.0, 9.0), (532260616082360.0, 68152357814.0, 193328975.0), 0.5,
+         -265924143355857.34),
+        ((2.0, 1.0), (8.030218105775832e17, 5.555521727960732e17), 1, 2.161595780286026e18),
+        ((0.5, -5.0), (1.2566574461793567e19, 1.1667958500879772e19), 0.5,
+         -5.205650528468222e19)])
+    def test_poisson_tail_at_totals_past_float_resolution(self, levels, totals, delta,
+                                                          bound):
+        # at totals near 1e18 rounding keeps K' - s above the stop test, and
+        # Newton's steps jitter about the root; the tail still matches the
+        # normal limit with its skew term, exact here to far below 1e-4
+        mean, var, third = (sum(Fraction(l)**k * Fraction(n) for l, n in zip(levels, totals))
+                            for k in (1, 2, 3))
+        x = delta * math.floor(Fraction(bound) / Fraction(delta))
+        z = float(x + Fraction(delta) / 2 - mean) / math.sqrt(var)
+        normal = statistics.NormalDist()
+        limit = normal.cdf(z) - normal.pdf(z) * float(third) / float(var)**1.5 / 6 * (z * z - 1)
+        assert _poisson_lower_tail(levels, totals, bound) == pytest.approx(limit, rel=1e-4)
+
+    def test_poisson_tail_at_a_bound_of_zero(self):
+        # 0 lies inside the support of positive levels, where the tail is
+        # P(all N_k = 0) = e^-12, not 0; the saddle point is 13% low there
+        assert _poisson_lower_tail((1.0, 2.0), (5, 7), 0.0) == pytest.approx(
+            math.exp(-12), rel=0.15)
+
     @pytest.mark.parametrize("levels, totals, bound, tail", [
         ((1.0, -0.5), (1, 1), 1e6, 1.0), ((1.0, -0.5), (3, 5), 5e4, 1.0),
-        ((1.0, -0.5), (3, 5), -5e4, 0.0)])
+        ((1.0, -0.5), (3, 5), -5e4, 0.0),
+        ((1.0,), (1,), 6052.6, 1.0), ((0.5,), (1,), 359.1, 1.0),
+        ((1.0, 0.5), (5, 9), 8884.1, 1.0), ((-1.5,), (1,), -3907.3, 0.0),
+        ((-0.5, -0.5), (11, 32), -24676.3, 0.0),
+        ((2.0, 3.0, -0.5), (4, 179664, 542), -11712108.5, 0.0)])
     def test_poisson_tail_far_from_the_mean(self, levels, totals, bound, tail):
         # a bound thousands of sigma out leaves K' flat at t = 0, where a
         # plain Newton step throws t past exp's range; the step limit keeps
-        # it in range and the tail saturates
+        # it in range and the tail saturates.  The last six overflow
+        # without the limit among 24,000 random inputs
         assert _poisson_lower_tail(levels, totals, bound) == tail
 
     def test_all_counts_zero(self, tmp_path, capsys):
@@ -448,6 +494,19 @@ class TestFitVisibility:
         with pytest.raises(ValueError):
             fit_visibility(-5.0, sic)
 
+    def test_a_target_within_1e_12_of_the_range_fits_its_end(self):
+        # rounding can put an expected value a few ulps outside the range:
+        # within 1e-12 of an end, inclusive, the visibility is clamped to
+        # it, and beyond that the target is refused
+        sic = get_set("yo13")
+        ideal = sum(sic.weights) / sic.dimension
+        mixed = float(sic.coefficients.sum()) / sic.dimension**2
+        assert fit_visibility(ideal + 1e-12, sic) == 1.0
+        assert fit_visibility(mixed - 1e-12, sic) == 0.0
+        for outside in (ideal + 1.1e-12, mixed - 1.1e-12):
+            with pytest.raises(ValueError, match="outside the reachable range"):
+                fit_visibility(outside, sic)
+
     def test_round_trip_at_operating_point(self):
         sic = get_set("yo13")
         v = fit_visibility(11.573, sic)
@@ -474,20 +533,20 @@ class TestExposureTuning:
             4.0 * exposure_for_sigma(sic, IDEAL, 0.02))
 
     def test_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            exposure_for_sigma(get_set("yo13"), IDEAL, 0.0)
+        for target in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^sigma_target must be positive "
+                                                 f"and finite, not {target}$"):
+                exposure_for_sigma(get_set("yo13"), IDEAL, target)
 
 
 class TestSerialization:
-    # ks18's ideal table gives beta 4.5 > alpha = 4; at visibility 0 it
-    # gives -2.8125 < 4
-    @pytest.mark.parametrize("visibility, shown", [(1.0, "inf"), (0.0, "-inf")],
+    # ks18's ideal beta 4.5 > alpha = 4, and -2.8125 < 4 at visibility 0
+    @pytest.mark.parametrize("beta_hat, z, shown", [(4.5, math.inf, "inf"),
+                                                    (-2.8125, -math.inf, "-inf")],
                              ids=["above_alpha", "below_alpha"])
-    def test_non_finite_report_field_is_named(self, visibility, shown):
-        # a table without sigmas gives sigma 0, so an infinite significance
-        sic = get_set("ks18")
-        table = expected_bell_value(sic, NoiseConfig(visibility=visibility))[1]
-        report = estimate_beta(table, sic)
+    def test_non_finite_report_field_is_named(self, beta_hat, z, shown):
+        # estimate_beta refuses sigma = 0, so the infinite z is built by hand
+        report = ViolationReport("ks18", beta_hat, 5e-324, 4.0, z, 0.5)
         with pytest.raises(ValueError, match=f"^report field sigmas_of_violation "
                                              f"is {shown}, "):
             cli._doc(report)
