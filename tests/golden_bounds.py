@@ -4,16 +4,17 @@ numpy version and machine that wrote them:
 * the ``*_bounds.json`` text that ``sicbell bounds`` writes for yo13,
   ks18, ks21 and the direct sums yo13+ks18 and ks18+ks21 (built by
   ``test_bounds.direct_sum``);
-* yo13's ``bounds`` artifact in its CSV form too;
+* the ``bounds`` artifacts of yo13, ks18 and ks21 in their CSV form too;
 * the report and counts of ``sicbell simulate`` on ks21 at seed 3 and on
   yo13 at the config's default seed, and the ks21 run's figure CSV;
+* the CSV report of ``sicbell simulate`` on ks21 at ``--seed 0``;
 * the report, in both forms, and counts of ``sicbell simulate`` on ks18
   at seed 3 with visibility 0.97, crosstalk 0.01 and 2000 pairs per
   setting, a run whose violation (about 3.7 sigma) does not saturate its
   p-values;
 * the ideal ``sicbell predict`` table of ks18 and ks21 (ks21's in both
-  forms), and yo13's at visibility 0.97, crosstalk 0.01 and spectrum
-  width 4.
+  forms), and yo13's, in both forms, at visibility 0.97, crosstalk 0.01
+  and spectrum width 4.
 
 ``test_golden_bounds.py`` holds the artifacts to it.
 
@@ -53,6 +54,11 @@ CONFIGS = {
 # (arguments, the artifacts of the run that are stored)
 RUNS = (
     (["bounds", "yo13", "--format", "csv"], ("yo13_bounds.csv",)),
+    (["bounds", "ks18", "--format", "csv"], ("ks18_bounds.csv",)),
+    (["bounds", "ks21", "--format", "csv"], ("ks21_bounds.csv",)),
+    # an explicit seed of 0 overrides like any other, and is no default
+    (["simulate", "--set", "ks21", "--seed", "0", "--format", "csv"],
+     ("ks21_report.csv",)),
     (["simulate", "--set", "ks21", "--seed", "3"],
      ("ks21_report.json", "ks21_counts.json", "ks21_figure.csv")),
     (["simulate", "--set", "yo13"], ("yo13_report.json", "yo13_counts.json")),
@@ -62,6 +68,7 @@ RUNS = (
       "--format", "csv"], ("ks18_report.csv",)),
     (["predict", "--set", "yo13", "--config", "{noisy}", "--format", "json"],
      ("yo13_prediction.json",)),
+    (["predict", "--set", "yo13", "--config", "{noisy}"], ("yo13_prediction.csv",)),
     (["predict", "--set", "ks18", "--format", "json"], ("ks18_prediction.json",)),
     (["predict", "--set", "ks21", "--format", "json"], ("ks21_prediction.json",)),
     (["predict", "--set", "ks21"], ("ks21_prediction.csv",)),

@@ -53,12 +53,14 @@ def assert_golden(texts, name):
 
 def test_the_stored_sets_are_the_artifacts(texts):
     assert sorted(texts) == sorted(STORED["artifacts"]) == [
-        "ks18+ks21_bounds.json", "ks18_bounds.json", "ks18_counts.json",
-        "ks18_prediction.json", "ks18_report.csv", "ks18_report.json",
-        "ks21_bounds.json", "ks21_counts.json", "ks21_figure.csv",
-        "ks21_prediction.csv", "ks21_prediction.json", "ks21_report.json",
+        "ks18+ks21_bounds.json", "ks18_bounds.csv", "ks18_bounds.json",
+        "ks18_counts.json", "ks18_prediction.json", "ks18_report.csv",
+        "ks18_report.json", "ks21_bounds.csv", "ks21_bounds.json",
+        "ks21_counts.json", "ks21_figure.csv", "ks21_prediction.csv",
+        "ks21_prediction.json", "ks21_report.csv", "ks21_report.json",
         "yo13+ks18_bounds.json", "yo13_bounds.csv", "yo13_bounds.json",
-        "yo13_counts.json", "yo13_prediction.json", "yo13_report.json"]
+        "yo13_counts.json", "yo13_prediction.csv", "yo13_prediction.json",
+        "yo13_report.json"]
 
 
 def test_one_stored_report_is_not_saturated():
