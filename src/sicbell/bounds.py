@@ -50,22 +50,20 @@ _BASES_BUDGET = 100_000      # steps of a block's bases search before it gives u
 
 
 class ThetaNonConvergence(RuntimeError):
-    """Raised by :func:`solve_theta` when the graph's certificate, built
-    from each loop's best, is wider than tol: a loop ran out of
-    iterations, or its best bracket stopped narrowing short of tol.
+    """Raised when a graph's certificate, built from each loop's best, is
+    wider than tol: a loop ran out of iterations, or its best bracket
+    stopped narrowing short of tol.
 
-    Carries that certificate's bracket, and the iterations of every loop
-    run, so callers can still report them.
-    """
+    Carries that certificate as ``result``, which :func:`bounds_report`
+    still joins, and its bracket and the iterations of every loop run as
+    attributes of their own, so callers can still report them."""
 
-    def __init__(self, primal_bound: float, dual_bound: float, iterations: int):
-        self.primal_bound = primal_bound
-        self.dual_bound = dual_bound
-        self.iterations = iterations
-        super().__init__(
-            f"no certificate after {iterations} iterations; "
-            f"best bracket [{primal_bound:.9f}, {dual_bound:.9f}]"
-        )
+    def __init__(self, result: ThetaResult):
+        self.result = result
+        self.primal_bound, self.dual_bound = result.value, result.dual_bound
+        self.iterations = result.iterations
+        super().__init__(f"no certificate after {self.iterations} iterations; best "
+                         f"bracket [{self.primal_bound:.9f}, {self.dual_bound:.9f}]")
 
 
 def _components(mask: int, adj: list) -> list:
@@ -138,14 +136,10 @@ def max_weight_independent_set(graph: WeightedGraph):
     Tomita & Seki (2003) and Östergård (Nordic J. Computing 8, 2001) on
     the complement graph.
     """
-    return _independent_set(graph, *_decompose(graph))
-
-
-def _independent_set(graph: WeightedGraph, adj: list, tree):
-    """The search on a split (:func:`_decompose`) its caller reads too."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
+    adj, tree = _decompose(graph)
     w = list(graph.weights)
 
     def clique_cover_bound(cand):
@@ -223,8 +217,8 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
 
     Every loop returns its best certificate, so every piece, and the
     whole graph, has one.  Should the whole graph's be wider than tol,
-    :class:`ThetaNonConvergence` carries its bracket.  ``iterations``
-    counts every loop run."""
+    :class:`ThetaNonConvergence` carries it.  ``iterations`` counts every
+    loop run."""
     n = graph.n
     if n > _MAX_VERTICES:
         raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
@@ -255,7 +249,7 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
 
     res = solve(tree, tol)
     if res.gap > tol:
-        raise ThetaNonConvergence(res.value, res.dual_bound, res.iterations)
+        raise ThetaNonConvergence(res)
     return res
 
 
@@ -365,11 +359,11 @@ def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
     rho ||f||, so a triggered certificate still too wide lowers the
     trigger by its excess over tol.
 
-    It returns the first certificate within tol; or else the best clock
-    certificate once ``max_iter`` iterations (at least one) have run or
-    the best bracket has not narrowed by 1% over ``_STALL_CHECKS`` clock
-    certifications in a row, and at a fixed point (f exactly 0) the
-    better of that and the fixed point's own."""
+    It returns the first certificate within tol; or else its best, the
+    narrowest clock certificate or a fixed point's own, once ``max_iter``
+    iterations (at least one) have run, the best bracket has not
+    narrowed by 1% over ``_STALL_CHECKS`` clock certifications in a row,
+    or f is exactly 0, a fixed point."""
     n, rho = program.n, program.rho
     certify, big_w = program.certify, program.big_w
     # both triangles' edge entries, as indices into the flattened matrix
@@ -417,22 +411,19 @@ def _loop(program: _Program, tol: float, max_iter: int) -> ThetaResult:
             cert = certify(y, v, it)
             if cert.gap <= tol:
                 return cert
-            if res == 0.0:
-                # a fixed point: the state can never move again
-                if best is not None and best.gap <= cert.gap:
-                    return replace(best, iterations=it)
-                return cert
+            if (on_clock or res == 0.0) and (best is None or cert.gap < best.gap):
+                best = cert
+            if res == 0.0:  # a fixed point: the state can never move again
+                break
             if triggered:
                 trigger = tol * rho * res / cert.gap
         if on_clock:
-            if best is None or cert.gap < best.gap:
-                best = cert
             if best.gap < 0.99 * stall_width:
                 stall_width, stalled = best.gap, 0
             else:
                 stalled += 1
             if stalled >= _STALL_CHECKS:
-                return replace(best, iterations=it)
+                break
 
         if extrapolated and res > res_last:
             # safeguard: the extrapolation did worse than the point it
@@ -694,11 +685,11 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     own bases and not the declared contexts, certifies within tol is a
     part on its own (ks18, ks21, and ks18 in yo13 (+) ks18, at 0
     iterations); the rays of the other blocks make one more part, solved
-    by :func:`solve_theta` (yo13).  Every cross pair of two blocks is
-    orthogonal, so ``theta_graph``'s bracket is the join of the parts'
-    (:func:`_join_result`); should the solve fail, its
-    :class:`ThetaNonConvergence` carries its best bracket joined with
-    the closed-form parts'.
+    by :func:`solve_theta` (yo13), whose best certificate is a part even
+    if wider than tol.  Every cross pair of two blocks is orthogonal, so
+    ``theta_graph``'s bracket is the join of the parts'
+    (:func:`_join_result`), and only a join wider than tol raises
+    :class:`ThetaNonConvergence`.
 
     The quantum ceiling's lower end is the largest sum(w_b) / d_b over
     the set's coordinate blocks (:func:`_coordinate_blocks`), rounded
@@ -721,8 +712,8 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
     if zero.size:
         raise ValueError(f"ray {zero[0]} is the zero vector: no state can click it")
     _check_tol(tol)
-    adj, tree = _decompose(graph)
-    alpha, witness = _independent_set(graph, adj, tree)
+    alpha, witness = max_weight_independent_set(graph)
+    adj = _adjacency(graph)[0]
     weights, blocks = sic.weights, _coordinate_blocks(sic)
     places, parts, rest = [], [], []
     for rays, coords in blocks:
@@ -740,11 +731,10 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
         try:
             parts.append(solve_theta(_induced(graph, sum(1 << i for i in rest)), tol))
         except ThetaNonConvergence as exc:
-            raise ThetaNonConvergence(
-                max([exc.primal_bound] + [part.value for part in parts]),
-                max([exc.dual_bound] + [part.dual_bound for part in parts]),
-                exc.iterations) from None
+            parts.append(exc.result)
     theta_graph = parts[0] if len(parts) == 1 else _join_result(graph, places, parts)
+    if theta_graph.gap > tol:
+        raise ThetaNonConvergence(theta_graph)
     lower = max((_round_down(sum(weights[i] for i in rays), len(coords))
                  for rays, coords in blocks), default=0.0)
     upper = theta_graph.dual_bound

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import time
@@ -26,6 +27,7 @@ from sicbell.bounds import (
     state_ceiling,
 )
 from sicbell.catalog import SicSet, WeightedGraph, get_set, orthogonality_graph
+from sicbell.cli import main
 from sicbell.exact import ZERO, ExactScalar
 from sicbell.quantum import bell_operator, block_operator
 
@@ -605,7 +607,7 @@ def test_a_bad_tol_is_refused_before_the_search(monkeypatch, tol):
     def never(*args):
         raise AssertionError("no independent set may be searched for")
 
-    monkeypatch.setattr(bounds, "_independent_set", never)
+    monkeypatch.setattr(bounds, "max_weight_independent_set", never)
     with pytest.raises(ValueError, match="^tol must be a positive finite number"):
         bounds_report(get_set("yo13"), tol=tol)
 
@@ -707,19 +709,42 @@ def test_bounds_report_on_a_direct_sum_takes_the_heavier_part():
     assert rep.theta_graph_iterations == solve_theta(yo13.graph).iterations
 
 
-def test_a_failed_solve_reports_the_joined_bracket(monkeypatch):
-    # yo13's block of yo13 (+) ks18 fails with a bracket below ks18's
-    # 4.5: the error carries the join with ks18's closed form, which
-    # holds theta_graph, not the failed part's bracket alone
+def failing_solve(lower, upper):
+    """A ``solve_theta`` that fails after 7 iterations with the bracket
+    [lower, upper]."""
     def fail(graph, tol):
-        raise ThetaNonConvergence(1.0, 2.0, 7)
+        zeros = np.zeros((graph.n, graph.n))
+        raise ThetaNonConvergence(ThetaResult(lower, upper - lower, upper, zeros, 7, zeros))
+    return fail
 
+
+def test_a_failed_solve_below_a_closed_form_part_certifies(monkeypatch, tmp_path):
+    # yo13's block of yo13 (+) ks18 fails with a bracket below ks18's
+    # 4.5: its certificate joins with ks18's closed form, whose bracket
+    # is then theta_graph's, within tol, so the report stands and the
+    # command exits 0
     ks18 = bounds_report(get_set("ks18"))
-    monkeypatch.setattr(bounds, "solve_theta", fail)
+    monkeypatch.setattr(bounds, "solve_theta", failing_solve(1.0, 2.0))
+    sic = direct_sum(get_set("yo13"), get_set("ks18"))
+    rep = bounds_report(sic)
+    assert (rep.theta_graph, rep.theta_graph_gap, rep.theta_graph_iterations) == (
+        ks18.theta_graph, ks18.theta_graph_gap, 7)
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(set_doc(sic)))
+    assert main(["bounds", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_a_failed_solve_above_a_closed_form_part_raises_the_join(monkeypatch):
+    # a failed part whose upper end, 20, lies above ks18's: the join is
+    # [ks18's lower end, 20], wider than tol, and the one refusal raises
+    # it with the failed loop's iterations
+    ks18 = bounds_report(get_set("ks18"))
+    monkeypatch.setattr(bounds, "solve_theta", failing_solve(1.0, 20.0))
     with pytest.raises(ThetaNonConvergence) as err:
         bounds_report(direct_sum(get_set("yo13"), get_set("ks18")))
-    assert (err.value.primal_bound, err.value.dual_bound, err.value.iterations) == (
-        ks18.theta_graph, ks18.theta_graph + ks18.theta_graph_gap, 7)
+    exc = err.value
+    assert (exc.primal_bound, exc.dual_bound, exc.iterations) == (ks18.theta_graph, 20.0, 7)
+    assert (exc.result.value, exc.result.dual_bound) == (exc.primal_bound, exc.dual_bound)
 
 
 def test_bounds_report_on_a_disjoint_union_adds_the_parts():

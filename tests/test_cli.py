@@ -12,9 +12,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sicbell.bounds import ThetaNonConvergence, bounds_report
+from sicbell.bounds import ThetaNonConvergence, ThetaResult, bounds_report
 from sicbell.catalog import get_set
 from sicbell.cli import (OUTDIR_ENV, CliError, RunConfig,
                          load_run_config, main, resolve_set)
@@ -353,10 +354,12 @@ class TestBounds:
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def explode(sic, tol=1e-6):
-            raise ThetaNonConvergence(4.0, 5.0, 30)
+            zeros = np.zeros((sic.n, sic.n))
+            raise ThetaNonConvergence(ThetaResult(4.0, 1.0, 5.0, zeros, 30, zeros))
         monkeypatch.setattr(cli_module, "bounds_report", explode)
         assert main(["bounds", "ks18", "--out", str(tmp_path)]) == 2
-        assert "did not converge" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: solver did not converge "
+                                           "(bracket [4.0, 5.0] after 30 iterations)\n")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_infinite_report_field_is_refused(self, tmp_path, monkeypatch,
