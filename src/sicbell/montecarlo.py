@@ -131,12 +131,16 @@ def _poisson_lower_tail(coeffs, counts, bound: float) -> float:
     s = delta * math.floor(bound / delta) + delta / 2
     # K' increases, concave then convex (K'''' > 0): Newton's steps close on
     # the root from one side after one overshoot at most; a step at most
-    # doubles |t| + 1, so a flat K' cannot throw t past exp's range
+    # doubles |t| + 1, so a flat K' cannot throw t past exp's range.  They
+    # stop once w is within 1e-10, or K' - s within a few ulps of its
+    # terms, where rounding alone moves it (group totals past about 1e11)
     t = 0.0
     for _ in range(100):
-        slope = sum(n * l * math.exp(l * t) for l, n in groups) - s
+        terms = [n * l * math.exp(l * t) for l, n in groups]
+        slope = sum(terms) - s
         curve = sum(n * l * l * math.exp(l * t) for l, n in groups)
-        if abs(slope) <= 1e-10 * math.sqrt(curve):  # w within 1e-10
+        if abs(slope) <= max(1e-10 * math.sqrt(curve),
+                             4 * math.ulp(1.0) * (sum(map(abs, terms)) + abs(s))):
             break
         t = min(max(t - slope / curve, t - 1 - abs(t)), t + 1 + abs(t))
     # w^2/2 = t K'(t) - K(t) = sum_k T_k g(l_k t), g(y) = y e^y - e^y + 1 >= 0;

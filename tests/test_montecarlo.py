@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sicbell import cli
+from sicbell import cli, montecarlo
 from sicbell.catalog import catalog_names, get_set, orthogonality_graph
 from exact_oracle import poisson_lower_tail
 from sicbell.montecarlo import (
@@ -357,9 +357,10 @@ class TestEstimateBeta:
          -5.205650528468222e19)])
     def test_poisson_tail_at_totals_past_float_resolution(self, levels, totals, delta,
                                                           bound):
-        # at totals near 1e18 rounding keeps K' - s above the stop test, and
-        # Newton's steps jitter about the root; the tail still matches the
-        # normal limit with its skew term, exact here to far below 1e-4
+        # at totals near 1e18 the rounding of K' - s is far above 1e-10 sd,
+        # and Newton stops once K' - s is within a few ulps of its terms; the
+        # tail matches the normal limit with its skew term, exact here to far
+        # below 1e-4
         mean, var, third = (sum(Fraction(l)**k * Fraction(n) for l, n in zip(levels, totals))
                             for k in (1, 2, 3))
         x = delta * math.floor(Fraction(bound) / Fraction(delta))
@@ -367,6 +368,26 @@ class TestEstimateBeta:
         normal = statistics.NormalDist()
         limit = normal.cdf(z) - normal.pdf(z) * float(third) / float(var)**1.5 / 6 * (z * z - 1)
         assert _poisson_lower_tail(levels, totals, bound) == pytest.approx(limit, rel=1e-4)
+
+    def test_newton_stops_where_rounding_moves_k_prime(self, monkeypatch):
+        # ks18 at 1e12 pairs per setting and the visibility whose beta is
+        # alpha: group totals near 1e12 put K' - s's rounding above 1e-10
+        # sd, where a stop test on w alone let Newton jitter about the root
+        # for all 100 iterations.  The spy counts the loop's iterations
+        drawn = []
+
+        def counting_range(*args):
+            for k in range(*args):
+                drawn.append(k)
+                yield k
+
+        sic = get_set("ks18")
+        cfg = NoiseConfig(visibility=fit_visibility(4.0, sic))
+        monkeypatch.setattr(montecarlo, "range", counting_range, raising=False)
+        _, _, report = run_experiment(sic, cfg, 1e12, 5)
+        assert 1 <= len(drawn) <= 10
+        assert -0.2 < report.sigmas_of_violation < -0.19
+        assert report.poisson_p_value == pytest.approx(0.5777019443, rel=1e-6)
 
     def test_poisson_tail_at_a_bound_of_zero(self):
         # 0 lies inside the support of positive levels, where the tail is
