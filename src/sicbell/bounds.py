@@ -101,7 +101,10 @@ def _decompose(graph: WeightedGraph):
     ``("union", mask, parts)`` over its components; a connected one whose
     complement is disconnected becomes ``("join", mask, parts)`` over the
     complement's components; anything else is a leaf, the mask itself.
-    The parts split again, so a cograph splits down to single vertices."""
+    The parts split again, so a cograph splits down to single vertices.
+    A graph of more than ``_MAX_VERTICES`` vertices is refused."""
+    if graph.n > _MAX_VERTICES:
+        raise ValueError(f"graph has {graph.n} vertices; supports at most {_MAX_VERTICES}")
     adj, co_adj = _adjacency(graph)
 
     def split(mask):
@@ -118,7 +121,8 @@ def max_weight_independent_set(graph: WeightedGraph):
     """Exact maximum-weight independent set: ``(value, witness)``, the
     witness being the lexicographically smallest optimal vertex tuple.
 
-    The graph is split first (:func:`_decompose`).  On a union the values
+    The graph is split first (:func:`_decompose`, which refuses more
+    than ``_MAX_VERTICES`` vertices).  On a union the values
     add and the witnesses merge: two optima first differ at the least
     element of their symmetric difference, which lies in one component,
     so the merged lexicographic minima are the whole graph's.  On a join
@@ -136,9 +140,6 @@ def max_weight_independent_set(graph: WeightedGraph):
     Tomita & Seki (2003) and Östergård (Nordic J. Computing 8, 2001) on
     the complement graph.
     """
-    n = graph.n
-    if n > _MAX_VERTICES:
-        raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
     adj, tree = _decompose(graph)
     w = list(graph.weights)
 
@@ -200,9 +201,9 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
                 max_iter: int = _MAX_ITER) -> ThetaResult:
     """Weighted theta number with a certified bracket of width <= tol.
 
-    A tol below the graph's rounding floor (:func:`_rounding_floor`),
-    which no certificate can beat, raises ValueError before any loop
-    runs.
+    A bad tol, then a graph past ``_MAX_VERTICES`` vertices, then a tol
+    below the graph's rounding floor (:func:`_rounding_floor`), which no
+    certificate can beat, raise ValueError before any loop runs.
 
     The graph is split (:func:`_decompose`) and the loop (:func:`_loop`)
     runs only on the pieces that split no further, each for at most
@@ -210,20 +211,17 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
     times its share of the union's weight, so a piece's tol is at least
     its share of the whole graph's, however deep it lies, and the parts'
     certificates are assembled into one pair for the union
-    (:func:`_union_start`), which ``_Program.certify_start`` certifies on
-    the whole union.  Each part of a join is solved at tol, and the
-    join's bracket is [max of the parts' lower bounds, max of their upper
-    bounds] (:func:`_join_result`).
+    (:func:`_union_start`), which the union's ``_Program`` certifies.
+    Each part of a join is solved at tol, and the join's bracket is [max
+    of the parts' lower bounds, max of their upper bounds]
+    (:func:`_join_result`).
 
     Every loop returns its best certificate, so every piece, and the
     whole graph, has one.  Should the whole graph's be wider than tol,
     :class:`ThetaNonConvergence` carries it.  ``iterations`` counts every
     loop run."""
-    n = graph.n
-    if n > _MAX_VERTICES:
-        raise ValueError(f"graph has {n} vertices; supports at most {_MAX_VERTICES}")
     _check_tol(tol)
-    if n == 0:
+    if graph.n == 0:
         return ThetaResult(0.0, 0.0, 0.0, np.zeros((0, 0)), 0, np.zeros((0, 0)))
     tree = _decompose(graph)[1]
     floor = _rounding_floor(graph, tree)
@@ -237,14 +235,14 @@ def solve_theta(graph: WeightedGraph, tol: float = 1e-6,
             return _loop(_Program(_induced(graph, node)), node_tol, max_iter)
         kind, mask, parts = node
         sub = _induced(graph, mask)
+        program = _Program(sub)
         places = [_places(mask, part if isinstance(part, int) else part[1])
                   for part in parts]
         if kind == "join":
-            return _join_result(sub, places, [solve(part, node_tol) for part in parts])
-        total = float(sum(sub.weights))
-        results = [solve(part, node_tol * (sum(sub.weights[p] for p in place) / total))
+            return _join_result(program, places, [solve(part, node_tol) for part in parts])
+        results = [solve(part, node_tol * (sum(sub.weights[p] for p in place) / program.rho))
                    for part, place in zip(parts, places)]
-        return replace(_Program(sub).certify_start(_union_start(sub, places, results)),
+        return replace(program.certify_start(_union_start(program, places, results)),
                        iterations=sum(r.iterations for r in results))
 
     res = solve(tree, tol)
@@ -468,10 +466,10 @@ def _places(mask: int, part: int) -> list:
             for v in range(part.bit_length()) if part >> v & 1]
 
 
-def _union_start(graph: WeightedGraph, places: list, parts: list):
-    """A :func:`solve_theta` start ``(x0, h)`` for a disjoint union,
-    assembled from its parts' results, ``places`` giving where each
-    part's vertices fall in ``graph``.
+def _union_start(program: _Program, places: list, parts: list):
+    """A :func:`solve_theta` start ``(x0, h)`` for the disjoint union of
+    theta program ``program``, assembled from its parts' results,
+    ``places`` giving where each part's vertices fall in the union.
 
     With s_k = sqrt(w) on part k, X_k its matrix, theta_k = s_k^T X_k s_k
     and u_k = X_k s_k, x0 = (blockdiag(theta_k X_k - u_k u_k^T) + u u^T)
@@ -482,9 +480,9 @@ def _union_start(graph: WeightedGraph, places: list, parts: list):
     upper bounds and U their sum, h = blockdiag((U / U_k) h_k): by
     Cauchy-Schwarz, (sum_k s_k^T z_k)^2 <= U sum_k (s_k^T z_k)^2 / U_k,
     so lambda_max(W - h) <= U."""
-    sqrt_w = np.sqrt([float(x) for x in graph.weights])
+    sqrt_w = program.sqrt_w
     total = sum(part.dual_bound for part in parts)
-    u = np.zeros(graph.n)
+    u = np.zeros(program.n)
     values = []
     for place, part in zip(places, parts):
         u[place] = part.matrix @ sqrt_w[place]
@@ -498,18 +496,17 @@ def _union_start(graph: WeightedGraph, places: list, parts: list):
     return x0 / sum(values), h
 
 
-def _join_result(graph: WeightedGraph, places: list, parts: list) -> ThetaResult:
+def _join_result(program: _Program, places: list, parts: list) -> ThetaResult:
     """A join's theta is the max over its parts (Knuth 1994), so its
     bracket is [max of the parts' lower bounds, max of their upper
     bounds], no wider than the widest part's.  The matrix is that of the
-    part with the best lower bound, zero elsewhere, and h is W on the
-    cross pairs, all of them edges, and each part's h on its block: W - h
-    is then block diagonal, its top eigenvalue the max of the parts'.
-    Iterations add up over the parts."""
+    part with the best lower bound, zero elsewhere, and h is W (the
+    join's ``program.big_w``) on the cross pairs, all of them edges, and
+    each part's h on its block: W - h is then block diagonal, its top
+    eigenvalue the max of the parts'.  Iterations add up over the parts."""
     lower = max(part.value for part in parts)
     upper = max(part.dual_bound for part in parts)
-    sqrt_w = np.sqrt([float(x) for x in graph.weights])
-    h = np.outer(sqrt_w, sqrt_w)
+    h = program.big_w.copy()
     x = np.zeros_like(h)
     best = next(k for k, part in enumerate(parts) if part.value == lower)
     for k, (place, part) in enumerate(zip(places, parts)):
@@ -732,7 +729,7 @@ def bounds_report(sic: SicSet, tol: float = 1e-6) -> BoundsReport:
             parts.append(solve_theta(_induced(graph, sum(1 << i for i in rest)), tol))
         except ThetaNonConvergence as exc:
             parts.append(exc.result)
-    theta_graph = parts[0] if len(parts) == 1 else _join_result(graph, places, parts)
+    theta_graph = parts[0] if len(parts) == 1 else _join_result(_Program(graph), places, parts)
     if theta_graph.gap > tol:
         raise ThetaNonConvergence(theta_graph)
     lower = max((_round_down(sum(weights[i] for i in rays), len(coords))

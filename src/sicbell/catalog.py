@@ -108,9 +108,10 @@ class SicSet:
     @cached_property
     def settings(self) -> tuple[tuple[int, int], ...]:
         """Every measurement setting of the inequality, in canonical order:
-        diagonals, then both orientations of each edge in sorted order."""
+        diagonals, then both orientations of each edge of :attr:`graph`,
+        in its order."""
         return tuple([(i, i) for i in range(self.n)] + [
-            s for i, j in sorted(self.graph.edges) for s in ((i, j), (j, i))])
+            s for i, j in self.graph.edges for s in ((i, j), (j, i))])
 
     @cached_property
     def coefficient_matrix(self) -> np.ndarray:
@@ -126,12 +127,10 @@ class SicSet:
     @cached_property
     def coefficients(self) -> np.ndarray:
         """:attr:`coefficient_matrix` at each setting, aligned with
-        :attr:`settings`, whose edges are the upper triangle of
-        :attr:`orthogonal` in row-major order, as the graph's are."""
-        rows, cols = np.nonzero(self.orthogonal)
-        upper, matrix = rows < cols, self.coefficient_matrix
-        coeffs = np.concatenate([np.diagonal(matrix),
-                                 np.repeat(matrix[rows[upper], cols[upper]], 2)])
+        :attr:`settings`: the diagonal, then each graph edge's entry twice."""
+        matrix, edges = self.coefficient_matrix, self.graph.edges
+        on_edges = matrix[[i for i, _ in edges], [j for _, j in edges]]
+        coeffs = np.concatenate([np.diagonal(matrix), np.repeat(on_edges, 2)])
         coeffs.setflags(write=False)
         return coeffs
 
@@ -160,7 +159,8 @@ class SicSet:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Vertex-weighted undirected graph; edges stored as sorted index pairs."""
+    """Vertex-weighted undirected graph: positive weights, one per vertex,
+    and edges (i, j) with 0 <= i < j < n, so never one with i == j."""
 
     n: int
     weights: tuple
@@ -168,8 +168,6 @@ class WeightedGraph:
 
     def __post_init__(self):
         for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < j < self.n):
                 raise ValueError(f"bad edge ({i}, {j}) for n={self.n}")
         if len(self.weights) != self.n:
@@ -202,7 +200,8 @@ def get_set(name: str) -> SicSet:
 # ---------------------------------------------------------------------------
 
 def orthogonality_graph(sic: SicSet) -> WeightedGraph:
-    """Graph with an edge wherever two rays have exact inner product zero."""
+    """Graph with an edge wherever two rays have exact inner product zero,
+    the edges in row-major order."""
     rows, cols = np.nonzero(sic.orthogonal)
     upper = rows < cols
     return WeightedGraph(sic.n, sic.weights,

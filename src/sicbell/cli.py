@@ -216,7 +216,7 @@ def _json_text(doc: dict, **tables: dict[str, Sequence]) -> str:
         template = "    {\n%s\n    }" % ",\n".join(
             [f"      {json.dumps(name)}: %r" for name in names])
         body = ",\n".join([template % row for row
-                           in zip(*[columns[name] for name in names])])
+                           in zip(*[columns[name] for name in names], strict=True)])
         # json.dumps escapes every '"' inside a string, so in a flat head
         # '"<key>": null' occurs only as the key itself, whatever the values
         key = json.dumps(key)
@@ -231,10 +231,12 @@ def _write_json(path: Path, doc: dict, **tables: dict[str, Sequence]) -> None:
 
 
 def _write_csv(path: Path, columns: dict[str, Sequence]) -> None:
+    # the rows first, so columns of unequal length leave no partial file
+    rows = list(zip(*columns.values(), strict=True))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
+        writer.writerows(rows)
 
 
 def _weight_summary(weights: Sequence[int]) -> str:

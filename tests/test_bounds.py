@@ -262,11 +262,16 @@ def test_mwis_empty_and_capacity():
     empty = solve_theta(WeightedGraph(0, (), ()))
     assert (empty.value, empty.gap, empty.dual_bound) == (0.0, 0.0, 0.0)
     assert empty.matrix.shape == empty.h.shape == (0, 0) and empty.iterations == 0
+    # _decompose refuses a graph past 64 vertices, for both numbers;
+    # solve_theta checks its tol first
     big = WeightedGraph(65, (1,) * 65, ())
-    with pytest.raises(ValueError):
+    cap = "^graph has 65 vertices; supports at most 64$"
+    with pytest.raises(ValueError, match=cap):
         max_weight_independent_set(big)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=cap):
         solve_theta(big)
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        solve_theta(big, tol=0.0)
 
 
 # ---------------------------------------------------------------- theta
@@ -462,7 +467,8 @@ def c5_and_vertex_at(tol):
 
 def _assembled(graph, places, parts):
     """The union certificate :func:`solve_theta` builds from its parts'."""
-    return _Program(graph).certify_start(_union_start(graph, places, parts))
+    program = _Program(graph)
+    return program.certify_start(_union_start(program, places, parts))
 
 
 def test_disconnected_graph_is_solved_by_parts():
@@ -495,7 +501,7 @@ def test_a_union_certificate_wider_than_tol_raises(monkeypatch):
     parts = (solve_theta(c5, tol=c5_tol).iterations
              + solve_theta(vertex, tol=vertex_tol).iterations)
     start = (np.eye(6), np.zeros((6, 6)))
-    monkeypatch.setattr(bounds, "_union_start", lambda graph, places, results: start)
+    monkeypatch.setattr(bounds, "_union_start", lambda program, places, results: start)
     cert = _Program(g).certify_start(start)
     assert cert.gap > 1e-6
     with pytest.raises(ThetaNonConvergence) as err:

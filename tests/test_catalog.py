@@ -190,12 +190,16 @@ def test_verify_set_flags_corruption():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        WeightedGraph(3, (1, 1, 1), ((1, 1),))
-    with pytest.raises(ValueError):
-        WeightedGraph(3, (1, 1, 1), ((2, 1),))
-    with pytest.raises(ValueError):
-        WeightedGraph(2, (1, 0), ())
+    # every edge is a pair 0 <= i < j < n, which also leaves out a
+    # self-loop; each graph is refused with its own message
+    for n, weights, edges, message in [
+            (3, (1, 1, 1), ((1, 1),), r"bad edge \(1, 1\) for n=3"),
+            (3, (1, 1, 1), ((2, 1),), r"bad edge \(2, 1\) for n=3"),
+            (3, (1, 1, 1), ((0, 3),), r"bad edge \(0, 3\) for n=3"),
+            (3, (1, 1), (), "weight count does not match vertex count"),
+            (2, (1, 0), (), "weights must be positive")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightedGraph(n, weights, edges)
 
 
 def test_json_round_trip():

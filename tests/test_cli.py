@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -67,6 +68,12 @@ def _short_vector(doc):
     doc["vectors"][0] = doc["vectors"][0][:3]
 
 
+def _later_pair(doc):
+    # ray 14 becomes (0, 2, -1, 0): of its context (8, 10, 13, 14) only
+    # the first and last rays, not the first pair, lose orthogonality
+    doc["vectors"][14][1] = [2, 0]
+
+
 def _rows(header, *rows):
     return "".join(f"{line}\n" for line in (header, *rows))
 
@@ -97,6 +104,13 @@ _PINNED_CATALOG = [
         "  [FAIL] nonzero_vectors", "  [FAIL] vector_dimension: d=4, n=18",
         "  [ok] positive_weights", "  [ok] context_shape",
         "  [FAIL] context_orthogonality", "  [FAIL] context_identity")),
+    (_later_pair, _rows(
+        "ks18: 18 vectors, d=4, 59 edges, weights 1x18, 9 contexts",
+        "  [ok] nonzero_vectors", "  [ok] vector_dimension",
+        "  [ok] positive_weights", "  [ok] context_shape",
+        "  [FAIL] context_orthogonality: vectors 8 and 14 not orthogonal",
+        "  [FAIL] context_identity", "  [FAIL] edge_count: found 59, expected 63",
+        "  [ok] exact_float_agreement")),
 ]
 
 
@@ -115,6 +129,8 @@ class TestCatalog:
         assert "9 contexts" in capsys.readouterr().out
         main(["catalog", "ks21"])
         assert "7 contexts" in capsys.readouterr().out
+        main(["catalog", "yo13"])
+        assert "0 contexts" in capsys.readouterr().out
 
     def test_weight_summary(self, capsys):
         main(["catalog", "yo13"])
@@ -157,7 +173,7 @@ class TestCatalog:
 
     @pytest.mark.parametrize("corrupt, expected", _PINNED_CATALOG,
                              ids=["zero_in_context", "zero_outside_contexts",
-                                  "repeated_index", "short_vector"])
+                                  "repeated_index", "short_vector", "later_pair"])
     def test_corrupted_set_output_is_pinned(self, tmp_path, capsys,
                                             corrupt, expected):
         doc = bundled("ks18")
@@ -278,6 +294,11 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: tol must be a positive finite number")
         assert err.count("\n") == 1
+
+    def test_tol_default_is_bounds_reports(self):
+        # `bounds` with no --tol certifies what bounds_report does by default
+        default = inspect.signature(bounds_report).parameters["tol"].default
+        assert cli_module.build_parser().parse_args(["bounds", "ks18"]).tol == default
 
     def test_huge_tolerance_is_valid(self, tmp_path, capsys):
         # any positive finite tol is valid: ks18's closed form is within it
@@ -664,6 +685,8 @@ class TestConfigHandling:
         ({"bootstrap_replicates": -1}, "bootstrap_replicates -1 is negative"),
         ({"spectrum_width": 1e-300}, "its square underflows"),
         ({"bootstrap_replicates": 1e13}, "exceeds the cap of 1000000"),
+        ({"bootstrap_replicates": 10**6 + 1},
+         "bootstrap_replicates 1000001 exceeds the cap of 1000000\n"),
         ({"set": 5}, 'config "set" must be a string, not int'),
         ({"exposure": 9.8813e-319}, "exposure 9.8813e-319 is too small"),
         ({"exposure": 2e-155}, "exposure too small: the error bar"),
@@ -692,7 +715,8 @@ class TestConfigHandling:
     ], ids=["visibility", "pair_rate", "integration_time", "counter_range",
             "exposure", "nan_exposure",
             "zero_exposure", "negative_exposure", "replicates", "width",
-            "replicates_cap", "set_type", "tiny_exposure", "sigma_overflow",
+            "replicates_cap", "replicates_cap_plus_one", "set_type",
+            "tiny_exposure", "sigma_overflow",
             "nan_amplitude", "fractional_seed", "bool_seed",
             "fractional_replicates", "pair_format", "bool_amplitude",
             "string_number", "bool_visibility", "huge_int",
@@ -734,6 +758,20 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match=f"^column p_hat holds {bad}, "):
             cli_module._write_json(target, {"set": "yo13"}, settings={
                 "index": [1, 2], "p_hat": [0.5, bad], "sigma": [0.0, 0.0]})
+        assert not target.exists()
+
+    @pytest.mark.parametrize("form", ["json", "csv"])
+    @pytest.mark.parametrize("p_hat, order", [([0.5], "shorter"),
+                                               ([0.5, 0.25, 0.125], "longer")])
+    def test_unequal_columns_are_refused(self, tmp_path, form, p_hat, order):
+        # a plain zip would stop at the shortest column and drop rows
+        columns = {"index": [1, 2], "p_hat": p_hat}
+        target = tmp_path / f"table.{form}"
+        with pytest.raises(ValueError, match=f"^zip\\(\\) argument 2 is {order} "):
+            if form == "json":
+                cli_module._write_json(target, {"set": "yo13"}, settings=columns)
+            else:
+                cli_module._write_csv(target, columns)
         assert not target.exists()
 
     def test_explicit_spectrum(self, tmp_path, capsys):
@@ -829,12 +867,14 @@ class TestConfigHandling:
     def test_dimension_above_the_cap_is_refused(self, tmp_path, capsys,
                                                 command):
         # two orthogonal rays in d = 33: the joint space would be 1089^2
-        d = 33
+        def wide(d):
+            return json.dumps({
+                "name": "wide", "dimension": d, "weights": [1, 1],
+                "vectors": [[[1, 0]] + [[0, 0]] * (d - 1),
+                            [[0, 0], [1, 0]] + [[0, 0]] * (d - 2)]})
+
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps({
-            "name": "wide", "dimension": d, "weights": [1, 1],
-            "vectors": [[[1, 0]] + [[0, 0]] * (d - 1),
-                        [[0, 0], [1, 0]] + [[0, 0]] * (d - 2)]}))
+        path.write_text(wide(33))
         out = ["--out", str(tmp_path / "out")]
         argv = {"catalog": ["catalog", str(path)],
                 "bounds": ["bounds", str(path), *out],
@@ -852,6 +892,38 @@ class TestConfigHandling:
             assert captured.err == (f"error: set {path} fails validation: "
                                     "vector_dimension\n")
         assert [p.name for p in tmp_path.rglob("*")] == ["wide.json"]
+        if command == "catalog":
+            # d = 32 is at the cap, not above it
+            path.write_text(wide(32))
+            assert main(["catalog", str(path)]) == 0
+            assert "  [ok] vector_dimension\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["catalog", "bounds", "predict",
+                                         "simulate", "fit"])
+    def test_the_vertex_cap_refuses_bounds_and_simulate(self, tmp_path, capsys,
+                                                        command):
+        # 65 rays (1, k) in d = 2, no two orthogonal: a valid set, which
+        # catalog, predict and fit take.  bounds and simulate need alpha,
+        # and the graph split behind both graph numbers takes at most 64
+        path = tmp_path / "rays65.json"
+        path.write_text(json.dumps({
+            "name": "rays65", "dimension": 2, "weights": [1] * 65,
+            "vectors": [[[1, 0], [k, 0]] for k in range(65)]}))
+        out = ["--out", str(tmp_path / "out")]
+        argv = {"catalog": ["catalog", str(path)],
+                "bounds": ["bounds", str(path), *out],
+                "predict": ["predict", "--set", str(path), *out],
+                "simulate": ["simulate", "--set", str(path), *out],
+                "fit": ["fit", "--set", str(path), "--target-beta", "30"]}
+        if command in ("catalog", "predict", "fit"):
+            assert main(argv[command]) == 0
+            assert capsys.readouterr().err == ""
+            return
+        assert main(argv[command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has 65 vertices; supports at most 64\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["rays65.json"]
 
     @pytest.mark.parametrize("command", ["bounds", "predict", "simulate"])
     @pytest.mark.parametrize("name", [
